@@ -1,29 +1,22 @@
 """Kernel backend comparison: the runtime layer's acceptance benchmark.
 
-Runs every registered kernel backend (python, numpy, sparse, jit when
-numba is installed) over the dense- and sparse-frontier programs at the
-smoke scale *and* at the floor scale, asserts bit-identical fixpoints
-and work counters while timing, and writes the committed byte-stable
-baseline ``benchmarks/results/BENCH_kernels.json`` (work counters and
-floor verdicts only -- never wall seconds or library versions).
+Runs both registered kernel backends (python, numpy) over the dense-
+and sparse-frontier programs at the smoke scale *and* at the floor
+scale, asserts bit-identical fixpoints and work counters while timing,
+and writes the committed byte-stable baseline
+``benchmarks/results/BENCH_kernels.json`` (work counters and the floor
+verdict only -- never wall seconds or library versions).
 
-Two qualitative claims are guarded:
-
-* the vectorized numpy kernel beats the pure-Python reference loop by
-  >= 3x on dense-frontier MRA at scale >= 0.5;
-* the sparse-frontier kernel beats numpy by >= 3x on the
-  selective-aggregate programs (sssp, cc) at scale >= 1.0, where
-  per-superstep frontiers collapse and full-vertex scans are waste.
-
-The sparse-vs-dense crossover table (numpy/sparse ratio per program and
-scale) is printed with the report so the regime boundary stays visible.
+One qualitative claim is guarded: the array kernel beats the
+pure-Python reference loop by >= 3x at scale >= 0.5, on dense-frontier
+MRA (pagerank, katz, adsorption) and on the selective-aggregate
+programs (sssp, cc) whose per-superstep frontiers collapse.
 """
 
 from repro.bench.kernels import (
+    BASELINE_SCALE,
     DENSE_PROGRAMS,
     SEMIRING_PROGRAMS,
-    SPARSE_FLOOR,
-    SPARSE_FLOOR_SCALE,
     SPARSE_PROGRAMS,
     SPEEDUP_FLOOR,
     kernel_floors_met,
@@ -45,7 +38,7 @@ def test_kernel_backends(benchmark, bench_scale, save_report):
     save_report(report)
     # the committed baseline holds the floor-scale rows; smoke runs at
     # smaller scales must not churn it
-    if report.check_scale >= SPARSE_FLOOR_SCALE:
+    if report.check_scale >= BASELINE_SCALE:
         path = write_kernel_baseline(report)
         print(f"[baseline saved to {path}]")
 
@@ -63,44 +56,21 @@ def test_kernel_backends(benchmark, bench_scale, save_report):
 
     if not HAVE_NUMPY:
         return
-    assert "numpy" in backends and "sparse" in backends
-    for program in DENSE_PROGRAMS:
+    assert backends == ["python", "numpy"]
+    for program in (*DENSE_PROGRAMS, *SPARSE_PROGRAMS):
         assert report.speedups[program] >= SPEEDUP_FLOOR, (
             f"{program}: numpy kernel only {report.speedups[program]:.1f}x "
             f"over python (floor {SPEEDUP_FLOOR:.0f}x)"
         )
-    # the crossover table covers every dataset (program, scale) pair
-    # (semiring rows run on fixture graphs and carry no crossover)
-    scales = sorted(
-        {
-            row["scale"]
-            for row in report.rows
-            if row["program"] in (*DENSE_PROGRAMS, *SPARSE_PROGRAMS)
-        }
-    )
-    for program in (*DENSE_PROGRAMS, *SPARSE_PROGRAMS):
-        for scale in scales:
-            assert f"{program}@{scale}" in report.crossover
+    assert kernel_floors_met(report) == {"numpy_3x": True}
     # the four semiring families each produced rows for every backend
     # that supports their carrier; kpaths' KTuple rows must exclude the
-    # float64 backends
+    # float64 array kernel
     for program in SEMIRING_PROGRAMS:
         row_backends = {
             row["backend"] for row in report.rows if row["program"] == program
         }
         if program == "kpaths":
-            assert row_backends == {"python", "numpy"} & set(backends)
+            assert row_backends == {"python"}
         else:
             assert row_backends == set(backends)
-    if report.check_scale < SPARSE_FLOOR_SCALE:
-        return  # smoke run: sparse floor only binds at the floor scale
-    for program in SPARSE_PROGRAMS:
-        assert report.sparse_speedups[program] >= SPARSE_FLOOR, (
-            f"{program}: sparse kernel only "
-            f"{report.sparse_speedups[program]:.1f}x over numpy "
-            f"(floor {SPARSE_FLOOR:.0f}x at scale {SPARSE_FLOOR_SCALE})"
-        )
-    assert kernel_floors_met(report) == {
-        "numpy_dense_3x": True,
-        "sparse_selective_3x": True,
-    }

@@ -19,7 +19,7 @@ the individual passes are importable on their own:
 * :mod:`repro.analysis.incremental` -- incremental-maintainability
   classification (RA32x) gating :mod:`repro.delta` repair strategies;
 * :mod:`repro.analysis.frontier`    -- sparse-frontier scheduling
-  applicability (RA33x) gating the sparse backend's delta-stepping;
+  applicability (RA33x) gating the array kernel's delta-stepping;
 * :mod:`repro.analysis.comm`        -- sharding / communication-shape
   analysis surfaced through ``repro.obs`` metrics.
 """

@@ -1061,7 +1061,8 @@ class CostEstimate:
     #: predicted F' applications over the whole run
     work: int
     peak_frontier_fraction: float
-    #: ``"sparse"`` | ``"numpy"`` -- the auto-selection preference
+    #: ``"sparse"`` | ``"numpy"`` -- the predicted frontier shape (sparse
+    #: or dense); reporting only, both names run the one array kernel
     recommended_backend: str
     keys: int
     edges: int

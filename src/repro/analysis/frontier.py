@@ -1,8 +1,8 @@
 """Sparse-frontier applicability classification: RA330/RA331.
 
-The ``sparse`` vertex runtime (:mod:`repro.runtime.sparse_kernel`) has
-two scheduling modes and this pass derives, statically, which one a
-program may use:
+The array kernel (:mod:`repro.runtime.numpy_kernel`) has two
+scheduling modes and this pass derives, statically, which one a program
+may use:
 
 * ``delta-stepping`` (RA330): selective, idempotent aggregates
   (min/max) whose every recursive body passed the Theorem-1 structural

@@ -1,23 +1,21 @@
-"""Kernel backend benchmark: python vs numpy vs sparse (vs jit) runtime.
+"""Kernel backend benchmark: the python reference vs the array kernel.
 
-Times the MRA inner loop (the hot path every engine now delegates to a
-:class:`repro.runtime.Kernel`) under every registered backend on the
+Times the MRA inner loop (the hot path every engine delegates to a
+:class:`repro.runtime.Kernel`) under both registered backends on the
 same compiled plans, asserts the fixpoints agree *bit for bit* while
 timing, and records the deterministic work rows as the committed
 baseline ``benchmarks/results/BENCH_kernels.json``.
 
-Two acceptance floors are guarded:
-
-* the vectorized numpy backend beats the pure-Python reference loop by
-  >= ``SPEEDUP_FLOOR`` on the dense-frontier programs at scale >= 0.5;
-* the sparse-frontier backend beats numpy by >= ``SPARSE_FLOOR`` on the
-  selective-aggregate programs (``sssp``, ``cc``) at scale >=
-  ``SPARSE_FLOOR_SCALE`` -- frontier compaction plus columnar CSR
-  packing must pay off exactly where per-superstep frontiers are small.
+One acceptance floor is guarded: the array kernel (``numpy``) beats the
+pure-Python reference loop by >= ``SPEEDUP_FLOOR`` at scale >= 0.5 on
+the dense-frontier programs *and* on the selective-aggregate programs
+(``sssp``, ``cc``) whose frontiers collapse after the first supersteps
+-- vectorisation must pay on the former, frontier compaction plus
+columnar CSR packing on the latter.
 
 The committed baseline is **byte-stable**: wall-clock seconds and host
 library versions never enter it, only work counters (deterministic per
-graph/program/backend) and the boolean floor verdicts; floats are
+graph/program/backend) and the boolean floor verdict; floats are
 rounded to 9 decimals.  Re-running the bench on any host therefore
 never dirties the checked-in file unless the work actually changed.
 The wall-clock ratios live in the report text and in the bench-gate's
@@ -38,19 +36,13 @@ from repro.graphs import load_dataset
 from repro.programs import PROGRAMS
 from repro.runtime import available_backends, get_kernel, numpy_version
 
-#: acceptance floor for the vectorized backend on dense-frontier MRA
+#: acceptance floor for the array kernel over the python reference
 SPEEDUP_FLOOR = 3.0
-
-#: acceptance floor for the sparse backend over numpy on the
-#: selective-aggregate (sparse-frontier) programs ...
-SPARSE_FLOOR = 3.0
-#: ... asserted from this scale upward (small graphs are all fixed cost)
-SPARSE_FLOOR_SCALE = 1.0
 
 #: programs whose frontiers stay dense enough for vectorization to pay
 DENSE_PROGRAMS = ("pagerank", "katz", "adsorption")
 #: selective-aggregate programs whose frontiers collapse after the first
-#: supersteps -- the sparse backend's home turf
+#: supersteps -- where frontier compaction has to pay instead
 SPARSE_PROGRAMS = ("sssp", "cc")
 #: the four semiring families (boolean, counting, k-tropical, Viterbi)
 #: ride along at their fixture graphs rather than the scaled dataset:
@@ -61,6 +53,8 @@ SEMIRING_PROGRAMS = ("why_reach", "path_count", "kpaths", "reach_prob")
 #: scale recorded on the fixture-graph semiring rows (they do not vary
 #: with the dataset scale knob)
 SEMIRING_ROW_SCALE = 1.0
+#: dataset scale of the committed baseline's floor rows
+BASELINE_SCALE = 1.0
 
 BASELINE_PATH = os.path.join("benchmarks", "results", "BENCH_kernels.json")
 
@@ -90,6 +84,58 @@ def _time_run(plan_factory, backend: str, repeats: int):
     return best, result
 
 
+def _bench_program(
+    program: str, graph, dataset: str, scale: float, backends, repeats: int
+) -> tuple[list, dict]:
+    """One program on one graph under every backend that supports it.
+
+    Returns the report rows and ``backend -> seconds``; raises if a
+    backend's fixpoint or work counters differ from the first one's.
+    """
+    spec = PROGRAMS[program]
+    probe_plan = spec.plan(graph)
+    rows = []
+    seconds_by_backend = {}
+    reference = None
+    for backend in backends:
+        # kpaths' KTuple carrier is refused by the float64 array kernel,
+        # so its rows cover only the python backend
+        if not get_kernel(backend).supports_plan(probe_plan):
+            continue
+        seconds, result = _time_run(lambda: spec.plan(graph), backend, repeats)
+        counters = result.counters.snapshot()
+        if reference is None:
+            reference = (result.values, counters)
+        elif result.values != reference[0]:
+            raise AssertionError(
+                f"{program}@{scale}: backend {backend!r} "
+                "fixpoint differs from the reference backend"
+            )
+        elif counters != reference[1]:
+            raise AssertionError(
+                f"{program}@{scale}: backend {backend!r} "
+                "work counters differ from the reference backend"
+            )
+        seconds_by_backend[backend] = seconds
+        rows.append(
+            {
+                "program": program,
+                "dataset": dataset,
+                "scale": scale,
+                "backend": backend,
+                "seconds": round(seconds, 6),
+                "iterations": result.counters.iterations,
+                "work": {
+                    "combines": counters["combines"],
+                    "updates": counters["updates"],
+                    "fprime_applications": counters["fprime_applications"],
+                },
+                "fixpoint_matches": True,
+            }
+        )
+    return rows, seconds_by_backend
+
+
 def run_kernel_bench(
     scale: float = 0.25,
     speedup_scale: float = 1.0,
@@ -97,202 +143,68 @@ def run_kernel_bench(
     programs: Optional[Sequence[str]] = None,
     repeats: int = 3,
 ) -> ExperimentReport:
-    """Every registered backend on every program at both scales.
+    """Both backends on every program at both scales.
 
     Returns an :class:`ExperimentReport` whose rows carry the backend
     and the deterministic work counters; the report's ``speedups``
     attribute maps programs to their python/numpy ratio at the larger
-    scale, ``sparse_speedups`` to their numpy/sparse ratio, and
-    ``crossover`` to the full (program, scale) -> numpy/sparse table
-    showing where frontier compaction starts to win.
+    scale (``check_scale``).
     """
+    from repro.distributed.chaos_harness import default_graph
+
     programs = list(programs or (*DENSE_PROGRAMS, *SPARSE_PROGRAMS))
     backends = available_backends()
     scales = sorted({scale, max(scale, speedup_scale)})
+    check_scale = max(scales)
     rows = []
-    timings: dict[tuple, float] = {}
+    speedups = {}
     for current_scale in scales:
         graph = load_dataset(dataset, current_scale)
         for program in programs:
-            spec = PROGRAMS[program]
-            reference_values = None
-            reference_counters = None
-            for backend in backends:
-                seconds, result = _time_run(
-                    lambda: spec.plan(graph), backend, repeats
+            program_rows, seconds = _bench_program(
+                program, graph, dataset, current_scale, backends, repeats
+            )
+            rows.extend(program_rows)
+            if current_scale == check_scale and "numpy" in seconds:
+                speedups[program] = round(
+                    seconds["python"] / seconds["numpy"], 2
                 )
-                counters = result.counters.snapshot()
-                if reference_values is None:
-                    reference_values = result.values
-                    reference_counters = counters
-                else:
-                    if result.values != reference_values:
-                        raise AssertionError(
-                            f"{program}@{current_scale}: backend {backend!r} "
-                            "fixpoint differs from the reference backend"
-                        )
-                    if counters != reference_counters:
-                        raise AssertionError(
-                            f"{program}@{current_scale}: backend {backend!r} "
-                            "work counters differ from the reference backend"
-                        )
-                timings[(program, current_scale, backend)] = seconds
-                rows.append(
-                    {
-                        "program": program,
-                        "dataset": dataset,
-                        "scale": current_scale,
-                        "backend": backend,
-                        "seconds": round(seconds, 6),
-                        "iterations": result.counters.iterations,
-                        "work": {
-                            "combines": counters["combines"],
-                            "updates": counters["updates"],
-                            "fprime_applications": counters[
-                                "fprime_applications"
-                            ],
-                        },
-                        "fixpoint_matches": True,
-                    }
-                )
-    # semiring-family rows: fixture graphs, every supporting backend,
-    # same bit-exactness contract (kpaths' KTuple carrier is refused by
-    # the float64 backends via supports_plan, so its rows cover only
-    # the object-capable ones)
-    from repro.distributed.chaos_harness import default_graph
-
+    # semiring-family rows: fixture graphs, same bit-exactness contract
     for program in SEMIRING_PROGRAMS:
-        spec = PROGRAMS[program]
         graph = default_graph(program, seed=7)
-        probe_plan = spec.plan(graph)
-        reference_values = None
-        reference_counters = None
-        for backend in backends:
-            if not get_kernel(backend).supports_plan(probe_plan):
-                continue
-            seconds, result = _time_run(
-                lambda: spec.plan(graph), backend, repeats
-            )
-            counters = result.counters.snapshot()
-            if reference_values is None:
-                reference_values = result.values
-                reference_counters = counters
-            else:
-                if result.values != reference_values:
-                    raise AssertionError(
-                        f"{program}@fixture: backend {backend!r} "
-                        "fixpoint differs from the reference backend"
-                    )
-                if counters != reference_counters:
-                    raise AssertionError(
-                        f"{program}@fixture: backend {backend!r} "
-                        "work counters differ from the reference backend"
-                    )
-            rows.append(
-                {
-                    "program": program,
-                    "dataset": graph.name,
-                    "scale": SEMIRING_ROW_SCALE,
-                    "backend": backend,
-                    "seconds": round(seconds, 6),
-                    "iterations": result.counters.iterations,
-                    "work": {
-                        "combines": counters["combines"],
-                        "updates": counters["updates"],
-                        "fprime_applications": counters[
-                            "fprime_applications"
-                        ],
-                    },
-                    "fixpoint_matches": True,
-                }
-            )
+        program_rows, _ = _bench_program(
+            program, graph, graph.name, SEMIRING_ROW_SCALE, backends, repeats
+        )
+        rows.extend(program_rows)
 
-    check_scale = max(scales)
-    speedups = {}
-    sparse_speedups = {}
-    crossover = {}
-    if "numpy" in backends:
-        for program in programs:
-            python_seconds = timings[(program, check_scale, "python")]
-            numpy_seconds = timings[(program, check_scale, "numpy")]
-            speedups[program] = round(python_seconds / numpy_seconds, 2)
-    if "sparse" in backends and "numpy" in backends:
-        for current_scale in scales:
-            for program in programs:
-                ratio = (
-                    timings[(program, current_scale, "numpy")]
-                    / timings[(program, current_scale, "sparse")]
-                )
-                crossover[f"{program}@{current_scale}"] = round(ratio, 2)
-        for program in programs:
-            sparse_speedups[program] = crossover[f"{program}@{check_scale}"]
     notes = [
         f"backends: {', '.join(backends)}; numpy {numpy_version() or 'absent'}",
     ]
     for program, ratio in speedups.items():
-        floor = (
-            f" (floor {SPEEDUP_FLOOR:.0f}x)" if program in DENSE_PROGRAMS else ""
-        )
         notes.append(
-            f"{program}@{check_scale}: numpy {ratio:.1f}x over python{floor}"
+            f"{program}@{check_scale}: numpy {ratio:.1f}x over python "
+            f"(floor {SPEEDUP_FLOOR:.0f}x)"
         )
-    if crossover:
-        notes.append(
-            "sparse-vs-dense crossover (numpy seconds / sparse seconds; "
-            ">1 means frontier compaction wins):"
-        )
-        crossover_rows = [
-            {
-                "program": program,
-                **{
-                    f"@{current_scale}": crossover[f"{program}@{current_scale}"]
-                    for current_scale in scales
-                },
-            }
-            for program in programs
-        ]
-        notes.append(format_table(crossover_rows))
-        for program in SPARSE_PROGRAMS:
-            floor = (
-                f" (floor {SPARSE_FLOOR:.0f}x at scale >= {SPARSE_FLOOR_SCALE})"
-                if check_scale >= SPARSE_FLOOR_SCALE
-                else " (floor not asserted below scale "
-                f"{SPARSE_FLOOR_SCALE})"
-            )
-            notes.append(
-                f"{program}@{check_scale}: sparse "
-                f"{sparse_speedups[program]:.1f}x over numpy{floor}"
-            )
     text = (
-        "Kernel backends -- MRA inner loop across registered backends\n"
+        "Kernel backends -- MRA inner loop, python vs numpy\n"
         + format_table(rows)
         + "\n"
         + "\n".join(notes)
     )
     report = ExperimentReport("kernels", rows, text, notes)
     report.speedups = speedups  # type: ignore[attr-defined]
-    report.sparse_speedups = sparse_speedups  # type: ignore[attr-defined]
-    report.crossover = crossover  # type: ignore[attr-defined]
     report.check_scale = check_scale  # type: ignore[attr-defined]
     return report
 
 
 def kernel_floors_met(report: ExperimentReport) -> dict[str, bool]:
-    """The two acceptance-floor verdicts for ``report`` (committed)."""
+    """The acceptance-floor verdict for ``report`` (committed)."""
     speedups = getattr(report, "speedups", {})
-    sparse_speedups = getattr(report, "sparse_speedups", {})
-    check_scale = getattr(report, "check_scale", 0.0)
     return {
-        "numpy_dense_3x": bool(speedups)
+        "numpy_3x": bool(speedups)
         and all(
             speedups.get(program, 0.0) >= SPEEDUP_FLOOR
-            for program in DENSE_PROGRAMS
-        ),
-        "sparse_selective_3x": bool(sparse_speedups)
-        and check_scale >= SPARSE_FLOOR_SCALE
-        and all(
-            sparse_speedups.get(program, 0.0) >= SPARSE_FLOOR
-            for program in SPARSE_PROGRAMS
+            for program in (*DENSE_PROGRAMS, *SPARSE_PROGRAMS)
         ),
     }
 
@@ -302,7 +214,7 @@ def write_kernel_baseline(report: ExperimentReport, path: str = BASELINE_PATH) -
 
     Byte-stable by construction: wall-clock columns and library
     versions are dropped, only the deterministic work rows and the
-    boolean floor verdicts remain (floats rounded to 9 decimals).
+    boolean floor verdict remain (floats rounded to 9 decimals).
     """
     stable_rows = [
         {key: value for key, value in row.items() if key != "seconds"}
@@ -312,8 +224,6 @@ def write_kernel_baseline(report: ExperimentReport, path: str = BASELINE_PATH) -
         "benchmark": "kernels",
         "backends": available_backends(),
         "speedup_floor": SPEEDUP_FLOOR,
-        "sparse_floor": SPARSE_FLOOR,
-        "sparse_floor_scale": SPARSE_FLOOR_SCALE,
         "dense_programs": list(DENSE_PROGRAMS),
         "sparse_programs": list(SPARSE_PROGRAMS),
         "semiring_programs": list(SEMIRING_PROGRAMS),

@@ -25,9 +25,7 @@ Commands:
   from-scratch run and report the repair statistics;
 
 Engine-running commands accept ``--backend`` to pick the vertex-runtime
-kernel (default: ``REPRO_BACKEND``, else ``python``); ``--backend auto``
-defers to the static cost model, which routes predicted sparse-frontier
-plans to ``sparse`` and dense ones to ``numpy``.
+kernel (default: ``REPRO_BACKEND``, else ``python``).
 * ``chaos``               -- run the fault-injection recovery harness:
   chaotic executions (crashes, drops, duplicates, reordering) must
   reach the same fixpoint as fault-free references;
@@ -64,13 +62,17 @@ from repro.distributed import (
     SyncEngine,
     UnifiedEngine,
 )
-from repro.graphs import compute_stats, dataset_names, load_dataset
+from repro.graphs import (
+    EdgeListError,
+    compute_stats,
+    dataset_names,
+    load_dataset,
+)
 from repro.programs import PROGRAMS, get_program
 from repro.runtime import (
     BACKEND_ENV_VAR,
     KERNELS,
     KernelUnavailableError,
-    resolve_backend,
 )
 from repro.systems import PowerLog
 
@@ -205,15 +207,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         graph = load_dataset(args.dataset, args.scale)
     cluster = ClusterConfig(num_workers=args.workers)
-    if resolve_backend(args.backend) in ("sparse", "jit"):
-        from repro.analysis.frontier import classify_frontier
-
-        frontier = classify_frontier(spec.analysis())
-        if not frontier.delta_stepping:
-            print(
-                f"note[{frontier.code}]: {args.program} runs the sparse "
-                f"frontier compaction-only ({frontier.detail})"
-            )
     if args.engine == "powerlog":
         system = PowerLog()
         print(system.decide(spec).summary())
@@ -662,12 +655,11 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 def _add_backend(subparser) -> None:
     subparser.add_argument(
         "--backend",
-        choices=sorted([*KERNELS, "auto"]),
+        choices=sorted(KERNELS),
         help=(
             "execution kernel for the vertex runtime (default: the "
             f"{BACKEND_ENV_VAR} environment variable, else 'python'); "
-            "'auto' lets the static cost model pick sparse or numpy "
-            "per plan"
+            "'sparse' is an alias of 'numpy'"
         ),
     )
 
@@ -936,6 +928,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except KernelUnavailableError as exc:
         raise SystemExit(f"error: {exc}")
+    except EdgeListError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

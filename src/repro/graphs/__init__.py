@@ -21,7 +21,7 @@ from repro.graphs.generators import (
     star,
 )
 from repro.graphs.datasets import DATASETS, DatasetSpec, load_dataset, dataset_names
-from repro.graphs.io import write_edge_list, read_edge_list
+from repro.graphs.io import EdgeListError, write_edge_list, read_edge_list
 from repro.graphs.stats import GraphStats, compute_stats
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "DatasetSpec",
     "load_dataset",
     "dataset_names",
+    "EdgeListError",
     "write_edge_list",
     "read_edge_list",
     "GraphStats",

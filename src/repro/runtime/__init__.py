@@ -5,14 +5,12 @@ See :mod:`repro.runtime.base` for the contract and DESIGN.md
 """
 
 from repro.runtime.base import (
-    AUTO_BACKEND,
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
     KERNELS,
     BatchResult,
     Kernel,
     KernelUnavailableError,
-    auto_backend_for_plan,
     available_backends,
     get_kernel,
     record_backend_metrics,
@@ -23,28 +21,21 @@ from repro.runtime.base import (
 from repro.runtime.compat import HAVE_NUMPY, NUMPY_INSTALL_HINT, numpy_version
 from repro.runtime.python_kernel import PythonKernel
 
-# NumpyKernel/SparseKernel register themselves on import; the modules
-# import fine without numpy installed (construction raises
-# KernelUnavailableError).  JitKernel additionally needs numba.
+# NumpyKernel registers itself on import; the module imports fine
+# without numpy installed (construction raises KernelUnavailableError).
 from repro.runtime.numpy_kernel import NumpyKernel
-from repro.runtime.sparse_kernel import SparseKernel
-from repro.runtime.jit_kernel import JitKernel
 
 __all__ = [
-    "AUTO_BACKEND",
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "KERNELS",
     "BatchResult",
     "HAVE_NUMPY",
-    "JitKernel",
     "Kernel",
     "KernelUnavailableError",
     "NUMPY_INSTALL_HINT",
     "NumpyKernel",
     "PythonKernel",
-    "SparseKernel",
-    "auto_backend_for_plan",
     "available_backends",
     "get_kernel",
     "numpy_version",

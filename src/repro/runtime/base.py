@@ -11,19 +11,20 @@ engines -- single-node MRA and all four distributed modes -- only
 Two interchangeable backends implement the contract:
 
 * :class:`~repro.runtime.python_kernel.PythonKernel` -- the reference
-  dict-based loop (a lift of the original MonoTable code paths);
-* :class:`~repro.runtime.numpy_kernel.NumpyKernel` -- CSR-packed edges
-  with vectorised batch aggregation.
+  dict-based loop (a lift of the original MonoTable code paths); it
+  executes every program;
+* :class:`~repro.runtime.numpy_kernel.NumpyKernel` -- the array kernel:
+  CSR-packed edges, vectorised batch aggregation over float64 columns
+  and a compacted frontier, for numeric min/max/sum programs.
 
 Both are engineered to be *bit-identical*: same fixpoint values, same
 ``WorkCounters``, same simulated timing, same fault accounting (see
 DESIGN.md, "Runtime layer").  The backend is chosen per engine
 (``backend=``), per process (``REPRO_BACKEND``), or per CLI invocation
-(``--backend``).  The special name ``auto`` defers the choice to the
-static cost model: plans the frontier pass certifies for bucketed
-delta-stepping (RA330) resolve to ``sparse``, dense plans to ``numpy``
-(matching the BENCH_kernels crossover), with availability and carrier
-support still honoured.
+(``--backend``); the name is a preference, and a program whose carrier
+the array kernel cannot hold resolves to ``python``
+(:func:`resolve_backend_for_plan`).  ``sparse`` is an accepted alias of
+``numpy``.
 
 Unified work accounting
 -----------------------
@@ -59,9 +60,6 @@ DEFAULT_BACKEND = "python"
 
 #: environment variable consulted when no explicit backend is given
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: pseudo-backend: resolved per plan by the static cost model
-AUTO_BACKEND = "auto"
 
 
 class KernelUnavailableError(ImportError):
@@ -124,11 +122,11 @@ class Kernel:
     def supports_plan(cls, plan: Any) -> bool:
         """Can this backend execute ``plan``'s semiring carrier?
 
-        The default is universal support.  Backends whose state lives in
-        float64 arrays or value-ordered buckets (sparse, jit) override
-        this to refuse plans over non-numeric semiring carriers (e.g.
-        k-tropical ``KTuple`` values); callers should fall back to an
-        object-capable backend for those plans.
+        The default is universal support.  The array kernel, whose
+        state lives in float64 columns, overrides this to refuse plans
+        over non-numeric semiring carriers (e.g. k-tropical ``KTuple``
+        values); :func:`resolve_backend_for_plan` sends those to the
+        python kernel.
         """
         return True
 
@@ -265,7 +263,7 @@ class Kernel:
         """Hint that the engine will drive bucketed delta-stepping.
 
         Engines running in ``delta_stepping`` mode call this once per
-        kernel so backends that keep bucket structures (the sparse
+        kernel so backends that keep bucket structures (the array
         kernel) can size them; the default is a no-op because the
         contract methods above already express the protocol.
         """
@@ -315,50 +313,28 @@ def register_kernel(cls: _KernelClass) -> _KernelClass:
 
 
 def available_backends() -> list[str]:
-    return [name for name, cls in KERNELS.items() if cls.available()]
+    """Registered backends that can run here (aliases not repeated)."""
+    return [
+        name
+        for name, cls in KERNELS.items()
+        if cls.backend == name and cls.available()
+    ]
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Pick the backend: explicit argument > ``REPRO_BACKEND`` > default.
 
-    The pseudo-name ``auto`` passes through unresolved: it names a
-    *policy*, not a kernel, and only :func:`resolve_backend_for_plan`
-    can apply it (the choice depends on the plan's frontier class).
+    Returns the registered name, so an alias (``sparse``) resolves to
+    the kernel it names (``numpy``).
     """
     if backend is None:
         backend = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
     backend = backend.strip().lower()
-    if backend == AUTO_BACKEND:
-        return AUTO_BACKEND
     if backend not in KERNELS:
         raise ValueError(
-            f"unknown backend {backend!r}; known: "
-            f"{sorted([*KERNELS, AUTO_BACKEND])}"
+            f"unknown backend {backend!r}; known: {sorted(KERNELS)}"
         )
-    return backend
-
-
-def auto_backend_for_plan(plan: Any) -> str:
-    """The ``--backend auto`` policy: static frontier shape picks the kernel.
-
-    Programs the frontier pass certifies for bucketed delta-stepping
-    (RA330: selective idempotent ⊕ over numeric values, prescreen
-    eligible) are predicted sparse-frontier and resolve to ``sparse``;
-    everything else is predicted dense and resolves to ``numpy`` -- the
-    same split the BENCH_kernels crossover table measures.  Unavailable
-    or carrier-incompatible choices degrade through ``numpy`` then
-    ``python``.  ``plan`` may be a compiled plan or a ``ProgramAnalysis``.
-    """
-    from repro.analysis.frontier import classify_frontier
-
-    analysis = getattr(plan, "analysis", plan)
-    frontier = classify_frontier(analysis)
-    preferred = "sparse" if frontier.delta_stepping else "numpy"
-    for candidate in (preferred, "numpy", DEFAULT_BACKEND):
-        cls = KERNELS.get(candidate)
-        if cls is not None and cls.available() and cls.supports_plan(plan):
-            return candidate
-    return DEFAULT_BACKEND
+    return KERNELS[backend].backend
 
 
 def resolve_backend_for_plan(plan: Any, backend: Optional[str] = None) -> str:
@@ -367,43 +343,27 @@ def resolve_backend_for_plan(plan: Any, backend: Optional[str] = None) -> str:
     A backend name is a *preference* (CLI flag, ``REPRO_BACKEND``, an
     engine passing its configured backend down); whether a kernel can
     hold a program's carrier is decided per plan by ``supports_plan``.
-    A preference the plan's semiring rules out (the float64 sparse/jit
-    backends against k-tropical ``KTuple`` values) degrades to the
-    first supporting backend in (numpy, python) instead of crashing the
-    run; numeric programs always resolve to the preference unchanged.
+    A preference the plan's semiring rules out (the float64 array kernel
+    against k-tropical ``KTuple`` values) degrades to the python kernel,
+    which executes every program, instead of crashing the run; programs
+    the preferred kernel supports resolve to it unchanged.
 
     ``plan`` may be anything with an ``aggregate`` attribute (a
-    compiled plan or a :class:`ProgramAnalysis`).  The pseudo-name
-    ``auto`` resolves here through :func:`auto_backend_for_plan`.
+    compiled plan or a :class:`ProgramAnalysis`).
     """
     name = resolve_backend(backend)
-    if name == AUTO_BACKEND:
-        return auto_backend_for_plan(plan)
     cls = KERNELS[name]
-    if not cls.available() or cls.supports_plan(plan):
-        # unavailable backends are not degraded: the caller's
-        # get_kernel/from_plan must raise the install hint, not be
-        # silently rerouted
-        return name
-    for fallback in ("numpy", "python"):
-        fallback_cls = KERNELS.get(fallback)
-        if (
-            fallback_cls is not None
-            and fallback_cls.available()
-            and fallback_cls.supports_plan(plan)
-        ):
-            return fallback
+    # unavailable backends are not degraded: the caller's
+    # get_kernel/from_plan must raise the install hint, not be
+    # silently rerouted
+    if cls.available() and not cls.supports_plan(plan):
+        return "python"
     return name
 
 
 def get_kernel(backend: Optional[str] = None) -> type:
     """Resolve a backend name to its kernel class, checking availability."""
     name = resolve_backend(backend)
-    if name == AUTO_BACKEND:
-        raise ValueError(
-            "backend 'auto' names a per-plan policy; resolve it with "
-            "resolve_backend_for_plan(plan, 'auto') before get_kernel"
-        )
     cls = KERNELS[name]
     if not cls.available():
         raise KernelUnavailableError(
@@ -416,7 +376,8 @@ def record_backend_metrics(metrics: Any, engine: str, backend: str) -> None:
     """Record which backend produced a run in the metrics registry."""
     from repro.runtime.compat import numpy_version
 
-    labels: dict = {"engine": engine, "backend": backend}
-    if backend == "numpy":
+    name = resolve_backend(backend)
+    labels: dict = {"engine": engine, "backend": name}
+    if name == "numpy":
         labels["numpy_version"] = numpy_version()
     metrics.inc("runtime.backend_runs", **labels)

@@ -55,24 +55,3 @@ def require_numpy(feature: str) -> Any:
     if _numpy is None:
         raise ImportError(f"{feature}: {NUMPY_INSTALL_HINT}")
     return _numpy
-
-
-NUMBA_INSTALL_HINT = (
-    "numba is required for the jit backend; install the optional extra "
-    "with `pip install 'repro[jit]'` (or `pip install numba`)"
-)
-
-try:  # pragma: no cover - absent in the default environment
-    import numba as _numba
-except ImportError:
-    _numba = None
-
-#: the numba module when installed, else None (the jit kernel gates on it)
-numba = _numba
-
-HAVE_NUMBA = _numba is not None
-
-
-def numba_version() -> Optional[str]:
-    """The installed numba version string, or ``None`` when absent."""
-    return str(_numba.__version__) if _numba is not None else None

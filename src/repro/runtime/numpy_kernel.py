@@ -1,193 +1,113 @@
-"""Vectorised NumPy kernel: CSR-packed out-edges, batched aggregation.
+"""The array kernel: float64 columns, CSR edges, a compacted frontier.
 
-Exactness engineering (why this backend is bit-identical to
+One vectorised backend serves dense-frontier programs (pagerank, katz)
+and sparse-frontier ones (sssp, cc) alike.  Three mechanisms keep its
+cost proportional to the *frontier* where the frontier is small and to
+C-speed array scans where it is not:
+
+* **frontier compaction** -- a live count and the arrival-order index
+  list are the authoritative frontier; draining a round, scattering a
+  round's output and ``pending_min`` touch ``O(frontier)`` state;
+* **the dense crossover** -- once a frontier (or a round's output)
+  covers more than ``1 / _DENSE_DIVISOR`` of the keys, an ``O(n)`` mask
+  scan / scratch scatter beats list compaction and the sort inside
+  ``np.unique``, so the round switches to it.  Both sides compute the
+  same index set in the same ascending order;
+* **value buckets** -- when an engine announces
+  ``enable_delta_stepping(width)`` (sync engine in ``delta_stepping``
+  mode), pending entries are additionally indexed into Meyer--Sanders
+  value buckets ``floor(value / width)`` with lazy deletion, so
+  ``pending_min`` and ``take_pending_below`` inspect only the candidate
+  buckets instead of the whole frontier.
+
+The kernel holds numeric carriers whose ``⊕`` is a float64 ``min``,
+``max`` or ``sum`` fold (:meth:`NumpyKernel.supports_plan`); every other
+program resolves to the python kernel.
+
+Exactness argument (why this backend is *bit-identical* to
 :class:`~repro.runtime.python_kernel.PythonKernel`, not merely close):
 
-* batches are processed in the same canonical ascending key order, and
+* rounds process batches in the same canonical ascending key order, and
   per-destination folds run in the same arrival order: additive folds
   use ``np.bincount`` (which accumulates sequentially in input order,
   i.e. the same left fold as the dict loop), selective folds use
-  ``np.minimum.at``/``np.maximum.at`` (order-insensitive);
+  ``np.minimum.at``/``np.maximum.at`` (order-insensitive selection);
 * elementwise float64 ufunc arithmetic is the same IEEE-754 operation
-  the Python loop performs one value at a time;
-* scalar paths (``push``, ``fetch_and_reset``, ``accumulate``, the
-  async local mode) run the combine on Python floats exactly like the
-  reference kernel;
+  the Python loop performs one value at a time, and the scalar paths
+  (``push``, ``fetch_and_reset``, ``accumulate``, the async local mode)
+  run the combine on Python floats exactly like the reference kernel;
+* only *which indices* a round visits is computed two ways: the
+  compacted frontier is by construction the index set ``np.nonzero``
+  finds, and the rebuilt ``_pend_order`` after a scatter (ascending
+  unique destinations) equals the ascending ``np.nonzero`` order;
 * insertion orders observable through the MonoTable protocol (the
   ``accumulated``/``intermediate`` dicts, ``global_accumulation``'s sum
-  order, delta-stepping bucket takes) are tracked explicitly in arrival
-  order, so order-sensitive float sums and batch selections match too.
-
-Compiled ``F'`` lambdas are probed once per plan: if a lambda evaluates
-correctly over arrays (pure arithmetic does), its parameter columns are
-packed as float64 and applications are vectorised per batch; otherwise
-(e.g. ``math.*`` calls) the kernel falls back to per-edge application
-for that recursion body only.
+  order, async batch selection, bucket takes) are tracked explicitly:
+  every no-entry -> entry transition is stamped with an arrival
+  sequence number, and bucket takes collect candidates from the value
+  buckets but *return them sorted by that sequence* -- exactly the dict
+  insertion order the reference kernel yields.  Value buckets use lazy
+  deletion: a combine that moves an entry appends it to its new bucket
+  and the stale occurrence is skipped (``floor(value/width)`` no longer
+  matches); every live value therefore always has an entry in its
+  current bucket, which is the invariant both ``pending_min`` and the
+  take rely on;
+* the fused ``ΔX¹`` only runs for min/max, whose merge is an
+  order-insensitive selection (the result is always one of the inputs
+  bit-for-bit); new-key discovery order is reconstructed from
+  first-occurrence positions of the contribution stream, which is the
+  same src-order x edge-order stream the reference loop walks.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable, Optional
 
 from repro.engine.result import WorkCounters
 from repro.runtime.base import (
+    KERNELS,
     BatchResult,
     Kernel,
     KernelUnavailableError,
     register_kernel,
 )
 from repro.runtime.compat import HAVE_NUMPY, NUMPY_INSTALL_HINT, np
-from repro.runtime.python_kernel import PythonKernel, plan_key_order
+from repro.runtime.csr import plan_csr
+
+#: bucket id used for non-finite pending values (never taken by a
+#: finite threshold; floor() would raise on them)
+_FAR_BUCKET = 2**62
+
+#: frontier fraction above which the O(n) dense round paths win; below
+#: it the compacted O(frontier) paths are used (see _frontier_round)
+_DENSE_DIVISOR = 4
+
+#: the float64 ufunc folds the kernel implements ``⊕`` with
+_FOLD_MODES = ("min", "max", "sum")
 
 
-class _FnGroup:
-    """One recursion body's compiled F' and its packed parameter columns."""
-
-    __slots__ = ("fn", "cols", "raw_params", "vector_ok")
-
-    def __init__(self, fn: Callable, param_rows: list) -> None:
-        self.fn = fn
-        #: row-indexable parameter view (list here; a column view in the
-        #: sparse kernel's fused packer)
-        self.raw_params: Any = param_rows
-        self.cols: Optional[list] = None
-        self.vector_ok = False
-        if not param_rows:
-            return
-        width = len(param_rows[0])
-        try:
-            cols = [
-                np.asarray([row[p] for row in param_rows], dtype=np.float64)
-                for p in range(width)
-            ]
-        except (TypeError, ValueError):
-            return  # non-numeric parameters: per-edge fallback
-        self._probe(cols)
-
-    def _probe(self, cols: list) -> None:
-        """Accept ``cols`` as packed parameter columns if F' vectorises."""
-        fn = self.fn
-        param_rows = self.raw_params
-        probe_n = min(len(param_rows), 3)
-        xs = np.asarray([1.0, 2.0, 0.5][:probe_n], dtype=np.float64)
-        try:
-            vec = np.asarray(
-                fn(xs, *[col[:probe_n] for col in cols]), dtype=np.float64
-            )
-            if vec.shape == ():
-                vec = np.full(probe_n, float(vec))
-            if vec.shape != (probe_n,):
-                return
-            for j in range(probe_n):
-                if float(vec[j]) != float(fn(float(xs[j]), *param_rows[j])):
-                    return
-        except Exception:
-            return  # math.* calls etc.: per-edge fallback
-        self.cols = cols
-        self.vector_ok = True
-
-    def apply(self, xs: Any, rows: Any) -> Any:
-        """F' over ``xs`` for the group-local edge ``rows``; float64 array."""
-        if self.vector_ok and self.cols is not None:
-            out = np.asarray(self.fn(xs, *[col[rows] for col in self.cols]))
-            if out.shape == ():
-                return np.full(xs.shape, float(out))
-            return out.astype(np.float64, copy=False)
-        fn = self.fn
-        params = self.raw_params
-        return np.asarray(
-            [
-                fn(float(x), *params[r])
-                for x, r in zip(xs.tolist(), rows.tolist())
-            ],
-            dtype=np.float64,
-        )
+def _fold_codes(mode: str, codes: Any, vals: Any, size: int) -> Any:
+    """``⊕``-fold ``vals`` per code into ``size`` slots, in input order."""
+    if mode == "sum":
+        return np.bincount(codes, weights=vals, minlength=size)
+    if mode == "min":
+        folded = np.full(size, np.inf)
+        np.minimum.at(folded, codes, vals)
+    else:
+        folded = np.full(size, -np.inf)
+        np.maximum.at(folded, codes, vals)
+    return folded
 
 
-class _PlanCSR:
-    """Immutable CSR view of ``plan.out_edges``, shared by all shards."""
-
-    def __init__(self, plan: Any) -> None:
-        order = plan_key_order(plan)
-        keys_sorted = plan._kernel_keys_sorted
-        n = len(keys_sorted)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        edst: list[int] = []
-        efn: list[int] = []
-        erow: list[int] = []
-        fn_ids: dict[int, int] = {}
-        fn_objs: list[Callable] = []
-        fn_param_rows: list[list[tuple]] = []
-        for i, key in enumerate(keys_sorted):
-            edges = plan.edges_from(key)
-            indptr[i + 1] = indptr[i] + len(edges)
-            for dst, params, fn in edges:
-                fid = fn_ids.get(id(fn))
-                if fid is None:
-                    fid = fn_ids[id(fn)] = len(fn_objs)
-                    fn_objs.append(fn)
-                    fn_param_rows.append([])
-                edst.append(order[dst])
-                efn.append(fid)
-                erow.append(len(fn_param_rows[fid]))
-                fn_param_rows[fid].append(params)
-        self.keys_sorted = keys_sorted
-        self.index = order
-        self.n = n
-        self.indptr = indptr
-        self.edst = np.asarray(edst, dtype=np.int64)
-        self.efn = np.asarray(efn, dtype=np.int64)
-        self.erow = np.asarray(erow, dtype=np.int64)
-        self.groups = [
-            _FnGroup(fn, rows) for fn, rows in zip(fn_objs, fn_param_rows)
-        ]
-
-    def gather(self, srcs: Any, x: Any) -> tuple:
-        """Flat edge ids + per-edge source values for a source batch."""
-        starts = self.indptr[srcs]
-        counts = self.indptr[srcs + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.float64)
-        cum = np.cumsum(counts)
-        offsets = np.repeat(starts - (cum - counts), counts)
-        eids = np.arange(total, dtype=np.int64) + offsets
-        return eids, np.repeat(x, counts)
-
-    def apply_edges(self, eids: Any, x_per_edge: Any) -> tuple:
-        """Evaluate F' for the given flat edge ids; (dsts, values)."""
-        if len(self.groups) == 1:
-            # single recursion body: efn is uniform, skip the mask pass
-            vals = self.groups[0].apply(x_per_edge, self.erow[eids])
-            return self.edst[eids], vals.astype(np.float64, copy=False)
-        vals = np.empty(len(eids), dtype=np.float64)
-        fids = self.efn[eids]
-        for fid, group in enumerate(self.groups):
-            mask = fids == fid
-            if mask.any():
-                vals[mask] = group.apply(
-                    x_per_edge[mask], self.erow[eids[mask]]
-                )
-        return self.edst[eids], vals
-
-
-def _identity(value: Any) -> Any:
-    """Object-mode cast: keep semiring carrier values as-is."""
-    return value
-
-
-def plan_csr(plan: Any) -> _PlanCSR:
-    csr = getattr(plan, "_kernel_csr", None)
-    if csr is None:
-        csr = _PlanCSR(plan)
-        plan._kernel_csr = csr
-    return csr
+def _require_numpy() -> None:
+    if not HAVE_NUMPY:
+        raise KernelUnavailableError(f"NumpyKernel: {NUMPY_INSTALL_HINT}")
 
 
 @register_kernel
 class NumpyKernel(Kernel):
-    """CSR + dirty-mask vertex runtime over float64 columns."""
+    """CSR + compacted-frontier vertex runtime over float64 columns."""
 
     backend = "numpy"
 
@@ -198,9 +118,11 @@ class NumpyKernel(Kernel):
         counters: Optional[WorkCounters] = None,
         initial: Optional[dict] = None,
     ) -> None:
-        if not HAVE_NUMPY:
+        _require_numpy()
+        if not self.supports_plan(plan):
             raise KernelUnavailableError(
-                f"NumpyKernel: {NUMPY_INSTALL_HINT}"
+                f"NumpyKernel: aggregate {plan.aggregate.name!r} is not a "
+                "float64 min/max/sum fold; use the python backend"
             )
         self.plan = plan
         self.aggregate = plan.aggregate
@@ -209,20 +131,8 @@ class NumpyKernel(Kernel):
         self._keys = self._csr.keys_sorted
         self._index = self._csr.index
         n = self._csr.n
-        # ⊕ dispatch is driven by the aggregate's declared semiring: the
-        # ``fold_mode`` hint names the float64 ufunc implementing ⊕
-        # (min/max/sum); non-numeric carriers (k-tropical KTuples) run
-        # every path scalar over object columns.
-        self._object_mode = not self.aggregate.numeric_values
-        fold_mode = self.aggregate.fold_mode
-        if self._object_mode or fold_mode not in ("min", "max", "sum"):
-            self._mode = "other"  # e.g. mean/topk: scalar combine fallback
-        else:
-            self._mode = fold_mode
-        #: scalar-path coercion: ``float`` for numeric semirings (the
-        #: historical bit-identical behaviour), identity for object mode
-        self._cast = _identity if self._object_mode else float
-        value_dtype = object if self._object_mode else np.float64
+        #: the float64 ufunc implementing ⊕, named by the semiring
+        self._mode: str = self.aggregate.fold_mode
         self._owned_mask: Optional[Any]
         if keys is None:
             self._owned_mask = None
@@ -230,20 +140,29 @@ class NumpyKernel(Kernel):
             self._owned_mask = np.zeros(n, dtype=bool)
             for key in keys:
                 self._owned_mask[self._index[key]] = True
-        self._acc = np.zeros(n, dtype=value_dtype)
+        self._acc = np.zeros(n, dtype=np.float64)
         self._acc_has = np.zeros(n, dtype=bool)
         self._acc_order: list[int] = []
-        self._pend = np.zeros(n, dtype=value_dtype)
+        self._pend = np.zeros(n, dtype=np.float64)
         self._pend_has = np.zeros(n, dtype=bool)
+        #: pending indices in arrival order; may hold stale or duplicate
+        #: entries, see :meth:`_pend_indices`
         self._pend_order: list[int] = []
+        #: number of live pending entries (the compacted frontier size)
+        self._pend_live = 0
+        #: arrival sequence per index, stamped on no-entry -> entry
+        self._seq = np.zeros(n, dtype=np.int64)
+        self._seq_next = 0
+        #: delta-stepping state; None until an engine enables bucketing
+        self._bucket_width: Optional[float] = None
+        self._buckets: dict[int, list[int]] = {}
         if initial is None:
             initial = plan.initial
-        cast = self._cast
         for key, value in initial.items():
             i = self._index[key]
             if self._owned_mask is not None and not self._owned_mask[i]:
                 continue
-            self._acc[i] = cast(value)
+            self._acc[i] = float(value)
             self._acc_has[i] = True
             self._acc_order.append(i)
 
@@ -261,22 +180,90 @@ class NumpyKernel(Kernel):
     def available(cls) -> bool:
         return HAVE_NUMPY
 
+    @classmethod
+    def supports_plan(cls, plan: Any) -> bool:
+        """State lives in float64 arrays folded by a min/max/sum ufunc;
+        non-numeric carriers (k-tropical ``KTuple``) and generic ``⊕``
+        (mean) are refused and resolve to the python kernel."""
+        aggregate = plan.aggregate
+        return aggregate.numeric_values and aggregate.fold_mode in _FOLD_MODES
+
+    # -- ΔX¹ (section 3.3), fused for selective aggregates ----------------------
+    @classmethod
+    def initial_delta(cls, plan: Any) -> dict:
+        aggregate = plan.aggregate
+        if not HAVE_NUMPY or aggregate.name not in ("min", "max"):
+            return super().initial_delta(plan)
+        csr = plan_csr(plan)
+        index = csr.index
+        keys = csr.keys_sorted
+        combine = aggregate.combine
+        val = np.zeros(csr.n, dtype=np.float64)
+        has = np.zeros(csr.n, dtype=bool)
+        x1_order: list[int] = []
+        m = len(plan.initial)
+        if m:
+            init_idx = np.fromiter(
+                map(index.__getitem__, plan.initial), dtype=np.int64, count=m
+            )
+            init_vals = np.fromiter(
+                plan.initial.values(), dtype=np.float64, count=m
+            )
+            val[init_idx] = init_vals
+            has[init_idx] = True
+            x1_order = init_idx.tolist()
+        for key, value in plan.constants.items():
+            i = index[key]
+            if has[i]:
+                val[i] = combine(float(val[i]), value)
+            else:
+                val[i] = value
+                has[i] = True
+                x1_order.append(i)
+        if m:
+            # F'(X⁰) sweeps the *raw* base values, not the C-merged x1
+            eids, x_per_edge = csr.gather(init_idx, init_vals)
+            if len(eids):
+                dsts, contribs = csr.apply_edges(eids, x_per_edge)
+                uniq, first_pos, inv = np.unique(
+                    dsts, return_index=True, return_inverse=True
+                )
+                folded = _fold_codes(aggregate.name, inv, contribs, len(uniq))
+                u_has = has[uniq]
+                merge = np.minimum if aggregate.name == "min" else np.maximum
+                val[uniq] = np.where(
+                    u_has, merge(val[uniq], folded), folded
+                )
+                fresh = ~u_has
+                if fresh.any():
+                    forder = np.argsort(first_pos[fresh], kind="stable")
+                    fresh_idx = uniq[fresh][forder]
+                    has[fresh_idx] = True
+                    x1_order.extend(fresh_idx.tolist())
+        subtract = aggregate.subtract
+        initial = plan.initial
+        delta: dict = {}
+        for i in x1_order:
+            key = keys[i]
+            d = subtract(float(val[i]), initial.get(key))
+            if d is not None:
+                delta[key] = d
+        return delta
+
     # -- MonoTable protocol (scalar paths run on Python floats) -----------------
     @property
     def accumulated(self) -> dict:
         keys = self._keys
         acc = self._acc
-        cast = self._cast
-        return {keys[i]: cast(acc[i]) for i in self._acc_order}
+        return {keys[i]: float(acc[i]) for i in self._acc_order}
 
     @accumulated.setter
     def accumulated(self, values: dict) -> None:
         self._acc_has[:] = False
         self._acc_order = []
-        cast = self._cast
         for key, value in values.items():
             i = self._index[key]
-            self._acc[i] = cast(value)
+            self._acc[i] = float(value)
             self._acc_has[i] = True
             self._acc_order.append(i)
 
@@ -290,8 +277,7 @@ class NumpyKernel(Kernel):
         lazily whenever stale or duplicate entries exist.
         """
         order = self._pend_order
-        live = int(self._pend_has.sum())
-        if len(order) == live:
+        if len(order) == self._pend_live:
             return order
         has = self._pend_has
         last = {i: pos for pos, i in enumerate(order)}
@@ -301,55 +287,109 @@ class NumpyKernel(Kernel):
         self._pend_order = rebuilt
         return rebuilt
 
+    def _clear_pending(self) -> None:
+        """Forget the frontier's order, count and buckets (not the mask)."""
+        self._pend_order = []
+        self._pend_live = 0
+        if self._buckets:
+            self._buckets.clear()
+
+    def _stamp_arrivals(self, arrival: Any) -> None:
+        """Record ``arrival`` (index array) as the whole, freshly arrived
+        frontier: order, live count, sequence numbers and buckets."""
+        count = len(arrival)
+        self._pend_order = arrival.tolist()
+        self._pend_live = count
+        self._seq[arrival] = np.arange(
+            self._seq_next, self._seq_next + count, dtype=np.int64
+        )
+        self._seq_next += count
+        if self._bucket_width is not None:
+            pend = self._pend
+            for i in self._pend_order:
+                self._bucket_put(i, float(pend[i]))
+
     @property
     def intermediate(self) -> dict:
         keys = self._keys
         pend = self._pend
-        cast = self._cast
-        return {keys[i]: cast(pend[i]) for i in self._pend_indices()}
+        return {keys[i]: float(pend[i]) for i in self._pend_indices()}
 
     @intermediate.setter
     def intermediate(self, values: dict) -> None:
-        # subclasses hook the overridable method, not the property object
-        # (redecorating a base property's setter is invisible to mypy)
-        self._set_intermediate(values)
-
-    def _set_intermediate(self, values: dict) -> None:
         self._pend_has[:] = False
-        self._pend_order = []
-        cast = self._cast
+        self._clear_pending()
         for key, value in values.items():
-            i = self._index[key]
-            self._pend[i] = cast(value)
-            self._pend_has[i] = True
-            self._pend_order.append(i)
+            self._push_idx(self._index[key], float(value))
 
     def push(self, key: Any, value: Any) -> None:
-        self._push_idx(self._index[key], self._cast(value))
+        self._push_idx(self._index[key], float(value))
 
-    def _push_idx(self, i: int, value: Any) -> None:
+    def _push_idx(self, i: int, value: float) -> None:
         if self._pend_has[i]:
-            self._pend[i] = self.aggregate.combine(self._cast(self._pend[i]), value)
+            old = float(self._pend[i])
+            new = self.aggregate.combine(old, value)
             self.counters.combines += 1
+            self._pend[i] = new
+            if self._bucket_width is not None and new != old:
+                self._bucket_put(i, new)
         else:
             self._pend[i] = value
             self._pend_has[i] = True
             self._pend_order.append(i)
+            self._pend_live += 1
+            self._seq[i] = self._seq_next
+            self._seq_next += 1
+            if self._bucket_width is not None:
+                self._bucket_put(i, value)
+
+    def push_many(self, deltas: Iterable[tuple]) -> None:
+        """Vectorized seeding: fold a delta batch into the empty table.
+
+        Only the empty-pending case vectorizes (the ``ΔX¹`` seeding
+        path); anything else runs the scalar reference loop.  The fold
+        is bit-identical: per-key folds run in arrival order
+        (``np.bincount`` left fold / order-insensitive min-max
+        selection) and ``_pend_order`` keys are recorded in
+        first-occurrence order, exactly as repeated ``push`` calls
+        would.
+        """
+        if self._pend_live or self._pend_order:
+            return super().push_many(deltas)
+        pairs = deltas if isinstance(deltas, list) else list(deltas)
+        m = len(pairs)
+        if m < 8:
+            return super().push_many(pairs)
+        index = self._index
+        idx = np.fromiter(
+            (index[key] for key, _ in pairs), dtype=np.int64, count=m
+        )
+        vals = np.fromiter(
+            (value for _, value in pairs), dtype=np.float64, count=m
+        )
+        uniq, first_pos, inv = np.unique(
+            idx, return_index=True, return_inverse=True
+        )
+        self._pend[uniq] = _fold_codes(self._mode, inv, vals, len(uniq))
+        self._pend_has[uniq] = True
+        self.counters.combines += m - len(uniq)
+        self._stamp_arrivals(uniq[np.argsort(first_pos, kind="stable")])
 
     def fetch_and_reset(self, key: Any) -> Any:
         i = self._index[key]
         if not self._pend_has[i]:
             return None
         self._pend_has[i] = False  # stale entry left in _pend_order
-        return self._cast(self._pend[i])
+        self._pend_live -= 1
+        return float(self._pend[i])
 
     def drain_all(self) -> dict:
         keys = self._keys
         pend = self._pend
-        cast = self._cast
-        drained = {keys[i]: cast(pend[i]) for i in self._pend_indices()}
-        self._pend_has[:] = False
-        self._pend_order = []
+        live = self._pend_indices()
+        drained = {keys[i]: float(pend[i]) for i in live}
+        self._pend_has[live] = False
+        self._clear_pending()
         return drained
 
     def accumulate(self, key: Any, tmp: Any) -> tuple[bool, float]:
@@ -357,16 +397,15 @@ class NumpyKernel(Kernel):
 
     def _accumulate_idx(self, i: int, tmp: Any) -> tuple[bool, float]:
         aggregate = self.aggregate
-        cast = self._cast
         if not self._acc_has[i]:
-            self._acc[i] = cast(tmp)
+            self._acc[i] = float(tmp)
             self._acc_has[i] = True
             self._acc_order.append(i)
             self.counters.updates += 1
             return True, aggregate.delta_magnitude(tmp)
-        old = cast(self._acc[i])
+        old = float(self._acc[i])
         self.counters.combines += 1
-        new = aggregate.combine(old, cast(tmp))
+        new = aggregate.combine(old, float(tmp))
         if new == old:
             return False, 0.0
         self._acc[i] = new
@@ -380,16 +419,12 @@ class NumpyKernel(Kernel):
         old = self._acc[idx]
         if self._mode == "sum":
             new = np.where(has, old + tmp, tmp)
-            changed = ~has | (new != old)
             mags = np.abs(tmp)
-        elif self._mode == "min":
-            new = np.where(has, np.minimum(old, tmp), tmp)
-            changed = ~has | (new != old)
+        else:
+            select = np.minimum if self._mode == "min" else np.maximum
+            new = np.where(has, select(old, tmp), tmp)
             mags = np.where(has, np.abs(new - old), np.abs(tmp))
-        else:  # max
-            new = np.where(has, np.maximum(old, tmp), tmp)
-            changed = ~has | (new != old)
-            mags = np.where(has, np.abs(new - old), np.abs(tmp))
+        changed = ~has | (new != old)
         self.counters.combines += int(has.sum())
         self.counters.updates += int(changed.sum())
         write = idx[changed]
@@ -424,70 +459,38 @@ class NumpyKernel(Kernel):
 
     def _fold_out(self, dsts: Any, vals: Any) -> dict:
         """Per-destination fold in arrival order, first-occurrence keyed."""
-        counters = self.counters
         uniq, first_pos, inv = np.unique(
             dsts, return_index=True, return_inverse=True
         )
         forder = np.argsort(first_pos, kind="stable")
         rank = np.empty(len(uniq), dtype=np.int64)
         rank[forder] = np.arange(len(uniq), dtype=np.int64)
-        codes = rank[inv]
-        if self._mode == "sum":
-            folded = np.bincount(codes, weights=vals, minlength=len(uniq))
-        elif self._mode == "min":
-            folded = np.full(len(uniq), np.inf)
-            np.minimum.at(folded, codes, vals)
-        elif self._mode == "max":
-            folded = np.full(len(uniq), -np.inf)
-            np.maximum.at(folded, codes, vals)
-        else:
-            return self._fold_out_scalar(dsts, vals)
-        counters.combines += len(vals) - len(uniq)
+        folded = _fold_codes(self._mode, rank[inv], vals, len(uniq))
+        self.counters.combines += len(vals) - len(uniq)
         keys = self._keys
-        out: dict = {}
-        for rank_pos, dst_idx in enumerate(uniq[forder].tolist()):
-            out[keys[dst_idx]] = float(folded[rank_pos])
-        return out
-
-    def _fold_out_scalar(self, dsts: Any, vals: Any) -> dict:
-        combine = self.aggregate.combine
-        counters = self.counters
-        keys = self._keys
-        out: dict = {}
-        for d, v in zip(dsts.tolist(), vals.tolist()):
-            key = keys[d]
-            old = out.get(key)
-            if old is None:
-                out[key] = v
-            else:
-                out[key] = combine(old, v)
-                counters.combines += 1
-        return out
+        return {
+            keys[dst]: value
+            for dst, value in zip(uniq[forder].tolist(), folded.tolist())
+        }
 
     def _scatter_pending(self, dsts: Any, vals: Any) -> None:
         """Scatter a round's contributions into the (empty) pending column."""
         n = self._csr.n
-        if self._mode == "sum":
-            sums = np.bincount(dsts, weights=vals, minlength=n)
-            touched = np.bincount(dsts, minlength=n).astype(bool)
-            self._pend[touched] = sums[touched]
-        elif self._mode in ("min", "max"):
-            fill = np.inf if self._mode == "min" else -np.inf
-            scratch = np.full(n, fill)
-            if self._mode == "min":
-                np.minimum.at(scratch, dsts, vals)
-            else:
-                np.maximum.at(scratch, dsts, vals)
+        if len(vals) * _DENSE_DIVISOR >= n:
+            # dense round: O(n) scratch scatter beats the O(E_f log E_f)
+            # sort inside np.unique
+            folded = _fold_codes(self._mode, dsts, vals, n)
             touched = np.zeros(n, dtype=bool)
             touched[dsts] = True
-            self._pend[touched] = scratch[touched]
+            uniq = np.nonzero(touched)[0]
+            self._pend[uniq] = folded[uniq]
         else:
-            for d, v in zip(dsts.tolist(), vals.tolist()):
-                self._push_idx(int(d), v)
-            return
-        self.counters.combines += len(vals) - int(touched.sum())
-        self._pend_has |= touched
-        self._pend_order = np.nonzero(self._pend_has)[0].tolist()
+            uniq, inv = np.unique(dsts, return_inverse=True)
+            self._pend[uniq] = _fold_codes(self._mode, inv, vals, len(uniq))
+        self.counters.combines += len(vals) - len(uniq)
+        self._pend_has[uniq] = True
+        # ascending unique dsts == the np.nonzero order of the pending mask
+        self._stamp_arrivals(uniq)
 
     # -- the inner loop ---------------------------------------------------------
     def apply_batch(
@@ -502,8 +505,6 @@ class NumpyKernel(Kernel):
         return self._apply_local(keys or [], emit)
 
     def _apply_round(self, deltas: dict) -> BatchResult:
-        if self._mode == "other":
-            return self._apply_round_scalar(deltas)
         m = len(deltas)
         if m == 0:
             return BatchResult()
@@ -516,109 +517,39 @@ class NumpyKernel(Kernel):
         srt = np.argsort(idx, kind="stable")
         return self._round_core(idx[srt], vals[srt], scatter_self=False)
 
-    def _apply_round_scalar(self, deltas: dict) -> BatchResult:
-        """Generic-aggregate fallback: the reference loop over arrays."""
-        plan = self.plan
-        combine = self.aggregate.combine
-        counters = self.counters
-        order = self._index
-        out: dict = {}
-        changed = 0
-        magnitude = 0.0
-        ops = 0
-        edges_applied = 0
-        for key, tmp in sorted(deltas.items(), key=lambda kv: order[kv[0]]):
-            did_change, delta_mag = self.accumulate(key, tmp)
-            ops += 1
-            if not did_change:
-                continue
-            changed += 1
-            magnitude += delta_mag
-            for dst, params, fn in plan.edges_from(key):
-                value = fn(tmp, *params)
-                ops += 1
-                edges_applied += 1
-                old = out.get(dst)
-                if old is None:
-                    out[dst] = value
-                else:
-                    out[dst] = combine(old, value)
-                    counters.combines += 1
-        counters.fprime_applications += edges_applied
-        return BatchResult(out_deltas=out, changed=changed, magnitude=magnitude, ops=ops)
+    def _frontier_round(self, scatter_self: bool) -> BatchResult:
+        """Drain the frontier (ascending) and run one round, array-only."""
+        if not self._pend_live:
+            return BatchResult()
+        if self._pend_live * _DENSE_DIVISOR >= self._csr.n:
+            # dense frontier: a C-speed mask scan beats list compaction
+            idx = np.nonzero(self._pend_has)[0]
+            tmp = self._pend[idx]
+            self._pend_has[:] = False
+        else:
+            live = self._pend_indices()
+            idx = np.fromiter(live, dtype=np.int64, count=len(live))
+            idx.sort()  # canonical ascending round order
+            tmp = self._pend[idx]
+            self._pend_has[idx] = False
+        self._clear_pending()
+        return self._round_core(idx, tmp, scatter_self)
 
     def apply_pending(self) -> BatchResult:
         """Drain + round in one array pass (no dict round-trip)."""
-        if self._mode == "other":
-            return super().apply_pending()
-        idx = np.nonzero(self._pend_has)[0]
-        if len(idx) == 0:
-            return BatchResult()
-        tmp = self._pend[idx].copy()
-        self._pend_has[:] = False
-        self._pend_order = []
-        return self._round_core(idx, tmp, scatter_self=False)
+        return self._frontier_round(scatter_self=False)
 
     def step(self) -> BatchResult:
         """The single-node MRA fast path: full round, array-only."""
-        if self._mode == "other":
-            return super().step()
-        idx = np.nonzero(self._pend_has)[0]
-        if len(idx) == 0:
-            return BatchResult()
-        tmp = self._pend[idx].copy()
-        self._pend_has[:] = False
-        self._pend_order = []
-        return self._round_core(idx, tmp, scatter_self=True)
-
-    def _apply_local_scalar(self, keys: list, emit: Optional[Callable]) -> BatchResult:
-        """Object-mode local pass: per-edge F' over the plan, no CSR math."""
-        plan = self.plan
-        index = self._index
-        owned = self._owned_mask
-        counters = self.counters
-        pend = self._pend
-        pend_has = self._pend_has
-        changed = 0
-        magnitude = 0.0
-        ops = 0
-        edges_applied = 0
-        for key in keys:
-            i = index[key]
-            if not pend_has[i]:
-                continue
-            pend_has[i] = False
-            tmp = pend[i]
-            did_change, delta_mag = self._accumulate_idx(i, tmp)
-            ops += 1
-            if not did_change:
-                continue
-            changed += 1
-            magnitude += delta_mag
-            for dst, params, fn in plan.edges_from(key):
-                value = fn(tmp, *params)
-                ops += 1
-                edges_applied += 1
-                d = index[dst]
-                if owned is None or owned[d]:
-                    self._push_idx(d, value)
-                elif emit is None:
-                    raise TypeError("foreign contribution without an emit callback")
-                else:
-                    emit(dst, value, ops)
-        counters.fprime_applications += edges_applied
-        return BatchResult(changed=changed, magnitude=magnitude, ops=ops)
+        return self._frontier_round(scatter_self=True)
 
     def _apply_local(self, keys: list, emit: Optional[Callable]) -> BatchResult:
-        if self._object_mode:
-            return self._apply_local_scalar(keys, emit)
         csr = self._csr
         key_names = self._keys
         owned = self._owned_mask
         counters = self.counters
         pend = self._pend
         pend_has = self._pend_has
-        combine = self.aggregate.combine
         changed = 0
         magnitude = 0.0
         ops = 0
@@ -628,6 +559,7 @@ class NumpyKernel(Kernel):
             if not pend_has[i]:
                 continue
             pend_has[i] = False
+            self._pend_live -= 1
             tmp = float(pend[i])
             did_change, delta_mag = self._accumulate_idx(i, tmp)
             ops += 1
@@ -644,13 +576,7 @@ class NumpyKernel(Kernel):
             for d, v in zip(dsts.tolist(), vals.tolist()):
                 ops += 1
                 if owned is None or owned[d]:
-                    if pend_has[d]:
-                        pend[d] = combine(float(pend[d]), v)
-                        counters.combines += 1
-                    else:
-                        pend[d] = v
-                        pend_has[d] = True
-                        self._pend_order.append(int(d))
+                    self._push_idx(d, v)
                 elif emit is None:
                     raise TypeError("foreign contribution without an emit callback")
                 else:
@@ -661,11 +587,7 @@ class NumpyKernel(Kernel):
     # -- whole-table sweep (naive BSP mode) -------------------------------------
     @classmethod
     def full_contributions(cls, plan: Any, values: dict) -> list:
-        if not HAVE_NUMPY:
-            raise KernelUnavailableError(f"NumpyKernel: {NUMPY_INSTALL_HINT}")
-        if not plan.aggregate.numeric_values:
-            # non-numeric carriers cannot ride the float64 CSR sweep
-            return PythonKernel.full_contributions(plan, values)
+        _require_numpy()
         csr = plan_csr(plan)
         index = csr.index
         m = len(values)
@@ -698,13 +620,7 @@ class NumpyKernel(Kernel):
         contributions: list,
         counters: Optional[WorkCounters] = None,
     ) -> dict:
-        if not HAVE_NUMPY:
-            raise KernelUnavailableError(f"NumpyKernel: {NUMPY_INSTALL_HINT}")
-        mode = aggregate.fold_mode if aggregate.numeric_values else None
-        if mode not in ("min", "max", "sum"):
-            return PythonKernel.fold_contributions(
-                aggregate, contributions, counters
-            )
+        _require_numpy()
         index: dict = {}
         codes: list[int] = []
         raw_vals: list[float] = []
@@ -713,19 +629,15 @@ class NumpyKernel(Kernel):
             raw_vals.append(value)
         if not index:
             return {}
-        code_arr = np.asarray(codes, dtype=np.int64)
-        val_arr = np.asarray(raw_vals, dtype=np.float64)
-        if mode == "sum":
-            folded = np.bincount(code_arr, weights=val_arr, minlength=len(index))
-        elif mode == "min":
-            folded = np.full(len(index), np.inf)
-            np.minimum.at(folded, code_arr, val_arr)
-        else:
-            folded = np.full(len(index), -np.inf)
-            np.maximum.at(folded, code_arr, val_arr)
+        folded = _fold_codes(
+            aggregate.fold_mode,
+            np.asarray(codes, dtype=np.int64),
+            np.asarray(raw_vals, dtype=np.float64),
+            len(index),
+        )
         if counters is not None:
             counters.combines += len(contributions) - len(index)
-        return {key: float(folded[c]) for key, c in index.items()}
+        return dict(zip(index, folded.tolist()))
 
     @classmethod
     def improve_contributions(
@@ -735,13 +647,6 @@ class NumpyKernel(Kernel):
         contributions: list,
         counters: Optional[WorkCounters] = None,
     ) -> dict:
-        if not HAVE_NUMPY:
-            raise KernelUnavailableError(f"NumpyKernel: {NUMPY_INSTALL_HINT}")
-        mode = aggregate.fold_mode if aggregate.numeric_values else None
-        if mode not in ("min", "max"):
-            return PythonKernel.improve_contributions(
-                aggregate, current, contributions, counters
-            )
         best = cls.fold_contributions(aggregate, contributions, counters)
         combine = aggregate.combine
         changed: dict = {}
@@ -757,31 +662,35 @@ class NumpyKernel(Kernel):
                 changed[key] = improved
         return changed
 
-    # -- inspection -------------------------------------------------------------
+    # -- inspection over the compacted frontier ---------------------------------
     def pending_keys(self) -> list:
         keys = self._keys
         return [keys[i] for i in self._pend_indices()]
 
     def has_pending(self) -> bool:
-        return bool(self._pend_has.any())
+        return self._pend_live > 0
 
     def pending_count(self) -> int:
-        return int(self._pend_has.sum())
+        return self._pend_live
 
     def pending_magnitude(self) -> float:
         delta_magnitude = self.aggregate.delta_magnitude
         pend = self._pend
-        cast = self._cast
         return sum(
-            delta_magnitude(cast(pend[i])) for i in self._pend_indices()
+            delta_magnitude(float(pend[i])) for i in self._pend_indices()
         )
 
     def pending_min(self) -> float:
-        if not self._pend_has.any():
-            return float("inf")
-        return float(self._pend[self._pend_has].min())
+        if self._bucket_width is not None:
+            return self._bucket_min()
+        live = self._pend_indices()
+        if not live:
+            return math.inf
+        return float(self._pend[live].min())
 
     def take_pending_below(self, threshold: float) -> dict:
+        if self._bucket_width is not None:
+            return self._take_bucketed(threshold)
         keys = self._keys
         pend = self._pend
         has = self._pend_has
@@ -795,7 +704,83 @@ class NumpyKernel(Kernel):
             else:
                 keep.append(i)
         self._pend_order = keep
+        self._pend_live = len(keep)
         return take
+
+    # -- bucketed delta-stepping -------------------------------------------------
+    def enable_delta_stepping(self, width: float) -> None:
+        # value buckets would reorder a non-idempotent (sum) fold
+        if self._mode == "sum" or not width > 0:
+            return
+        self._bucket_width = float(width)
+        self._buckets = {}
+        pend = self._pend
+        for i in self._pend_indices():
+            self._bucket_put(i, float(pend[i]))
+
+    def _bucket_put(self, i: int, value: float) -> None:
+        bid = self._bucket_bid(value)
+        bucket = self._buckets.get(bid)
+        if bucket is None:
+            self._buckets[bid] = [i]
+        else:
+            bucket.append(i)
+
+    def _bucket_bid(self, value: float) -> int:
+        width = self._bucket_width
+        assert width is not None  # callers gate on bucketing being enabled
+        q = value / width
+        if -math.inf < q < math.inf:
+            return math.floor(q)
+        return _FAR_BUCKET if not q < 0 else -_FAR_BUCKET
+
+    def _bucket_min(self) -> float:
+        has = self._pend_has
+        pend = self._pend
+        buckets = self._buckets
+        while buckets:
+            bid = min(buckets)
+            best = math.inf
+            fresh: list[int] = []
+            for i in buckets[bid]:
+                # lazy deletion: skip consumed or re-bucketed entries
+                if not has[i] or self._bucket_bid(float(pend[i])) != bid:
+                    continue
+                fresh.append(i)
+                value = float(pend[i])
+                if value < best:
+                    best = value
+            if fresh:
+                buckets[bid] = fresh
+                return best
+            del buckets[bid]
+        return math.inf
+
+    def _take_bucketed(self, threshold: float) -> dict:
+        cap = self._bucket_bid(threshold)
+        has = self._pend_has
+        pend = self._pend
+        buckets = self._buckets
+        taken: list[int] = []
+        for bid in sorted(b for b in buckets if b <= cap):
+            keep: list[int] = []
+            for i in buckets.pop(bid):
+                if not has[i]:
+                    continue  # consumed, or a duplicate already taken
+                value = float(pend[i])
+                if value <= threshold:
+                    has[i] = False
+                    taken.append(i)
+                elif self._bucket_bid(value) == bid:
+                    keep.append(i)
+            if keep:
+                buckets[bid] = keep
+        # dict insertion order == arrival order, like the reference take
+        taken.sort(key=self._seq.__getitem__)
+        keys = self._keys
+        out = {keys[i]: float(pend[i]) for i in taken}
+        self._pend_live -= len(taken)
+        return out
 
     def result(self) -> dict:
         return self.accumulated
@@ -826,3 +811,14 @@ class NumpyKernel(Kernel):
         self._pend = snap["pend"].copy()
         self._pend_has = snap["pend_has"].copy()
         self._pend_order = list(snap["pend_order"])
+        self._pend_live = int(self._pend_has.sum())
+        self._seq_next = 0
+        self._buckets = {}
+        # re-stamp arrivals and re-index buckets in dict-equivalent order
+        self._stamp_arrivals(
+            np.asarray(self._pend_indices(), dtype=np.int64)
+        )
+
+
+#: accepted alias: ``backend="sparse"`` names this kernel too
+KERNELS["sparse"] = NumpyKernel

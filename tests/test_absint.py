@@ -8,9 +8,9 @@ runtime saturation or clamping involved.  The suite checks that
 contract over every registry program on its default graph, and -- via
 hypothesis -- over seeded random graphs the analyzer has never seen.
 
-The cost domain is pinned the same way: the recommended backend must
-match the BENCH_kernels dense/sparse crossover, and ``--backend auto``
-must be bit-identical to the explicit choice it resolves to.
+The cost domain is pinned the same way: ``recommended_backend`` must
+name the frontier shape (``sparse`` | ``numpy`` for dense) of the
+kernel bench's sparse- and dense-frontier programs.
 """
 
 import math
@@ -35,14 +35,7 @@ from repro.engine import MRAEvaluator
 from repro.graphs.generators import random_dag, rmat
 from repro.obs.metrics import MetricsRegistry
 from repro.programs import PROGRAMS
-from repro.runtime import (
-    HAVE_NUMPY,
-    KERNELS,
-    auto_backend_for_plan,
-    resolve_backend_for_plan,
-)
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+from repro.runtime import HAVE_NUMPY, KERNELS
 
 
 def plan_for(name, seed=7):
@@ -256,6 +249,11 @@ class TestCostDomain:
         assert cost.recommended_backend == "numpy"
         assert cost.supersteps >= 1
 
+    @pytest.mark.parametrize("name", sorted(DENSE_PROGRAMS + SPARSE_PROGRAMS))
+    def test_recommendation_names_the_frontier_shape(self, name):
+        want = "sparse" if name in SPARSE_PROGRAMS else "numpy"
+        assert estimate_plan_cost(plan_for(name)).recommended_backend == want
+
     def test_est_seconds_prices_in_cost_model_currency(self):
         from repro.distributed.cluster import CostModel
 
@@ -288,32 +286,3 @@ class TestCostDomain:
         shallow = estimate_plan_cost(PROGRAMS["sssp"].plan(chain(5)))
         deep = estimate_plan_cost(PROGRAMS["sssp"].plan(chain(40)))
         assert deep.supersteps > shallow.supersteps
-
-
-@needs_numpy
-class TestAutoBackend:
-    """``--backend auto`` follows the static cost estimate, bit-exactly."""
-
-    @pytest.mark.parametrize("name", sorted(DENSE_PROGRAMS + SPARSE_PROGRAMS))
-    def test_choice_matches_bench_crossover(self, name):
-        want = "sparse" if name in SPARSE_PROGRAMS else "numpy"
-        plan = plan_for(name)
-        assert auto_backend_for_plan(plan) == want
-        assert resolve_backend_for_plan(plan, "auto") == want
-        assert estimate_plan_cost(plan).recommended_backend == want
-
-    @pytest.mark.parametrize("name", ["sssp", "pagerank"])
-    def test_auto_is_bit_identical_to_explicit(self, name):
-        plan = plan_for(name)
-        auto_run = MRAEvaluator(plan, backend="auto").run()
-        explicit_backend = auto_backend_for_plan(plan)
-        explicit = MRAEvaluator(plan, backend=explicit_backend).run()
-        assert auto_run.backend == explicit_backend
-        assert auto_run.values == explicit.values
-        assert auto_run.counters == explicit.counters
-
-    def test_auto_never_reaches_the_kernel_registry(self):
-        from repro.runtime import get_kernel
-
-        with pytest.raises(ValueError):
-            get_kernel("auto")

@@ -1,0 +1,412 @@
+"""Unit coverage for the array kernel (``numpy``, alias ``sparse``).
+
+The equivalence suite (``test_kernel_equivalence``) proves end-to-end
+bit-exactness across engines; this module pins the mechanisms that
+exactness rests on, one by one: columnar edge storage on the compiled
+plan, the columnar CSR packer producing *content-identical* structures
+to the per-edge walk, the fused initial-delta path (values and dict
+insertion order), batch-push order equivalence against repeated scalar
+pushes, the delta-stepping bucket invariants and checkpoint
+round-trips -- plus the registry facts around the one class: the
+``sparse`` alias and the degradation of carriers it refuses.
+"""
+
+import pytest
+
+from repro.distributed import Checkpointer, ClusterConfig
+from repro.distributed.chaos_harness import default_graph
+from repro.distributed.sharding import ShardedRun
+from repro.distributed.sync_engine import SyncEngine
+from repro.distributed.unified import UnifiedEngine
+from repro.engine import MRAEvaluator
+from repro.engine.mra import compute_initial_delta
+from repro.engine.plan import EdgeColumns
+from repro.obs import Observability
+from repro.programs import PROGRAMS
+from repro.runtime import (
+    BACKEND_ENV_VAR,
+    HAVE_NUMPY,
+    KERNELS,
+    available_backends,
+    get_kernel,
+    record_backend_metrics,
+    resolve_backend,
+    resolve_backend_for_plan,
+)
+
+pytestmark = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="numpy backend not installed"
+)
+
+ALL_PROGRAMS = sorted(PROGRAMS)
+
+
+def plan_for(program: str, seed: int = 7):
+    return PROGRAMS[program].plan(default_graph(program, seed=seed))
+
+
+def array_plan_for(program: str, seed: int = 7):
+    """Compile a plan, skipping programs the array kernel refuses."""
+    plan = plan_for(program, seed=seed)
+    if not get_kernel("numpy").supports_plan(plan):
+        pytest.skip(f"array kernel refuses {program}'s semiring carrier")
+    return plan
+
+
+class TestOneArrayKernel:
+    """``numpy`` and ``sparse`` name one class; other names are gone."""
+
+    def test_sparse_is_an_alias(self):
+        assert KERNELS["sparse"] is KERNELS["numpy"]
+        assert set(KERNELS) == {"python", "numpy", "sparse"}
+        assert resolve_backend("sparse") == "numpy"
+        assert get_kernel("numpy") is get_kernel("numpy")
+        # one kernel, listed once
+        assert available_backends() == ["python", "numpy"]
+
+    @pytest.mark.parametrize("program", ("sssp", "pagerank"))
+    def test_both_names_give_identical_results(self, program):
+        graph = default_graph(program, seed=7)
+        cluster = ClusterConfig(num_workers=4)
+        runs = {
+            name: SyncEngine(
+                PROGRAMS[program].plan(graph), cluster, backend=name
+            ).run()
+            for name in ("numpy", "sparse")
+        }
+        assert runs["sparse"].backend == "numpy"
+        assert runs["sparse"] == runs["numpy"]
+
+    def test_env_alias_resolves(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "sparse")
+        assert resolve_backend(None) == "numpy"
+
+    @pytest.mark.parametrize("name", ("auto", "jit"))
+    def test_removed_names_are_unknown(self, name):
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend(name)
+
+    def test_numeric_preference_resolves_unchanged(self):
+        plan = plan_for("sssp")
+        assert resolve_backend_for_plan(plan, "numpy") == "numpy"
+        assert resolve_backend_for_plan(plan, "sparse") == "numpy"
+
+    def test_metrics_label_numpy_version_under_either_name(self):
+        for name in ("numpy", "sparse"):
+            obs = Observability()
+            record_backend_metrics(obs.metrics, "mra", name)
+            (key,) = [
+                k
+                for k in obs.metrics.snapshot()["counters"]
+                if k.startswith("runtime.backend_runs")
+            ]
+            assert "backend=numpy" in key and "numpy_version=" in key
+
+
+class TestRefusedCarrierDegrades:
+    """kpaths (topk over KTuple) runs on the python kernel whatever the
+    preference says, with the fixpoint the python backend computes."""
+
+    ENGINES = {
+        "mra": lambda plan, backend: MRAEvaluator(plan, backend=backend),
+        "sync": lambda plan, backend: SyncEngine(
+            plan, ClusterConfig(num_workers=4), backend=backend
+        ),
+        "unified": lambda plan, backend: UnifiedEngine(
+            plan, ClusterConfig(num_workers=4), backend=backend
+        ),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_kpaths_resolves_to_python(self, engine, monkeypatch):
+        build = self.ENGINES[engine]
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        reference = build(plan_for("kpaths"), "python").run()
+        by_argument = build(plan_for("kpaths"), "numpy").run()
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        by_environment = build(plan_for("kpaths"), None).run()
+        for run in (by_argument, by_environment):
+            assert run.backend == "python"
+            assert run == reference
+
+
+class TestEdgeColumns:
+    """Columnar edge storage built during plan compilation."""
+
+    @pytest.mark.parametrize("program", ALL_PROGRAMS)
+    def test_every_compiled_plan_carries_columns(self, program):
+        plan = plan_for(program)
+        assert plan.edge_columns is not None
+        assert len(plan.edge_columns) == len(plan.fprime_fns)
+        total = sum(len(columns) for columns in plan.edge_columns)
+        assert total == plan.num_edges
+
+    def test_columns_match_out_edges_content(self):
+        plan = plan_for("sssp")
+        (columns,) = plan.edge_columns
+        walked = []
+        for src in sorted(plan.out_edges):
+            for dst, params, _fn in plan.out_edges[src]:
+                walked.append((src, dst, params))
+        stored = sorted(
+            (
+                columns.srcs[j],
+                columns.dsts[j],
+                tuple(col[j] for col in columns.param_cols),
+            )
+            for j in range(len(columns))
+        )
+        assert stored == sorted(walked)
+
+    def test_int_keys_use_typed_storage(self):
+        from array import array
+
+        plan = plan_for("sssp")
+        (columns,) = plan.edge_columns
+        assert isinstance(columns.srcs, array)
+        assert isinstance(columns.dsts, array)
+        for col in columns.param_cols:
+            assert isinstance(col, array)
+
+    def test_tuple_keys_demote_to_lists(self):
+        # apsp keys are (source, vertex) pairs: array('q') cannot hold
+        # them, so the key columns demote while parameters stay typed
+        plan = plan_for("apsp")
+        (columns,) = plan.edge_columns
+        assert isinstance(columns.srcs, list)
+        assert isinstance(columns.dsts, list)
+
+    def test_demotion_preserves_earlier_values(self):
+        columns = EdgeColumns(fn=lambda x, w: x + w, width=1)
+        columns.append(0, 1, (2.5,))
+        columns.append((7, 8), 2, (3.5,))
+        assert list(columns.srcs) == [0, (7, 8)]
+        assert list(columns.dsts) == [1, 2]
+        assert list(columns.param_cols[0]) == [2.5, 3.5]
+        assert len(columns) == 2
+
+
+class TestCSRPacking:
+    """The columnar packer's CSR == the per-edge walk's, exactly."""
+
+    @pytest.mark.parametrize("program", ALL_PROGRAMS)
+    def test_content_identical_to_per_edge_walk(self, program):
+        import numpy as np
+
+        from repro.runtime.csr import _pack_edges, plan_csr
+
+        packed = plan_csr(array_plan_for(program))
+        reference = _pack_edges(plan_for(program))
+
+        assert packed.n == reference.n
+        assert packed.keys_sorted == reference.keys_sorted
+        assert np.array_equal(packed.indptr, reference.indptr)
+        assert np.array_equal(packed.edst, reference.edst)
+        assert np.array_equal(packed.efn, reference.efn)
+        assert np.array_equal(packed.erow, reference.erow)
+        assert len(packed.groups) == len(reference.groups)
+        for group, ref_group in zip(packed.groups, reference.groups):
+            assert (group.cols is None) == (ref_group.cols is None)
+            assert len(group.raw_params) == len(ref_group.raw_params)
+            for j in range(len(ref_group.raw_params)):
+                assert tuple(group.raw_params[j]) == tuple(
+                    ref_group.raw_params[j]
+                )
+            if ref_group.cols is not None:
+                for col, ref_col in zip(group.cols, ref_group.cols):
+                    assert np.array_equal(col, ref_col)
+
+    def test_single_body_plans_take_the_columnar_path(self):
+        from repro.runtime.csr import _ColumnRows, plan_csr
+
+        (group,) = plan_csr(plan_for("sssp")).groups
+        assert isinstance(group.raw_params, _ColumnRows)
+
+    def test_cached_on_the_plan(self):
+        from repro.runtime.csr import plan_csr
+
+        plan = plan_for("sssp")
+        csr = plan_csr(plan)
+        assert plan_csr(plan) is csr
+        assert get_kernel("numpy").from_plan(plan)._csr is csr
+
+    def test_hand_built_plans_fall_back(self):
+        from repro.runtime.csr import plan_csr
+
+        plan = plan_for("sssp")
+        object.__setattr__(plan, "edge_columns", None)
+        csr = plan_csr(plan)
+        assert csr.n == len(plan._kernel_keys_sorted)
+        assert isinstance(csr.groups[0].raw_params, list)
+
+
+class TestInitialDelta:
+    """The fused ΔX¹ equals the section-3.3 reference, order included."""
+
+    @pytest.mark.parametrize("program", ALL_PROGRAMS)
+    def test_values_and_insertion_order(self, program):
+        plan = array_plan_for(program)
+        fused = get_kernel("numpy").initial_delta(plan)
+        reference = compute_initial_delta(plan)
+        assert fused == reference
+        # dict insertion order is observable state downstream (push
+        # order seeds arrival sequences); it must match too
+        assert list(fused) == list(reference)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3, 11))
+    def test_order_stable_across_seeds(self, seed):
+        plan = plan_for("cc", seed=seed)
+        fused = get_kernel("numpy").initial_delta(plan)
+        reference = compute_initial_delta(plan)
+        assert list(fused.items()) == list(reference.items())
+
+
+class TestPushMany:
+    """Batch seeding == repeated scalar pushes, bit for bit."""
+
+    def _pair_batch(self, plan, count):
+        keys = sorted(plan.initial)
+        batch = []
+        for j in range(count):
+            key = keys[j % len(keys)]
+            batch.append((key, float(5 + (j * 7) % 13)))
+        return batch
+
+    @pytest.mark.parametrize("count", (3, 40))
+    def test_matches_scalar_pushes(self, count):
+        plan = plan_for("sssp")
+        kernel_cls = get_kernel("numpy")
+        batch = self._pair_batch(plan, count)
+
+        batched = kernel_cls.from_plan(plan)
+        batched.push_many(batch)
+        scalar = kernel_cls.from_plan(plan)
+        for key, value in batch:
+            scalar.push(key, value)
+
+        assert batched.intermediate == scalar.intermediate
+        assert list(batched.intermediate) == list(scalar.intermediate)
+        assert batched.pending_count() == scalar.pending_count()
+        assert (
+            batched.counters.snapshot() == scalar.counters.snapshot()
+        )
+
+    def test_matches_python_backend(self):
+        plan = plan_for("sssp")
+        batch = self._pair_batch(plan, 40)
+        kernels = {}
+        for backend in ("python", "numpy"):
+            kernel = get_kernel(backend).from_plan(plan)
+            kernel.push_many(batch)
+            kernels[backend] = kernel
+        assert (
+            kernels["numpy"].intermediate
+            == kernels["python"].intermediate
+        )
+        assert list(kernels["numpy"].intermediate) == list(
+            kernels["python"].intermediate
+        )
+
+    def test_batched_then_stepped_reaches_reference_fixpoint(self):
+        from repro.engine import MRAEvaluator
+
+        plan = plan_for("sssp")
+        kernel = get_kernel("numpy").from_plan(plan)
+        kernel.push_many(compute_initial_delta(plan).items())
+        for _ in range(10_000):
+            if not kernel.step().changed and not kernel.has_pending():
+                break
+        reference = MRAEvaluator(plan_for("sssp"), backend="python").run()
+        assert kernel.result() == reference.values
+
+
+class TestBuckets:
+    """Delta-stepping buckets agree with the scan-everything reference."""
+
+    @pytest.mark.parametrize("width", (0.5, 2.0, 7.0))
+    @pytest.mark.parametrize("program", ("sssp", "cc"))
+    def test_bucketed_drain_matches_python(self, program, width):
+        plan = plan_for(program)
+        kernels = {}
+        for backend in ("python", "numpy"):
+            kernel = get_kernel(backend).from_plan(plan)
+            kernel.enable_delta_stepping(width)
+            kernel.push_many(compute_initial_delta(plan).items())
+            kernels[backend] = kernel
+
+        rounds = 0
+        while kernels["python"].has_pending():
+            assert kernels["numpy"].has_pending()
+            floor = kernels["python"].pending_min()
+            assert kernels["numpy"].pending_min() == floor
+            threshold = floor + width
+            taken = {
+                backend: kernel.take_pending_below(threshold)
+                for backend, kernel in kernels.items()
+            }
+            assert taken["numpy"] == taken["python"]
+            assert list(taken["numpy"]) == list(taken["python"])
+            for backend, kernel in kernels.items():
+                result = kernel.apply_batch(taken[backend])
+                kernel.push_many(result.out_deltas.items())
+            rounds += 1
+            assert rounds < 10_000
+        assert not kernels["numpy"].has_pending()
+        assert kernels["numpy"].result() == kernels["python"].result()
+
+    def test_reenabling_buckets_reindexes_pending(self):
+        plan = plan_for("sssp")
+        kernel = get_kernel("numpy").from_plan(plan)
+        kernel.push_many(compute_initial_delta(plan).items())
+        before_min = kernel.pending_min()
+        kernel.enable_delta_stepping(1.5)
+        assert kernel.pending_min() == before_min
+
+
+class TestCheckpointRoundtrip:
+    @pytest.fixture
+    def plan(self):
+        return plan_for("sssp")
+
+    def test_sharded_checkpoint_restores_numpy_shards(self, plan, tmp_path):
+        state = ShardedRun(plan, ClusterConfig(num_workers=4), backend="numpy")
+        state.seed_initial_delta()
+        state.checkpoint(Checkpointer(tmp_path), "np-run")
+
+        fresh = ShardedRun(plan, ClusterConfig(num_workers=4), backend="numpy")
+        assert fresh.restore(Checkpointer(tmp_path), "np-run")
+        for original, restored in zip(state.shards, fresh.shards):
+            assert original.accumulated == restored.accumulated
+            assert original.intermediate == restored.intermediate
+
+    def test_cross_backend_checkpoint_interchange(self, plan, tmp_path):
+        """A checkpoint written by one backend restores under the other."""
+        state = ShardedRun(plan, ClusterConfig(num_workers=2), backend="python")
+        state.seed_initial_delta()
+        state.checkpoint(Checkpointer(tmp_path), "interchange")
+
+        other = ShardedRun(plan, ClusterConfig(num_workers=2), backend="numpy")
+        assert other.restore(Checkpointer(tmp_path), "interchange")
+        for original, restored in zip(state.shards, other.shards):
+            assert original.accumulated == restored.accumulated
+            assert original.intermediate == restored.intermediate
+
+    def test_restore_rebuilds_frontier_count_order_and_buckets(self, plan):
+        """snapshot/restore with bucketing on: the restored kernel drains
+        exactly like the one it was copied from."""
+        kernel_cls = get_kernel("numpy")
+        kernel = kernel_cls.from_plan(plan)
+        kernel.enable_delta_stepping(2.0)
+        kernel.push_many(compute_initial_delta(plan).items())
+        kernel.fetch_and_reset(next(iter(kernel.intermediate)))  # a stale entry
+        restored = kernel_cls.from_plan(plan, initial={})
+        restored.enable_delta_stepping(2.0)
+        restored.restore(kernel.snapshot())
+        assert restored.pending_count() == kernel.pending_count()
+        assert restored.pending_min() == kernel.pending_min()
+        threshold = kernel.pending_min() + 2.0
+        taken = kernel.take_pending_below(threshold)
+        assert list(restored.take_pending_below(threshold).items()) == list(
+            taken.items()
+        )
+        assert restored.intermediate == kernel.intermediate

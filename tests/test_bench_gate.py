@@ -41,10 +41,12 @@ def _copy_rows(baseline):
 
 
 class FakeReport:
-    def __init__(self, speedups, sparse_speedups, check_scale=1.0):
+    def __init__(self, speedups):
         self.speedups = speedups
-        self.sparse_speedups = sparse_speedups
-        self.check_scale = check_scale
+
+
+def floor_programs(baseline):
+    return [*baseline["dense_programs"], *baseline["sparse_programs"]]
 
 
 class TestCommittedBaselines:
@@ -63,16 +65,22 @@ class TestCommittedBaselines:
             }
 
     def test_kernel_baseline_floors_met(self, kernels_baseline):
-        assert kernels_baseline["floors_met"] == {
-            "numpy_dense_3x": True,
-            "sparse_selective_3x": True,
-        }
-        assert kernels_baseline["sparse_floor"] == 3.0
+        assert kernels_baseline["floors_met"] == {"numpy_3x": True}
+        assert kernels_baseline["speedup_floor"] == 3.0
         assert set(kernels_baseline["sparse_programs"]) == {"sssp", "cc"}
 
-    def test_kernel_baseline_has_sparse_rows(self, kernels_baseline):
+    def test_kernel_baseline_has_two_backends(self, kernels_baseline):
+        assert kernels_baseline["backends"] == ["python", "numpy"]
         backends = {row["backend"] for row in kernels_baseline["rows"]}
-        assert {"python", "numpy", "sparse"} <= backends
+        assert backends == {"python", "numpy"}
+        # every floor program has a row per backend at every scale
+        for program in floor_programs(kernels_baseline):
+            rows = [
+                row
+                for row in kernels_baseline["rows"]
+                if row["program"] == program
+            ]
+            assert {row["backend"] for row in rows} == backends
 
     def test_counters_identical_across_backends(self, kernels_baseline):
         by_cell = {}
@@ -108,64 +116,48 @@ class TestKernelComparison:
         assert [m["column"] for m in mismatches] == ["iterations"]
 
     def test_missing_backend_rows_are_skipped(self, kernels_baseline):
-        # a leg without numba has no jit rows; that is not a regression
+        # a leg without numpy has no numpy rows; that is not a regression
         rows = [
             row
             for row in _copy_rows(kernels_baseline)
-            if row["backend"] != "sparse"
+            if row["backend"] != "numpy"
         ]
         assert bench_gate.compare_kernel_rows(kernels_baseline, rows) == []
 
 
 class TestSpeedupFloors:
     def test_floors_met_within_band_pass(self, kernels_baseline):
-        report = FakeReport(
-            speedups={p: 10.0 for p in kernels_baseline["dense_programs"]},
-            sparse_speedups={
-                p: 4.0 for p in kernels_baseline["sparse_programs"]
-            },
-        )
+        report = FakeReport({p: 10.0 for p in floor_programs(kernels_baseline)})
         assert bench_gate.check_speedup_floors(
             kernels_baseline, report, 0.15
         ) == []
 
     def test_band_gives_slack_below_floor(self, kernels_baseline):
         # 2.7 >= 3.0 * (1 - 0.15): inside the band, not a regression
-        report = FakeReport(
-            speedups={p: 10.0 for p in kernels_baseline["dense_programs"]},
-            sparse_speedups={
-                p: 2.7 for p in kernels_baseline["sparse_programs"]
-            },
-        )
+        report = FakeReport({p: 2.7 for p in floor_programs(kernels_baseline)})
         assert bench_gate.check_speedup_floors(
             kernels_baseline, report, 0.15
         ) == []
 
     def test_regression_outside_band_fails(self, kernels_baseline):
-        report = FakeReport(
-            speedups={p: 10.0 for p in kernels_baseline["dense_programs"]},
-            sparse_speedups={
-                p: 2.0 for p in kernels_baseline["sparse_programs"]
-            },
-        )
+        speedups = {p: 10.0 for p in kernels_baseline["dense_programs"]}
+        speedups.update({p: 2.0 for p in kernels_baseline["sparse_programs"]})
         failures = bench_gate.check_speedup_floors(
-            kernels_baseline, report, 0.15
+            kernels_baseline, FakeReport(speedups), 0.15
         )
         assert {f["program"] for f in failures} == set(
             kernels_baseline["sparse_programs"]
         )
+        assert {f["ratio"] for f in failures} == {"numpy/python"}
 
-    def test_sparse_floor_not_asserted_below_floor_scale(
-        self, kernels_baseline
-    ):
-        report = FakeReport(
-            speedups={p: 10.0 for p in kernels_baseline["dense_programs"]},
-            sparse_speedups={},
-            check_scale=0.5,
+    def test_missing_measurement_fails(self, kernels_baseline):
+        speedups = {p: 10.0 for p in kernels_baseline["dense_programs"]}
+        failures = bench_gate.check_speedup_floors(
+            kernels_baseline, FakeReport(speedups), 0.15
         )
-        assert bench_gate.check_speedup_floors(
-            kernels_baseline, report, 0.15
-        ) == []
+        assert {f["program"] for f in failures} == set(
+            kernels_baseline["sparse_programs"]
+        )
 
 
 class TestDeltaComparison:

@@ -62,6 +62,18 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "sssp", "--dataset", "imagenet"])
 
+    @pytest.mark.parametrize("backend", ("auto", "jit"))
+    def test_run_rejects_removed_backends(self, backend, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "sssp", "--backend", backend])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ("python", "numpy", "sparse"))
+    def test_run_accepts_two_kernels_and_the_alias(self, backend):
+        args = build_parser().parse_args(["run", "sssp", "--backend", backend])
+        assert args.backend == backend
+
 
 class TestListing:
     def test_programs(self, capsys):
@@ -97,3 +109,11 @@ class TestRunOnUserGraph:
         assert main(["run", "cc", "--graph", str(path), "--engine", "sync"]) == 0
         out = capsys.readouterr().out
         assert "CC on mine" in out
+
+    def test_malformed_graph_is_a_one_line_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0\t1\t2.5\n1\t2\tnan\n")
+        assert main(["run", "sssp", "--graph", str(path), "--engine", "sync"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:2: weight 'nan' is not finite\n"
+        assert "Traceback" not in captured.out + captured.err

@@ -37,8 +37,8 @@ SELECTIVE = ("sssp", "cc", "viterbi")
 ADDITIVE = ("dag_paths",)
 ELIGIBLE = SELECTIVE + ADDITIVE
 
-#: every registered backend (python, numpy, sparse, jit when numba is
-#: installed): the repair paths must be exact on all of them
+#: every registered backend (python, numpy): the repair paths must be
+#: exact on both
 BACKENDS = tuple(available_backends())
 
 #: programs compiled over DAGs must stay acyclic under inserts

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import (
+    EdgeListError,
     Graph,
     chain,
     erdos_renyi,
@@ -139,7 +140,46 @@ class TestIO:
     def test_mixed_weights_rejected(self, tmp_path):
         path = tmp_path / "broken.tsv"
         path.write_text("0\t1\t5\n1\t2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(EdgeListError, match="some edges have weights"):
+            read_edge_list(path)
+
+    def test_weight_literals_parse_int_else_float(self, tmp_path):
+        path = tmp_path / "weights.tsv"
+        path.write_text("0\t1\t1e-3\n1\t2\t7\n2\t3\t2.5\n3\t4\t-4E2\n")
+        weights = read_edge_list(path).weights
+        assert weights == [0.001, 7, 2.5, -400.0]
+        assert [type(w) for w in weights] == [float, int, float, float]
+
+    @pytest.mark.parametrize(
+        "line, lineno, complaint",
+        [
+            ("0\t1\tnan", 2, "weight 'nan' is not finite"),
+            ("0\t1\tinf", 2, "weight 'inf' is not finite"),
+            ("0\t1\t-inf", 2, "weight '-inf' is not finite"),
+            ("0\t1\t1.0e999", 2, "weight '1.0e999' is not finite"),
+            ("0\t1\theavy", 2, "weight 'heavy' is not a number"),
+            ("0\t1\t1.2.3", 2, "weight '1.2.3' is not a number"),
+            ("a\t1\t3", 2, "vertex ids must be integers, got 'a' '1'"),
+            ("0\t1.5", 2, "vertex ids must be integers, got '0' '1.5'"),
+            ("0\t-1", 2, "vertex ids must be non-negative, got 0 -1"),
+            ("7", 2, "expected 'src dst [weight]'"),
+        ],
+    )
+    def test_malformed_lines_rejected_with_location(
+        self, tmp_path, line, lineno, complaint
+    ):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"0\t1\t2\n{line}\n")
+        with pytest.raises(EdgeListError) as excinfo:
+            read_edge_list(path)
+        assert str(excinfo.value).startswith(f"{path}:{lineno}: {complaint}")
+        assert (excinfo.value.path, excinfo.value.lineno) == (str(path), lineno)
+        assert isinstance(excinfo.value, ValueError)
+
+    def test_malformed_vertex_count_header_rejected(self, tmp_path):
+        path = tmp_path / "header.tsv"
+        path.write_text("# vertices many\n0\t1\n")
+        with pytest.raises(EdgeListError, match=":1: vertex count 'many'"):
             read_edge_list(path)
 
 

@@ -1,7 +1,7 @@
-"""Cross-backend equivalence: every backend == pure-Python kernel, bit for bit.
+"""Cross-backend equivalence: the array kernel == pure-Python kernel, bit for bit.
 
-The vectorized backends (numpy, sparse, jit when numba is installed)
-are not allowed to be "close": every registry program must reach the
+The vectorized backend (numpy) is not allowed to be "close": every
+registry program it supports must reach the
 *identical* fixpoint with *identical* work counters on every backend,
 on the single-node MRA evaluator and on the distributed engines (where
 the simulated clock must agree too, since ``BatchResult.ops`` prices
@@ -40,7 +40,7 @@ BACKENDS = [b for b in available_backends() if b != "python"]
 DISTRIBUTED_PROGRAMS = ("sssp", "cc", "pagerank", "katz", "viterbi", "dag_paths")
 
 #: selective-aggregate programs run under sync delta-stepping too (the
-#: sparse backend's bucket structure must not change a single bit)
+#: array kernel's bucket structure must not change a single bit)
 DELTA_STEP_PROGRAMS = ("sssp", "cc", "viterbi")
 
 

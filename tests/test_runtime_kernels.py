@@ -5,13 +5,14 @@ Covers the pieces the engines now build on: backend resolution
 inner loop on every registered backend, snapshot/restore/merge, the
 optional-numpy degradation path, and the unified work-counter
 semantics (``combines``/``updates``/``fprime_applications`` counted
-inside the kernel, never by the engines).
+inside the kernel, never by the engines).  This module runs on the base
+install (no numpy); what needs the array kernel lives in
+``test_array_kernel``.
 """
 
 import pytest
 
-from repro.distributed import Checkpointer, ClusterConfig
-from repro.distributed.sharding import ShardedRun
+from repro.distributed import ClusterConfig
 from repro.distributed.sync_engine import SyncEngine
 from repro.engine import MRAEvaluator, WorkCounters
 from repro.graphs.graph import Graph
@@ -25,7 +26,6 @@ from repro.runtime import (
     KernelUnavailableError,
     available_backends,
     get_kernel,
-    record_backend_metrics,
     resolve_backend,
 )
 from repro.runtime.compat import NUMPY_INSTALL_HINT, MissingNumpy
@@ -73,52 +73,22 @@ class TestBackendResolution:
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("cuda")
 
-    def test_registry_has_all_kernels(self):
-        assert set(KERNELS) == {"python", "numpy", "sparse", "jit"}
-
-    def test_sparse_available_with_numpy(self):
-        if HAVE_NUMPY:
-            assert "sparse" in available_backends()
-        else:
-            assert "sparse" not in available_backends()
-
-    def test_jit_gated_on_numba(self):
-        from repro.runtime.compat import HAVE_NUMBA
-
-        if HAVE_NUMBA and HAVE_NUMPY:
-            assert "jit" in available_backends()
-        else:
-            assert "jit" not in available_backends()
-            with pytest.raises(KernelUnavailableError, match="repro\\[jit\\]"):
-                get_kernel("jit")
-
     def test_engines_resolve_env_backend(self, plan, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
         assert MRAEvaluator(plan).backend == "python"
 
-    def test_plan_resolution_keeps_numeric_preference(self, plan):
-        from repro.runtime import resolve_backend_for_plan
-
-        # numeric carriers resolve to the preference unchanged
-        assert resolve_backend_for_plan(plan, "python") == "python"
-        if HAVE_NUMPY:
-            assert resolve_backend_for_plan(plan, "sparse") == "sparse"
-
     def test_plan_resolution_degrades_nonnumeric_carrier(self, monkeypatch):
         from repro.distributed.chaos_harness import default_graph
-        from repro.programs import PROGRAMS
         from repro.runtime import resolve_backend_for_plan
 
         kplan = PROGRAMS["kpaths"].plan(default_graph("kpaths", seed=7))
-        # a float64-backend preference cannot hold KTuple values: the
-        # run degrades to the best object-capable backend instead of
-        # crashing (numpy when installed, else python)
-        expected = "numpy" if HAVE_NUMPY else "python"
-        if HAVE_NUMPY:
-            assert resolve_backend_for_plan(kplan, "sparse") == expected
-        monkeypatch.setenv(BACKEND_ENV_VAR, "sparse" if HAVE_NUMPY else "python")
-        assert resolve_backend_for_plan(kplan, None) == expected
-        assert MRAEvaluator(kplan).backend == expected
+        # a float64 array cannot hold KTuple values: every preference
+        # resolves to the python kernel instead of crashing the run
+        for preference in BACKENDS:
+            assert resolve_backend_for_plan(kplan, preference) == "python"
+            monkeypatch.setenv(BACKEND_ENV_VAR, preference)
+            assert resolve_backend_for_plan(kplan, None) == "python"
+            assert MRAEvaluator(kplan).backend == "python"
 
 
 class TestOptionalNumpy:
@@ -142,12 +112,6 @@ class TestOptionalNumpy:
 
     def test_install_hint_names_the_extra(self):
         assert "repro[fast]" in NUMPY_INSTALL_HINT
-
-    def test_jit_install_hint_names_the_extra(self):
-        from repro.runtime.compat import NUMBA_INSTALL_HINT
-
-        assert "repro[jit]" in NUMBA_INSTALL_HINT
-        assert KERNELS["jit"].install_hint == NUMBA_INSTALL_HINT
 
 
 class TestKernelContract:
@@ -209,32 +173,6 @@ class TestKernelContract:
         kernel.push(1, 4.5)
         kernel.accumulate(2, 9.0)
         json.dumps({"acc": kernel.accumulated, "pend": kernel.intermediate})
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
-class TestNumpyCheckpointRoundtrip:
-    def test_sharded_checkpoint_restores_numpy_shards(self, plan, tmp_path):
-        state = ShardedRun(plan, ClusterConfig(num_workers=4), backend="numpy")
-        state.seed_initial_delta()
-        state.checkpoint(Checkpointer(tmp_path), "np-run")
-
-        fresh = ShardedRun(plan, ClusterConfig(num_workers=4), backend="numpy")
-        assert fresh.restore(Checkpointer(tmp_path), "np-run")
-        for original, restored in zip(state.shards, fresh.shards):
-            assert original.accumulated == restored.accumulated
-            assert original.intermediate == restored.intermediate
-
-    def test_cross_backend_checkpoint_interchange(self, plan, tmp_path):
-        """A checkpoint written by one backend restores under the other."""
-        state = ShardedRun(plan, ClusterConfig(num_workers=2), backend="python")
-        state.seed_initial_delta()
-        state.checkpoint(Checkpointer(tmp_path), "interchange")
-
-        other = ShardedRun(plan, ClusterConfig(num_workers=2), backend="numpy")
-        assert other.restore(Checkpointer(tmp_path), "interchange")
-        for original, restored in zip(state.shards, other.shards):
-            assert original.accumulated == restored.accumulated
-            assert original.intermediate == restored.intermediate
 
 
 class TestUnifiedCounters:
@@ -299,18 +237,6 @@ class TestBackendObservability:
         (key,) = matching
         assert "backend=python" in key and "engine=mra" in key
         assert matching[key] == 1
-
-    def test_record_backend_metrics_labels_numpy_version(self):
-        if not HAVE_NUMPY:
-            pytest.skip("numpy backend not installed")
-        obs = Observability()
-        record_backend_metrics(obs.metrics, "mra", "numpy")
-        (key,) = [
-            k
-            for k in obs.metrics.snapshot()["counters"]
-            if k.startswith("runtime.backend_runs")
-        ]
-        assert "numpy_version=" in key
 
 
 def test_base_kernel_is_abstract(plan):

@@ -3,9 +3,9 @@
 Each family exercises one registered semiring -- boolean (why_reach),
 counting (path_count), k-tropical (kpaths), Viterbi (reach_prob) -- and
 each must (a) agree with an independent oracle, (b) reach the identical
-fixpoint on every engine it is algebraically eligible for, on at least
-two kernel backends, and (c) be refused, not silently mis-evaluated,
-by backends whose carrier assumptions its semiring violates.
+fixpoint on every engine it is algebraically eligible for, under both
+backend preferences, and (c) be refused, not silently mis-evaluated,
+by a backend whose carrier assumptions its semiring violates.
 """
 
 import pytest
@@ -26,6 +26,7 @@ from repro.runtime import (
     KernelUnavailableError,
     available_backends,
     get_kernel,
+    resolve_backend_for_plan,
 )
 
 NEW_FAMILIES = ("why_reach", "path_count", "kpaths", "reach_prob")
@@ -132,10 +133,14 @@ class TestDistributedEngines:
         results = {}
         for backend in ("python", "numpy"):
             plan = spec.plan(graph)
-            assert get_kernel(backend).supports_plan(plan)
             results[backend] = self.ENGINES[engine](
                 plan, cluster, backend=backend
             ).run()
+            # the preference holds wherever the kernel can hold the
+            # carrier; kpaths' KTuples resolve to python
+            assert results[backend].backend == resolve_backend_for_plan(
+                plan, backend
+            )
             assert_matches_oracle(name, results[backend].values, oracle)
         # the two backends must agree bit for bit, counters included
         assert results["python"].values == results["numpy"].values
@@ -147,18 +152,18 @@ class TestDistributedEngines:
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
 class TestCarrierRefusal:
-    """float64 backends refuse the KTuple carrier instead of corrupting it."""
+    """The float64 backend refuses the KTuple carrier instead of corrupting it."""
 
-    def test_sparse_supports_plan_is_false_for_kpaths(self):
+    def test_supports_plan_is_false_for_kpaths(self):
         plan = PROGRAMS["kpaths"].plan(graph_for("kpaths"))
         for backend in available_backends():
             supported = get_kernel(backend).supports_plan(plan)
-            assert supported == (backend in ("python", "numpy")), backend
+            assert supported == (backend == "python"), backend
 
-    def test_sparse_construction_raises(self):
+    def test_array_kernel_construction_raises(self):
         plan = PROGRAMS["kpaths"].plan(graph_for("kpaths"))
-        with pytest.raises(KernelUnavailableError, match="non-numeric"):
-            get_kernel("sparse").from_plan(plan)
+        with pytest.raises(KernelUnavailableError, match="min/max/sum"):
+            get_kernel("numpy").from_plan(plan)
 
     def test_numeric_families_supported_everywhere(self):
         for name in ("why_reach", "path_count", "reach_prob"):

@@ -7,12 +7,11 @@ against the committed byte-stable baselines
 * every deterministic ``work.*`` counter (and iteration count) must
   match its committed value **exactly** -- work counters do not have
   noise, so any drift is a real behaviour change;
-* the wall-clock speedup floors (numpy >= 3x over python on the
-  dense-frontier programs, sparse >= 3x over numpy on sssp/cc) must
-  hold within a tolerance band: a fresh ratio below
-  ``floor * (1 - tolerance)`` fails the gate, so CI machines slower
-  than the baseline host get slack but a genuine perf regression does
-  not.
+* the wall-clock speedup floor (numpy >= 3x over python, on the
+  dense-frontier programs and on sssp/cc) must hold within a tolerance
+  band: a fresh ratio below ``floor * (1 - tolerance)`` fails the gate,
+  so CI machines slower than the baseline host get slack but a genuine
+  perf regression does not.
 
 The full comparison is written as a JSON diff artifact (``--out``) for
 upload; the process exits 1 on any regression.
@@ -51,8 +50,8 @@ def compare_kernel_rows(baseline: dict, fresh_rows: list) -> list:
     """Exact comparison of the deterministic columns, row by row.
 
     Rows are matched on (program, scale, backend); rows present only on
-    one side (e.g. the jit backend on a leg without numba) are skipped,
-    mismatched counters are reported.
+    one side (e.g. the numpy backend on a leg without numpy) are
+    skipped, mismatched counters are reported.
     """
     fresh_by_key = {_row_key(row): row for row in fresh_rows}
     mismatches = []
@@ -78,34 +77,19 @@ def compare_kernel_rows(baseline: dict, fresh_rows: list) -> list:
 def check_speedup_floors(
     baseline: dict, report, tolerance: float
 ) -> list:
-    """Floor checks with the tolerance band; returns failure records."""
-    failures = []
-    checks = []
+    """The numpy/python floor with the tolerance band; failure records."""
     floor = baseline["speedup_floor"]
-    for program in baseline["dense_programs"]:
-        checks.append(
-            (program, "numpy/python", report.speedups.get(program), floor)
-        )
-    if report.check_scale >= baseline["sparse_floor_scale"]:
-        sparse_floor = baseline["sparse_floor"]
-        for program in baseline["sparse_programs"]:
-            checks.append(
-                (
-                    program,
-                    "sparse/numpy",
-                    report.sparse_speedups.get(program),
-                    sparse_floor,
-                )
-            )
-    for program, ratio_name, measured, required in checks:
-        bar = required * (1.0 - tolerance)
+    bar = floor * (1.0 - tolerance)
+    failures = []
+    for program in (*baseline["dense_programs"], *baseline["sparse_programs"]):
+        measured = report.speedups.get(program)
         if measured is None or measured < bar:
             failures.append(
                 {
                     "program": program,
-                    "ratio": ratio_name,
+                    "ratio": "numpy/python",
                     "measured": measured,
-                    "floor": required,
+                    "floor": floor,
                     "tolerance": tolerance,
                     "bar": round(bar, 4),
                 }
@@ -163,11 +147,7 @@ def run_gate(
             "speedup_failures": check_speedup_floors(
                 kernels_baseline, report, tolerance
             ),
-            "measured_speedups": {
-                "numpy_over_python": report.speedups,
-                "sparse_over_numpy": report.sparse_speedups,
-                "crossover": report.crossover,
-            },
+            "measured_speedups": {"numpy_over_python": report.speedups},
         }
     }
 
