@@ -7,7 +7,7 @@
 PYTHON ?= python3
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install lint lint-programs typecheck test chaos serve serve-bench bench quick-bench smoke-bench bench-gate golden-drift examples check clean
+.PHONY: install lint lint-programs typecheck test chaos serve serve-bench bench quick-bench smoke-bench bench-gate e2e-quick golden-drift examples check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -89,6 +89,13 @@ bench-gate:
 	mkdir -p benchmarks/results
 	$(PYTHON) tools/bench_gate.py \
 		--out benchmarks/results/bench-gate-diff.json
+
+# end-to-end benchmark smoke (~20 s): every workload at 1/20 size against
+# expected.json's pinned simulated clocks, work.* counters and digests,
+# then once more traced, so the names the tracer wraps must still exist
+e2e-quick:
+	$(PYTHON) benchmarks/e2e/run.py --quick
+	$(PYTHON) benchmarks/e2e/run.py --quick --trace 1
 
 # the golden lint snapshots must be regenerable bit-for-bit: rerun the
 # regeneration and fail if anything under tests/golden drifts

@@ -38,6 +38,8 @@ class ShardedRun:
         self.counters = WorkCounters()
         self.backend = resolve_backend_for_plan(plan, backend)
         self.kernel_cls = get_kernel(self.backend)
+        #: ``owner`` in the form the kernel splits a round's output by
+        self.owner_table = self.kernel_cls.owner_table(plan, self.owner)
         #: bucket width announced to every kernel (sync delta-stepping)
         self.delta_step_width = delta_step_width
 
@@ -67,8 +69,17 @@ class ShardedRun:
 
     def seed_initial_delta(self) -> None:
         """Distribute ``ΔX¹`` (section 3.3) to its owners' shards."""
-        for key, value in self.kernel_cls.initial_delta(self.plan).items():
-            self.shards[self.owner[key]].push(key, value)
+        for shard, pairs in zip(self.shards, self._initial_delta_slices()):
+            shard.push_many(pairs)
+
+    def _initial_delta_slices(self) -> list:
+        """``ΔX¹`` as one ``(key, value)`` list per owner, in its order
+        (the base kernel's split: pairs routed by the owner dict)."""
+        return Kernel.split_out(
+            self.kernel_cls.initial_delta(self.plan).items(),
+            self.owner,
+            len(self.shard_keys),
+        )
 
     def reseed_shard(self, shard_id: int) -> Kernel:
         """Rebuild one shard from scratch: ``X⁰`` plus its slice of ``ΔX¹``.
@@ -78,9 +89,7 @@ class ShardedRun:
         deltas, and peer replay regenerates everything derived.
         """
         shard = self._make_shard(shard_id)
-        for key, value in self.kernel_cls.initial_delta(self.plan).items():
-            if self.owner[key] == shard_id:
-                shard.push(key, value)
+        shard.push_many(self._initial_delta_slices()[shard_id])
         self.shards[shard_id] = shard
         return shard
 

@@ -120,13 +120,11 @@ class SyncEngine:
         if not restored:
             state.seed_initial_delta()
         counters = state.counters
-        aggregate = plan.aggregate
-        owner = state.owner
         shards = state.shards
         num_workers = cluster.num_workers
 
         chaos = injector_for(cluster, obs)
-        selective = aggregate.is_idempotent
+        selective = plan.aggregate.is_idempotent
         if chaos is not None:
             #: per (sender, target) sequence numbers and per-receiver
             #: dedup sets; the barrier doubles as the ack point
@@ -141,7 +139,7 @@ class SyncEngine:
             )
             snapshot_every = self.checkpoint_every or 4
 
-            def apply_payload(sender: int, target: int, seq: int, payload: dict):
+            def arrive(sender: int, target: int, seq: int, payload) -> None:
                 if seq in seen[target][sender]:
                     chaos.record(
                         "duplicates_absorbed",
@@ -156,9 +154,42 @@ class SyncEngine:
                         return
                 else:
                     seen[target][sender].add(seq)
-                shard = shards[target]
-                for dst, value in payload.items():
-                    shard.push(dst, value)
+                inboxes[target].append(payload)
+
+            def transmit(sender: int, target: int, seq: int, payload) -> bool:
+                """One attempt on the wire; False when the payload was lost."""
+                if chaos.drops(sender, target, simulated):
+                    chaos.record(
+                        "dropped_messages",
+                        t=simulated,
+                        sender=sender,
+                        target=target,
+                        seq=seq,
+                    )
+                    return False
+                arrive(sender, target, seq, payload)
+                if chaos.duplicates():
+                    chaos.record(
+                        "duplicated_messages",
+                        t=simulated,
+                        sender=sender,
+                        target=target,
+                        seq=seq,
+                    )
+                    arrive(sender, target, seq, payload)
+                return True
+
+            def trace_backoff(sender: int, target: int, seq: int, entry: dict):
+                if obs.enabled:
+                    obs.trace.emit(
+                        "net.backoff",
+                        t=simulated,
+                        sender=sender,
+                        target=target,
+                        seq=seq,
+                        attempt=entry["attempt"],
+                        wait_supersteps=entry["wait"],
+                    )
 
             def take_snapshot() -> dict:
                 return {
@@ -182,36 +213,35 @@ class SyncEngine:
         simulated = 0.0
         stop = None
         while stop is None:
-            # choose this superstep's workload
-            batches: list[dict] = []
             if self.delta_stepping:
                 threshold = self._bucket_threshold(shards)
-                batches = [
-                    shard.take_pending_below(threshold) for shard in shards
-                ]
-            else:
-                batches = [shard.drain_all() for shard in shards]
 
-            # outboxes[sender][target] -> combined payload dict
-            outboxes: list[list[dict]] = [
-                [dict() for _ in range(num_workers)] for _ in range(num_workers)
-            ]
+            # outboxes[sender][target] -> that pair's payload this superstep
+            outboxes: list[list] = []
             compute_seconds = [0.0] * num_workers
             changed = 0
             total_delta = 0.0
-            for worker, batch in enumerate(batches):
-                shard = shards[worker]
-                round_result = shard.apply_batch(batch)
+            for worker, shard in enumerate(shards):
+                if self.delta_stepping:
+                    round_result = shard.apply_batch(
+                        shard.take_pending_below(threshold)
+                    )
+                else:
+                    round_result = shard.apply_pending()
                 changed += round_result.changed
                 total_delta += round_result.magnitude
-                boxes = outboxes[worker]
-                for dst, value in round_result.out_deltas.items():
-                    boxes[owner[dst]][dst] = value
+                outboxes.append(
+                    shard.split_out(
+                        round_result.out, state.owner_table, num_workers
+                    )
+                )
                 compute_seconds[worker] += (
                     round_result.ops * cost.tuple_cost / state.speeds[worker]
                 )
 
-            # exchange: deliver payloads, charging per-message CPU on senders
+            # exchange: chaos decides which payloads reach a receiver's
+            # inbox and in what order; senders pay per-message CPU
+            inboxes: list[list] = [[] for _ in range(num_workers)]
             cross = 0
             messages = 0
             if chaos is not None:
@@ -236,95 +266,43 @@ class SyncEngine:
                             cost.message_cpu_cost
                             + len(entry["payload"]) * cost.tuple_net_cost
                         ) / state.speeds[sender]
-                        if chaos.drops(sender, target, simulated):
-                            chaos.record(
-                                "dropped_messages",
-                                t=simulated,
-                                sender=sender,
-                                target=target,
-                                seq=seq,
-                            )
+                        if transmit(sender, target, seq, entry["payload"]):
+                            del queued[seq]
+                        else:
                             entry["attempt"] += 1
                             entry["wait"] = min(2 ** entry["attempt"], 8)
-                            if obs.enabled:
-                                obs.trace.emit(
-                                    "net.backoff",
-                                    t=simulated,
-                                    sender=sender,
-                                    target=target,
-                                    seq=seq,
-                                    attempt=entry["attempt"],
-                                    wait_supersteps=entry["wait"],
-                                )
-                            continue
-                        apply_payload(sender, target, seq, entry["payload"])
-                        if chaos.duplicates():
-                            chaos.record(
-                                "duplicated_messages",
-                                t=simulated,
-                                sender=sender,
-                                target=target,
-                                seq=seq,
-                            )
-                            apply_payload(sender, target, seq, entry["payload"])
-                        del queued[seq]
+                            trace_backoff(sender, target, seq, entry)
                     if not queued:
                         del retrans_queue[(sender, target)]
-            for sender in range(num_workers):
+            for sender, boxes in enumerate(outboxes):
                 sent_tuples = 0
-                for target in range(num_workers):
-                    payload = outboxes[sender][target]
-                    if not payload:
+                for target, payload in enumerate(boxes):
+                    size = len(payload)
+                    if not size:
                         continue
-                    if chaos is None or target == sender:
-                        shard = shards[target]
-                        for dst, value in payload.items():
-                            shard.push(dst, value)
-                    else:
-                        seq = seq_next[sender][target]
-                        seq_next[sender][target] = seq + 1
-                        if chaos.drops(sender, target, simulated):
-                            chaos.record(
-                                "dropped_messages",
-                                t=simulated,
-                                sender=sender,
-                                target=target,
-                                seq=seq,
-                            )
-                            retrans_queue.setdefault((sender, target), {})[seq] = {
-                                "payload": payload,
-                                "attempt": 1,
-                                "wait": 1,
-                            }
-                            if obs.enabled:
-                                obs.trace.emit(
-                                    "net.backoff",
-                                    t=simulated,
-                                    sender=sender,
-                                    target=target,
-                                    seq=seq,
-                                    attempt=1,
-                                    wait_supersteps=1,
-                                )
-                        else:
-                            apply_payload(sender, target, seq, payload)
-                            if chaos.duplicates():
-                                chaos.record(
-                                    "duplicated_messages",
-                                    t=simulated,
-                                    sender=sender,
-                                    target=target,
-                                    seq=seq,
-                                )
-                                apply_payload(sender, target, seq, payload)
-                    if target != sender:
-                        messages += 1
-                        cross += len(payload)
-                        sent_tuples += len(payload)
+                    if target == sender:
+                        inboxes[target].append(payload)
+                        continue
+                    messages += 1
+                    sent_tuples += size
+                    if chaos is None:
+                        inboxes[target].append(payload)
+                        continue
+                    seq = seq_next[sender][target]
+                    seq_next[sender][target] = seq + 1
+                    if not transmit(sender, target, seq, payload):
+                        entry = {"payload": payload, "attempt": 1, "wait": 1}
+                        retrans_queue.setdefault((sender, target), {})[seq] = entry
+                        trace_backoff(sender, target, seq, entry)
+                cross += sent_tuples
                 compute_seconds[sender] += (
                     (1 if sent_tuples else 0) * cost.message_cpu_cost
                     + sent_tuples * cost.tuple_net_cost
                 ) / state.speeds[sender]
+            # one ingest per receiver: its inbox, folded in arrival order
+            for shard, inbox in zip(shards, inboxes):
+                if inbox:
+                    shard.push_many(*inbox)
             counters.messages += messages
             counters.message_tuples += cross
             counters.barriers += 1

@@ -45,12 +45,28 @@ The simulated cost models keep their original currency --
 :meth:`Kernel.apply_batch` returns separately as :attr:`BatchResult.ops`
 so unifying the observable metrics does not silently re-price
 ``simulated_seconds``.
+
+Payloads
+--------
+
+A round's outbound contributions (:attr:`BatchResult.out`) and the
+per-target parts :meth:`Kernel.split_out` cuts them into are *payloads*:
+values only the kernel class that produced them can read.  An engine may
+take a payload's ``len()`` -- the destination tuples the network cost
+model charges for -- hold it (outbox, retransmit queue, snapshot) and
+hand it back to a kernel of the same class through
+:meth:`Kernel.push_many`; nothing else.  A payload is never mutated
+after it is produced and never aliases kernel state, so a parked one
+survives later rounds and restores unchanged.  The python kernel's
+payloads are lists of ``(key, value)`` pairs, the array kernel's are
+``(key code, value)`` column pairs; both keep destinations pre-folded
+with ``g`` in first-occurrence order.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
 from repro.engine.result import WorkCounters
@@ -70,9 +86,10 @@ class KernelUnavailableError(ImportError):
 class BatchResult:
     """Outcome of one kernel propagation round over a batch of deltas."""
 
-    #: pre-folded outbound contributions ``dst -> g-combined value``
-    #: (round mode only; local mode routes through ``emit`` instead)
-    out_deltas: dict = field(default_factory=dict)
+    #: outbound contributions, one ``g``-folded entry per destination in
+    #: first-occurrence order, as a payload (see the module docstring;
+    #: round mode only, local mode routes through ``emit`` instead)
+    out: Any = ()
     #: accumulation-column entries that changed
     changed: int = 0
     #: total delta magnitude of the changed entries (termination input)
@@ -150,9 +167,17 @@ class Kernel:
     def push(self, key: Any, value: Any) -> None:
         raise NotImplementedError
 
-    def push_many(self, deltas: Iterable[tuple]) -> None:
-        for key, value in deltas:
-            self.push(key, value)
+    def push_many(self, *batches: Any) -> None:
+        """Fold ``batches`` into the pending column, in the order given.
+
+        Each batch is an iterable of ``(key, value)`` pairs or a payload
+        of this kernel class; the outcome -- pending values, their
+        insertion order, ``combines`` -- is that of one :meth:`push` per
+        tuple over the concatenation, whatever was pending before.
+        """
+        for batch in batches:
+            for key, value in batch:
+                self.push(key, value)
 
     def fetch_and_reset(self, key: Any) -> Any:
         raise NotImplementedError
@@ -176,8 +201,10 @@ class Kernel:
         Round mode (``deltas``): accumulate every delta (in canonical
         ascending key order on every backend), apply ``F'`` along the
         changed keys' out-edges and return the contributions pre-folded
-        per destination in :attr:`BatchResult.out_deltas` -- the caller
-        routes them (BSP outboxes, or a self push for single-node MRA).
+        per destination in :attr:`BatchResult.out` -- the caller routes
+        them (BSP outboxes, or a self push for single-node MRA).  With no
+        argument at all the round runs over everything pending, drained
+        first: ``apply_batch(drain_all())`` without the dict in between.
 
         Local mode (``keys`` + ``emit``): process an explicit key list
         *in the given order*, fetching each key's pending entry at its
@@ -191,14 +218,30 @@ class Kernel:
 
     def apply_pending(self) -> BatchResult:
         """Drain everything pending and run one round; the caller routes
-        :attr:`BatchResult.out_deltas` (they are *not* re-pushed here)."""
-        return self.apply_batch(self.drain_all())
+        :attr:`BatchResult.out` (it is *not* re-pushed here)."""
+        return self.apply_batch()
 
     def step(self) -> BatchResult:
         """Drain everything pending and run one full self-routed round."""
         result = self.apply_pending()
-        self.push_many(result.out_deltas.items())
+        self.push_many(result.out)
         return result
+
+    # -- BSP exchange -----------------------------------------------------------
+    @classmethod
+    def owner_table(cls, plan: Any, owner: dict) -> Any:
+        """The partition map ``key -> worker`` in the form
+        :meth:`split_out` routes by; built once per run."""
+        return owner
+
+    @classmethod
+    def split_out(cls, out: Any, owners: Any, parts: int) -> list:
+        """Cut a round's :attr:`BatchResult.out` into one payload per
+        target worker, each keeping ``out``'s destination order."""
+        boxes: list[list] = [[] for _ in range(parts)]
+        for pair in out:
+            boxes[owners[pair[0]]].append(pair)
+        return boxes
 
     # -- whole-table sweep (naive BSP mode) -------------------------------------
     @classmethod

@@ -52,11 +52,16 @@ Exactness argument (why this backend is *bit-identical* to
   matches); every live value therefore always has an entry in its
   current bucket, which is the invariant both ``pending_min`` and the
   take rely on;
-* the fused ``ΔX¹`` only runs for min/max, whose merge is an
-  order-insensitive selection (the result is always one of the inputs
-  bit-for-bit); new-key discovery order is reconstructed from
-  first-occurrence positions of the contribution stream, which is the
-  same src-order x edge-order stream the reference loop walks.
+* batch ingest (:meth:`NumpyKernel.push_many`, the BSP exchange) and
+  the fused ``ΔX¹`` fold *streams*: the tuples in the order the
+  reference would push them, an already-pending entry heading its key's
+  tuples.  ``np.bincount`` over that stream is the same sequential left
+  fold as one ``push`` per tuple, so concatenating a superstep's payloads
+  in sender order reproduces the float sum bit for bit; min/max select
+  one of their inputs whatever the order.  First-occurrence order -- the
+  dict insertion order of the reference -- comes from
+  :func:`_rank_codes` in ``O(m)`` without a sort, and ``combines`` is
+  tuples - distinct keys + distinct keys already pending.
 """
 
 from __future__ import annotations
@@ -100,6 +105,47 @@ def _fold_codes(mode: str, codes: Any, vals: Any, size: int) -> Any:
     return folded
 
 
+def _rank_codes(codes: Any, size: int) -> tuple:
+    """Distinct ``codes`` in first-occurrence order, and each element's
+    rank among them -- ``O(len(codes))``, no sort.
+
+    Positions are assigned through the reversed array, so where a code
+    repeats its *first* position is written last and survives; an
+    element is a first occurrence iff its slot holds its own position.
+    Only slots written here are read, so the scratch needs no clearing.
+    """
+    m = len(codes)
+    pos = np.arange(m)
+    slot = np.empty(size, dtype=np.int64)
+    slot[codes[::-1]] = pos[::-1]
+    uniq = codes[np.flatnonzero(slot.take(codes) == pos)]
+    slot[uniq] = pos[: len(uniq)]
+    return uniq, slot.take(codes)
+
+
+class Columns:
+    """The array kernel's payload: ``(key code, value)`` columns."""
+
+    __slots__ = ("codes", "vals")
+
+    def __init__(self, codes: Any, vals: Any) -> None:
+        self.codes = codes
+        self.vals = vals
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+def _pair_columns(index: dict, pairs: Any) -> Columns:
+    """``(key, value)`` pairs as columns over the plan's key codes."""
+    pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
+    m = len(pairs)
+    return Columns(
+        np.fromiter((index[key] for key, _ in pairs), dtype=np.int64, count=m),
+        np.fromiter((value for _, value in pairs), dtype=np.float64, count=m),
+    )
+
+
 def _require_numpy() -> None:
     if not HAVE_NUMPY:
         raise KernelUnavailableError(f"NumpyKernel: {NUMPY_INSTALL_HINT}")
@@ -138,8 +184,9 @@ class NumpyKernel(Kernel):
             self._owned_mask = None
         else:
             self._owned_mask = np.zeros(n, dtype=bool)
-            for key in keys:
-                self._owned_mask[self._index[key]] = True
+            self._owned_mask[
+                np.fromiter(map(self._index.__getitem__, keys), dtype=np.int64)
+            ] = True
         self._acc = np.zeros(n, dtype=np.float64)
         self._acc_has = np.zeros(n, dtype=bool)
         self._acc_order: list[int] = []
@@ -188,64 +235,33 @@ class NumpyKernel(Kernel):
         aggregate = plan.aggregate
         return aggregate.numeric_values and aggregate.fold_mode in _FOLD_MODES
 
-    # -- ΔX¹ (section 3.3), fused for selective aggregates ----------------------
+    # -- ΔX¹ (section 3.3), fused ------------------------------------------------
     @classmethod
     def initial_delta(cls, plan: Any) -> dict:
+        """One fold over the stream the reference walks: each ``X⁰``
+        entry, then ``C``, then ``F'(X⁰)`` in source x edge order."""
         aggregate = plan.aggregate
-        if not HAVE_NUMPY or aggregate.name not in ("min", "max"):
-            return super().initial_delta(plan)
         csr = plan_csr(plan)
-        index = csr.index
-        keys = csr.keys_sorted
-        combine = aggregate.combine
-        val = np.zeros(csr.n, dtype=np.float64)
-        has = np.zeros(csr.n, dtype=bool)
-        x1_order: list[int] = []
-        m = len(plan.initial)
-        if m:
-            init_idx = np.fromiter(
-                map(index.__getitem__, plan.initial), dtype=np.int64, count=m
-            )
-            init_vals = np.fromiter(
-                plan.initial.values(), dtype=np.float64, count=m
-            )
-            val[init_idx] = init_vals
-            has[init_idx] = True
-            x1_order = init_idx.tolist()
-        for key, value in plan.constants.items():
-            i = index[key]
-            if has[i]:
-                val[i] = combine(float(val[i]), value)
-            else:
-                val[i] = value
-                has[i] = True
-                x1_order.append(i)
-        if m:
-            # F'(X⁰) sweeps the *raw* base values, not the C-merged x1
-            eids, x_per_edge = csr.gather(init_idx, init_vals)
-            if len(eids):
-                dsts, contribs = csr.apply_edges(eids, x_per_edge)
-                uniq, first_pos, inv = np.unique(
-                    dsts, return_index=True, return_inverse=True
-                )
-                folded = _fold_codes(aggregate.name, inv, contribs, len(uniq))
-                u_has = has[uniq]
-                merge = np.minimum if aggregate.name == "min" else np.maximum
-                val[uniq] = np.where(
-                    u_has, merge(val[uniq], folded), folded
-                )
-                fresh = ~u_has
-                if fresh.any():
-                    forder = np.argsort(first_pos[fresh], kind="stable")
-                    fresh_idx = uniq[fresh][forder]
-                    has[fresh_idx] = True
-                    x1_order.extend(fresh_idx.tolist())
-        subtract = aggregate.subtract
         initial = plan.initial
+        base = _pair_columns(csr.index, initial.items())
+        const = _pair_columns(csr.index, plan.constants.items())
+        # F'(X⁰) sweeps the *raw* base values, not the C-merged x1
+        dsts, contribs = csr.apply_edges(*csr.gather(base.codes, base.vals))
+        uniq, rank = _rank_codes(
+            np.concatenate((base.codes, const.codes, dsts)), csr.n
+        )
+        x1 = _fold_codes(
+            aggregate.fold_mode,
+            rank,
+            np.concatenate((base.vals, const.vals, contribs)),
+            len(uniq),
+        )
+        keys = csr.keys_sorted
+        subtract = aggregate.subtract
         delta: dict = {}
-        for i in x1_order:
+        for i, value in zip(uniq.tolist(), x1.tolist()):
             key = keys[i]
-            d = subtract(float(val[i]), initial.get(key))
+            d = subtract(value, initial.get(key))
             if d is not None:
                 delta[key] = d
         return delta
@@ -295,18 +311,20 @@ class NumpyKernel(Kernel):
             self._buckets.clear()
 
     def _stamp_arrivals(self, arrival: Any) -> None:
-        """Record ``arrival`` (index array) as the whole, freshly arrived
-        frontier: order, live count, sequence numbers and buckets."""
+        """Append ``arrival`` (index array of no-entry -> entry
+        transitions, values already written) to the frontier: order,
+        live count, sequence numbers and buckets."""
         count = len(arrival)
-        self._pend_order = arrival.tolist()
-        self._pend_live = count
+        arrived = arrival.tolist()
+        self._pend_order.extend(arrived)
+        self._pend_live += count
         self._seq[arrival] = np.arange(
             self._seq_next, self._seq_next + count, dtype=np.int64
         )
         self._seq_next += count
         if self._bucket_width is not None:
             pend = self._pend
-            for i in self._pend_order:
+            for i in arrived:
                 self._bucket_put(i, float(pend[i]))
 
     @property
@@ -343,37 +361,42 @@ class NumpyKernel(Kernel):
             if self._bucket_width is not None:
                 self._bucket_put(i, value)
 
-    def push_many(self, deltas: Iterable[tuple]) -> None:
-        """Vectorized seeding: fold a delta batch into the empty table.
+    def push_many(self, *batches: Any) -> None:
+        """One fold of the concatenated batches into the pending column.
 
-        Only the empty-pending case vectorizes (the ``ΔX¹`` seeding
-        path); anything else runs the scalar reference loop.  The fold
-        is bit-identical: per-key folds run in arrival order
-        (``np.bincount`` left fold / order-insensitive min-max
-        selection) and ``_pend_order`` keys are recorded in
-        first-occurrence order, exactly as repeated ``push`` calls
-        would.
+        Bit-identical to one ``push`` per tuple from any pending state:
+        an existing entry heads its key's tuples in the fold (see the
+        module docstring), fresh keys are stamped in first-occurrence
+        order, and an entry whose value moved is re-bucketed.
         """
-        if self._pend_live or self._pend_order:
-            return super().push_many(deltas)
-        pairs = deltas if isinstance(deltas, list) else list(deltas)
-        m = len(pairs)
-        if m < 8:
-            return super().push_many(pairs)
-        index = self._index
-        idx = np.fromiter(
-            (index[key] for key, _ in pairs), dtype=np.int64, count=m
-        )
-        vals = np.fromiter(
-            (value for _, value in pairs), dtype=np.float64, count=m
-        )
-        uniq, first_pos, inv = np.unique(
-            idx, return_index=True, return_inverse=True
-        )
-        self._pend[uniq] = _fold_codes(self._mode, inv, vals, len(uniq))
-        self._pend_has[uniq] = True
-        self.counters.combines += m - len(uniq)
-        self._stamp_arrivals(uniq[np.argsort(first_pos, kind="stable")])
+        columns = [
+            batch
+            if isinstance(batch, Columns)
+            else _pair_columns(self._index, batch)
+            for batch in batches
+        ]
+        codes = np.concatenate([column.codes for column in columns])
+        vals = np.concatenate([column.vals for column in columns])
+        if not len(codes):
+            return
+        pend = self._pend
+        uniq, rank = _rank_codes(codes, self._csr.n)
+        was = self._pend_has[uniq]
+        held = np.flatnonzero(was)
+        self.counters.combines += len(codes) - len(uniq) + len(held)
+        if len(held):
+            old = pend[uniq[held]]
+            rank = np.concatenate((held, rank))
+            vals = np.concatenate((old, vals))
+        new = _fold_codes(self._mode, rank, vals, len(uniq))
+        pend[uniq] = new
+        if len(held) and self._bucket_width is not None:
+            moved = held[new[held] != old]
+            for i, value in zip(uniq[moved].tolist(), new[moved].tolist()):
+                self._bucket_put(i, value)
+        fresh = uniq[~was]
+        self._pend_has[fresh] = True
+        self._stamp_arrivals(fresh)
 
     def fetch_and_reset(self, key: Any) -> Any:
         i = self._index[key]
@@ -442,7 +465,7 @@ class NumpyKernel(Kernel):
         n_changed = int(changed.sum())
         magnitude = float(sum(mags[changed].tolist()))  # left fold, asc order
         ops = len(idx)
-        out: dict = {}
+        out: Any = ()
         if n_changed:
             eids, x_per_edge = self._csr.gather(idx[changed], tmp[changed])
             ops += len(eids)
@@ -454,24 +477,41 @@ class NumpyKernel(Kernel):
                 else:
                     out = self._fold_out(dsts, vals)
         return BatchResult(
-            out_deltas=out, changed=n_changed, magnitude=magnitude, ops=ops
+            out=out, changed=n_changed, magnitude=magnitude, ops=ops
         )
 
-    def _fold_out(self, dsts: Any, vals: Any) -> dict:
+    def _fold_out(self, dsts: Any, vals: Any) -> Columns:
         """Per-destination fold in arrival order, first-occurrence keyed."""
-        uniq, first_pos, inv = np.unique(
-            dsts, return_index=True, return_inverse=True
-        )
-        forder = np.argsort(first_pos, kind="stable")
-        rank = np.empty(len(uniq), dtype=np.int64)
-        rank[forder] = np.arange(len(uniq), dtype=np.int64)
-        folded = _fold_codes(self._mode, rank[inv], vals, len(uniq))
+        uniq, rank = _rank_codes(dsts, self._csr.n)
         self.counters.combines += len(vals) - len(uniq)
-        keys = self._keys
-        return {
-            keys[dst]: value
-            for dst, value in zip(uniq[forder].tolist(), folded.tolist())
-        }
+        return Columns(uniq, _fold_codes(self._mode, rank, vals, len(uniq)))
+
+    # -- BSP exchange -----------------------------------------------------------
+    @classmethod
+    def owner_table(cls, plan: Any, owner: dict) -> Any:
+        """Owner per key code, in the narrowest unsigned dtype that holds
+        it: numpy radix-sorts 8- and 16-bit keys, which is what makes the
+        stable sort in :meth:`split_out` linear."""
+        keys = plan_csr(plan).keys_sorted
+        owners = np.fromiter(
+            map(owner.__getitem__, keys), dtype=np.int64, count=len(keys)
+        )
+        return owners.astype(np.min_scalar_type(int(owners.max(initial=0))))
+
+    @classmethod
+    def split_out(cls, out: Any, owners: Any, parts: int) -> list:
+        if not len(out):
+            return [()] * parts
+        target = owners.take(out.codes)
+        order = np.argsort(target, kind="stable")
+        # fresh arrays: the slices below alias nothing a kernel reuses
+        codes = out.codes.take(order)
+        vals = out.vals.take(order)
+        bounds = np.cumsum(np.bincount(target, minlength=parts)).tolist()
+        return [
+            Columns(codes[start:end], vals[start:end])
+            for start, end in zip([0] + bounds, bounds)
+        ]
 
     def _scatter_pending(self, dsts: Any, vals: Any) -> None:
         """Scatter a round's contributions into the (empty) pending column."""
@@ -500,9 +540,11 @@ class NumpyKernel(Kernel):
         keys: Optional[list] = None,
         emit: Optional[Callable] = None,
     ) -> BatchResult:
-        if deltas is not None:
-            return self._apply_round(deltas)
-        return self._apply_local(keys or [], emit)
+        if keys is not None:
+            return self._apply_local(keys, emit)
+        if deltas is None:
+            return self._frontier_round(scatter_self=False)
+        return self._apply_round(deltas)
 
     def _apply_round(self, deltas: dict) -> BatchResult:
         m = len(deltas)
@@ -534,10 +576,6 @@ class NumpyKernel(Kernel):
             self._pend_has[idx] = False
         self._clear_pending()
         return self._round_core(idx, tmp, scatter_self)
-
-    def apply_pending(self) -> BatchResult:
-        """Drain + round in one array pass (no dict round-trip)."""
-        return self._frontier_round(scatter_self=False)
 
     def step(self) -> BatchResult:
         """The single-node MRA fast path: full round, array-only."""
@@ -812,12 +850,11 @@ class NumpyKernel(Kernel):
         self._pend_has = snap["pend_has"].copy()
         self._pend_order = list(snap["pend_order"])
         self._pend_live = int(self._pend_has.sum())
-        self._seq_next = 0
-        self._buckets = {}
         # re-stamp arrivals and re-index buckets in dict-equivalent order
-        self._stamp_arrivals(
-            np.asarray(self._pend_indices(), dtype=np.int64)
-        )
+        live = np.asarray(self._pend_indices(), dtype=np.int64)
+        self._clear_pending()
+        self._seq_next = 0
+        self._stamp_arrivals(live)
 
 
 #: accepted alias: ``backend="sparse"`` names this kernel too

@@ -116,9 +116,9 @@ class PythonKernel(Kernel):
         keys: Optional[list] = None,
         emit: Optional[Callable] = None,
     ) -> BatchResult:
-        if deltas is not None:
-            return self._apply_round(deltas)
-        return self._apply_local(keys or [], emit)
+        if keys is not None:
+            return self._apply_local(keys, emit)
+        return self._apply_round(self.drain_all() if deltas is None else deltas)
 
     def _apply_round(self, deltas: dict) -> BatchResult:
         plan = self.plan
@@ -148,7 +148,9 @@ class PythonKernel(Kernel):
                     out[dst] = combine(old, value)
                     counters.combines += 1
         counters.fprime_applications += edges_applied
-        return BatchResult(out_deltas=out, changed=changed, magnitude=magnitude, ops=ops)
+        return BatchResult(
+            out=list(out.items()), changed=changed, magnitude=magnitude, ops=ops
+        )
 
     def _apply_local(self, keys: list, emit: Optional[Callable]) -> BatchResult:
         plan = self.plan

@@ -13,6 +13,8 @@ round-trips -- plus the registry facts around the one class: the
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from repro.distributed import Checkpointer, ClusterConfig
 from repro.distributed.chaos_harness import default_graph
 from repro.distributed.sharding import ShardedRun
@@ -261,8 +263,66 @@ class TestInitialDelta:
         assert list(fused.items()) == list(reference.items())
 
 
+#: one plan per fold the array kernel implements (min, max, sum)
+INGEST_PROGRAMS = ("sssp", "viterbi", "pagerank")
+
+#: tenths: their float sums round differently in every order, so a fold
+#: that misplaces one tuple shows in the last bit (and never yield -0.0,
+#: which np.bincount, seeding each fold at +0.0, would not preserve)
+_delta_values = st.integers(min_value=-400, max_value=400).map(
+    lambda tenths: tenths / 10
+)
+
+
 class TestPushMany:
-    """Batch seeding == repeated scalar pushes, bit for bit."""
+    """Batch ingest == repeated scalar pushes, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_any_pending_state_matches_repeated_push(self, data):
+        """From any prior pending state -- entries pushed, some fetched
+        away again, buckets on or off -- ``push_many`` over batches with
+        repeated keys leaves what one python ``push`` per tuple leaves."""
+        program = data.draw(st.sampled_from(INGEST_PROGRAMS))
+        plan = plan_for(program)
+        # few keys: repeats and already-pending hits in every example
+        keys = sorted(plan.keys)[:10]
+        pairs = st.lists(
+            st.tuples(st.sampled_from(keys), _delta_values), max_size=25
+        )
+        prior = data.draw(pairs)
+        fetched = data.draw(st.lists(st.sampled_from(keys), max_size=4))
+        batches = data.draw(st.lists(pairs, min_size=1, max_size=3))
+        width = data.draw(st.none() | st.floats(min_value=0.5, max_value=9.0))
+        threshold = data.draw(_delta_values)
+
+        kernels = {}
+        for backend in ("python", "numpy"):
+            kernel = get_kernel(backend).from_plan(plan)
+            if width is not None and plan.aggregate.is_idempotent:
+                kernel.enable_delta_stepping(width)
+            for key, value in prior:
+                kernel.push(key, value)
+            for key in fetched:
+                kernel.fetch_and_reset(key)
+            kernels[backend] = kernel
+        kernels["numpy"].push_many(*batches)
+        for batch in batches:
+            for key, value in batch:
+                kernels["python"].push(key, value)
+
+        def pending_bits(kernel):
+            return [(k, v.hex()) for k, v in kernel.intermediate.items()]
+
+        python, numpy = kernels["python"], kernels["numpy"]
+        assert pending_bits(numpy) == pending_bits(python)
+        assert numpy.counters.combines == python.counters.combines
+        assert numpy.pending_count() == python.pending_count()
+        assert numpy.pending_min() == python.pending_min()
+        assert list(numpy.take_pending_below(threshold).items()) == list(
+            python.take_pending_below(threshold).items()
+        )
+        assert pending_bits(numpy) == pending_bits(python)
 
     def _pair_batch(self, plan, count):
         keys = sorted(plan.initial)
@@ -348,7 +408,7 @@ class TestBuckets:
             assert list(taken["numpy"]) == list(taken["python"])
             for backend, kernel in kernels.items():
                 result = kernel.apply_batch(taken[backend])
-                kernel.push_many(result.out_deltas.items())
+                kernel.push_many(result.out)
             rounds += 1
             assert rounds < 10_000
         assert not kernels["numpy"].has_pending()

@@ -92,6 +92,15 @@ class TestCommittedBaselines:
         for cell, entries in by_cell.items():
             assert all(entry == entries[0] for entry in entries), cell
 
+    def test_slo_report_is_the_schema_the_code_emits(self):
+        # regenerate with `make serve-bench` when the schema moves
+        from repro.serving import SLO_REPORT_SCHEMA
+
+        report = json.loads(
+            (REPO / "benchmarks" / "results" / "serve-slo.json").read_text()
+        )
+        assert report["schema"] == SLO_REPORT_SCHEMA
+
     def test_delta_baseline_is_byte_stable_shape(self, delta_baseline):
         for row in delta_baseline["rows"]:
             assert not any(key.endswith("_seconds") for key in row)

@@ -154,6 +154,76 @@ def test_chaos_recovery_identical(program, engine_cls, backend, tmp_path):
     assert sum(python_result.faults.snapshot().values()) > 0
 
 
+@pytest.mark.chaos
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "program,recovery", (("pagerank", "rollbacks"), ("sssp", "replayed_tuples"))
+)
+def test_sync_chaos_payloads_identical_and_immutable(
+    program, recovery, backend, tmp_path, monkeypatch
+):
+    """Heavy drops + duplicates + one crash on the BSP exchange: the
+    columnar payloads take every chaos branch (parked for retransmission,
+    deduplicated, delivered twice, snapshotted and rolled back) and the
+    run stays bit-identical to the python kernel's.  Every payload a
+    round produced must also still read the same when the run ends: one
+    that aliased a reused kernel buffer would have changed while parked.
+    """
+    from repro.distributed.fault import Checkpointer
+
+    spec = PROGRAMS[program]
+    graph = default_graph(program, seed=7)
+    cluster = ClusterConfig(num_workers=4)
+    reference = SyncEngine(spec.plan(graph), cluster, backend="python").run()
+    schedule = schedule_for(
+        reference.simulated_seconds, 4, seed=11,
+        drop_rate=0.15, duplicate_rate=0.1,
+    )
+
+    def decode(kernel_cls, plan, payload) -> dict:
+        # a payload is opaque: read it the way a receiver would
+        blank = kernel_cls.from_plan(plan, initial={})
+        blank.push_many(payload)
+        return blank.intermediate
+
+    results = {}
+    for leg in ("python", backend):
+        plan = spec.plan(graph)
+        kernel_cls = get_kernel(leg)
+        split_out = kernel_cls.split_out
+        produced = []
+
+        def recording(out, owners, parts, split_out=split_out, plan=plan):
+            boxes = split_out(out, owners, parts)
+            for payload in boxes:
+                if len(payload):
+                    produced.append(
+                        (payload, decode(kernel_cls, plan, payload))
+                    )
+            return boxes
+
+        monkeypatch.setattr(kernel_cls, "split_out", staticmethod(recording))
+        results[leg] = SyncEngine(
+            plan,
+            cluster.with_faults(schedule),
+            backend=leg,
+            checkpointer=Checkpointer(tmp_path / leg),
+            checkpoint_every=4,
+            run_name=f"payloads-{leg}",
+        ).run()
+        monkeypatch.undo()
+        assert produced
+        for payload, first_read in produced:
+            assert decode(kernel_cls, plan, payload) == first_read
+
+    python_result, other_result = results["python"], results[backend]
+    _assert_identical(python_result, other_result, backend)
+    faults = python_result.faults.snapshot()
+    assert faults == other_result.faults.snapshot()
+    for fired in ("crashes", "retransmits", "duplicates_absorbed", recovery):
+        assert faults[fired] > 0, fired
+
+
 # -- property-based sweep ------------------------------------------------------
 
 #: vertex-domain programs safe on arbitrary digraphs (cyclic included)
