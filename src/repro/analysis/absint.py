@@ -142,10 +142,8 @@ def summarize_plan(plan: "CompiledPlan") -> GraphSummary:
     out_degree: dict = {key: 0 for key in plan.keys}
     in_degree: dict = {key: 0 for key in plan.keys}
     weight_lo, weight_hi = math.inf, -math.inf
-    num_edges = 0
     for src, edges in plan.out_edges.items():
         out_degree[src] = len(edges)
-        num_edges += len(edges)
         for dst, params, _fn in edges:
             in_degree[dst] = in_degree.get(dst, 0) + 1
             for value in params:
@@ -192,7 +190,7 @@ def summarize_plan(plan: "CompiledPlan") -> GraphSummary:
 
     return GraphSummary(
         num_keys=len(plan.keys),
-        num_edges=num_edges,
+        num_edges=plan.num_edges,
         max_in_degree=max(in_degree.values(), default=0),
         max_out_degree=max(out_degree.values(), default=0),
         degree_histogram=dict(sorted(histogram.items())),

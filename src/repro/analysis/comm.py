@@ -115,19 +115,17 @@ def estimate_plan_communication(
     from repro.distributed.partition import HashPartitioner
 
     partitioner = HashPartitioner(num_workers)
-    total = 0
     cross = 0
     per_worker = [0] * num_workers
     for src, edges in plan.out_edges.items():
         src_owner = partitioner.owner(src)
         for dst, _params, _fn in edges:
-            total += 1
             if partitioner.owner(dst) != src_owner:
                 cross += 1
                 per_worker[src_owner] += 1
     return PlanCommEstimate(
         workers=num_workers,
-        total_edges=total,
+        total_edges=plan.num_edges,
         cross_edges=cross,
         per_worker_out=tuple(per_worker),
     )

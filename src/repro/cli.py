@@ -14,7 +14,8 @@ Commands:
   Datalog source file (or a library program name); ``--smt2`` also emits
   the Figure-4 Z3 script;
 * ``run PROGRAM``         -- execute a library program on a dataset
-  stand-in under a chosen engine;
+  stand-in under a chosen engine; a run that stops at the iteration
+  limit instead of converging exits 2 (so does ``delta``);
 * ``experiment NAME``     -- regenerate a paper table/figure
   (``table1``, ``table2``, ``figure1``, ``figure9``, ``figure10``,
   ``figure11``, ``buffers``, ``priority``, ``micro``, ``scaling``,
@@ -198,6 +199,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.mra_satisfiable else 1
 
 
+def _convergence_status(program: str, result) -> int:
+    """0, or 2 (one line on stderr) for a run that hit the iteration limit."""
+    if result.stop_reason != "iteration-limit":
+        return 0
+    print(
+        f"error: {program} did not converge (stop=iteration-limit "
+        f"after {result.counters.iterations} rounds)",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.graphs import read_edge_list
 
@@ -237,7 +250,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  top {args.top}:")
         for key, value in ranked[: args.top]:
             print(f"    {key}: {value}")
-    return 0
+    return _convergence_status(args.program, result)
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -601,7 +614,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))
-        return 0
+        return _convergence_status(args.program, repair)
 
     summary = delta.summary()
     print(
@@ -623,7 +636,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
         f"  work: repair {repair_work} vs recompute {recompute_work} "
         f"({payload['work_ratio']:.1%} of from-scratch, exact match verified)"
     )
-    return 0
+    return _convergence_status(args.program, repair)
 
 
 def cmd_programs(_: argparse.Namespace) -> int:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from repro.delta.model import GraphDelta
@@ -65,13 +66,14 @@ def plan_signature(plan: CompiledPlan) -> Counter:
 
     Compiled ``F'`` closures are fresh objects on every compile, so the
     *index* of the recursive body (stable across compiles of the same
-    analysed program) identifies which ``F'`` an edge applies.
+    analysed program) identifies which ``F'`` an edge applies.  Read
+    straight off the plan's columns: a multiset has no edge order.
     """
-    body_of = {id(fn): index for index, fn in enumerate(plan.fprime_fns)}
     signature: Counter = Counter()
-    for src, edges in plan.out_edges.items():
-        for dst, params, fn in edges:
-            signature[(src, dst, params, body_of[id(fn)])] += 1
+    for body, columns in enumerate(plan.edge_columns):
+        signature.update(
+            zip(columns.srcs, columns.dsts, columns.param_rows(), repeat(body))
+        )
     return signature
 
 
@@ -227,12 +229,12 @@ def _added_edge_seeds(new_plan: CompiledPlan, added: Counter, values: dict) -> l
     if not added:
         return []
     remaining = Counter(added)
-    body_of = {id(fn): index for index, fn in enumerate(new_plan.fprime_fns)}
+    bodies = new_plan.fprime_fns
     seeds: list = []
     for src, edges in new_plan.out_edges.items():
         value = values.get(src)
         for dst, params, fn in edges:
-            signature = (src, dst, params, body_of[id(fn)])
+            signature = (src, dst, params, bodies.index(fn))
             if remaining.get(signature, 0) > 0:
                 remaining[signature] -= 1
                 if value is not None:

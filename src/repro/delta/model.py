@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.graphs.graph import Graph
 

@@ -44,7 +44,6 @@ class AAPEngine(AsyncEngine):
         checkpointer=None,
         checkpoint_interval: float = 0.0,
         run_name: str = "aap-run",
-        recovery: str = "auto",
         obs=None,
         backend: Optional[str] = None,
     ):
@@ -60,7 +59,6 @@ class AAPEngine(AsyncEngine):
             checkpointer=checkpointer,
             checkpoint_interval=checkpoint_interval,
             run_name=run_name,
-            recovery=recovery,
             obs=obs,
             backend=backend,
         )

@@ -80,12 +80,9 @@ class AsyncEngine:
         checkpointer=None,
         checkpoint_interval: float = 0.0,
         run_name: str = "async-run",
-        recovery: str = "auto",
         obs=None,
         backend: Optional[str] = None,
     ):
-        if recovery not in ("auto", "local", "global"):
-            raise ValueError(f"unknown recovery mode {recovery!r}")
         # Theorem-3 gate: asynchronous evaluation only converges to the
         # synchronous fixpoint for MRA-satisfiable programs, so refuse
         # uncertified ones up front (with the RA310 diagnostic) instead
@@ -114,11 +111,6 @@ class AsyncEngine:
         self.checkpointer = checkpointer
         self.checkpoint_interval = checkpoint_interval
         self.run_name = run_name
-        #: crash-recovery strategy: ``local`` (restore one shard +
-        #: Theorem-3 replay, sound for idempotent aggregates), ``global``
-        #: (coordinated rollback, required for additive aggregates), or
-        #: ``auto`` to pick by aggregate class.
-        self.recovery = recovery
 
     # -- extension hooks --------------------------------------------------------
     def _make_buffer(self, worker: int = -1, target: int = -1):
@@ -178,9 +170,9 @@ class AsyncEngine:
         selective = aggregate.is_idempotent
 
         chaos = injector_for(cluster, obs)
-        recovery_mode = self.recovery
-        if recovery_mode == "auto":
-            recovery_mode = "local" if selective else "global"
+        # one-shard restore + Theorem-3 replay is sound for idempotent
+        # aggregates only; additive ones roll every worker back
+        rollback_recovery = not selective
         checkpoint_interval = self.checkpoint_interval
         if checkpoint_interval <= 0 and (
             chaos is not None or self.checkpointer is not None
@@ -522,7 +514,7 @@ class AsyncEngine:
                 "progress": (progress_updates, progress_magnitude, prev_global),
             }
 
-        if chaos is not None and recovery_mode == "global":
+        if chaos is not None and rollback_recovery:
             latest_snapshot[0] = take_snapshot()
 
         def handle_ckpt(time: float) -> None:
@@ -535,7 +527,7 @@ class AsyncEngine:
                 if obs.enabled:
                     obs.trace.emit("ckpt.write", t=time, run=self.run_name)
             if chaos is not None:
-                if recovery_mode == "global":
+                if rollback_recovery:
                     latest_snapshot[0] = take_snapshot()
                 chaos.record("checkpoints", t=time)
             schedule(time + checkpoint_interval, "ckpt", None)
@@ -546,7 +538,7 @@ class AsyncEngine:
             if down[worker]:
                 return  # already dead; the scheduled crash is moot
             chaos.record("crashes", t=time, worker=worker)
-            if recovery_mode == "global":
+            if rollback_recovery:
                 rollback(time, crash.restart_after)
                 return
             down[worker] = True
@@ -590,29 +582,21 @@ class AsyncEngine:
             # crashed worker's boundary from its *accumulated* column;
             # re-delivery is absorbed by g-combining (idempotent
             # aggregates only -- additive ones take the rollback path)
-            for peer in range(num_workers):
-                if down[peer]:
-                    continue
-                source = shards[peer]
-                outbound: dict[int, dict] = {}
-                ops = 0
-                for key, value in source.accumulated.items():
-                    if value is None:
-                        continue
-                    for dst, params, fn in plan.edges_from(key):
-                        target = owner[dst]
-                        if peer != worker and target != worker:
-                            continue  # only edges touching the crashed worker
-                        contribution = fn(value, *params)
-                        ops += 1
-                        if target == peer:
-                            source.push(dst, contribution)
-                        else:
-                            box = outbound.setdefault(target, {})
-                            if dst in box:
-                                box[dst] = combine(box[dst], contribution)
-                            else:
-                                box[dst] = contribution
+            live = [peer for peer in range(num_workers) if not down[peer]]
+            replay_ops = dict.fromkeys(live, 0)
+            outbound: dict[int, dict] = {peer: {} for peer in live}
+            for peer, target, dst, contribution in state.replay(worker, live):
+                replay_ops[peer] += 1
+                if target == peer:
+                    shards[peer].push(dst, contribution)
+                else:
+                    box = outbound[peer].setdefault(target, {})
+                    if dst in box:
+                        box[dst] = combine(box[dst], contribution)
+                    else:
+                        box[dst] = contribution
+            for peer in live:
+                ops = replay_ops[peer]
                 if ops:
                     chaos.record(
                         "replayed_tuples", t=time, n=ops, peer=peer, worker=worker
@@ -623,9 +607,9 @@ class AsyncEngine:
                         + ops * cost.tuple_cost / speeds[peer]
                     )
                     busy_until[peer] = send_time
-                    for target, payload in outbound.items():
+                    for target, payload in outbound[peer].items():
                         transmit(peer, target, payload, send_time)
-                if source.has_pending():
+                if shards[peer].has_pending():
                     schedule_worker(peer, max(time, busy_until[peer]))
 
         def rollback(time: float, restart_after: float) -> None:

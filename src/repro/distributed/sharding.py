@@ -150,26 +150,30 @@ class ShardedRun:
             fresh.append(table)
         self.shards[:] = fresh
         if self.plan.aggregate.is_idempotent:
-            self.replay_boundaries()
+            for _peer, target, dst, contribution in self.replay():
+                self.shards[target].push(dst, contribution)
+                self.counters.fprime_applications += 1
         return True
 
-    def replay_boundaries(self) -> int:
-        """Re-derive every shard's out-edge contributions (Theorem 3).
+    def replay(self, worker: Optional[int] = None, peers=None):
+        """Re-derive out-edge contributions from accumulated columns
+        (Theorem 3: sound for idempotent aggregates only).
 
-        Only sound for idempotent aggregates; returns the number of
-        replayed contributions (also counted as F' applications).
+        Yields ``(peer, target, dst, contribution)`` peer by peer (every
+        shard unless ``peers`` is given) in accumulation x edge order;
+        with a crashed ``worker``, only for edges that touch it.  Folding
+        and pricing the contributions is the caller's business.
         """
         plan = self.plan
-        replayed = 0
-        for shard in list(self.shards):
-            for key, value in shard.accumulated.items():
+        owner = self.owner
+        for peer in range(len(self.shards)) if peers is None else peers:
+            for key, value in self.shards[peer].accumulated.items():
                 if value is None:
                     continue
                 for dst, params, fn in plan.edges_from(key):
-                    self.shards[self.owner[dst]].push(dst, fn(value, *params))
-                    replayed += 1
-        self.counters.fprime_applications += replayed
-        return replayed
+                    target = owner[dst]
+                    if worker is None or peer == worker or target == worker:
+                        yield peer, target, dst, fn(value, *params)
 
     def restore_shard_state(self, checkpointer, run_name: str, shard_id: int) -> bool:
         """Restore a single crashed shard from its latest checkpoint."""

@@ -462,23 +462,13 @@ class SyncEngine:
             del retrans_queue[pair]
         for sender_seen in seen[worker]:
             sender_seen.clear()
-        plan = self.plan
-        owner = state.owner
         shards = state.shards
         cost = self.cluster.cost
         counters = state.counters
-        num_workers = self.cluster.num_workers
-        replay_ops = [0] * num_workers
-        for peer in range(num_workers):
-            for key, value in shards[peer].accumulated.items():
-                if value is None:
-                    continue
-                for dst, params, fn in plan.edges_from(key):
-                    target = owner[dst]
-                    if peer != worker and target != worker:
-                        continue
-                    shards[target].push(dst, fn(value, *params))
-                    replay_ops[peer] += 1
+        replay_ops = [0] * self.cluster.num_workers
+        for peer, target, dst, contribution in state.replay(worker):
+            shards[target].push(dst, contribution)
+            replay_ops[peer] += 1
         total_replayed = sum(replay_ops)
         if total_replayed:
             chaos.record("replayed_tuples", t=now, n=total_replayed, worker=worker)

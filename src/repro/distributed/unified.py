@@ -60,7 +60,6 @@ class UnifiedEngine(AsyncEngine):
         checkpointer=None,
         checkpoint_interval: float = 0.0,
         run_name: str = "unified-run",
-        recovery: str = "auto",
         obs=None,
         backend: Optional[str] = None,
     ):
@@ -77,7 +76,6 @@ class UnifiedEngine(AsyncEngine):
             checkpointer=checkpointer,
             checkpoint_interval=checkpoint_interval,
             run_name=run_name,
-            recovery=recovery,
             obs=obs,
             backend=backend,
         )

@@ -7,16 +7,18 @@ at compile time and folded into per-edge parameter tuples -- exactly the
 the joined results of non-recursive predicates in the recursive rule
 body and other constant values of each tuple".
 
-A :class:`CompiledPlan` is therefore a dependency graph over keys:
-``out_edges[src]`` lists ``(dst, params)`` pairs, and
-``fprime_fn(x, *params)`` computes the contribution ``F'`` sends from
-``src`` to ``dst``.
+A :class:`CompiledPlan` is therefore a dependency graph over keys,
+stored as those columns (:class:`EdgeColumns`): edge ``j`` runs
+``srcs[j] -> dsts[j]`` and ``fn(x, *params_j)`` is the contribution
+``F'`` sends along it; the adjacency form is a view derived from them.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 from repro.datalog import ProgramAnalysis
@@ -41,24 +43,17 @@ class CompiledPlan:
     analysis: ProgramAnalysis
     #: every key that can ever hold a value
     keys: frozenset
-    #: dependency edges: src key -> [(dst key, params tuple, fn), ...]
-    #: where ``fn(x, *params)`` is the compiled ``F'`` of the recursive
-    #: body that produced the edge (Program-2.b rules have several)
-    out_edges: dict
+    #: the dependency edges, and the only place they are stored: one
+    #: :class:`EdgeColumns` per recursive body in ``fprime_fns`` order
+    #: (Program-2.b rules have several), each in emission order
+    edge_columns: tuple[EdgeColumns, ...]
     #: one compiled ``F'`` per recursive body, primary first
     fprime_fns: tuple[Callable, ...]
-    param_names: tuple[str, ...]
     #: ``X⁰`` from the base rules
     initial: dict
     #: per-key constant contributions ``C`` (one application's worth)
     constants: dict
     termination: TerminationSpec
-    #: columnar edge storage, one ``EdgeColumns`` per recursive body in
-    #: ``fprime_fns`` order; the same edges as ``out_edges`` in emission
-    #: order, kept as flat parallel columns so vectorized backends can
-    #: pack a CSR without walking every edge tuple in Python.  ``None``
-    #: for hand-built plans -- consumers must fall back to ``out_edges``.
-    edge_columns: Optional[tuple] = None
 
     @property
     def aggregate(self):
@@ -71,7 +66,25 @@ class CompiledPlan:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(edges) for edges in self.out_edges.values())
+        return sum(len(columns) for columns in self.edge_columns)
+
+    @cached_property
+    def out_edges(self) -> dict:
+        """Adjacency view: src key -> ``[(dst key, params tuple, fn), ...]``,
+        derived from ``edge_columns`` on first access (the array kernel
+        never asks).  Sources come in first-emission order and a
+        source's edges body by body, then in emission order: the fold
+        order the scalar consumers make observable.
+        """
+        view: dict = {}
+        for columns in self.edge_columns:
+            fn = columns.fn
+            for src, dst, row in zip(columns.srcs, columns.dsts, columns.param_rows()):
+                edges = view.get(src)
+                if edges is None:
+                    edges = view[src] = []
+                edges.append((dst, row, fn))
+        return view
 
     def edges_from(self, key) -> list:
         return self.out_edges.get(key, ())
@@ -88,47 +101,49 @@ class EdgeColumns:
 
     ``srcs[j] -> dsts[j]`` with parameters ``tuple(col[j] for col in
     param_cols)`` and the body's compiled ``fn``; ``j`` runs in emission
-    order, i.e. the per-source order ``out_edges`` preserves.
+    order.
 
-    Columns start as C-typed :mod:`array` storage (``'q'`` for keys,
-    ``'d'`` for parameters) and demote to plain lists the first time a
-    value does not fit (tuple keys, symbolic parameters).  Typed
-    columns let vectorized backends pack a CSR via zero-copy buffer
-    views instead of touching every edge tuple in Python; this module
-    itself never needs numpy for them.
+    Columns are *type-exact*: ``array('q')`` when every value is exactly
+    ``int``, ``array('d')`` when exactly ``float``, else the plain list
+    (tuple keys, symbolic parameters, ``bool``, mixed ``int``/``float``,
+    integers beyond 64 bits).  The adjacency view hands these values to
+    the scalar kernel, so a column may never coerce -- an int weight in
+    a C double prints ``4.0`` for ``4`` and loses ``2**53 + 1`` -- while
+    typed columns let the array kernel pack a CSR from zero-copy buffer
+    views; this module itself never needs numpy for them.
     """
 
-    __slots__ = ("fn", "_cols")
+    __slots__ = ("fn", "srcs", "dsts", "param_cols")
 
-    def __init__(self, fn: Callable, width: int):
+    def __init__(self, fn: Callable, srcs: list, dsts: list, param_cols) -> None:
         self.fn = fn
-        self._cols = [array("q"), array("q")]
-        self._cols.extend(array("d") for _ in range(width))
-
-    def append(self, src, dst, params: tuple) -> None:
-        for k, value in enumerate((src, dst) + params):
-            col = self._cols[k]
-            try:
-                col.append(value)
-            except (TypeError, OverflowError):
-                demoted = list(col)
-                demoted.append(value)
-                self._cols[k] = demoted
+        self.srcs = _typed_column(srcs)
+        self.dsts = _typed_column(dsts)
+        self.param_cols = tuple(_typed_column(col) for col in param_cols)
 
     def __len__(self) -> int:
-        return len(self._cols[0])
+        return len(self.srcs)
 
-    @property
-    def srcs(self):
-        return self._cols[0]
+    def param_rows(self):
+        """The per-edge parameter tuples, in emission order."""
+        return zip(*self.param_cols) if self.param_cols else repeat((), len(self))
 
-    @property
-    def dsts(self):
-        return self._cols[1]
 
-    @property
-    def param_cols(self) -> tuple:
-        return tuple(self._cols[2:])
+_TYPECODES = {int: "q", float: "d"}
+
+
+def _typed_column(values: list):
+    """``values`` as a C-typed array when that loses nothing, else as is."""
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return values
+    typecode = _TYPECODES.get(kinds.pop())
+    if typecode is None:
+        return values
+    try:
+        return array(typecode, values)
+    except OverflowError:  # an int beyond 64 bits
+        return values
 
 
 def _scalar(values: tuple):
@@ -184,7 +199,6 @@ def compile_plan(
         )
         constants = aggregate_contributions(analysis.aggregate, contributions)
 
-    out_edges: dict = {}
     keys: set = set(initial) | set(constants)
     fprime_fns = []
     edge_columns: list[EdgeColumns] = []
@@ -226,33 +240,15 @@ def compile_plan(
                     position = spec.source_keys.index(name)
                     broadcast_values[name].add(key_tuple[position])
 
-        columns = EdgeColumns(fn, len(param_names))
-        edge_columns.append(columns)
-
-        def emit(
-            binding: dict,
-            spec=spec,
-            fn=fn,
-            param_names=param_names,
-            columns=columns,
-        ) -> None:
-            src = _scalar(tuple(binding[name] for name in spec.source_keys))
-            dst = _scalar(tuple(binding[name] for name in analysis.key_vars))
-            params = tuple(binding[name] for name in param_names)
-            out_edges.setdefault(src, []).append((dst, params, fn))
-            keys.add(src)
-            keys.add(dst)
-            columns.append(src, dst, params)
-
+        srcs: list = []
+        dsts: list = []
+        param_cols: list[list] = [[] for _ in param_names]
         for binding in iter_bindings(
             list(spec.join_atoms) + join_comparisons,
             work_db,
             counters=counters,
             iterated_predicate=iterated,
         ):
-            if not broadcast:
-                emit(binding)
-                continue
             expansions = [binding]
             for name in broadcast:
                 expansions = [
@@ -260,18 +256,24 @@ def compile_plan(
                     for b in expansions
                     for value in sorted(broadcast_values[name])
                 ]
-            for expanded in expansions:
-                emit(expanded)
+            for bound in expansions:
+                srcs.append(_scalar(tuple(bound[name] for name in spec.source_keys)))
+                dsts.append(_scalar(tuple(bound[name] for name in analysis.key_vars)))
+                for col, name in zip(param_cols, param_names):
+                    col.append(bound[name])
+
+        # interleaved, as emitted: the set's layout (hence its iteration
+        # order, which the partition map inherits) depends on it
+        keys.update(chain.from_iterable(zip(srcs, dsts)))
+        edge_columns.append(EdgeColumns(fn, srcs, dsts, param_cols))
 
     return CompiledPlan(
         name=analysis.program.name,
         analysis=analysis,
         keys=frozenset(keys),
-        out_edges=out_edges,
+        edge_columns=tuple(edge_columns),
         fprime_fns=tuple(fprime_fns),
-        param_names=analysis.fprime_params,
         initial=initial,
         constants=constants,
         termination=termination or TerminationSpec.from_analysis(analysis),
-        edge_columns=tuple(edge_columns),
     )

@@ -195,7 +195,12 @@ def iter_bindings(
             if ok:
                 yield from match(index + 1, extended, list(applied))
 
-    yield from match(0, {}, list(comparisons))
+    try:
+        yield from match(0, {}, list(comparisons))
+    finally:
+        # ``match`` calls itself through its own closure cell: a reference
+        # cycle that would keep ``db`` alive until some later GC pass
+        match = None
 
 
 def _head_key_and_value(rule: Rule, binding: dict, iterated_predicate: Optional[str]):

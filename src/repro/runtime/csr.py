@@ -7,14 +7,10 @@ emission order, one :class:`FnGroup` of packed ``F'`` parameter columns
 per recursion body.  :func:`plan_csr` is the only entry point; it packs
 once per plan and caches the result on the plan.
 
-Two packers produce *content-identical* structures:
-
-* single-recursion-body plans compiled with columnar edge storage
-  (:class:`repro.engine.plan.EdgeColumns`: sssp, cc, pagerank, ...) are
-  packed from the flat columns at C speed -- key columns convert to
-  codes, one sort groups edges by source, parameter columns are
-  zero-copy buffer views;
-* multi-body and hand-built plans walk ``plan.out_edges`` edge by edge.
+The plan stores its edges as columns (one
+:class:`repro.engine.plan.EdgeColumns` per recursion body) and the
+packer works on them directly: no edge is touched in Python and the
+plan's adjacency view is never built.
 
 Compiled ``F'`` lambdas are probed once per plan: if a lambda evaluates
 correctly over arrays (pure arithmetic does), its parameter columns are
@@ -38,7 +34,8 @@ class _ColumnRows:
     :class:`FnGroup` only touches ``raw_params`` row-wise during the
     3-sample vectorisation probe and on the (rare) per-edge fallback
     apply path; this view serves both without building one tuple per
-    edge up front.
+    edge up front.  Rows hold the plan's own values (an int parameter
+    stays an ``int``), as the python kernel sees them.
     """
 
     __slots__ = ("_cols", "_perm")
@@ -60,30 +57,23 @@ class FnGroup:
 
     __slots__ = ("fn", "raw_params", "cols")
 
-    def __init__(
-        self, fn: Callable, raw_params: Any, columns: Any, perm: Any = None
-    ) -> None:
+    def __init__(self, fn: Callable, columns: Any, perm: Any) -> None:
         self.fn = fn
-        #: row-indexable parameter view (a list of tuples from the
-        #: per-edge walk, a :class:`_ColumnRows` from the columnar packer)
-        self.raw_params = raw_params
-        #: float64 parameter columns in CSR edge order (``columns``,
-        #: permuted by ``perm`` when given), or None when F' does not
+        #: row-indexable view of the parameter tuples in CSR edge order
+        self.raw_params = _ColumnRows(columns, perm)
+        #: float64 parameter columns in CSR edge order (the body's
+        #: ``columns`` permuted by ``perm``), or None when F' does not
         #: vectorise (per-edge fallback)
         self.cols: Optional[list] = None
-        if not len(raw_params):
+        if not len(perm):
             return
-        try:
+        try:  # typed columns are zero-copy views until permuted
             cols = [
-                np.frombuffer(col, dtype=np.float64)
-                if isinstance(col, _array)
-                else np.asarray(col, dtype=np.float64)
+                np.asarray(col)[perm].astype(np.float64, copy=False)
                 for col in columns
             ]
         except (TypeError, ValueError):
             return  # non-numeric parameters: per-edge fallback
-        if perm is not None:
-            cols = [col[perm] for col in cols]
         if self._vectorises(cols):
             self.cols = cols
 
@@ -127,7 +117,7 @@ class FnGroup:
 
 
 class PlanCSR:
-    """Immutable CSR view of ``plan.out_edges``, shared by all shards."""
+    """Immutable CSR form of the plan's edges, shared by all shards."""
 
     def __init__(
         self,
@@ -180,44 +170,6 @@ class PlanCSR:
         return self.edst[eids], vals
 
 
-def _pack_edges(plan: Any) -> PlanCSR:
-    """Pack by walking ``plan.out_edges`` (any plan; one Python step per edge)."""
-    order = plan_key_order(plan)
-    keys_sorted = plan._kernel_keys_sorted
-    indptr = np.zeros(len(keys_sorted) + 1, dtype=np.int64)
-    edst: list[int] = []
-    efn: list[int] = []
-    erow: list[int] = []
-    fn_ids: dict[int, int] = {}
-    fn_objs: list[Callable] = []
-    fn_param_rows: list[list[tuple]] = []
-    for i, key in enumerate(keys_sorted):
-        edges = plan.edges_from(key)
-        indptr[i + 1] = indptr[i] + len(edges)
-        for dst, params, fn in edges:
-            fid = fn_ids.get(id(fn))
-            if fid is None:
-                fid = fn_ids[id(fn)] = len(fn_objs)
-                fn_objs.append(fn)
-                fn_param_rows.append([])
-            edst.append(order[dst])
-            efn.append(fid)
-            erow.append(len(fn_param_rows[fid]))
-            fn_param_rows[fid].append(params)
-
-    return PlanCSR(
-        plan,
-        indptr,
-        np.asarray(edst, dtype=np.int64),
-        np.asarray(efn, dtype=np.int64),
-        np.asarray(erow, dtype=np.int64),
-        [
-            FnGroup(fn, rows, list(zip(*rows)))
-            for fn, rows in zip(fn_objs, fn_param_rows)
-        ],
-    )
-
-
 def _sorted_int_keys(keys_sorted: Any) -> Any:
     """``keys_sorted`` as a sorted int64 array, or None for other keys.
 
@@ -237,7 +189,7 @@ def _sorted_int_keys(keys_sorted: Any) -> Any:
 
 def _key_codes(col: Any, order: dict, keys_arr: Any, m: int) -> Any:
     """Map a key column to canonical codes (C-speed for typed columns)."""
-    if keys_arr is not None and isinstance(col, _array):
+    if keys_arr is not None and isinstance(col, _array) and col.typecode == "q":
         vals = np.frombuffer(col, dtype=np.int64)
         if int(keys_arr[0]) == 0 and int(keys_arr[-1]) == len(keys_arr) - 1:
             return vals  # identity universe: the key is the code
@@ -245,51 +197,68 @@ def _key_codes(col: Any, order: dict, keys_arr: Any, m: int) -> Any:
     return np.fromiter(map(order.__getitem__, col), dtype=np.int64, count=m)
 
 
-def _pack_columns(plan: Any, columns: Any) -> PlanCSR:
-    """Pack a single-body plan from its edge columns, no per-edge Python.
+def _concat(parts: list) -> Any:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    A stable-by-source sort groups edges in canonical key order while
-    preserving per-source emission order -- exactly the order the
-    per-edge walk produces -- so ``efn`` is all zeros, ``erow`` is
-    ``arange`` and the parameter columns are the plan's columns
-    permuted into CSR order, bit for bit what :func:`_pack_edges`
-    builds.
+
+def _pack_columns(plan: Any) -> PlanCSR:
+    """Pack the plan's edge columns into a CSR, no per-edge Python.
+
+    The bodies' columns are concatenated in ``fprime_fns`` order; a
+    stable-by-source sort then groups edges in canonical key order while
+    keeping each source's edges body by body and, within a body, in
+    emission order -- the order ``plan.edges_from`` lists them in.
+    ``efn`` is the body index, ``erow`` the edge's rank among its body's
+    edges in CSR order, and each body's parameter columns are the plan's
+    columns permuted into that order.
     """
     order = plan_key_order(plan)
     keys_sorted = plan._kernel_keys_sorted
+    bodies = plan.edge_columns
+    sizes = [len(columns) for columns in bodies]
     n = len(keys_sorted)
-    m = len(columns.srcs)
+    m = sum(sizes)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    efn = np.zeros(m, dtype=np.int64)
-    erow = np.arange(m, dtype=np.int64)
     if m == 0:
-        return PlanCSR(plan, indptr, np.empty(0, dtype=np.int64), efn, erow, [])
+        empty = np.empty(0, dtype=np.int64)
+        return PlanCSR(plan, indptr, empty, empty, empty, [])
     keys_arr = _sorted_int_keys(keys_sorted)
-    src_codes = _key_codes(columns.srcs, order, keys_arr, m)
-    dst_codes = _key_codes(columns.dsts, order, keys_arr, m)
+    src_codes = _concat(
+        [_key_codes(c.srcs, order, keys_arr, len(c)) for c in bodies]
+    )
+    dst_codes = _concat(
+        [_key_codes(c.dsts, order, keys_arr, len(c)) for c in bodies]
+    )
     # Sorting the unique composite key ``src*m + j`` with the default
     # introsort yields exactly the stable-by-source permutation at a
     # fraction of mergesort's cost; fall back to a stable sort if the
     # composite could overflow int64.
+    edge_ids = np.arange(m, dtype=np.int64)
     if n < 2**31 and m < 2**31:
-        perm = np.argsort(src_codes * np.int64(m) + erow)
+        perm = np.argsort(src_codes * np.int64(m) + edge_ids)
     else:
         perm = np.argsort(src_codes, kind="stable")
     np.cumsum(np.bincount(src_codes, minlength=n), out=indptr[1:])
 
-    params = columns.param_cols
-    group = FnGroup(columns.fn, _ColumnRows(params, perm), params, perm)
-    return PlanCSR(plan, indptr, dst_codes[perm], efn, erow, [group])
+    # an edge's body is the number of body boundaries at or below its id
+    starts = [sum(sizes[:body]) for body in range(len(bodies))]
+    efn = np.zeros(m, dtype=np.int64)
+    for start in starts[1:]:
+        efn += perm >= start
+    erow = np.empty(m, dtype=np.int64)
+    groups: list[FnGroup] = []
+    for body, (columns, start) in enumerate(zip(bodies, starts)):
+        mine = efn == body
+        local = perm[mine]
+        local -= start
+        erow[mine] = edge_ids[: len(local)]
+        groups.append(FnGroup(columns.fn, columns.param_cols, local))
+    return PlanCSR(plan, indptr, dst_codes[perm], efn, erow, groups)
 
 
 def plan_csr(plan: Any) -> PlanCSR:
     """The plan's CSR, packed on first use and cached on the plan."""
     csr = getattr(plan, "_kernel_csr", None)
     if csr is None:
-        columns = plan.edge_columns
-        if columns is not None and len(columns) == 1:
-            csr = _pack_columns(plan, columns[0])
-        else:
-            csr = _pack_edges(plan)
-        plan._kernel_csr = csr
+        csr = plan._kernel_csr = _pack_columns(plan)
     return csr

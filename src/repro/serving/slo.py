@@ -14,13 +14,10 @@ import json
 import math
 
 from repro.serving.request import (
-    FAILED,
     OK,
     OK_STALE,
     SERVED_STATUSES,
-    SHED,
     TERMINAL_STATUSES,
-    TIMEOUT,
 )
 
 #: bump when the report layout changes

@@ -13,8 +13,6 @@ name the frontier shape (``sparse`` | ``numpy`` for dense) of the
 kernel bench's sparse- and dense-frontier programs.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -2,14 +2,17 @@
 
 The equivalence suite (``test_kernel_equivalence``) proves end-to-end
 bit-exactness across engines; this module pins the mechanisms that
-exactness rests on, one by one: columnar edge storage on the compiled
-plan, the columnar CSR packer producing *content-identical* structures
-to the per-edge walk, the fused initial-delta path (values and dict
+exactness rests on, one by one: the type-exact edge columns that are
+the compiled plan's only edge storage (and the adjacency view derived
+from them), the CSR packer producing *content-identical* structures to
+a per-edge walk of that view, the fused initial-delta path (values and dict
 insertion order), batch-push order equivalence against repeated scalar
 pushes, the delta-stepping bucket invariants and checkpoint
 round-trips -- plus the registry facts around the one class: the
 ``sparse`` alias and the degradation of carriers it refuses.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -132,8 +135,49 @@ class TestRefusedCarrierDegrades:
             assert run == reference
 
 
+def two_body_plan():
+    """The Program-2.b PageRank of ``test_analyzer`` (a join body and a
+    self body) compiled on a small graph.  Its self body re-adds every
+    delta, so runs are capped at a dozen rounds: the point is that two
+    bodies go through the same packer and kernels, not the fixpoint."""
+    from repro.datalog import analyze, parse_program
+    from repro.engine.plan import compile_plan
+    from repro.engine.termination import TerminationSpec
+    from repro.graphs import rmat
+    from repro.programs.builders import plain_graph_db
+    from tests.test_analyzer import TestMultipleRecursiveBodies
+
+    analysis = analyze(
+        parse_program(TestMultipleRecursiveBodies.SOURCE, name="pagerank-2b")
+    )
+    return compile_plan(
+        analysis,
+        plain_graph_db(rmat(25, 110, seed=7)),
+        termination=TerminationSpec.from_analysis(analysis, max_iterations=12),
+    )
+
+
+def _exact(value):
+    """``value`` with its exact type (and bits: repr tells -0.0 from 0.0)."""
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    return (type(value), repr(value))
+
+
+def _adjacency_of(columns_seq):
+    """What ``plan.out_edges`` must be, spelled out one edge at a time."""
+    expected: dict = {}
+    for columns in columns_seq:
+        for j in range(len(columns)):
+            params = tuple(col[j] for col in columns.param_cols)
+            expected.setdefault(columns.srcs[j], []).append(
+                (columns.dsts[j], params, columns.fn)
+            )
+    return expected
+
+
 class TestEdgeColumns:
-    """Columnar edge storage built during plan compilation."""
+    """The plan's edges are columns; the adjacency is a view of them."""
 
     @pytest.mark.parametrize("program", ALL_PROGRAMS)
     def test_every_compiled_plan_carries_columns(self, program):
@@ -142,23 +186,125 @@ class TestEdgeColumns:
         assert len(plan.edge_columns) == len(plan.fprime_fns)
         total = sum(len(columns) for columns in plan.edge_columns)
         assert total == plan.num_edges
+        # the derived adjacency view holds every edge exactly once
+        assert total == sum(len(edges) for edges in plan.out_edges.values())
+
+    @staticmethod
+    def _stored(plan):
+        (columns,) = plan.edge_columns
+        return sorted(zip(columns.srcs, columns.dsts, *columns.param_cols))
 
     def test_columns_match_out_edges_content(self):
+        """The edge content, checked against the input graph: the view
+        ``out_edges`` is derived from the columns, so comparing the two
+        would prove nothing."""
+        graph = default_graph("sssp", seed=7)
+        assert self._stored(PROGRAMS["sssp"].plan(graph)) == sorted(
+            set(graph.weighted_edges())
+        )
+
+        graph = default_graph("cc", seed=7)
+        symmetrised = set(graph.edges) | {(v, u) for u, v in graph.edges}
+        assert self._stored(PROGRAMS["cc"].plan(graph)) == sorted(symmetrised)
+
+        graph = default_graph("pagerank", seed=7)
+        successors: dict = {}
+        for u, v in graph.edges:
+            successors.setdefault(u, set()).add(v)
+        assert self._stored(PROGRAMS["pagerank"].plan(graph)) == sorted(
+            (u, v, len(targets))
+            for u, targets in successors.items()
+            for v in targets
+        )
+
+    @pytest.mark.parametrize("program", ALL_PROGRAMS)
+    def test_view_values_keep_the_matcher_types(self, program, monkeypatch):
+        """Every edge reachable through ``plan.edges_from`` carries
+        values ``type()``-identical, element by element, to what the
+        matcher bound for it: no column coerces (``4`` stays an int)."""
+        import repro.engine.plan as plan_module
+
+        matcher = plan_module.iter_bindings
+        bound: list[list] = []  # one list of bindings per recursive body
+
+        def recording(*args, **kwargs):
+            bound.append([])
+            for binding in matcher(*args, **kwargs):
+                bound[-1].append(dict(binding))
+                yield binding
+
+        monkeypatch.setattr(plan_module, "iter_bindings", recording)
+        plan = plan_for(program)
+        analysis = plan.analysis
+        assert len(bound) == len(plan.fprime_fns)
+
+        def scalar(values):
+            return values[0] if len(values) == 1 else values
+
+        for spec, fn, bindings in zip(analysis.recursions, plan.fprime_fns, bound):
+            key_names = (*spec.source_keys, *analysis.key_vars)
+            # broadcast bodies (apsp) bind some key variables outside
+            # the matcher and emit one edge per value for each binding
+            keyed = all(name in bindings[0] for name in key_names)
+
+            def row(src, dst, params):
+                return _exact((src, dst) + params if keyed else params)
+
+            expected = Counter(
+                row(
+                    scalar(tuple(b.get(n) for n in spec.source_keys)),
+                    scalar(tuple(b.get(n) for n in analysis.key_vars)),
+                    tuple(b[n] for n in spec.fprime_params),
+                )
+                for b in bindings
+            )
+            actual = Counter(
+                row(src, dst, params)
+                for src in plan.out_edges
+                for dst, params, edge_fn in plan.edges_from(src)
+                if edge_fn is fn
+            )
+            fanout, rest = divmod(sum(actual.values()), len(bindings))
+            assert rest == 0 and (fanout == 1 or not keyed)
+            assert actual == Counter(
+                {edge: count * fanout for edge, count in expected.items()}
+            )
+
+    def test_exact_int_and_float_weights_survive(self):
+        """``2**53 + 1`` is not a float64 and ``0.5`` is not an int: a
+        column holding both demotes to a list and keeps each exact, so
+        the python kernel computes with the numbers the user wrote."""
+        from repro.graphs.graph import Graph
+
+        big = 2**53 + 1
+        graph = Graph(3, [(0, 1), (0, 2)], weights=[big, 0.5])
+        plan = PROGRAMS["sssp"].plan(graph)
+        (columns,) = plan.edge_columns
+        (weights,) = columns.param_cols
+        assert isinstance(weights, list)
+        assert sorted(map(repr, weights)) == sorted(map(repr, (big, 0.5)))
+        values = MRAEvaluator(plan, backend="python").run().values
+        assert {k: repr(v) for k, v in values.items()} == {
+            0: "0", 1: repr(big), 2: "0.5"
+        }
+        # all-int weights stay a typed column, still exact past 2**53
+        graph = Graph(3, [(0, 1), (0, 2)], weights=[big, 3])
+        plan = PROGRAMS["sssp"].plan(graph)
+        assert plan.edge_columns[0].param_cols[0].typecode == "q"
+        assert MRAEvaluator(plan, backend="python").run().values[1] == big
+
+    def test_int_weights_print_as_ints(self):
+        # array('d') columns used to turn sssp's int weights into floats
         plan = plan_for("sssp")
         (columns,) = plan.edge_columns
-        walked = []
-        for src in sorted(plan.out_edges):
-            for dst, params, _fn in plan.out_edges[src]:
-                walked.append((src, dst, params))
-        stored = sorted(
-            (
-                columns.srcs[j],
-                columns.dsts[j],
-                tuple(col[j] for col in columns.param_cols),
-            )
-            for j in range(len(columns))
-        )
-        assert stored == sorted(walked)
+        assert columns.param_cols[0].typecode == "q"
+        values = MRAEvaluator(plan, backend="python").run().values
+        assert {type(v) for v in values.values()} == {int}
+
+    def test_bool_is_not_an_int(self):
+        columns = EdgeColumns(lambda x, w: x, [0, 1], [1, 0], ([True, False],))
+        assert columns.param_cols[0] == [True, False]
+        assert type(columns.param_cols[0][0]) is bool
 
     def test_int_keys_use_typed_storage(self):
         from array import array
@@ -179,44 +325,122 @@ class TestEdgeColumns:
         assert isinstance(columns.dsts, list)
 
     def test_demotion_preserves_earlier_values(self):
-        columns = EdgeColumns(fn=lambda x, w: x + w, width=1)
-        columns.append(0, 1, (2.5,))
-        columns.append((7, 8), 2, (3.5,))
+        columns = EdgeColumns(
+            lambda x, w: x + w, [0, (7, 8)], [1, 2], ([2.5, 3.5],)
+        )
         assert list(columns.srcs) == [0, (7, 8)]
         assert list(columns.dsts) == [1, 2]
         assert list(columns.param_cols[0]) == [2.5, 3.5]
         assert len(columns) == 2
 
+    def test_view_order_single_body(self):
+        """Sources in first-emission order, each source's edges in
+        emission order: the fold order the python kernel relies on."""
+        plan = plan_for("sssp")
+        assert list(plan.out_edges.items()) == list(
+            _adjacency_of(plan.edge_columns).items()
+        )
+
+    def test_view_order_two_bodies(self):
+        """Body-major, then emission: a source's edges from the first
+        recursive body precede its edges from the second."""
+        plan = two_body_plan()
+        first, second = plan.edge_columns
+        assert len(first) and len(second)
+        assert plan.num_edges == len(first) + len(second)
+        assert list(plan.out_edges.items()) == list(
+            _adjacency_of((first, second)).items()
+        )
+        shared = next(src for src in first.srcs if src in set(second.srcs))
+        bodies = [
+            plan.fprime_fns.index(fn) for _dst, _params, fn in plan.edges_from(shared)
+        ]
+        assert bodies == sorted(bodies) and set(bodies) == {0, 1}
+
+    def test_array_kernel_never_builds_the_view(self):
+        plan = plan_for("sssp")
+        SyncEngine(plan, ClusterConfig(num_workers=4), backend="numpy").run()
+        assert "out_edges" not in vars(plan)
+        MRAEvaluator(plan, backend="python").run()
+        assert "out_edges" in vars(plan)
+
+
+def per_edge_csr(plan):
+    """The reference CSR: walk ``plan.edges_from`` edge by edge.
+
+    Returns ``(indptr, edst, efn, erow, groups)`` with ``groups`` a list
+    of ``(fn, [params tuple, ...])`` numbered in first-use order.
+    """
+    from repro.runtime.python_kernel import plan_key_order
+
+    order = plan_key_order(plan)
+    indptr, edst, efn, erow = [0], [], [], []
+    fn_ids: dict = {}
+    groups: list = []
+    for key in plan._kernel_keys_sorted:
+        edges = plan.edges_from(key)
+        indptr.append(indptr[-1] + len(edges))
+        for dst, params, fn in edges:
+            fid = fn_ids.setdefault(fn, len(groups))
+            if fid == len(groups):
+                groups.append((fn, []))
+            edst.append(order[dst])
+            efn.append(fid)
+            erow.append(len(groups[fid][1]))
+            groups[fid][1].append(params)
+    return indptr, edst, efn, erow, groups
+
+
+def assert_csr_matches_walk(plan):
+    import numpy as np
+
+    from repro.runtime.csr import plan_csr
+
+    packed = plan_csr(plan)
+    indptr, edst, efn, erow, groups = per_edge_csr(plan)
+    assert packed.n == len(plan.keys)
+    assert packed.keys_sorted == plan._kernel_keys_sorted
+    assert packed.indptr.tolist() == indptr
+    assert packed.edst.tolist() == edst
+    assert packed.erow.tolist() == erow
+    # the packer numbers groups by recursive body, the walk by first
+    # use: equal up to that renumbering (the identity for one body)
+    body_of = [plan.fprime_fns.index(fn) for fn, _rows in groups]
+    assert packed.efn.tolist() == [body_of[fid] for fid in efn]
+    for (fn, rows), body in zip(groups, body_of):
+        group = packed.groups[body]
+        assert group.fn is fn
+        assert len(group.raw_params) == len(rows)
+        for j, row in enumerate(rows):
+            assert tuple(group.raw_params[j]) == row
+            assert [type(v) for v in group.raw_params[j]] == [type(v) for v in row]
+        try:
+            ref_cols = [
+                np.asarray(col, dtype=np.float64) for col in zip(*rows)
+            ]
+        except (TypeError, ValueError):
+            assert group.cols is None
+            continue
+        if group.cols is not None:
+            for col, ref_col in zip(group.cols, ref_cols):
+                assert np.array_equal(col, ref_col)
+    return packed
+
 
 class TestCSRPacking:
-    """The columnar packer's CSR == the per-edge walk's, exactly."""
+    """The columnar packer's CSR == a per-edge walk's, exactly."""
 
     @pytest.mark.parametrize("program", ALL_PROGRAMS)
     def test_content_identical_to_per_edge_walk(self, program):
-        import numpy as np
+        packed = assert_csr_matches_walk(array_plan_for(program))
+        assert len(packed.groups) == 1
+        assert not packed.efn.any()
 
-        from repro.runtime.csr import _pack_edges, plan_csr
-
-        packed = plan_csr(array_plan_for(program))
-        reference = _pack_edges(plan_for(program))
-
-        assert packed.n == reference.n
-        assert packed.keys_sorted == reference.keys_sorted
-        assert np.array_equal(packed.indptr, reference.indptr)
-        assert np.array_equal(packed.edst, reference.edst)
-        assert np.array_equal(packed.efn, reference.efn)
-        assert np.array_equal(packed.erow, reference.erow)
-        assert len(packed.groups) == len(reference.groups)
-        for group, ref_group in zip(packed.groups, reference.groups):
-            assert (group.cols is None) == (ref_group.cols is None)
-            assert len(group.raw_params) == len(ref_group.raw_params)
-            for j in range(len(ref_group.raw_params)):
-                assert tuple(group.raw_params[j]) == tuple(
-                    ref_group.raw_params[j]
-                )
-            if ref_group.cols is not None:
-                for col, ref_col in zip(group.cols, ref_group.cols):
-                    assert np.array_equal(col, ref_col)
+    def test_two_body_plan_takes_the_same_packer(self):
+        plan = two_body_plan()
+        packed = assert_csr_matches_walk(plan)
+        assert len(packed.groups) == 2
+        assert sorted(set(packed.efn.tolist())) == [0, 1]
 
     def test_single_body_plans_take_the_columnar_path(self):
         from repro.runtime.csr import _ColumnRows, plan_csr
@@ -231,15 +455,6 @@ class TestCSRPacking:
         csr = plan_csr(plan)
         assert plan_csr(plan) is csr
         assert get_kernel("numpy").from_plan(plan)._csr is csr
-
-    def test_hand_built_plans_fall_back(self):
-        from repro.runtime.csr import plan_csr
-
-        plan = plan_for("sssp")
-        object.__setattr__(plan, "edge_columns", None)
-        csr = plan_csr(plan)
-        assert csr.n == len(plan._kernel_keys_sorted)
-        assert isinstance(csr.groups[0].raw_params, list)
 
 
 class TestInitialDelta:

@@ -12,7 +12,6 @@ from repro.checker import (
     refute_property2,
 )
 from repro.checker.prover import prove_property1, prove_property2
-from repro.datalog import analyze, parse_program
 from repro.expr import Interval, evaluate, var
 from repro.programs import PROGRAMS
 

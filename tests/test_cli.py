@@ -117,3 +117,15 @@ class TestRunOnUserGraph:
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}:2: weight 'nan' is not finite\n"
         assert "Traceback" not in captured.out + captured.err
+
+    def test_non_convergence_is_a_nonzero_exit(self, tmp_path, capsys):
+        # min over a negative cycle (1 -> 2 -> 1 sums to -2) never settles
+        path = tmp_path / "negative-cycle.tsv"
+        path.write_text("# vertices 3\n0\t1\t1\n1\t2\t-3\n2\t1\t1\n")
+        assert main(["run", "sssp", "--graph", str(path), "--engine", "sync"]) == 2
+        captured = capsys.readouterr()
+        assert "stop=iteration-limit" in captured.out
+        assert captured.err == (
+            "error: sssp did not converge "
+            "(stop=iteration-limit after 10000 rounds)\n"
+        )

@@ -22,7 +22,6 @@ from repro.delta import (
     STRATEGIES,
     choose_strategy,
     diff_plans,
-    plan_signature,
     random_delta,
     repair_plan,
     view_of,

@@ -24,7 +24,7 @@ by the unit suite (strategy selection), not by bit-exact properties.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.delta import GraphDelta, IncrementalEngine, random_delta, view_of
+from repro.delta import IncrementalEngine, random_delta
 from repro.engine import MRAEvaluator
 from repro.graphs import random_dag, rmat
 from repro.obs import Observability

@@ -78,6 +78,29 @@ def test_sync_engine_identical(program, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ("mra", "sync"))
+def test_two_body_plan_identical(engine, backend):
+    """Program-2.b plans (several recursive bodies, no registry program
+    has one) take the same packer and kernel paths as everything else."""
+    from tests.test_array_kernel import two_body_plan
+
+    def run(name):
+        plan = two_body_plan()
+        assert len(plan.edge_columns) == 2
+        if engine == "mra":
+            return MRAEvaluator(plan, backend=name).run()
+        return SyncEngine(plan, ClusterConfig(num_workers=4), backend=name).run()
+
+    python_result, other_result = run("python"), run(backend)
+    assert python_result.counters.fprime_applications > 0
+    _assert_identical(python_result, other_result, backend, clock=engine == "sync")
+    # ``==`` would let 1 pass for 1.0: same bits, same types
+    assert {k: repr(v) for k, v in python_result.values.items()} == {
+        k: repr(v) for k, v in other_result.values.items()
+    }
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("program", DELTA_STEP_PROGRAMS)
 def test_sync_delta_stepping_identical(program, backend):
     spec = PROGRAMS[program]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Self-lint: enforce the repo's determinism invariants by AST walk.
+"""Self-lint: determinism invariants and unused imports, by AST walk.
 
 The engines are deterministic discrete-event simulations: every run of a
 program with the same seed must produce the same result, trace and
@@ -20,13 +20,23 @@ delta-repair subsystem, whose byte-identical SLO reports and repair
 replays depend on the same invariants).  The CLI, bench harness and obs
 layers may legitimately read the host clock.
 
-Exit code 0 when clean, 1 with one ``file:line: message`` per violation
-otherwise.  Pure stdlib; wired into ``make lint`` and CI.
+A second pass flags **unused imports** (ruff's F401) over ``src``,
+``tests``, ``benchmarks``, ``examples`` and ``tools``, so that what a
+deletion leaves behind is caught on hosts without ruff: a name bound by
+``import`` that the file never reads.  ``__init__.py`` re-exports are
+exempt (as in ``pyproject.toml``), a ``# noqa`` on the line is honoured,
+and names that appear only in string annotations or ``__all__`` count as
+used.
+
+Paths given on the command line are checked by both passes.  Exit code
+0 when clean, 1 with one ``file:line: message`` per violation otherwise.
+Pure stdlib; wired into ``make lint`` and CI.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +47,11 @@ DEFAULT_SCOPE = (
     REPO_ROOT / "src" / "repro" / "distributed",
     REPO_ROOT / "src" / "repro" / "serving",
     REPO_ROOT / "src" / "repro" / "delta",
+)
+
+#: where the unused-import pass looks
+IMPORT_SCOPE = tuple(
+    REPO_ROOT / name for name in ("src", "tests", "benchmarks", "examples", "tools")
 )
 
 #: (module, attribute) calls that read the host wall clock
@@ -92,14 +107,18 @@ def _has_seed_argument(call: ast.Call) -> bool:
     return any(kw.arg in ("seed", "x") for kw in call.keywords)
 
 
+def _relative(path: Path) -> Path:
+    try:
+        return path.relative_to(REPO_ROOT)
+    except ValueError:
+        return path
+
+
 def check_file(path: Path) -> list[str]:
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
     violations: list[str] = []
-    try:
-        relative = path.relative_to(REPO_ROOT)
-    except ValueError:
-        relative = path
+    relative = _relative(path)
 
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -135,23 +154,114 @@ def check_file(path: Path) -> list[str]:
     return violations
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    roots = [Path(arg) for arg in args] or list(DEFAULT_SCOPE)
+_NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
+
+
+def _suppressed(line: str) -> bool:
+    """A bare ``# noqa``, or one that lists F401."""
+    match = _NOQA.search(line)
+    if match is None:
+        return False
+    codes = match.group("codes")
+    return codes is None or "F401" in codes.upper()
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name the module reads: loads, ``__all__`` entries and the
+    names inside string annotations (``"CompiledPlan"``)."""
+    read: set[str] = set()
+    quoted: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            quoted.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            quoted.append(node.returns)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                read.update(
+                    c.value
+                    for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+    for annotation in quoted:
+        if annotation is None:
+            continue
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    inner = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return read
+
+
+def check_unused_imports(path: Path) -> list[str]:
+    if path.name == "__init__.py":
+        return []
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    read = _names_read(tree)
+    relative = _relative(path)
+    violations: list[str] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            # ``import a.b`` binds ``a``; ``import a.b as c`` binds ``c``
+            bound = alias.asname or alias.name.partition(".")[0]
+            if bound in read:
+                continue
+            if _suppressed(lines[node.lineno - 1]) or _suppressed(
+                lines[alias.lineno - 1]
+            ):
+                continue
+            violations.append(
+                f"{relative}:{alias.lineno}: unused import {bound!r}: "
+                "remove it (or mark a deliberate re-export with # noqa: F401)"
+            )
+    return violations
+
+
+def _run_pass(check, roots) -> tuple[list[str], int]:
     violations: list[str] = []
     checked = 0
     for root in roots:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for path in files:
-            violations.extend(check_file(path))
+            violations.extend(check(path))
             checked += 1
-    if violations:
-        print(f"determinism invariants violated ({len(violations)}):")
-        for violation in violations:
-            print(f"  {violation}")
-        return 1
-    print(f"determinism invariants hold ({checked} files checked)")
-    return 0
+    return violations, checked
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    given = [Path(arg) for arg in args]
+    status = 0
+    for check, default, broken, clean in (
+        (check_file, DEFAULT_SCOPE,
+         "determinism invariants violated", "determinism invariants hold"),
+        (check_unused_imports, IMPORT_SCOPE,
+         "unused imports", "no unused imports"),
+    ):
+        violations, checked = _run_pass(check, given or default)
+        if violations:
+            status = 1
+            print(f"{broken} ({len(violations)}):")
+            for violation in violations:
+                print(f"  {violation}")
+        else:
+            print(f"{clean} ({checked} files checked)")
+    return status
 
 
 if __name__ == "__main__":
