@@ -677,6 +677,35 @@ def _add_backend(subparser) -> None:
     )
 
 
+def _number(cast, accepts, expected: str):
+    """An argparse ``type=``: parse with ``cast`` and reject what
+    ``accepts`` refuses, so an out-of-range value is a usage error (one
+    ``error:`` line, exit 2) instead of a traceback from wherever the
+    value is first used -- or a run of something other than was asked."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not accepts(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_count = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _number(
+    float, lambda v: 0 < v < float("inf"), "a positive finite number"
+)
+_non_negative_float = _number(
+    float, lambda v: 0 <= v < float("inf"), "a non-negative finite number"
+)
+_probability = _number(float, lambda v: 0 <= v <= 1, "a probability in [0, 1]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -697,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=4,
         help="worker count for the communication-shape estimate",
     )
@@ -738,9 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="powerlog",
         choices=["powerlog", *sorted(_ENGINES)],
     )
-    run.add_argument("--workers", type=int, default=16)
-    run.add_argument("--scale", type=float, default=1.0)
-    run.add_argument("--top", type=int, default=0, help="print the top-N results")
+    run.add_argument("--workers", type=_positive_int, default=16)
+    run.add_argument("--scale", type=_positive_float, default=1.0)
+    run.add_argument("--top", type=_count, default=0, help="print the top-N results")
     _add_backend(run)
     run.set_defaults(func=cmd_run)
 
@@ -765,18 +794,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     delta.add_argument("program", choices=sorted(PROGRAMS))
     delta.add_argument("--dataset", default="livej", choices=dataset_names())
-    delta.add_argument("--scale", type=float, default=0.25)
+    delta.add_argument("--scale", type=_positive_float, default=0.25)
     delta.add_argument(
         "--file", help="JSON GraphDelta file (see GraphDelta.to_json)"
     )
     delta.add_argument(
-        "--inserts", type=int, default=0, help="random edges to insert"
+        "--inserts", type=_count, default=0, help="random edges to insert"
     )
     delta.add_argument(
-        "--deletes", type=int, default=0, help="random edges to delete"
+        "--deletes", type=_count, default=0, help="random edges to delete"
     )
     delta.add_argument(
-        "--updates", type=int, default=0, help="random weights to update"
+        "--updates", type=_count, default=0, help="random weights to update"
     )
     delta.add_argument("--seed", type=int, default=7)
     delta.add_argument("--format", choices=["text", "json"], default="text")
@@ -798,17 +827,19 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["sync", "async", "unified", "aap"],
         help="engines to run (default: sync async)",
     )
-    chaos.add_argument("--workers", type=int, default=4)
+    chaos.add_argument("--workers", type=_positive_int, default=4)
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument(
-        "--drop", type=float, help="message drop probability (default 0.02)"
+        "--drop", type=_probability, help="message drop probability (default 0.02)"
     )
     chaos.add_argument(
-        "--duplicate", type=float, help="duplicate-delivery probability (default 0.01)"
+        "--duplicate",
+        type=_probability,
+        help="duplicate-delivery probability (default 0.01)",
     )
     chaos.add_argument(
         "--crash-at",
-        type=float,
+        type=_non_negative_float,
         nargs="*",
         help="crash times as fractions of the fault-free duration (default 0.35)",
     )
@@ -838,8 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=dataset_names(),
             help="run on a Table-2 stand-in instead of the small default graph",
         )
-        subparser.add_argument("--scale", type=float, default=1.0)
-        subparser.add_argument("--workers", type=int, default=4)
+        subparser.add_argument("--scale", type=_positive_float, default=1.0)
+        subparser.add_argument("--workers", type=_positive_int, default=4)
         subparser.add_argument("--seed", type=int, default=7)
         _add_backend(subparser)
 
@@ -871,33 +902,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="play a multi-tenant workload through the serving layer",
     )
     serve.add_argument(
-        "--requests", type=int, default=100, help="workload size (default 100)"
+        "--requests", type=_count, default=100, help="workload size (default 100)"
     )
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument(
         "--rate",
-        type=float,
+        type=_positive_float,
         default=4.0,
         help="mean arrival rate in requests per simulated second",
     )
     serve.add_argument(
         "--burst-factor",
-        type=float,
+        type=_positive_float,
         default=7.0,
         help="arrival-rate multiplier during the burst window",
     )
     serve.add_argument(
         "--executors",
-        type=int,
+        type=_positive_int,
         default=1,
         help="concurrent engine-execution slots",
     )
     serve.add_argument(
-        "--workers", type=int, default=4, help="simulated workers per execution"
+        "--workers",
+        type=_positive_int,
+        default=4,
+        help="simulated workers per execution",
     )
     serve.add_argument(
         "--freshness-ttl",
-        type=float,
+        type=_non_negative_float,
         default=1.5,
         help="cache entries older than this are recomputed (simulated s)",
     )
@@ -929,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     programs.set_defaults(func=cmd_programs)
 
     datasets = commands.add_parser("datasets", help="list dataset stand-ins")
-    datasets.add_argument("--scale", type=float, default=1.0)
+    datasets.add_argument("--scale", type=_positive_float, default=1.0)
     datasets.set_defaults(func=cmd_datasets)
 
     return parser

@@ -25,7 +25,6 @@ from repro.delta.engine import (
     RepairResult,
     choose_strategy,
     diff_plans,
-    plan_signature,
     repair_plan,
 )
 from repro.delta.model import (
@@ -44,7 +43,6 @@ __all__ = [
     "RepairResult",
     "choose_strategy",
     "diff_plans",
-    "plan_signature",
     "repair_plan",
     "DEFAULT_WEIGHT",
     "DeltaValidationError",

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 from repro.delta.model import GraphDelta
@@ -59,22 +58,6 @@ STRATEGIES = ("frontier", "rederive", "recompute")
 
 
 # -- plan diffing --------------------------------------------------------------
-
-
-def plan_signature(plan: CompiledPlan) -> Counter:
-    """Multiset of ``(src, dst, params, body)`` dependency edges.
-
-    Compiled ``F'`` closures are fresh objects on every compile, so the
-    *index* of the recursive body (stable across compiles of the same
-    analysed program) identifies which ``F'`` an edge applies.  Read
-    straight off the plan's columns: a multiset has no edge order.
-    """
-    signature: Counter = Counter()
-    for body, columns in enumerate(plan.edge_columns):
-        signature.update(
-            zip(columns.srcs, columns.dsts, columns.param_rows(), repeat(body))
-        )
-    return signature
 
 
 @dataclass
@@ -137,8 +120,8 @@ def _diff_values(aggregate, old: dict, new: dict, improved: dict, regressed: set
 
 
 def diff_plans(old_plan: CompiledPlan, new_plan: CompiledPlan) -> PlanDiff:
-    old_signature = plan_signature(old_plan)
-    new_signature = plan_signature(new_plan)
+    old_signature = old_plan.signature
+    new_signature = new_plan.signature
     improved: dict = {}
     regressed: set = set()
     aggregate = new_plan.aggregate

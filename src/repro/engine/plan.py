@@ -11,25 +11,33 @@ A :class:`CompiledPlan` is therefore a dependency graph over keys,
 stored as those columns (:class:`EdgeColumns`): edge ``j`` runs
 ``srcs[j] -> dsts[j]`` and ``fn(x, *params_j)`` is the contribution
 ``F'`` sends along it; the adjacency form is a view derived from them.
+
+The join is computed set-at-a-time
+(:func:`~repro.engine.rules.match_columns`): its result is a table with
+one column per variable, and the plan's columns are taken from it whole
+-- no per-edge Python runs at compile time.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Optional
 
 from repro.datalog import ProgramAnalysis
-from repro.engine.common import recursive_rule
+from repro.engine.common import initial_values, recursive_rule
 from repro.engine.relation import Database
 from repro.engine.result import WorkCounters
 from repro.engine.rules import (
     aggregate_contributions,
     evaluate_aux_rules,
     evaluate_rule_bodies,
-    iter_bindings,
+    key_column,
+    match_columns,
+    repeat_each,
 )
 from repro.engine.termination import TerminationSpec
 from repro.expr import compile_fn
@@ -89,6 +97,25 @@ class CompiledPlan:
     def edges_from(self, key) -> list:
         return self.out_edges.get(key, ())
 
+    @cached_property
+    def signature(self) -> Counter:
+        """Multiset of ``(src, dst, params, body)`` dependency edges: what
+        two compiles of one program are diffed by.
+
+        Compiled ``F'`` closures are fresh objects on every compile, so
+        the *index* of the recursive body (stable across compiles of the
+        same analysed program) identifies which ``F'`` an edge applies.
+        Read straight off the columns: a multiset has no edge order.
+        Cached, so read-only: a plan is diffed once as the new compile
+        and once more as the old one.
+        """
+        signature: Counter = Counter()
+        for body, columns in enumerate(self.edge_columns):
+            signature.update(
+                zip(columns.srcs, columns.dsts, columns.param_rows(), repeat(body))
+            )
+        return signature
+
     def __repr__(self):
         return (
             f"CompiledPlan({self.name}: {len(self.keys)} keys, "
@@ -146,10 +173,6 @@ def _typed_column(values: list):
         return values
 
 
-def _scalar(values: tuple):
-    return values[0] if len(values) == 1 else values
-
-
 def compile_plan(
     analysis: ProgramAnalysis,
     db: Database,
@@ -177,16 +200,9 @@ def compile_plan(
     iterated = analysis.head if analysis.iterated else None
     rec_rule = recursive_rule(analysis)
 
-    initial: dict = {}
-    for rule in analysis.base_rules:
-        contributions = evaluate_rule_bodies(
-            rule, work_db, counters=counters, iterated_predicate=iterated
-        )
-        for key, value in contributions:
-            if key in initial:
-                initial[key] = analysis.aggregate.combine(initial[key], value)
-            else:
-                initial[key] = value
+    initial = initial_values(
+        analysis, work_db, counters=counters, iterated_predicate=iterated
+    )
 
     constants: dict = {}
     if analysis.constant_bodies:
@@ -240,27 +256,23 @@ def compile_plan(
                     position = spec.source_keys.index(name)
                     broadcast_values[name].add(key_tuple[position])
 
-        srcs: list = []
-        dsts: list = []
-        param_cols: list[list] = [[] for _ in param_names]
-        for binding in iter_bindings(
+        rows, columns = match_columns(
             list(spec.join_atoms) + join_comparisons,
             work_db,
             counters=counters,
             iterated_predicate=iterated,
-        ):
-            expansions = [binding]
-            for name in broadcast:
-                expansions = [
-                    {**b, name: value}
-                    for b in expansions
-                    for value in sorted(broadcast_values[name])
-                ]
-            for bound in expansions:
-                srcs.append(_scalar(tuple(bound[name] for name in spec.source_keys)))
-                dsts.append(_scalar(tuple(bound[name] for name in analysis.key_vars)))
-                for col, name in zip(param_cols, param_names):
-                    col.append(bound[name])
+        )
+        for name in broadcast:
+            # one edge per value, values innermost: repeat every row,
+            # tile the values against them
+            values = sorted(broadcast_values[name])
+            for bound, column in columns.items():
+                columns[bound] = repeat_each(column, repeat(len(values)))
+            columns[name] = values * rows
+            rows *= len(values)
+        srcs = key_column([columns[name] for name in spec.source_keys], rows)
+        dsts = key_column([columns[name] for name in analysis.key_vars], rows)
+        param_cols = [columns[name] for name in param_names]
 
         # interleaved, as emitted: the set's layout (hence its iteration
         # order, which the partition map inherits) depends on it

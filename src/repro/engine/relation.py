@@ -8,6 +8,8 @@ avoid quadratic nested loops.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -22,8 +24,7 @@ class Relation:
         self._version = 0
         self._index_versions: dict[tuple[int, ...], int] = {}
         if tuples is not None:
-            for row in tuples:
-                self.add(row)
+            self.extend(tuples)
 
     def add(self, row: tuple) -> bool:
         """Insert a tuple; returns True if it was new."""
@@ -39,11 +40,22 @@ class Relation:
         return False
 
     def extend(self, rows: Iterable[tuple]) -> int:
-        """Insert many tuples; returns how many were new."""
-        added = 0
-        for row in rows:
-            if self.add(row):
-                added += 1
+        """Insert many tuples; returns how many were new.
+
+        All or nothing: a wrong-arity row raises before any is inserted.
+        """
+        rows = list(rows)
+        if not set(map(len, rows)) <= {self.arity}:
+            # ``add`` raises the arity error for the first offender
+            self.add(next(row for row in rows if len(row) != self.arity))
+        before = len(self._tuples)
+        # one insertion per row, in order -- what repeated ``add`` does.
+        # The set's layout, hence its iteration order, depends on it
+        # (``update`` with a set or ``set(rows)`` would size the table
+        # differently), and that order is every compiled plan's edge order
+        self._tuples.update(iter(rows))
+        added = len(self._tuples) - before
+        self._version += added
         return added
 
     def clear(self) -> None:
@@ -53,8 +65,7 @@ class Relation:
     def replace(self, rows: Iterable[tuple]) -> None:
         self._tuples = set()
         self._version += 1
-        for row in rows:
-            self.add(row)
+        self.extend(rows)
 
     def __contains__(self, row: tuple) -> bool:
         return row in self._tuples
@@ -73,6 +84,11 @@ class Relation:
         index = self._index_for(key)
         return index.get(values, [])
 
+    def lookup_many(self, positions: Sequence[int], keys: Iterable[tuple]) -> list:
+        """``lookup(positions, key)`` for each of ``keys``, in one pass."""
+        index = self._index_for(tuple(positions))
+        return list(map(index.get, keys, repeat(())))
+
     def _index_for(self, positions: tuple[int, ...]) -> dict[tuple, list[tuple]]:
         if (
             positions in self._indexes
@@ -80,8 +96,10 @@ class Relation:
         ):
             return self._indexes[positions]
         index: dict[tuple, list[tuple]] = {}
-        for row in self._tuples:
-            key = tuple(row[p] for p in positions)
+        keys = map(itemgetter(*positions), self._tuples)
+        if len(positions) == 1:  # itemgetter(p) yields the bare value
+            keys = zip(keys)
+        for key, row in zip(keys, self._tuples):
             index.setdefault(key, []).append(row)
         self._indexes[positions] = index
         self._index_versions[positions] = self._version

@@ -1,20 +1,28 @@
 """Rule-body evaluation: joins, assignments, filters, head construction.
 
 This is the relational workhorse shared by naive and semi-naive
-evaluation.  Bodies are evaluated by backtracking over their predicate
-atoms -- using lazily built hash indexes on the already-bound columns --
-while comparison atoms are applied as soon as their variables are bound
-(``=`` with an unbound left variable acts as an assignment, everything
-else as a filter).
+evaluation and by plan compilation.  Bodies are evaluated *set at a
+time*: :func:`match_columns` grows a table of bindings -- one column
+per variable -- by one predicate atom per step, looking every row up in
+the atom's lazily built hash index on the already-bound positions in
+one pass, while comparison atoms are applied down whole columns as soon
+as their variables are bound (``=`` with an unbound left variable acts
+as an assignment, everything else as a filter).  The only per-row
+Python left is inside the compiled comparison expressions themselves.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import defaultdict
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from itertools import chain, compress, islice, repeat
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.datalog.ast import (
+    AggregateSpec,
     ComparisonAtom,
+    IterationNext,
     NumberConstant,
     PredicateAtom,
     Rule,
@@ -47,203 +55,242 @@ def _strip_iteration(atom: PredicateAtom, iterated_predicate: Optional[str]) -> 
     return PredicateAtom(atom.name, atom.terms[1:])
 
 
-class _CompiledComparison:
-    """A comparison atom prepared for repeated evaluation."""
+_COMPARATORS: dict[str, Callable] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
-    __slots__ = ("atom", "assign_to", "needs", "fn", "argnames")
+
+class _CompiledComparison:
+    """A comparison atom prepared for evaluation down a binding table.
+
+    ``fn`` takes the columns named by ``argnames`` positionally.  With
+    ``assign_to`` set (``=`` under a bare left variable) it computes the
+    right-hand side: an assignment while that variable is unbound, an
+    equality filter once it is bound.  Otherwise it is the whole test.
+    """
+
+    __slots__ = ("atom", "assign_to", "argnames", "fn")
 
     def __init__(self, atom: ComparisonAtom):
         self.atom = atom
-        left_is_var = isinstance(atom.left, Var)
-        left_vars = atom.left.free_vars()
-        right_vars = atom.right.free_vars()
-        if atom.op == "=" and left_is_var:
-            # may act as assignment when the left variable is unbound
+        if atom.op == "=" and isinstance(atom.left, Var):
             self.assign_to = atom.left.name
-            self.argnames = tuple(sorted(right_vars))
+            self.argnames = tuple(sorted(atom.right.free_vars()))
             self.fn = compile_fn(atom.right, self.argnames)
-            self.needs = set(self.argnames)
         else:
             self.assign_to = None
-            self.argnames = tuple(sorted(left_vars | right_vars))
-            expr_pair = (atom.left, atom.right)
-            left_fn = compile_fn(expr_pair[0], self.argnames)
-            right_fn = compile_fn(expr_pair[1], self.argnames)
-            op = atom.op
-            comparators: dict[str, Callable] = {
-                "=": lambda a, b: a == b,
-                "!=": lambda a, b: a != b,
-                "<": lambda a, b: a < b,
-                "<=": lambda a, b: a <= b,
-                ">": lambda a, b: a > b,
-                ">=": lambda a, b: a >= b,
-            }
-            compare = comparators[op]
-            self.fn = lambda **kw: compare(left_fn(**kw), right_fn(**kw))
-            self.needs = set(self.argnames)
-
-    def try_apply(self, binding: dict) -> Optional[bool]:
-        """Apply if evaluable: returns True/False (keep/drop) or None (defer)."""
-        if self.assign_to is not None and self.assign_to not in binding:
-            if not self.needs <= binding.keys():
-                return None
-            binding[self.assign_to] = self.fn(
-                **{name: binding[name] for name in self.argnames}
+            self.argnames = tuple(
+                sorted(atom.left.free_vars() | atom.right.free_vars())
             )
-            return True
-        # filter: both sides must be bound (an assigned var counts as bound)
-        required = self.needs | ({self.assign_to} if self.assign_to else set())
-        if not required <= binding.keys():
+            left_fn = compile_fn(atom.left, self.argnames)
+            right_fn = compile_fn(atom.right, self.argnames)
+            compare = _COMPARATORS[atom.op]
+            self.fn = lambda *args: compare(left_fn(*args), right_fn(*args))
+
+    def apply(self, rows: int, columns: dict) -> Optional[int]:
+        """Apply down the table if evaluable: returns the surviving row
+        count, or ``None`` to defer until more variables are bound."""
+        if not columns.keys() >= set(self.argnames):
             return None
+        if self.argnames:
+            values = map(self.fn, *map(columns.__getitem__, self.argnames))
+        else:
+            values = (self.fn() for _ in range(rows))
         if self.assign_to is not None:
-            return binding[self.assign_to] == self.fn(
-                **{name: binding[name] for name in self.argnames}
-            )
-        return bool(self.fn(**{name: binding[name] for name in self.argnames}))
+            if self.assign_to not in columns:
+                columns[self.assign_to] = list(values)
+                return rows
+            values = map(operator.eq, columns[self.assign_to], values)
+        mask = list(values)
+        kept = sum(map(bool, mask))
+        if kept != rows:
+            _keep(columns, mask)
+        return kept
 
 
-def iter_bindings(
+def repeat_each(column: Iterable, counts: Iterable[int]) -> list:
+    """``column`` with its ``j``-th value repeated ``counts[j]`` times."""
+    return list(chain.from_iterable(map(repeat, column, counts)))
+
+
+def _keep(columns: dict, mask: list) -> None:
+    """Drop, from every column, the rows whose ``mask`` entry is false."""
+    for name, column in columns.items():
+        columns[name] = list(compress(column, mask))
+
+
+def _apply_comparisons(pending: list, rows: int, columns: dict) -> tuple[int, list]:
+    """Apply every evaluable comparison, again while one made progress;
+    returns the surviving row count and the comparisons still deferred."""
+    progressed = True
+    while progressed and rows:
+        progressed = False
+        deferred = []
+        for comparison in pending:
+            kept = comparison.apply(rows, columns)
+            if kept is None:
+                deferred.append(comparison)
+            else:
+                rows = kept
+                progressed = True
+        pending = deferred
+    return rows, pending
+
+
+def match_columns(
     atoms: Iterable,
     db: Database,
     overrides: Optional[Mapping[str, Relation]] = None,
     counters: Optional[WorkCounters] = None,
     iterated_predicate: Optional[str] = None,
-) -> Iterator[dict]:
-    """Enumerate all variable bindings satisfying a conjunction of atoms.
+) -> tuple[int, dict[str, list]]:
+    """All variable bindings satisfying a conjunction of atoms, as a table.
+
+    Returns ``(rows, columns)``: ``columns[name][j]`` is the value of
+    variable ``name`` in the ``j``-th binding, and the values are the
+    relations' own objects.  Atoms that are neither predicates nor
+    comparisons (termination clauses) are ignored.
 
     ``overrides`` maps predicate names to replacement relations -- this is
     how semi-naive evaluation binds the recursive atom to the delta
     relation instead of the full one.
+
+    The table starts as the one empty binding and is extended one
+    predicate atom at a time, outer rows major and each row's matches in
+    index-bucket order: the order a depth-first, atom-by-atom
+    backtracking search yields bindings in.  Before each atom and once
+    at the end every comparison whose variables are bound is applied.
+    Like that search the join is lazy about errors: once no binding is
+    left nothing further is looked up or evaluated, a body term that
+    cannot be matched raises only when a tuple reaches it, and leftover
+    comparisons raise only when a binding survives to the end.
     """
     overrides = overrides or {}
-    predicates = [
-        _strip_iteration(a, iterated_predicate)
-        for a in atoms
-        if isinstance(a, PredicateAtom)
-    ]
-    comparisons = [
-        _CompiledComparison(a) for a in atoms if isinstance(a, ComparisonAtom)
-    ]
-
-    def relation_for(atom: PredicateAtom) -> Relation:
-        if atom.name in overrides:
-            return overrides[atom.name]
-        return db.relation(atom.name)
-
-    def apply_comparisons(binding: dict, pending: list) -> Optional[list]:
-        """Apply every evaluable comparison; None signals a failed filter."""
-        remaining = pending
-        progressed = True
-        while progressed:
-            progressed = False
-            still: list = []
-            for comp in remaining:
-                outcome = comp.try_apply(binding)
-                if outcome is None:
-                    still.append(comp)
-                elif outcome is False:
-                    return None
-                else:
-                    progressed = True
-            remaining = still
-        return remaining
-
-    def match(index: int, binding: dict, pending: list) -> Iterator[dict]:
-        applied = apply_comparisons(binding, pending)
-        if applied is None:
-            return
-        if index == len(predicates):
-            if applied:
-                unresolved = [c.atom for c in applied]
-                raise AnalysisError(
-                    f"comparisons with unbound variables: {unresolved}"
-                )
-            yield binding
-            return
-        atom = predicates[index]
-        relation = relation_for(atom)
-        bound_positions: list[int] = []
-        bound_values: list = []
-        for position, term in enumerate(atom.terms):
-            if isinstance(term, Variable) and term.name in binding:
-                bound_positions.append(position)
-                bound_values.append(binding[term.name])
-            elif isinstance(term, NumberConstant):
-                bound_positions.append(position)
-                bound_values.append(to_number(term.value))
-            elif isinstance(term, SymbolConstant):
-                bound_positions.append(position)
-                bound_values.append(term.value)
-        rows = relation.lookup(bound_positions, tuple(bound_values))
-        if counters is not None:
-            counters.tuples_scanned += len(rows)
-        for row in rows:
-            extended = dict(binding)
-            ok = True
-            for position, term in enumerate(atom.terms):
-                if isinstance(term, (Wildcard, NumberConstant, SymbolConstant)):
-                    continue
-                if isinstance(term, Variable):
-                    if term.name in extended:
-                        if extended[term.name] != row[position]:
-                            ok = False
-                            break
-                    else:
-                        extended[term.name] = row[position]
-                else:
-                    raise AnalysisError(f"unsupported body term {term!r}")
-            if ok:
-                yield from match(index + 1, extended, list(applied))
-
-    try:
-        yield from match(0, {}, list(comparisons))
-    finally:
-        # ``match`` calls itself through its own closure cell: a reference
-        # cycle that would keep ``db`` alive until some later GC pass
-        match = None
+    atoms = list(atoms)
+    pending = [_CompiledComparison(a) for a in atoms if isinstance(a, ComparisonAtom)]
+    rows, columns = 1, {}
+    for atom in atoms:
+        if not isinstance(atom, PredicateAtom):
+            continue
+        rows, pending = _apply_comparisons(pending, rows, columns)
+        if rows:
+            atom = _strip_iteration(atom, iterated_predicate)
+            relation = (
+                overrides[atom.name] if atom.name in overrides else db.relation(atom.name)
+            )
+            rows = _join(atom, relation, rows, columns, counters)
+    rows, pending = _apply_comparisons(pending, rows, columns)
+    if not rows:
+        # nothing downstream was reached, so no name is known to be
+        # bound or unbound: an empty table has an empty column for any
+        return 0, defaultdict(list)
+    if pending:
+        raise AnalysisError(
+            f"comparisons with unbound variables: {[c.atom for c in pending]}"
+        )
+    return rows, columns
 
 
-def _head_key_and_value(rule: Rule, binding: dict, iterated_predicate: Optional[str]):
-    """Build (key, value) from a rule head under a binding.
+def _join(
+    atom: PredicateAtom,
+    relation: Relation,
+    rows: int,
+    columns: dict,
+    counters: Optional[WorkCounters],
+) -> int:
+    """Extend the binding table in place by one atom; returns its new row count."""
+    positions: list[int] = []
+    key_parts: list[Iterable] = []
+    joined = False
+    for position, term in enumerate(atom.terms):
+        if isinstance(term, Variable):
+            if term.name in columns:
+                positions.append(position)
+                key_parts.append(columns[term.name])
+                joined = True
+        elif isinstance(term, NumberConstant):
+            positions.append(position)
+            key_parts.append(repeat(to_number(term.value)))
+        elif isinstance(term, SymbolConstant):
+            positions.append(position)
+            key_parts.append(repeat(term.value))
+    if joined:
+        buckets = relation.lookup_many(positions, zip(*key_parts))
+    else:
+        # no bound variable: every row meets the same tuples (a cross product)
+        buckets = [relation.lookup(positions, next(zip(*key_parts), ()))] * rows
+    lengths = list(map(len, buckets))
+    if counters is not None:
+        counters.tuples_scanned += sum(lengths)
+    matched = list(chain.from_iterable(buckets))
+    if lengths.count(1) != rows:  # else a functional lookup: rows stay put
+        for name, column in columns.items():
+            columns[name] = repeat_each(column, lengths)
+    fresh: set[str] = set()
+    for position, term in enumerate(atom.terms):
+        if isinstance(term, Variable):
+            if term.name not in columns:
+                # one pass per position: transposing with zip(*matched)
+                # would hold an iterator per tuple alive at once
+                columns[term.name] = list(map(operator.itemgetter(position), matched))
+                fresh.add(term.name)
+            elif term.name in fresh:
+                # repeated within the atom: later occurrences filter
+                again = map(operator.itemgetter(position), matched)
+                mask = list(map(operator.eq, columns[term.name], again))
+                _keep(columns, mask)
+                matched = list(compress(matched, mask))
+        elif not isinstance(term, (Wildcard, NumberConstant, SymbolConstant)) and matched:
+            raise AnalysisError(f"unsupported body term {term!r}")
+    return len(matched)
+
+
+def key_column(parts: Sequence[Iterable], rows: int) -> list:
+    """``rows`` group-by keys from per-position columns: the values
+    themselves for a single position, tuples otherwise."""
+    keys = parts[0] if len(parts) == 1 else zip(*parts) if parts else repeat(())
+    return list(islice(keys, rows))
+
+
+def _head_pairs(
+    rule: Rule, rows: int, columns: Mapping[str, list], iterated_predicate: Optional[str]
+) -> list[tuple]:
+    """One (key, value) per binding row, built from a rule head.
 
     The last head position carries the value (the aggregate variable for
     aggregate heads); earlier positions are the group-by key.  ``count``
     heads contribute 1 per binding (standard counting semantics).
     """
-    from repro.datalog.ast import AggregateSpec, IterationNext
-
-    terms = list(rule.head.terms)
-    strip = (
-        rule.head.name == iterated_predicate
-        and terms
-        and isinstance(terms[0], (IterationNext, NumberConstant, Variable))
-    )
-    if strip:
+    terms = rule.head.terms
+    if rule.head.name == iterated_predicate and isinstance(
+        terms[0], (IterationNext, NumberConstant, Variable)
+    ):
         terms = terms[1:]
-    key_parts = []
-    for term in terms[:-1]:
+    *key_terms, last = terms
+    parts: list[Iterable] = []
+    for term in key_terms:
         if isinstance(term, Variable):
-            key_parts.append(binding[term.name])
+            parts.append(columns[term.name])
         elif isinstance(term, NumberConstant):
-            key_parts.append(to_number(term.value))
+            parts.append(repeat(to_number(term.value)))
         elif isinstance(term, SymbolConstant):
-            key_parts.append(term.value)
+            parts.append(repeat(term.value))
         else:
             raise AnalysisError(f"unsupported head term {term!r}")
-    last = terms[-1]
     if isinstance(last, AggregateSpec):
-        if last.op == "count":
-            value = 1
-        else:
-            value = binding[last.variable]
+        values = repeat(1) if last.op == "count" else columns[last.variable]
     elif isinstance(last, Variable):
-        value = binding[last.name]
+        values = columns[last.name]
     elif isinstance(last, NumberConstant):
-        value = to_number(last.value)
+        values = repeat(to_number(last.value))
     else:
         raise AnalysisError(f"unsupported head value term {last!r}")
-    key = key_parts[0] if len(key_parts) == 1 else tuple(key_parts)
-    return key, value
+    return list(zip(key_column(parts, rows), values))
 
 
 def evaluate_rule_bodies(
@@ -260,32 +307,23 @@ def evaluate_rule_bodies(
     lets naive evaluation aggregate the union of many sources in one pass.
     Facts (rules without bodies) yield their head directly.
     """
-    contributions: list[tuple] = []
     selected = list(bodies) if bodies is not None else list(rule.bodies)
     if not selected:
-        contributions.append(_head_key_and_value(rule, {}, iterated_predicate))
-        return contributions
+        return _head_pairs(rule, 1, {}, iterated_predicate)
+    contributions: list[tuple] = []
     for body in selected:
-        atoms = [a for a in body.atoms if not _is_termination(a)]
-        for binding in iter_bindings(
-            atoms,
+        rows, columns = match_columns(
+            body.atoms,
             db,
             overrides=overrides,
             counters=counters,
             iterated_predicate=iterated_predicate,
-        ):
-            if counters is not None:
-                counters.bindings_produced += 1
-            contributions.append(
-                _head_key_and_value(rule, binding, iterated_predicate)
-            )
+        )
+        if counters is not None:
+            counters.bindings_produced += rows
+        if rows:  # the head, too, is only inspected under a binding
+            contributions += _head_pairs(rule, rows, columns, iterated_predicate)
     return contributions
-
-
-def _is_termination(atom) -> bool:
-    from repro.datalog.ast import TerminationAtom
-
-    return isinstance(atom, TerminationAtom)
 
 
 def aggregate_contributions(aggregate, contributions: Iterable[tuple]) -> dict:

@@ -38,6 +38,7 @@ from repro.runtime import (
     resolve_backend,
     resolve_backend_for_plan,
 )
+from tests.reference_matcher import reference_bindings
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="numpy backend not installed"
@@ -220,20 +221,28 @@ class TestEdgeColumns:
     @pytest.mark.parametrize("program", ALL_PROGRAMS)
     def test_view_values_keep_the_matcher_types(self, program, monkeypatch):
         """Every edge reachable through ``plan.edges_from`` carries
-        values ``type()``-identical, element by element, to what the
-        matcher bound for it: no column coerces (``4`` stays an int)."""
+        values ``type()``-identical, element by element, to what an
+        independent matcher -- the tuple-at-a-time reference -- binds for
+        it on the same join: no column coerces (``4`` stays an int)."""
         import repro.engine.plan as plan_module
 
-        matcher = plan_module.iter_bindings
+        match_columns = plan_module.match_columns
         bound: list[list] = []  # one list of bindings per recursive body
 
-        def recording(*args, **kwargs):
-            bound.append([])
-            for binding in matcher(*args, **kwargs):
-                bound[-1].append(dict(binding))
-                yield binding
+        def recording(atoms, db, counters=None, iterated_predicate=None):
+            bound.append(
+                [
+                    dict(binding)
+                    for binding in reference_bindings(
+                        atoms, db, iterated_predicate=iterated_predicate
+                    )
+                ]
+            )
+            return match_columns(
+                atoms, db, counters=counters, iterated_predicate=iterated_predicate
+            )
 
-        monkeypatch.setattr(plan_module, "iter_bindings", recording)
+        monkeypatch.setattr(plan_module, "match_columns", recording)
         plan = plan_for(program)
         analysis = plan.analysis
         assert len(bound) == len(plan.fprime_fns)

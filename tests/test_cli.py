@@ -15,6 +15,66 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
 
+class TestNumericFlags:
+    """An out-of-range number is a usage error -- argparse's one
+    ``error:`` line and exit 2 -- not a traceback from wherever the value
+    is first used, and not a silent run of something else."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # positive worker / executor counts (were ValueError tracebacks)
+            (["run", "sssp", "--workers", "0"], "a positive integer"),
+            (["run", "sssp", "--workers", "-2"], "a positive integer"),
+            (["lint", "sssp", "--workers", "0"], "a positive integer"),
+            (["chaos", "--workers", "0"], "a positive integer"),
+            (["trace", "sssp", "--workers", "0"], "a positive integer"),
+            (["serve", "--workers", "0"], "a positive integer"),
+            (["serve", "--executors", "0"], "a positive integer"),
+            # non-negative counts (a traceback, or silently another run)
+            (["serve", "--requests", "-5"], "a non-negative integer"),
+            (["run", "sssp", "--top", "-3"], "a non-negative integer"),
+            (["delta", "sssp", "--inserts", "-3"], "a non-negative integer"),
+            (["delta", "sssp", "--deletes", "-1"], "a non-negative integer"),
+            (["delta", "sssp", "--updates", "-1"], "a non-negative integer"),
+            # positive finite scales and rates (were silently accepted)
+            (["run", "sssp", "--scale", "-1"], "a positive finite number"),
+            (["run", "sssp", "--scale", "0"], "a positive finite number"),
+            (["run", "sssp", "--scale", "nan"], "a positive finite number"),
+            (["run", "sssp", "--scale", "inf"], "a positive finite number"),
+            (["delta", "sssp", "--scale", "0"], "a positive finite number"),
+            (["metrics", "sssp", "--scale", "-1"], "a positive finite number"),
+            (["datasets", "--scale", "0"], "a positive finite number"),
+            (["serve", "--rate", "0"], "a positive finite number"),
+            (["serve", "--burst-factor", "-1"], "a positive finite number"),
+            (["serve", "--freshness-ttl", "-1"], "a non-negative finite number"),
+            # chaos probabilities and crash times
+            (["chaos", "--drop", "1.5"], "a probability in [0, 1]"),
+            (["chaos", "--duplicate", "-0.1"], "a probability in [0, 1]"),
+            (["chaos", "--crash-at", "-0.5"], "a non-negative finite number"),
+            # still not a number at all
+            (["run", "sssp", "--workers", "many"], "a positive integer"),
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, argv, expected, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("repro " + argv[0] + ": error: argument")
+        assert f"expected {expected}, got {argv[-1]!r}" in err
+        assert "Traceback" not in err
+
+    def test_boundary_values_are_accepted(self):
+        parse = build_parser().parse_args
+        assert parse(["run", "sssp", "--workers", "1", "--top", "0"]).workers == 1
+        assert parse(["run", "sssp", "--scale", "1e-3"]).scale == 0.001
+        assert parse(["serve", "--requests", "0", "--freshness-ttl", "0"]).requests == 0
+        chaos = parse(["chaos", "--drop", "0", "--duplicate", "1", "--crash-at", "0", "1.5"])
+        assert (chaos.drop, chaos.duplicate, chaos.crash_at) == (0.0, 1.0, [0.0, 1.5])
+        assert parse(["delta", "sssp", "--seed", "-7"]).seed == -7
+
+
 class TestCheck:
     def test_library_program_passes(self, capsys):
         assert main(["check", "sssp"]) == 0

@@ -289,6 +289,21 @@ class TestPlanDiffAndStrategy:
         assert not diff.is_pure_growth
         assert sum(diff.removed.values()) == 1
 
+    def test_signature_is_built_once_per_plan(self, graph):
+        # a refresh diffs the plan the previous refresh compiled: the
+        # middle plan of a chain is multiset-ed once, not twice, and
+        # diffing (Counter subtraction) leaves the cached multiset intact
+        first = random_delta(graph, seed=3, insert_edges=4)
+        old, middle = self._plans("sssp", graph, first)
+        assert "signature" not in vars(middle)
+        grown = diff_plans(old, middle)
+        cached = vars(middle)["signature"]
+        snapshot = dict(cached)
+        shrunk = diff_plans(middle, old)
+        assert middle.signature is cached and dict(cached) == snapshot
+        assert sum(cached.values()) == middle.num_edges
+        assert shrunk.removed == grown.added and not shrunk.added
+
     def test_strategy_table(self):
         from collections import Counter
 

@@ -94,3 +94,40 @@ class TestRepr:
         plan = compile_plan(analyze(parse_program(sssp_source, name="sssp")), diamond_db)
         text = repr(plan)
         assert "sssp" in text and "4 keys" in text and "5 edges" in text
+
+
+class TestCompileIsSetAtATime:
+    def test_collections_do_not_grow_with_the_plan(self):
+        """Compiling allocates a few long columns, not a container per
+        edge: the cyclic collector runs no more often over 20 k edges
+        than over 2 k.  (Transposing the matched tuples with
+        ``zip(*rows)`` holds one iterator per edge alive at once -- 270
+        collections and most of the compile time on a 208 k-edge plan.)"""
+        import gc
+
+        from repro.graphs import rmat
+
+        spec = PROGRAMS["sssp"]
+        analysis = spec.analysis()
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        def collections_while_compiling(vertices, edges):
+            db = spec.build_database(rmat(vertices, edges, seed=5).with_weights())
+            gc.collect()
+            del collections[:]
+            gc.callbacks.append(count)
+            try:
+                plan = compile_plan(analysis, db)
+            finally:
+                gc.callbacks.remove(count)
+            assert plan.num_edges > edges * 0.9
+            return len(collections)
+
+        assert gc.isenabled()
+        small = collections_while_compiling(400, 2_000)
+        large = collections_while_compiling(4_000, 20_000)
+        assert large <= small + 2

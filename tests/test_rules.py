@@ -10,16 +10,17 @@ from repro.engine.rules import (
     aggregate_contributions,
     evaluate_aux_rules,
     evaluate_rule_bodies,
-    iter_bindings,
+    match_columns,
     to_number,
 )
 from repro.aggregates import MIN, SUM
+from tests.reference_matcher import as_bindings
 
 
 def bindings_of(source_rule: str, db: Database, **kwargs):
     rule = parse_program(source_rule).rules[0]
     atoms = rule.bodies[0].atoms
-    return list(iter_bindings(atoms, db, **kwargs))
+    return as_bindings(*match_columns(atoms, db, **kwargs))
 
 
 class TestJoins:
@@ -50,10 +51,10 @@ class TestJoins:
 
 
     def test_matcher_does_not_pin_the_database(self):
-        """The matcher's recursive closure is a reference cycle; left in
-        place it keeps the database (``compile_plan``'s private copy of
-        every relation) alive until some later GC pass -- on a 208 k-edge
-        plan that pass cost 10-25 ms in the middle of the solve."""
+        """No reference cycle keeps ``db`` alive once ``match_columns``
+        has returned: a cycle would hold the database (``compile_plan``'s
+        private copy of every relation) until some later GC pass -- on a
+        208 k-edge plan that pass cost 10-25 ms in the middle of the solve."""
         import gc
         import weakref
 
