@@ -17,6 +17,18 @@ Simulated time is the event clock: worker busy time is measured work
 (tuples, message CPU, bandwidth) divided by per-worker speed; message
 delivery is delayed by latency plus payload bandwidth.
 
+What moves between those events is the kernels' *payloads*, a process
+event at a time (:mod:`repro.runtime.base`): the shard selects its batch
+and runs it (``select_pending``, ``apply_batch(keys=...)``); the batch's
+foreign contributions come back as one payload with the ``ops_so_far``
+each was emitted at; the worker's :class:`~repro.runtime.SendSide` folds
+them into its flush buffers and reports the ones that fill mid-batch,
+which are flushed at the instant their last update was computed; a
+delivered payload is parked in the receiver's inbox and ingested, with
+everything else parked there, by one ``push_many`` before the receiver's
+state is next read (``ingest``: the drain rule).  The loop never looks
+inside a payload and never asks which kernel made it.
+
 Fault injection (``cluster.faults``, see :mod:`repro.distributed.chaos`)
 wires failure into the same event clock:
 
@@ -113,11 +125,13 @@ class AsyncEngine:
         self.run_name = run_name
 
     # -- extension hooks --------------------------------------------------------
-    def _make_buffer(self, worker: int = -1, target: int = -1):
+    def _make_buffer(self, side, worker: int, target: int):
+        """The flush buffer ``worker`` keeps for ``target``, over the
+        worker's send side."""
         if self.buffer_policy.adaptive:
-            buffer = AdaptiveBuffer(self.buffer_policy)
+            buffer = AdaptiveBuffer(self.buffer_policy, side, target)
             obs = self.obs
-            if obs.enabled and worker >= 0:
+            if obs.enabled:
                 def on_adapt(now, old, new, pace, _w=worker, _t=target):
                     obs.trace.emit(
                         "buffer.beta", t=now, worker=_w, target=_t,
@@ -128,7 +142,9 @@ class AsyncEngine:
 
                 buffer.on_adapt = on_adapt
             return buffer
-        return FixedBuffer(self.buffer_policy.initial_beta, self.buffer_policy.tau)
+        return FixedBuffer(
+            self.buffer_policy.initial_beta, self.buffer_policy.tau, side, target
+        )
 
     def _batch_limit(self, worker: int) -> Optional[int]:
         """Per-worker batch size; AAP overrides this dynamically."""
@@ -162,12 +178,9 @@ class AsyncEngine:
         if not restored:
             state.seed_initial_delta()
         counters = state.counters
-        aggregate = plan.aggregate
-        combine = aggregate.combine
-        owner = state.owner
         shards = state.shards
         speeds = state.speeds
-        selective = aggregate.is_idempotent
+        selective = plan.aggregate.is_idempotent
 
         chaos = injector_for(cluster, obs)
         # one-shard restore + Theorem-3 replay is sound for idempotent
@@ -179,14 +192,19 @@ class AsyncEngine:
         ):
             checkpoint_interval = cost.termination_interval
 
+        #: per worker: what its flush buffers hold, and the buffers
+        sends = [state.send_side() for _ in range(num_workers)]
         buffers = [
             {
-                target: self._make_buffer(w, target)
+                target: self._make_buffer(sends[w], w, target)
                 for target in range(num_workers)
                 if target != w
             }
             for w in range(num_workers)
         ]
+        #: per worker: delivered payloads not yet ingested (the drain
+        #: rule: ``ingest`` before anything reads the pending column)
+        inbox: list[list] = [[] for _ in range(num_workers)]
         busy_until = [0.0] * num_workers
         scheduled = [False] * num_workers
         inflight = 0
@@ -235,7 +253,7 @@ class AsyncEngine:
                 schedule(max(time, busy_until[worker]), "process", worker)
 
         # -- transmission: the only way a payload crosses workers ---------------
-        def transmit(worker: int, target: int, payload: dict, send_time: float):
+        def transmit(worker: int, target: int, payload, send_time: float):
             nonlocal inflight
             counters.messages += 1
             counters.message_tuples += len(payload)
@@ -250,7 +268,7 @@ class AsyncEngine:
             schedule(send_time + rbuffer.timeout(1), "rto", (worker, target, seq, 1))
             launch(worker, target, seq, payload, send_time)
 
-        def launch(sender: int, target: int, seq: int, payload: dict, send_time: float):
+        def launch(sender: int, target: int, seq: int, payload, send_time: float):
             """One transmission attempt, with its injected fate."""
             nonlocal inflight
             if down[target] or chaos.drops(sender, target, send_time):
@@ -296,56 +314,46 @@ class AsyncEngine:
         now = 0.0
         last_activity = 0.0
 
-        def select_batch(worker: int) -> list:
-            """Pick the keys to process this round.
+        def ingest(worker: int) -> None:
+            """Fold everything ``worker`` has received into its shard, in
+            arrival order."""
+            parked = inbox[worker]
+            if parked:
+                shards[worker].push_many(*parked)
+                parked.clear()
 
-            Selective aggregates process best-first (smallest pending
-            delta for min), a realistic async priority; additive ones use
-            arrival order, deferring deltas below the importance
-            threshold (section 5.4) while any larger one exists.
-            """
-            shard = shards[worker]
-            limit = self._batch_limit(worker)
-            pending = shard.intermediate
-            if selective:
-                keys = sorted(pending, key=pending.get)
-                return keys if limit is None else keys[:limit]
-            if self.importance_threshold is not None:
-                # section 5.4: only important deltas propagate now; the
-                # rest stay cached in the intermediate column, combining
-                # with later arrivals until they matter.
-                important = [
-                    key
-                    for key, value in pending.items()
-                    if aggregate.delta_magnitude(value) >= self.importance_threshold
-                ]
-                return important if limit is None else important[:limit]
-            if limit is None:
-                return list(pending)
-            return list(itertools.islice(pending, limit))
+        def ingest_all() -> None:
+            for worker in range(num_workers):
+                ingest(worker)
+
+        def flush_buffer(worker: int, target: int, buffer, at: float, reason: str) -> float:
+            """Flush one buffer at ``at`` and send its payload; returns
+            the sender CPU the message cost."""
+            payload = buffer.flush(at)
+            buffer.observe_flush(at)
+            if obs.enabled:
+                obs.trace.emit(
+                    "buffer.flush", t=at, worker=worker, target=target,
+                    size=len(payload), reason=reason,
+                )
+                obs.metrics.inc("buffer.flushes", worker=worker)
+                obs.metrics.observe("buffer.flush_size", len(payload))
+            send_cpu = (
+                cost.message_cpu_cost + len(payload) * cost.tuple_net_cost
+            ) / speeds[worker]
+            transmit(worker, target, payload, at + send_cpu)
+            return send_cpu
 
         def flush_ready_buffers(worker: int, time: float) -> float:
             """Flush every buffer that is full or stale; returns new time."""
             for target, buffer in buffers[worker].items():
-                if buffer.should_flush(time):
-                    payload = buffer.flush(time)
-                    buffer.observe_flush(time)
-                    if obs.enabled:
-                        obs.trace.emit(
-                            "buffer.flush", t=time, worker=worker, target=target,
-                            size=len(payload), reason="ready",
-                        )
-                        obs.metrics.inc("buffer.flushes", worker=worker)
-                        obs.metrics.observe("buffer.flush_size", len(payload))
-                    send_cpu = (
-                        cost.message_cpu_cost + len(payload) * cost.tuple_net_cost
-                    ) / speeds[worker]
-                    time += send_cpu
-                    transmit(worker, target, payload, time)
+                # most buffers are empty at most timer events
+                if buffer.pending_count and buffer.should_flush(time):
+                    time += flush_buffer(worker, target, buffer, time, "ready")
             return time
 
         def schedule_timer_if_buffered(worker: int, time: float) -> None:
-            if any(b.pending for b in buffers[worker].values()):
+            if any(b.pending_count for b in buffers[worker].values()):
                 schedule(time + self.buffer_policy.tau, "timer", worker)
 
         def handle_process(worker: int, time: float) -> None:
@@ -353,11 +361,17 @@ class AsyncEngine:
             scheduled[worker] = False
             if chaos is not None and down[worker]:
                 return
+            ingest(worker)
             shard = shards[worker]
             if not shard.has_pending():
                 return
-            batch = select_batch(worker)
-            if not batch:
+            # selective aggregates process best-first, additive ones in
+            # arrival order, deferring deltas below the importance
+            # threshold (section 5.4) while any larger one exists
+            batch = shard.select_pending(
+                self.importance_threshold, selective, self._batch_limit(worker)
+            )
+            if not len(batch):
                 # everything pending is below the importance threshold;
                 # idle until new deliveries make some delta important --
                 # but buffered remote updates must still age out.
@@ -365,36 +379,21 @@ class AsyncEngine:
                 busy_until[worker] = finish
                 schedule_timer_if_buffered(worker, finish)
                 return
+            batch_result = shard.apply_batch(keys=batch)
+            # foreign contributions go to the send buffers; one that
+            # fills is flushed mid-batch, at the instant its last update
+            # was computed -- the size knob beta is exactly the
+            # communication frequency the unified engine adapts
+            # (section 5.3)
             send_cpu_total = 0.0
-
-            def emit(dst, value, ops_so_far):
-                # foreign-edge contribution: buffer it, flushing mid-batch
-                # when full -- the size knob beta is exactly the
-                # communication frequency the unified engine adapts
-                # (section 5.3)
-                nonlocal send_cpu_total
-                target = owner[dst]
-                buffer = buffers[worker][target]
-                buffer.add(dst, value, combine)
-                if buffer.pending_count < buffer.beta:
-                    return
-                moment = time + ops_so_far * cost.tuple_cost / speeds[worker]
-                payload = buffer.flush(moment)
-                buffer.observe_flush(moment)
-                if obs.enabled:
-                    obs.trace.emit(
-                        "buffer.flush", t=moment, worker=worker, target=target,
-                        size=len(payload), reason="full",
+            if len(batch_result.out):
+                for target, buffer, ops_so_far in sends[worker].fill(
+                    buffers[worker], batch_result.out, batch_result.offsets
+                ):
+                    moment = time + ops_so_far * cost.tuple_cost / speeds[worker]
+                    send_cpu_total += flush_buffer(
+                        worker, target, buffer, moment, "full"
                     )
-                    obs.metrics.inc("buffer.flushes", worker=worker)
-                    obs.metrics.observe("buffer.flush_size", len(payload))
-                send_cpu = (
-                    cost.message_cpu_cost + len(payload) * cost.tuple_net_cost
-                ) / speeds[worker]
-                send_cpu_total += send_cpu
-                transmit(worker, target, payload, moment + send_cpu)
-
-            batch_result = shard.apply_batch(keys=batch, emit=emit)
             ops = batch_result.ops
             progress_magnitude += batch_result.magnitude
             progress_updates += batch_result.changed
@@ -453,9 +452,7 @@ class AsyncEngine:
                         return
                 else:
                     seen[target][sender].add(seq)
-            shard = shards[target]
-            for dst, value in payload.items():
-                shard.push(dst, value)
+            inbox[target].append(payload)
             self._observe_delivery(target, len(payload))
             schedule_worker(target, time)
 
@@ -496,13 +493,11 @@ class AsyncEngine:
         latest_snapshot: list = [None]
 
         def take_snapshot() -> dict:
+            ingest_all()
             return {
                 "shards": [s.snapshot() for s in shards],
                 "buffers": [
-                    {
-                        t: (dict(b.pending), b.pending_count, b.last_flush_time, b.beta)
-                        for t, b in worker_buffers.items()
-                    }
+                    {t: b.snapshot() for t, b in worker_buffers.items()}
                     for worker_buffers in buffers
                 ],
                 "retrans": [
@@ -523,6 +518,7 @@ class AsyncEngine:
                 schedule(time + checkpoint_interval, "ckpt", None)
                 return
             if self.checkpointer is not None:
+                ingest_all()
                 state.checkpoint(self.checkpointer, self.run_name)
                 if obs.enabled:
                     obs.trace.emit("ckpt.write", t=time, run=self.run_name)
@@ -545,7 +541,9 @@ class AsyncEngine:
             scheduled[worker] = False
             busy_until[worker] = time
             # everything volatile dies: shard, send buffers, retransmit
-            # state, dedup state
+            # state, dedup state (what it had received still counts as
+            # combined: work counters are never rolled back)
+            ingest(worker)
             for buffer in buffers[worker].values():
                 buffer.flush(time)
             for rbuffer in retrans[worker].values():
@@ -584,18 +582,21 @@ class AsyncEngine:
             # aggregates only -- additive ones take the rollback path)
             live = [peer for peer in range(num_workers) if not down[peer]]
             replay_ops = dict.fromkeys(live, 0)
-            outbound: dict[int, dict] = {peer: {} for peer in live}
+            #: per peer: its own contributions, and the foreign ones with
+            #: their targets in first-occurrence (= transmission) order
+            local: dict[int, list] = {peer: [] for peer in live}
+            foreign: dict[int, list] = {peer: [] for peer in live}
+            targets: dict[int, dict] = {peer: {} for peer in live}
             for peer, target, dst, contribution in state.replay(worker, live):
                 replay_ops[peer] += 1
                 if target == peer:
-                    shards[peer].push(dst, contribution)
+                    local[peer].append((dst, contribution))
                 else:
-                    box = outbound[peer].setdefault(target, {})
-                    if dst in box:
-                        box[dst] = combine(box[dst], contribution)
-                    else:
-                        box[dst] = contribution
+                    foreign[peer].append((dst, contribution))
+                    targets[peer][target] = None
             for peer in live:
+                if local[peer]:
+                    inbox[peer].append(local[peer])
                 ops = replay_ops[peer]
                 if ops:
                     chaos.record(
@@ -607,9 +608,12 @@ class AsyncEngine:
                         + ops * cost.tuple_cost / speeds[peer]
                     )
                     busy_until[peer] = send_time
-                    for target, payload in outbound[peer].items():
-                        transmit(peer, target, payload, send_time)
-                if shards[peer].has_pending():
+                    # one message per target, outside the flush buffers
+                    side = state.send_side()
+                    side.fold(foreign[peer])
+                    for target in targets[peer]:
+                        transmit(peer, target, side.take(target), send_time)
+                if shards[peer].has_pending() or inbox[peer]:
                     schedule_worker(peer, max(time, busy_until[peer]))
 
         def rollback(time: float, restart_after: float) -> None:
@@ -621,14 +625,11 @@ class AsyncEngine:
             snap = latest_snapshot[0]
             resume = time + restart_after
             for w, shard_snap in enumerate(snap["shards"]):
+                ingest(w)
                 shards[w].restore(shard_snap)
             for w, snap_buffers in enumerate(snap["buffers"]):
-                for t, (pending, count, last_flush, beta) in snap_buffers.items():
-                    buffer = buffers[w][t]
-                    buffer.pending = dict(pending)
-                    buffer.pending_count = count
-                    buffer.last_flush_time = last_flush
-                    buffer.beta = beta
+                for t, buffer_snap in snap_buffers.items():
+                    buffers[w][t].restore(buffer_snap)
             for w, snap_retrans in enumerate(snap["retrans"]):
                 for t, unacked in snap_retrans.items():
                     retrans[w][t].unacked = dict(unacked)
@@ -650,7 +651,7 @@ class AsyncEngine:
                         schedule(resume + rbuffer.timeout(1), "rto", (w, t, seq, 1))
                 if shards[w].has_pending():
                     schedule_worker(w, resume)
-                if any(b.pending for b in buffers[w].values()):
+                if any(b.pending_count for b in buffers[w].values()):
                     schedule(resume + self.buffer_policy.tau, "timer", w)
             for crash in remaining_crashes:
                 schedule(max(crash.at, resume), "crash", crash)
@@ -681,10 +682,10 @@ class AsyncEngine:
                 return False
             if not net_quiet():
                 return False
-            if any(shard.has_pending() for shard in shards):
+            if any(inbox) or any(shard.has_pending() for shard in shards):
                 return False
             return not any(
-                buffer.pending
+                buffer.pending_count
                 for worker_buffers in buffers
                 for buffer in worker_buffers.values()
             )
@@ -718,7 +719,7 @@ class AsyncEngine:
                     stop = "fixpoint"
                     break
                 buffered = any(
-                    buffer.pending
+                    buffer.pending_count
                     for worker_buffers in buffers
                     for buffer in worker_buffers.values()
                 )
@@ -785,6 +786,9 @@ class AsyncEngine:
         # a fixpoint is reached when the last work event finishes, not when
         # the master's periodic check happens to observe it
         finished_at = last_activity if stop == "fixpoint" else now
+        # a delivery counts as combined work whether or not its receiver
+        # got to process again before the run stopped
+        ingest_all()
 
         result = EvalResult(
             values=state.merged_values(),

@@ -11,6 +11,15 @@ updates,
 
 with ``beta = alpha * tau * |B|/dT``, ``alpha = 0.8`` and ``r = 2``
 (the paper's fixed damping factor and configurable threshold).
+
+A buffer is the *policy* half of that -- ``beta``, ``tau``, the distinct
+update count, the pace window, the last flush time.  The updates
+themselves live in the worker's :class:`~repro.runtime.SendSide`, which
+on the array kernel folds a whole process event's contributions for all
+N-1 targets at once (a key has one owner, so one value column serves
+every target); its ``fill`` tells each buffer what an event brought it
+(:meth:`FixedBuffer.add`) and a flush hands out the target's share of
+the send side.
 """
 
 from __future__ import annotations
@@ -32,39 +41,56 @@ class BufferPolicy:
 
 
 class FixedBuffer:
-    """A non-adaptive buffer: flush at ``beta`` updates or ``tau`` elapsed."""
+    """A non-adaptive buffer: flush at ``beta`` updates or ``tau`` elapsed.
 
-    def __init__(self, beta: float, tau: float):
+    ``side`` is the owning worker's send side and ``target`` the peer
+    this buffer sends to; ``pending_count`` is the number of distinct
+    keys ``side`` holds for ``target`` (duplicates are g-combined there).
+    """
+
+    def __init__(self, beta: float, tau: float, side, target: int):
         self.beta = beta
         self.tau = tau
-        self.pending: dict = {}
+        self.side = side
+        self.target = target
         self.pending_count = 0
         self.last_flush_time = 0.0
 
-    def add(self, key, value, combine) -> None:
-        """Combine an update into the buffer (g-combining duplicates)."""
-        if key in self.pending:
-            self.pending[key] = combine(self.pending[key], value)
-        else:
-            self.pending[key] = value
-            self.pending_count += 1
+    def add(self, adds: int, fresh: int) -> None:
+        """Account for ``adds`` updates folded into the send side for
+        this target, ``fresh`` of them on keys it did not hold yet."""
+        self.pending_count += fresh
 
     def should_flush(self, now: float) -> bool:
-        if not self.pending:
+        if not self.pending_count:
             return False
         if self.pending_count >= self.beta:
             return True
         return (now - self.last_flush_time) >= self.tau
 
-    def flush(self, now: float) -> dict:
-        payload = self.pending
-        self.pending = {}
+    def flush(self, now: float):
+        """Empty the buffer; returns its content as a kernel payload."""
         self.pending_count = 0
         self.last_flush_time = now
-        return payload
+        return self.side.take(self.target)
 
     def observe_flush(self, now: float) -> None:  # pragma: no cover - FixedBuffer no-op
         """Hook for adaptive subclasses; fixed buffers do nothing."""
+
+    def snapshot(self) -> tuple:
+        """Content, count, last flush time and ``beta`` -- what a
+        rollback restores.  The pace window is not part of it: a
+        restored buffer keeps measuring the window it is in."""
+        return (
+            self.side.peek(self.target),
+            self.pending_count,
+            self.last_flush_time,
+            self.beta,
+        )
+
+    def restore(self, snap: tuple) -> None:
+        content, self.pending_count, self.last_flush_time, self.beta = snap
+        self.side.put(self.target, content)
 
 
 class RetransmitBuffer:
@@ -122,16 +148,16 @@ class AdaptiveBuffer(FixedBuffer):
     the buffer itself stays context-free.
     """
 
-    def __init__(self, policy: BufferPolicy, on_adapt=None):
-        super().__init__(policy.initial_beta, policy.tau)
+    def __init__(self, policy: BufferPolicy, side, target: int, on_adapt=None):
+        super().__init__(policy.initial_beta, policy.tau, side, target)
         self.policy = policy
         self.on_adapt = on_adapt
         self._window_start = 0.0
         self._window_updates = 0
 
-    def add(self, key, value, combine) -> None:
-        super().add(key, value, combine)
-        self._window_updates += 1
+    def add(self, adds: int, fresh: int) -> None:
+        super().add(adds, fresh)
+        self._window_updates += adds
 
     def observe_flush(self, now: float) -> None:
         """Adapt ``beta`` from the pace observed since the last window."""

@@ -93,6 +93,13 @@ class ShardedRun:
         self.shards[shard_id] = shard
         return shard
 
+    def send_side(self):
+        """An empty send side for one worker of this run (what its flush
+        buffers, or a recovery replay's messages, are folded in)."""
+        return self.kernel_cls.send_side(
+            self.plan, self.owner_table, self.cluster.num_workers
+        )
+
     def merged_values(self) -> dict:
         merged: dict = {}
         for shard in self.shards:

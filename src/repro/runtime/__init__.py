@@ -11,6 +11,7 @@ from repro.runtime.base import (
     BatchResult,
     Kernel,
     KernelUnavailableError,
+    SendSide,
     available_backends,
     get_kernel,
     record_backend_metrics,
@@ -36,6 +37,7 @@ __all__ = [
     "NUMPY_INSTALL_HINT",
     "NumpyKernel",
     "PythonKernel",
+    "SendSide",
     "available_backends",
     "get_kernel",
     "numpy_version",

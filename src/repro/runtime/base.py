@@ -59,15 +59,61 @@ hand it back to a kernel of the same class through
 after it is produced and never aliases kernel state, so a parked one
 survives later rounds and restores unchanged.  The python kernel's
 payloads are lists of ``(key, value)`` pairs, the array kernel's are
-``(key code, value)`` column pairs; both keep destinations pre-folded
-with ``g`` in first-occurrence order.
+``(key code, value)`` column pairs.  A *round* payload keeps destinations
+pre-folded with ``g`` in first-occurrence order; a *local-mode* payload
+(below) is the raw stream, one entry per ``F'`` application.
+
+Local mode, the send side and the inbox (the asynchronous engines)
+-------------------------------------------------------------------
+
+An asynchronous worker processes a *batch* of its own pending keys per
+event: :meth:`Kernel.select_pending` picks the batch and
+``apply_batch(keys=batch)`` runs it.  Three exactness arguments let that
+be set-at-a-time on the array kernel while staying bit-identical to the
+key-at-a-time reference:
+
+* **A batch is Gauss--Seidel, not Jacobi.**  Keys are fetched in batch
+  order, so a contribution to an owned key *later in the same batch* is
+  folded into that key's pending value before it is fetched, and whether
+  its source propagates at all depends on the source's own, possibly
+  just-raised, delta.  The array kernel schedules the batch by *levels*
+  of those in-batch forward edges (a key's level is one more than the
+  highest level among its in-batch predecessors); level by level it
+  folds ``F'`` of the changing sources into their targets, the target's
+  own pending value heading its stream and contributions following in
+  (source position, edge) order -- the order the reference pushes them
+  in.  Everything else in the batch has no order left to respect: one
+  accumulate, one ``F'`` over the edges of the changed keys, one
+  ``push_many`` for the owned destinations that are not later batch
+  keys.  Destinations the shard does not own are *not* folded: they come
+  back in :attr:`BatchResult.out`, in emission order, with the
+  ``ops_so_far`` each one was emitted at in :attr:`BatchResult.offsets`
+  (fetched keys so far + applied edges so far, unchanged keys included).
+* **The crossing test.**  A :class:`SendSide` holds what a worker's
+  per-target flush buffers contain; :meth:`SendSide.fill` adds a batch's
+  foreign stream to it and reports the buffers that fill on the way.
+  The reference does that a contribution at a time.  The array kernel
+  uses that a buffer's distinct-key count only grows until it is
+  flushed: target ``t`` fills during a batch *iff* ``pending_count +
+  fresh >= beta``, ``fresh`` being the batch's keys for ``t`` that are
+  not buffered yet (one ``bincount``).  Every other target's part of the
+  stream goes in with one fold; only the filling targets are replayed
+  contribution by contribution, merged in emission order, because
+  ``beta`` adapts at every flush and the order of flushes across targets
+  is observable.
+* **The drain rule.**  A delivered payload is parked in the receiver's
+  inbox and ingested with one ``push_many(*inbox)`` -- whose outcome is
+  by contract that of one ``push`` per tuple in arrival order -- before
+  anything reads or replaces the receiver's pending column or the work
+  counters: selecting a batch, a checkpoint or snapshot, blanking or
+  restoring a shard, the end of the run.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, TypeVar
+from typing import Any, Iterable, Iterator, Optional, TypeVar
 
 from repro.engine.result import WorkCounters
 from repro.runtime.compat import NUMPY_INSTALL_HINT
@@ -86,16 +132,94 @@ class KernelUnavailableError(ImportError):
 class BatchResult:
     """Outcome of one kernel propagation round over a batch of deltas."""
 
-    #: outbound contributions, one ``g``-folded entry per destination in
-    #: first-occurrence order, as a payload (see the module docstring;
-    #: round mode only, local mode routes through ``emit`` instead)
+    #: outbound contributions as a payload (see the module docstring).
+    #: Round mode: one ``g``-folded entry per destination in
+    #: first-occurrence order.  Local mode: the contributions to keys the
+    #: kernel does not own, unfolded, in emission order
     out: Any = ()
+    #: local mode only: per entry of ``out``, the round's ``ops`` so far
+    #: when it was emitted (the instant a mid-batch flush is priced at)
+    offsets: Any = ()
     #: accumulation-column entries that changed
     changed: int = 0
     #: total delta magnitude of the changed entries (termination input)
     magnitude: float = 0.0
     #: cost-model currency: accumulate attempts + edge applications
     ops: int = 0
+
+
+class SendSide:
+    """What one worker's per-target flush buffers hold: its outgoing
+    contributions, ``g``-folded per destination key, each target's keys
+    in first-occurrence order.
+
+    A flush buffer (:class:`repro.distributed.buffers.FixedBuffer`) keeps
+    the policy -- ``beta``, its distinct-key count ``pending_count`` --
+    and is told through ``add(adds, fresh)`` what :meth:`fill` put here
+    for its target.
+
+    This is the python kernel's form and the reference: one dict per
+    target over ``(key, value)`` pairs, one contribution at a time.  The
+    array kernel overrides every method with columns over key codes.
+    """
+
+    def __init__(self, plan: Any, owners: Any, parts: int) -> None:
+        self._combine = plan.aggregate.combine
+        self._owners = owners
+        self._boxes: list[dict] = [{} for _ in range(parts)]
+
+    def fill(self, buffers: dict, out: Any, offsets: Any) -> Iterator[tuple]:
+        """Move one batch's foreign contributions (a local-mode payload
+        and its ``ops_so_far`` column) into the boxes, telling each
+        target's buffer in ``buffers`` what it got.
+
+        Yields ``(target, buffer, ops_so_far)`` each time a buffer
+        reaches ``beta``; the caller flushes it (:meth:`take`) before
+        resuming, so the next contribution for that target starts an
+        empty box under whatever ``beta`` the flush adapted.
+        """
+        owners = self._owners
+        boxes = self._boxes
+        combine = self._combine
+        for (key, value), offset in zip(out, offsets):
+            target = owners[key]
+            box = boxes[target]
+            buffer = buffers[target]
+            if key in box:
+                box[key] = combine(box[key], value)
+                buffer.add(1, 0)
+            else:
+                box[key] = value
+                buffer.add(1, 1)
+            if buffer.pending_count >= buffer.beta:
+                yield target, buffer, offset
+
+    def fold(self, out: Any) -> None:
+        """Fold a stream (a payload or ``(key, value)`` pairs) into the
+        boxes with no buffer watching -- a recovery replay's messages."""
+        owners = self._owners
+        boxes = self._boxes
+        combine = self._combine
+        for key, value in out:
+            box = boxes[owners[key]]
+            if key in box:
+                box[key] = combine(box[key], value)
+            else:
+                box[key] = value
+
+    def take(self, target: int) -> Any:
+        """Hand out ``target``'s box as a payload and empty it."""
+        payload = self.peek(target)
+        self._boxes[target] = {}
+        return payload
+
+    def peek(self, target: int) -> Any:
+        """``target``'s box as a payload (a copy; the box keeps it)."""
+        return list(self._boxes[target].items())
+
+    def put(self, target: int, payload: Any) -> None:
+        """Replace ``target``'s box with a payload :meth:`peek` made."""
+        self._boxes[target] = dict(payload)
 
 
 class Kernel:
@@ -189,12 +313,30 @@ class Kernel:
         raise NotImplementedError
 
     # -- the inner loop ---------------------------------------------------------
+    def select_pending(
+        self,
+        threshold: Optional[float] = None,
+        best_first: bool = False,
+        limit: Optional[int] = None,
+    ) -> Any:
+        """The pending keys an asynchronous worker processes next, as the
+        batch ``apply_batch(keys=...)`` takes (take its ``len()``;
+        nothing else).
+
+        ``best_first`` (selective aggregates) orders by pending value,
+        smallest first, ties in arrival order -- a realistic async
+        priority.  Otherwise arrival order, keeping only deltas of
+        magnitude ``>= threshold`` when one is given (section 5.4: the
+        rest stay cached in the pending column, combining with later
+        arrivals until they matter).  At most ``limit`` keys.
+        """
+        raise NotImplementedError
+
     def apply_batch(
         self,
         deltas: Optional[dict] = None,
         *,
-        keys: Optional[list] = None,
-        emit: Optional[Callable] = None,
+        keys: Any = None,
     ) -> BatchResult:
         """Run one F'/G propagation round.
 
@@ -206,13 +348,15 @@ class Kernel:
         argument at all the round runs over everything pending, drained
         first: ``apply_batch(drain_all())`` without the dict in between.
 
-        Local mode (``keys`` + ``emit``): process an explicit key list
-        *in the given order*, fetching each key's pending entry at its
-        turn (so contributions pushed by earlier keys of the same batch
-        are visible -- asynchronous semantics).  Contributions for keys
-        owned by this kernel are pushed immediately; foreign ones are
-        handed to ``emit(dst, value, ops_so_far)`` per edge, preserving
-        the caller's buffer-flush timing exactly.
+        Local mode (``keys``, a batch of distinct pending keys from
+        :meth:`select_pending`): process the batch *in the given order*,
+        fetching each key's pending entry at its turn (so contributions
+        pushed by earlier keys of the same batch are visible --
+        asynchronous semantics).  Contributions for keys owned by this
+        kernel are pushed; foreign ones come back unfolded in
+        :attr:`BatchResult.out`, in emission order, with
+        :attr:`BatchResult.offsets` -- enough for the caller to
+        reproduce its buffer-flush timing exactly (module docstring).
         """
         raise NotImplementedError
 
@@ -242,6 +386,13 @@ class Kernel:
         for pair in out:
             boxes[owners[pair[0]]].append(pair)
         return boxes
+
+    # -- asynchronous send side -------------------------------------------------
+    @classmethod
+    def send_side(cls, plan: Any, owners: Any, parts: int) -> SendSide:
+        """An empty :class:`SendSide` over :meth:`owner_table`'s
+        ``owners``, reading this kernel class's payloads."""
+        return SendSide(plan, owners, parts)
 
     # -- whole-table sweep (naive BSP mode) -------------------------------------
     @classmethod

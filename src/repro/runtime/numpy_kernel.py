@@ -34,7 +34,7 @@ Exactness argument (why this backend is *bit-identical* to
   ``np.minimum.at``/``np.maximum.at`` (order-insensitive selection);
 * elementwise float64 ufunc arithmetic is the same IEEE-754 operation
   the Python loop performs one value at a time, and the scalar paths
-  (``push``, ``fetch_and_reset``, ``accumulate``, the async local mode)
+  (``push``, ``fetch_and_reset``, ``accumulate``, a send side's replay)
   run the combine on Python floats exactly like the reference kernel;
 * only *which indices* a round visits is computed two ways: the
   compacted frontier is by construction the index set ``np.nonzero``
@@ -52,22 +52,28 @@ Exactness argument (why this backend is *bit-identical* to
   matches); every live value therefore always has an entry in its
   current bucket, which is the invariant both ``pending_min`` and the
   take rely on;
-* batch ingest (:meth:`NumpyKernel.push_many`, the BSP exchange) and
-  the fused ``ΔX¹`` fold *streams*: the tuples in the order the
-  reference would push them, an already-pending entry heading its key's
-  tuples.  ``np.bincount`` over that stream is the same sequential left
-  fold as one ``push`` per tuple, so concatenating a superstep's payloads
-  in sender order reproduces the float sum bit for bit; min/max select
-  one of their inputs whatever the order.  First-occurrence order -- the
-  dict insertion order of the reference -- comes from
-  :func:`_rank_codes` in ``O(m)`` without a sort, and ``combines`` is
-  tuples - distinct keys + distinct keys already pending.
+* batch ingest (:meth:`NumpyKernel.push_many`: the BSP exchange, an
+  asynchronous worker's inbox), the send side and the fused ``ΔX¹`` fold
+  *streams*: the tuples in the order the reference would push them.
+  ``ufunc.at`` applies a stream to a column sequentially, in place, so
+  an already-held entry heads its key's tuples and a new one starts from
+  the fold's identity (:func:`_fold_stream`) -- the same left fold as one
+  ``push`` per tuple, and concatenating payloads in arrival order
+  reproduces the float sum bit for bit; min/max select one of their
+  inputs whatever the order.  First-occurrence order -- the dict
+  insertion order of the reference -- comes from :func:`_first_codes` in
+  ``O(m)`` without a sort, and ``combines`` is tuples - keys that were
+  not pending;
+* the asynchronous local mode (:meth:`NumpyKernel._apply_local`) and
+  :class:`ColumnSendSide` are set-at-a-time; their three arguments
+  (Gauss--Seidel levels, the crossing test, the drain rule) are in
+  :mod:`repro.runtime.base`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.engine.result import WorkCounters
 from repro.runtime.base import (
@@ -75,6 +81,7 @@ from repro.runtime.base import (
     BatchResult,
     Kernel,
     KernelUnavailableError,
+    SendSide,
     register_kernel,
 )
 from repro.runtime.compat import HAVE_NUMPY, NUMPY_INSTALL_HINT, np
@@ -92,35 +99,82 @@ _DENSE_DIVISOR = 4
 _FOLD_MODES = ("min", "max", "sum")
 
 
+#: per fold mode, the in-place ufunc and its identity.  -0.0, not 0.0,
+#: is the identity of float addition: -0.0 + x is x for every x, while
+#: 0.0 + -0.0 is 0.0
+_FOLD_AT = {
+    "sum": (np.add, -0.0),
+    "min": (np.minimum, np.inf),
+    "max": (np.maximum, -np.inf),
+} if HAVE_NUMPY else {}
+
+
 def _fold_codes(mode: str, codes: Any, vals: Any, size: int) -> Any:
     """``⊕``-fold ``vals`` per code into ``size`` slots, in input order."""
     if mode == "sum":
-        return np.bincount(codes, weights=vals, minlength=size)
-    if mode == "min":
-        folded = np.full(size, np.inf)
-        np.minimum.at(folded, codes, vals)
-    else:
-        folded = np.full(size, -np.inf)
-        np.maximum.at(folded, codes, vals)
+        folded = np.bincount(codes, weights=vals, minlength=size)
+        negative = np.signbit(vals)
+        if negative.any():
+            # bincount seeds each slot with +0.0, and 0.0 + -0.0 is 0.0:
+            # a left fold from the first value keeps -0.0 exactly when
+            # every value is -0.0, so give those slots their sign back
+            zeros = np.bincount(
+                codes[negative & (vals == 0.0)], minlength=size
+            )
+            folded[(zeros > 0) & (zeros == np.bincount(codes, minlength=size))] = -0.0
+        return folded
+    ufunc, identity = _FOLD_AT[mode]
+    folded = np.full(size, identity)
+    ufunc.at(folded, codes, vals)
     return folded
 
 
-def _rank_codes(codes: Any, size: int) -> tuple:
-    """Distinct ``codes`` in first-occurrence order, and each element's
-    rank among them -- ``O(len(codes))``, no sort.
+def _first_codes(codes: Any, size: int) -> tuple:
+    """Distinct ``codes`` in first-occurrence order -- ``O(len(codes))``,
+    no sort -- and the ``size``-slot scratch that found them.
 
     Positions are assigned through the reversed array, so where a code
     repeats its *first* position is written last and survives; an
     element is a first occurrence iff its slot holds its own position.
     Only slots written here are read, so the scratch needs no clearing.
     """
-    m = len(codes)
-    pos = np.arange(m)
+    pos = np.arange(len(codes))
     slot = np.empty(size, dtype=np.int64)
     slot[codes[::-1]] = pos[::-1]
-    uniq = codes[np.flatnonzero(slot.take(codes) == pos)]
-    slot[uniq] = pos[: len(uniq)]
+    return codes.take((slot.take(codes) == pos).nonzero()[0]), slot
+
+
+def _rank_codes(codes: Any, size: int) -> tuple:
+    """:func:`_first_codes`, and each element's rank among them."""
+    uniq, slot = _first_codes(codes, size)
+    slot[uniq] = np.arange(len(uniq))
     return uniq, slot.take(codes)
+
+
+def _absent(has: Any, codes: Any) -> Any:
+    """The ``codes`` whose ``has`` entry is unset, in order."""
+    held = has.take(codes)
+    return codes[np.logical_not(held, out=held)]
+
+
+def _fold_stream(
+    mode: str, val: Any, has: Any, codes: Any, vals: Any, fresh: Any
+) -> None:
+    """Fold the stream ``(codes, vals)`` into the columns ``(val, has)``
+    as one combine per tuple, in order, would: ``ufunc.at`` applies the
+    tuples sequentially, so an entry already held heads its key's tuples
+    and a new one -- ``fresh``, the stream's keys not held -- starts
+    from the identity."""
+    ufunc, identity = _FOLD_AT[mode]
+    val[fresh] = identity
+    has[fresh] = True
+    ufunc.at(val, codes, vals)
+
+
+def _left_sum(values: Any) -> float:
+    """The left fold ``((0.0 + v0) + v1) + ...`` a Python loop computes;
+    ``np.sum`` adds pairwise and ``sum()`` compensates (3.12+)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 class Columns:
@@ -380,22 +434,18 @@ class NumpyKernel(Kernel):
         if not len(codes):
             return
         pend = self._pend
-        uniq, rank = _rank_codes(codes, self._csr.n)
-        was = self._pend_has[uniq]
-        held = np.flatnonzero(was)
-        self.counters.combines += len(codes) - len(uniq) + len(held)
-        if len(held):
-            old = pend[uniq[held]]
-            rank = np.concatenate((held, rank))
-            vals = np.concatenate((old, vals))
-        new = _fold_codes(self._mode, rank, vals, len(uniq))
-        pend[uniq] = new
-        if len(held) and self._bucket_width is not None:
-            moved = held[new[held] != old]
-            for i, value in zip(uniq[moved].tolist(), new[moved].tolist()):
+        uniq, _ = _first_codes(codes, len(pend))
+        if self._bucket_width is not None:
+            held = uniq[self._pend_has[uniq]]
+            old = pend[held]
+        fresh = _absent(self._pend_has, uniq)
+        _fold_stream(self._mode, pend, self._pend_has, codes, vals, fresh)
+        # every tuple but a key's first onto an empty entry is a combine
+        self.counters.combines += len(codes) - len(fresh)
+        if self._bucket_width is not None:
+            moved = held[pend[held] != old]
+            for i, value in zip(moved.tolist(), pend[moved].tolist()):
                 self._bucket_put(i, value)
-        fresh = uniq[~was]
-        self._pend_has[fresh] = True
         self._stamp_arrivals(fresh)
 
     def fetch_and_reset(self, key: Any) -> Any:
@@ -436,18 +486,27 @@ class NumpyKernel(Kernel):
         return True, aggregate.change_magnitude(new, old, tmp)
 
     # -- vectorised core --------------------------------------------------------
+    def _merge(self, has: Any, old: Any, tmp: Any) -> tuple:
+        """``tmp`` accumulated onto the entries ``(has, old)``: the new
+        values and the mask of entries that change."""
+        if self._mode == "sum":
+            merged = old + tmp
+        elif self._mode == "min":
+            merged = np.minimum(old, tmp)
+        else:
+            merged = np.maximum(old, tmp)
+        new = np.where(has, merged, tmp)
+        return new, ~has | (new != old)
+
     def _vector_accumulate(self, idx: Any, tmp: Any) -> tuple:
         """Batch accumulate; returns (changed_mask, magnitudes)."""
         has = self._acc_has[idx]
         old = self._acc[idx]
+        new, changed = self._merge(has, old, tmp)
         if self._mode == "sum":
-            new = np.where(has, old + tmp, tmp)
             mags = np.abs(tmp)
         else:
-            select = np.minimum if self._mode == "min" else np.maximum
-            new = np.where(has, select(old, tmp), tmp)
             mags = np.where(has, np.abs(new - old), np.abs(tmp))
-        changed = ~has | (new != old)
         self.counters.combines += int(has.sum())
         self.counters.updates += int(changed.sum())
         write = idx[changed]
@@ -463,7 +522,7 @@ class NumpyKernel(Kernel):
         counters = self.counters
         changed, mags = self._vector_accumulate(idx, tmp)
         n_changed = int(changed.sum())
-        magnitude = float(sum(mags[changed].tolist()))  # left fold, asc order
+        magnitude = _left_sum(mags[changed])  # ascending order
         ops = len(idx)
         out: Any = ()
         if n_changed:
@@ -513,6 +572,10 @@ class NumpyKernel(Kernel):
             for start, end in zip([0] + bounds, bounds)
         ]
 
+    @classmethod
+    def send_side(cls, plan: Any, owners: Any, parts: int) -> SendSide:
+        return ColumnSendSide(plan, owners, parts)
+
     def _scatter_pending(self, dsts: Any, vals: Any) -> None:
         """Scatter a round's contributions into the (empty) pending column."""
         n = self._csr.n
@@ -533,15 +596,29 @@ class NumpyKernel(Kernel):
         self._stamp_arrivals(uniq)
 
     # -- the inner loop ---------------------------------------------------------
+    def select_pending(
+        self,
+        threshold: Optional[float] = None,
+        best_first: bool = False,
+        limit: Optional[int] = None,
+    ) -> Any:
+        live = self._pend_indices()
+        batch = np.fromiter(live, dtype=np.int64, count=len(live))
+        if best_first:
+            # stable: ties stay in arrival order, as sorted() leaves them
+            batch = batch[np.argsort(self._pend[batch], kind="stable")]
+        elif threshold is not None:
+            batch = batch[np.abs(self._pend[batch]) >= threshold]
+        return batch if limit is None else batch[:limit]
+
     def apply_batch(
         self,
         deltas: Optional[dict] = None,
         *,
-        keys: Optional[list] = None,
-        emit: Optional[Callable] = None,
+        keys: Any = None,
     ) -> BatchResult:
         if keys is not None:
-            return self._apply_local(keys, emit)
+            return self._apply_local(keys)
         if deltas is None:
             return self._frontier_round(scatter_self=False)
         return self._apply_round(deltas)
@@ -581,46 +658,99 @@ class NumpyKernel(Kernel):
         """The single-node MRA fast path: full round, array-only."""
         return self._frontier_round(scatter_self=True)
 
-    def _apply_local(self, keys: list, emit: Optional[Callable]) -> BatchResult:
+    def _apply_local(self, batch: Any) -> BatchResult:
+        """One asynchronous batch, set-at-a-time (exactness: the
+        Gauss--Seidel argument in :mod:`repro.runtime.base`)."""
         csr = self._csr
-        key_names = self._keys
-        owned = self._owned_mask
-        counters = self.counters
-        pend = self._pend
-        pend_has = self._pend_has
-        changed = 0
-        magnitude = 0.0
-        ops = 0
-        edges_applied = 0
-        for key in keys:
-            i = self._index[key]
-            if not pend_has[i]:
-                continue
-            pend_has[i] = False
-            self._pend_live -= 1
-            tmp = float(pend[i])
-            did_change, delta_mag = self._accumulate_idx(i, tmp)
-            ops += 1
-            if not did_change:
-                continue
-            changed += 1
-            magnitude += delta_mag
-            start, end = int(csr.indptr[i]), int(csr.indptr[i + 1])
-            if start == end:
-                continue
-            eids = np.arange(start, end, dtype=np.int64)
-            dsts, vals = csr.apply_edges(eids, np.full(end - start, tmp))
-            edges_applied += end - start
-            for d, v in zip(dsts.tolist(), vals.tolist()):
-                ops += 1
-                if owned is None or owned[d]:
-                    self._push_idx(d, v)
-                elif emit is None:
-                    raise TypeError("foreign contribution without an emit callback")
-                else:
-                    emit(key_names[d], v, ops)
-        counters.fprime_applications += edges_applied
-        return BatchResult(changed=changed, magnitude=magnitude, ops=ops)
+        size = len(batch)
+        if not size:
+            return BatchResult()
+        tmp = self._pend[batch]
+        # every out-edge of the batch with its source's batch position,
+        # in emission order; which of them are applied is decided below
+        positions = np.arange(size)
+        eids, spos = csr.gather(batch, positions)
+        if len(eids):
+            place = csr.positions()
+            place[batch] = positions
+            dpos = place[csr.edst[eids]]
+            place[batch] = -1
+            # edges into a key the batch fetches later: their values
+            # reach that key's delta before it is fetched
+            forward = (dpos > spos).nonzero()[0]
+            if len(forward):
+                self._settle_forward(
+                    tmp, batch, eids[forward], spos[forward], dpos[forward]
+                )
+        self._pend_has[batch] = False  # stale entries stay in _pend_order
+        self._pend_live -= size
+        changed, mags = self._vector_accumulate(batch, tmp)
+        result = BatchResult(
+            changed=int(changed.sum()),
+            magnitude=_left_sum(mags[changed]),  # batch order
+            ops=size,
+        )
+        if not result.changed or not len(eids):
+            return result
+        applied = changed[spos].nonzero()[0]
+        if not len(applied):
+            return result
+        self.counters.fprime_applications += len(applied)
+        result.ops += len(applied)
+        dsts, vals = csr.apply_edges(eids[applied], tmp[spos[applied]])
+        if self._owned_mask is None:
+            near = np.arange(len(applied))
+        else:
+            # one mask, inverted in place: variable-length byte arrays
+            # are what fills numpy's small-block cache
+            mask = self._owned_mask.take(dsts)
+            near = mask.nonzero()[0]
+            far = np.logical_not(mask, out=mask).nonzero()[0]
+            if len(far):
+                result.out = Columns(dsts[far], vals[far])
+                # fetched keys so far + applied edges so far
+                result.offsets = far + spos[applied[far]] + 2
+        if len(near):
+            # owned destinations the batch does not fetch later --
+            # outside it, fetched already, or the source itself -- see
+            # the batch's keys fetched whenever in the batch they are
+            # pushed; the forward ones were folded above
+            edge = applied[near]
+            near = near[dpos[edge] <= spos[edge]]
+            self.push_many(Columns(dsts[near], vals[near]))
+        return result
+
+    def _settle_forward(
+        self, tmp: Any, batch: Any, eids: Any, src: Any, dst: Any
+    ) -> None:
+        """Raise ``tmp`` (the batch's deltas, by position) by the
+        in-batch forward edges ``src -> dst`` (batch positions), level by
+        level.
+
+        A key's level is one more than the highest level among the
+        sources of its forward edges, so when a level is folded every
+        delta below it is final -- including whether its key changes,
+        which decides if its edges are applied at all.  A target's own
+        delta heads its stream and contributions follow in emission
+        order: the order the reference pushes them in.
+        """
+        level = np.zeros(len(batch), dtype=np.int64)
+        while True:
+            raised = level[src] + 1
+            if (raised <= level[dst]).all():
+                break
+            np.maximum.at(level, dst, raised)
+        has = self._acc_has[batch]
+        old = self._acc[batch]
+        fold_at = _FOLD_AT[self._mode][0].at
+        into = level[dst]
+        for depth in range(1, int(level.max()) + 1):
+            _, changes = self._merge(has, old, tmp)
+            live = ((into == depth) & changes[src]).nonzero()[0]
+            if len(live):
+                _, vals = self._csr.apply_edges(eids[live], tmp[src[live]])
+                fold_at(tmp, dst[live], vals)
+                self.counters.combines += len(live)
 
     # -- whole-table sweep (naive BSP mode) -------------------------------------
     @classmethod
@@ -855,6 +985,137 @@ class NumpyKernel(Kernel):
         self._clear_pending()
         self._seq_next = 0
         self._stamp_arrivals(live)
+
+
+class ColumnSendSide(SendSide):
+    """The send side over key codes.
+
+    A key has exactly one owner, so one value/has column pair over the
+    plan's key codes holds every target's box at once and a whole
+    event's stream goes in with one fold; what is kept per target is
+    only the order its keys first arrived in.
+    """
+
+    def __init__(self, plan: Any, owners: Any, parts: int) -> None:
+        csr = plan_csr(plan)
+        self._index = csr.index
+        self._mode: str = plan.aggregate.fold_mode
+        self._combine = plan.aggregate.combine
+        self._owners = owners
+        self._parts = parts
+        self._val = np.zeros(csr.n, dtype=np.float64)
+        self._has = np.zeros(csr.n, dtype=bool)
+        #: per target: the codes it holds, in first-occurrence order
+        self._order: list[list[int]] = [[] for _ in range(parts)]
+
+    def fill(self, buffers: dict, out: Any, offsets: Any) -> Iterator[tuple]:
+        """One fold for the targets whose buffers the batch cannot fill,
+        a contribution-at-a-time replay for the others (exactness: the
+        crossing test in :mod:`repro.runtime.base`)."""
+        owners, parts = self._owners, self._parts
+        codes = out.codes
+        adds = np.bincount(owners.take(codes), minlength=parts).tolist()
+        arrived = _absent(self._has, _first_codes(codes, len(self._val))[0])
+        fresh = np.bincount(owners.take(arrived), minlength=parts).tolist()
+        filling = []
+        for target, count in enumerate(adds):
+            if count:
+                buffer = buffers[target]
+                if buffer.pending_count + fresh[target] >= buffer.beta:
+                    filling.append(target)
+                else:
+                    buffer.add(count, fresh[target])
+        if not filling:
+            self._fold(codes, out.vals, arrived)
+            return
+        chosen = np.zeros(parts, dtype=bool)
+        chosen[filling] = True
+        replayed = chosen.take(owners.take(codes))
+        picked = replayed.nonzero()[0]
+        if len(picked) < len(codes):
+            rest = np.logical_not(replayed, out=replayed)
+            # a key has one owner: the rest's new keys are the stream's
+            # minus the filling targets'
+            self._fold(
+                codes[rest],
+                out.vals[rest],
+                arrived[~chosen.take(owners.take(arrived))],
+            )
+        yield from self._replay(
+            buffers, codes[picked], out.vals[picked], offsets[picked]
+        )
+
+    def _replay(
+        self, buffers: dict, codes: Any, vals: Any, offsets: Any
+    ) -> Iterator[tuple]:
+        """The reference loop over key codes, in emission order; a
+        buffer is told what it got once per stretch between flushes."""
+        combine = self._combine
+        val, has, order = self._val, self._has, self._order
+        tally: dict[int, list[int]] = {}  # target -> [adds, fresh] untold
+        for target, code, value, offset in zip(
+            self._owners.take(codes).tolist(),
+            codes.tolist(),
+            vals.tolist(),
+            offsets.tolist(),
+        ):
+            untold = tally.get(target)
+            if untold is None:
+                untold = tally[target] = [0, 0]
+            untold[0] += 1
+            if has[code]:
+                val[code] = combine(float(val[code]), value)
+            else:
+                val[code] = value
+                has[code] = True
+                order[target].append(code)
+                untold[1] += 1
+            buffer = buffers[target]
+            if buffer.pending_count + untold[1] >= buffer.beta:
+                buffer.add(*untold)
+                del tally[target]
+                yield target, buffer, offset
+        for target, untold in tally.items():
+            buffers[target].add(*untold)
+
+    def fold(self, out: Any) -> None:
+        if not isinstance(out, Columns):
+            out = _pair_columns(self._index, out)
+        if len(out):
+            uniq, _ = _first_codes(out.codes, len(self._val))
+            self._fold(out.codes, out.vals, _absent(self._has, uniq))
+
+    def _fold(self, codes: Any, vals: Any, arrived: Any) -> None:
+        """Fold a stream; ``arrived`` is its keys not held yet, in
+        first-occurrence order."""
+        _fold_stream(self._mode, self._val, self._has, codes, vals, arrived)
+        # hand the new keys to their targets' orders: a stable sort by
+        # target keeps first-occurrence order inside each
+        bound = self._owners.take(arrived)
+        arrived = arrived.take(np.argsort(bound, kind="stable")).tolist()
+        start = 0
+        for target, count in enumerate(
+            np.bincount(bound, minlength=self._parts).tolist()
+        ):
+            if count:
+                self._order[target].extend(arrived[start:start + count])
+                start += count
+
+    def take(self, target: int) -> Columns:
+        payload = self.peek(target)
+        self._has[payload.codes] = False
+        self._order[target] = []
+        return payload
+
+    def peek(self, target: int) -> Columns:
+        codes = np.array(self._order[target], dtype=np.int64)
+        return Columns(codes, self._val[codes])
+
+    def put(self, target: int, payload: Columns) -> None:
+        self.take(target)
+        self._val[payload.codes] = payload.vals
+        self._has[payload.codes] = True
+        self._order[target] = payload.codes.tolist()
 
 
 #: accepted alias: ``backend="sparse"`` names this kernel too

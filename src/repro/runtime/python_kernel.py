@@ -16,7 +16,8 @@ Semantics notes that the NumpyKernel mirrors bit-for-bit:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+import itertools
+from typing import Any, Iterable, Optional
 
 from repro.engine.result import WorkCounters
 from repro.runtime.base import BatchResult, Kernel, register_kernel
@@ -109,15 +110,34 @@ class PythonKernel(Kernel):
         return True, aggregate.change_magnitude(new, old, tmp)
 
     # -- the inner loop ---------------------------------------------------------
+    def select_pending(
+        self,
+        threshold: Optional[float] = None,
+        best_first: bool = False,
+        limit: Optional[int] = None,
+    ) -> list:
+        pending = self.intermediate
+        if best_first:
+            keys = sorted(pending, key=pending.get)
+            return keys if limit is None else keys[:limit]
+        if threshold is not None:
+            magnitude = self.aggregate.delta_magnitude
+            keys = [
+                key for key, value in pending.items() if magnitude(value) >= threshold
+            ]
+            return keys if limit is None else keys[:limit]
+        if limit is None:
+            return list(pending)
+        return list(itertools.islice(pending, limit))
+
     def apply_batch(
         self,
         deltas: Optional[dict] = None,
         *,
-        keys: Optional[list] = None,
-        emit: Optional[Callable] = None,
+        keys: Any = None,
     ) -> BatchResult:
         if keys is not None:
-            return self._apply_local(keys, emit)
+            return self._apply_local(keys)
         return self._apply_round(self.drain_all() if deltas is None else deltas)
 
     def _apply_round(self, deltas: dict) -> BatchResult:
@@ -152,10 +172,12 @@ class PythonKernel(Kernel):
             out=list(out.items()), changed=changed, magnitude=magnitude, ops=ops
         )
 
-    def _apply_local(self, keys: list, emit: Optional[Callable]) -> BatchResult:
+    def _apply_local(self, keys: list) -> BatchResult:
         plan = self.plan
         owned = self._owned
         counters = self.counters
+        out: list = []
+        offsets: list = []
         changed = 0
         magnitude = 0.0
         ops = 0
@@ -176,12 +198,13 @@ class PythonKernel(Kernel):
                 edges_applied += 1
                 if owned is None or dst in owned:
                     self.push(dst, value)
-                elif emit is None:
-                    raise TypeError("foreign contribution without an emit callback")
                 else:
-                    emit(dst, value, ops)
+                    out.append((dst, value))
+                    offsets.append(ops)
         counters.fprime_applications += edges_applied
-        return BatchResult(changed=changed, magnitude=magnitude, ops=ops)
+        return BatchResult(
+            out=out, offsets=offsets, changed=changed, magnitude=magnitude, ops=ops
+        )
 
     # -- whole-table sweep (naive BSP mode) -------------------------------------
     @classmethod

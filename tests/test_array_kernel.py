@@ -491,11 +491,13 @@ class TestInitialDelta:
 INGEST_PROGRAMS = ("sssp", "viterbi", "pagerank")
 
 #: tenths: their float sums round differently in every order, so a fold
-#: that misplaces one tuple shows in the last bit (and never yield -0.0,
-#: which np.bincount, seeding each fold at +0.0, would not preserve)
+#: that misplaces one tuple shows in the last bit
 _delta_values = st.integers(min_value=-400, max_value=400).map(
     lambda tenths: tenths / 10
 )
+#: the additive fold also draws -0.0, which a fold seeded at +0.0 loses
+#: (min/max do not: which of 0.0 and -0.0 they keep is unspecified)
+_sum_values = _delta_values | st.just(-0.0)
 
 
 class TestPushMany:
@@ -511,9 +513,8 @@ class TestPushMany:
         plan = plan_for(program)
         # few keys: repeats and already-pending hits in every example
         keys = sorted(plan.keys)[:10]
-        pairs = st.lists(
-            st.tuples(st.sampled_from(keys), _delta_values), max_size=25
-        )
+        values = _sum_values if program == "pagerank" else _delta_values
+        pairs = st.lists(st.tuples(st.sampled_from(keys), values), max_size=25)
         prior = data.draw(pairs)
         fetched = data.draw(st.lists(st.sampled_from(keys), max_size=4))
         batches = data.draw(st.lists(pairs, min_size=1, max_size=3))
@@ -547,6 +548,29 @@ class TestPushMany:
             python.take_pending_below(threshold).items()
         )
         assert pending_bits(numpy) == pending_bits(python)
+
+    def test_sum_of_negative_zeros_keeps_its_sign(self):
+        """-0.0 + -0.0 is -0.0; only a slot whose every input is -0.0
+        folds to it, on the bincount fold and on the in-place one."""
+        import numpy as np
+
+        from repro.runtime.numpy_kernel import _fold_codes
+
+        folded = _fold_codes(
+            "sum",
+            np.array([0, 1, 1, 2, 2, 3]),
+            np.array([-0.0, -0.0, -0.0, -0.0, 0.0, 1.5]),
+            5,
+        )
+        assert [value.hex() for value in folded.tolist()] == [
+            (-0.0).hex(), (-0.0).hex(), (0.0).hex(), (1.5).hex(), (0.0).hex()
+        ]
+        plan = plan_for("pagerank")
+        key = sorted(plan.keys)[0]
+        for backend in ("python", "numpy"):
+            kernel = get_kernel(backend).from_plan(plan)
+            kernel.push_many([(key, -0.0)], [(key, -0.0)])
+            assert kernel.intermediate[key].hex() == (-0.0).hex(), backend
 
     def _pair_batch(self, plan, count):
         keys = sorted(plan.initial)

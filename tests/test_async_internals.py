@@ -111,3 +111,89 @@ class TestStopClock:
         interval = cluster.cost.termination_interval
         # the reported time is the last work event, not a master tick
         assert result.simulated_seconds % interval != 0.0
+
+
+class TestPerEventCost:
+    """The per-layer benchmark metrics, as a tier-1 guard: on the array
+    kernel the unified engine pays per process event, so a reintroduced
+    per-edge or per-tuple loop fails here and not only in a traced run."""
+
+    def test_calls_scale_with_events_not_edges(self, monkeypatch):
+        pytest.importorskip("numpy")
+        from repro.distributed.buffers import FixedBuffer
+        from repro.runtime.numpy_kernel import ColumnSendSide, NumpyKernel
+
+        calls = dict.fromkeys(
+            ("push", "batches", "selects", "adds", "flushes", "replayed",
+             "ingests", "ingested_payloads", "deliveries"), 0
+        )
+        inside_batch = [False]
+
+        def counting(cls, name, key):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[key] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(NumpyKernel, "push", "push")
+        counting(NumpyKernel, "select_pending", "selects")
+        counting(FixedBuffer, "add", "adds")
+        counting(FixedBuffer, "flush", "flushes")
+
+        apply_batch, push_many = NumpyKernel.apply_batch, NumpyKernel.push_many
+        replay = ColumnSendSide._replay
+
+        def flagging_apply_batch(self, *args, **kwargs):
+            calls["batches"] += 1
+            inside_batch[0] = True
+            try:
+                return apply_batch(self, *args, **kwargs)
+            finally:
+                inside_batch[0] = False
+
+        def counting_push_many(self, *batches):
+            if not inside_batch[0]:
+                calls["ingests"] += 1
+                calls["ingested_payloads"] += len(batches)
+            return push_many(self, *batches)
+
+        def counting_replay(self, buffers, codes, vals, offsets):
+            calls["replayed"] += len(codes)
+            return replay(self, buffers, codes, vals, offsets)
+
+        monkeypatch.setattr(NumpyKernel, "apply_batch", flagging_apply_batch)
+        monkeypatch.setattr(NumpyKernel, "push_many", counting_push_many)
+        monkeypatch.setattr(ColumnSendSide, "_replay", counting_replay)
+
+        class Engine(UnifiedEngine):
+            def _observe_delivery(self, worker, payload_size):
+                calls["deliveries"] += 1
+
+        workers = 4
+        plan = PROGRAMS["pagerank"].plan(rmat(200, 1400, seed=5, name="guard"))
+        result = Engine(
+            plan, ClusterConfig(num_workers=workers), backend="numpy"
+        ).run()
+        counters = result.counters
+        assert result.backend == "numpy" and result.stop_reason == "epsilon"
+        # the work is there: a few hundred F' applications per event
+        assert counters.fprime_applications > 100 * calls["batches"] > 0
+
+        # no per-tuple delivery: seeding is push_many too, so never a push
+        assert calls["push"] == 0
+        # one add per (event, target), plus the contributions of targets
+        # whose buffer filled mid-batch, replayed one at a time
+        assert calls["replayed"] > 0
+        assert calls["adds"] <= calls["batches"] * (workers - 1) + calls["replayed"]
+        assert calls["adds"] * 10 < counters.fprime_applications
+        assert calls["flushes"] == counters.messages == calls["deliveries"]
+        # one ingest per process event that had deliveries (seeding: one
+        # per worker; the end of the run: at most one per worker), each
+        # taking everything received since the last one
+        ingests = calls["ingests"] - workers
+        assert 0 < ingests <= calls["selects"] + workers
+        assert calls["ingested_payloads"] - workers == calls["deliveries"]
+        assert ingests < calls["deliveries"]

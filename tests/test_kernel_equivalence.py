@@ -177,6 +177,93 @@ def test_chaos_recovery_identical(program, engine_cls, backend, tmp_path):
     assert sum(python_result.faults.snapshot().values()) > 0
 
 
+def _adaptive_engines():
+    from repro.distributed import AAPEngine, UnifiedEngine
+
+    # small fixed buffers for AAP: its default 256 never fills on a
+    # 60-vertex shard, and the mid-batch flush is the path to compare
+    return {
+        "unified": lambda plan, cluster, **kw: UnifiedEngine(plan, cluster, **kw),
+        "aap": lambda plan, cluster, **kw: AAPEngine(
+            plan, cluster, fixed_buffer_size=8.0, stream_batch=16, **kw
+        ),
+    }
+
+
+def _assert_same_run(python_leg, other_leg, backend):
+    """Results, fault accounting and the obs stream, event for event:
+    every flush (order, size, instant, reason) and beta adaptation."""
+    (python_result, python_obs), (other_result, other_obs) = python_leg, other_leg
+    _assert_identical(python_result, other_result, backend)
+    assert python_result.trace == other_result.trace
+    python_faults = python_result.faults and python_result.faults.snapshot()
+    assert python_faults == (other_result.faults and other_result.faults.snapshot())
+    python_events, other_events = python_obs.trace.events, other_obs.trace.events
+    assert len(python_events) == len(other_events)
+    for position, (mine, theirs) in enumerate(zip(python_events, other_events)):
+        assert mine == theirs, position
+        # a numpy scalar that leaked into an event would still compare equal
+        assert [type(v) for v in mine.values()] == [type(v) for v in theirs.values()]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ("unified", "aap"))
+@pytest.mark.parametrize("program", DISTRIBUTED_PROGRAMS)
+def test_adaptive_engines_identical(program, engine, backend):
+    """The paper's engine (adaptive beta(i,j), importance deferral) and
+    AAP (dynamic batch limits) take the columnar local mode, send side
+    and inbox on the array kernel and the pair forms on the python one;
+    nothing observable may tell them apart."""
+    from repro.obs import Observability
+
+    spec = PROGRAMS[program]
+    graph = default_graph(program, seed=7)
+    cluster = ClusterConfig(num_workers=4)
+    legs = {}
+    for leg in ("python", backend):
+        obs = Observability()
+        build = _adaptive_engines()[engine]
+        legs[leg] = (build(spec.plan(graph), cluster, backend=leg, obs=obs).run(), obs)
+    _assert_same_run(legs["python"], legs[backend], backend)
+    flushes = legs["python"][1].trace.of_kind("buffer.flush")
+    assert flushes and legs["python"][0].counters.messages == len(flushes)
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ("unified", "aap"))
+@pytest.mark.parametrize("program", ("sssp", "pagerank", "dag_paths"))
+def test_adaptive_engines_chaos_identical(program, engine, backend, tmp_path):
+    """Same seeded crash + drop + duplicate schedule: rollback (sum) and
+    restart replay (min) with payloads parked in inboxes, retransmit
+    queues and snapshots leave the same trace on both kernels."""
+    from repro.distributed.fault import Checkpointer
+    from repro.obs import Observability
+
+    spec = PROGRAMS[program]
+    graph = default_graph(program, seed=7)
+    cluster = ClusterConfig(num_workers=4)
+    build = _adaptive_engines()[engine]
+    reference = build(spec.plan(graph), cluster, backend="python").run()
+    schedule = schedule_for(reference.simulated_seconds, 4, seed=11)
+    legs = {}
+    for leg in ("python", backend):
+        obs = Observability()
+        legs[leg] = (
+            build(
+                spec.plan(graph),
+                cluster.with_faults(schedule),
+                backend=leg,
+                obs=obs,
+                checkpointer=Checkpointer(tmp_path / leg),
+                run_name="chaos",  # it is in the trace: one name, two dirs
+            ).run(),
+            obs,
+        )
+    _assert_same_run(legs["python"], legs[backend], backend)
+    assert sum(legs["python"][0].faults.snapshot().values()) > 0
+
+
 @pytest.mark.chaos
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
