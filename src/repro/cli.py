@@ -549,6 +549,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_delta(args: argparse.Namespace) -> int:
+    from repro.delta import DeltaValidationError
+
+    try:
+        return _run_delta(args)
+    except DeltaValidationError as exc:  # a malformed or inapplicable batch
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_delta(args: argparse.Namespace) -> int:
     import json
 
     from repro.delta import GraphDelta, IncrementalEngine, random_delta

@@ -8,9 +8,9 @@ incrementally maintained service:
   :func:`random_delta` generator;
 * :mod:`repro.delta.view`   -- :class:`MutableGraphView`, the versioned
   mutable facade over the immutable :class:`~repro.graphs.Graph`;
-* :mod:`repro.delta.engine` -- plan diffing and the
-  :class:`IncrementalEngine` with its ``frontier`` / ``rederive`` /
-  ``recompute`` repair strategies.
+* :mod:`repro.delta.engine` -- plan diffs (from two plans, or from
+  the changed EDB rows alone) and the :class:`IncrementalEngine` with
+  its ``frontier`` / ``rederive`` / ``recompute`` repair strategies.
 
 Which strategies a program is certified for is decided statically by
 :func:`repro.analysis.incremental.classify_incremental` (diagnostics

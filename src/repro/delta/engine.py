@@ -1,14 +1,35 @@
 """Fixpoint repair under graph deltas (the incremental engine).
 
-Instead of diffing raw edge lists, the engine diffs *compiled plans*:
-the old and new graphs are compiled through the ordinary
-:func:`~repro.engine.plan.compile_plan` path and the repair works off
-the multiset difference of their dependency edges plus the diff of
-their base facts (``X⁰``) and constants (``C``).  That way every EDB
-builder quirk -- symmetrised edges (CC), degree-normalised parameters,
-auxiliary joins -- is handled by the same code that from-scratch
-evaluation uses, and the repair is provably against the same plan the
-oracle would run.
+A repair works off a :class:`PlanDiff`: the multiset difference of two
+compiles' dependency edges plus the diff of their base facts (``X⁰``)
+and constants (``C``).  There are two ways to one:
+
+* :func:`diff_plans` subtracts the signature multisets of two compiled
+  plans -- any two versions of any program (the serving layer, the
+  benches, the test oracle);
+* :func:`delta_join`, what :class:`IncrementalEngine` runs: build the
+  head graph's EDB with the program's own ``build_database``, take
+  per-relation set differences against the EDB of the last fixpoint and
+  join each recursive body against the *changed rows only*
+  (:func:`~repro.engine.plan.body_columns` with the rows as the
+  relation's override).  The removed rows' edges ``R`` and the added
+  rows' edges ``A`` cancel where they agree -- a body that ignores a
+  column turns different rows into the same edge -- so the diff is
+  ``added = A - R``, ``removed = R - A``, and the new plan is the old
+  one patched by it (:meth:`~repro.engine.plan.CompiledPlan.patched`):
+  no compile, no plan-sized multiset.
+
+Either way the EDB is the builder's -- symmetrised edges (CC), the
+forward sub-DAG, scaled probabilities and counting certificates are
+handled by the code from-scratch evaluation uses -- and the repair is
+against the plan the oracle would run (a patched plan holds a fresh
+compile's edges in its lineage's order).
+
+The delta join covers what is linear in the change: no auxiliary rules
+(their relations would have to be maintained too), at most one atom
+over a changed relation per recursive body, and unchanged broadcast
+values.  Anything else, and every delta whose strategy is
+``recompute``, compiles fresh and starts a new lineage.
 
 Three strategies, picked per delta by :func:`choose_strategy`:
 
@@ -26,10 +47,16 @@ Three strategies, picked per delta by :func:`choose_strategy`:
   aggregates.  The affected set is the forward closure, over the union
   of old and new plan edges, of every key that lost a derivation (the
   destinations of removed plan edges and the keys whose base fact
-  regressed).  The closure is forward-closed, so no plan edge leaves
+  regressed).  Old ∪ new is new ∪ removed, so the closure walks the new
+  plan plus the diff's removed pairs and the old plan's adjacency is
+  never built.  The closure is forward-closed, so no plan edge leaves
   it: values outside it keep their exact justification and are carried
   over; values inside are recomputed from their base facts plus the
-  boundary in-edges ``F'(x_src)`` from surviving keys.
+  boundary in-edges ``F'(x_src)`` from surviving keys.  Closure and
+  boundary are kernel class operations
+  (:meth:`~repro.runtime.base.Kernel.forward_closure`,
+  :meth:`~repro.runtime.base.Kernel.boundary_contributions`): the array
+  kernel runs both on the CSR.
 
 * ``recompute`` -- everything else (additive deletions, non-monotone or
   iterated programs): delegate to the plain
@@ -40,12 +67,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from repro.delta.model import GraphDelta
 from repro.delta.view import MutableGraphView
 from repro.engine.mra import MRAEvaluator
-from repro.engine.plan import CompiledPlan
+from repro.engine.plan import (
+    CompiledPlan,
+    base_values,
+    body_columns,
+    broadcast_names,
+    edge_signatures,
+)
+from repro.engine.relation import Database
 from repro.engine.result import EvalResult, WorkCounters
 from repro.engine.termination import TerminationTracker
 from repro.obs import ensure_obs
@@ -135,6 +170,71 @@ def diff_plans(old_plan: CompiledPlan, new_plan: CompiledPlan) -> PlanDiff:
     )
 
 
+def delta_join(
+    plan: CompiledPlan, old_db: Database, new_db: Database
+) -> Optional[tuple[PlanDiff, dict, dict]]:
+    """What ``diff_plans(plan, compile_plan(analysis, new_db))`` would
+    return, from the rows that differ between ``old_db`` (the EDB
+    ``plan`` holds the edges of) and ``new_db`` alone; with it the new
+    ``initial`` and ``constants``.  ``None`` when the change is not
+    linear in the changed rows (module docstring) and only a fresh
+    compile will do.
+    """
+    analysis = plan.analysis
+    names = new_db.names()
+    if analysis.aux_rules or names != old_db.names():
+        return None
+    changed = {}
+    for name in names:
+        old, new = old_db.relation(name), new_db.relation(name)
+        rows = old.difference(new), new.difference(old)
+        if any(map(len, rows)):
+            changed[name] = rows
+
+    aggregate = analysis.aggregate
+    initial, constants = plan.initial, plan.constants
+    base_keys = frozenset(chain(initial, constants))
+    improved: dict = {}
+    regressed: set = set()
+    base_bodies = chain(
+        analysis.constant_bodies, *(rule.bodies for rule in analysis.base_rules)
+    )
+    if any(
+        atom.name in changed
+        for body in base_bodies
+        for atom in body.predicate_atoms()
+    ):
+        initial, constants = base_values(analysis, new_db)
+        if base_keys != frozenset(chain(initial, constants)) and any(
+            broadcast_names(analysis, spec) for spec in analysis.recursions
+        ):
+            return None
+        _diff_values(aggregate, plan.initial, initial, improved, regressed)
+        _diff_values(aggregate, plan.constants, constants, improved, regressed)
+
+    lost: Counter = Counter()
+    gained: Counter = Counter()
+    for body, spec in enumerate(analysis.recursions):
+        touched = [atom.name for atom in spec.join_atoms if atom.name in changed]
+        if len(touched) > 1:
+            return None
+        for name in touched:
+            for edges, rows in zip((lost, gained), changed[name]):
+                if len(rows):
+                    columns = body_columns(
+                        analysis, spec, new_db, base_keys, overrides={name: rows}
+                    )
+                    edges.update(edge_signatures(body, *columns))
+    # cancel before patching: different rows can account for equal edges
+    diff = PlanDiff(
+        added=gained - lost,
+        removed=lost - gained,
+        improved=improved,
+        regressed=regressed,
+    )
+    return diff, initial, constants
+
+
 def choose_strategy(mode: str, diff: PlanDiff) -> str:
     """Pick the repair strategy for one delta.
 
@@ -204,42 +304,18 @@ class RepairResult:
         }
 
 
-def _added_edge_seeds(new_plan: CompiledPlan, added: Counter, values: dict) -> list:
+def _added_edge_seeds(plan: CompiledPlan, added: Counter, values: dict) -> list:
     """One ``F'(x_src)`` contribution per added plan edge with a valued
     source.  Sources without a prior value need no seed: the added edge
     lives in the kernel's plan, so any value they later gain propagates
     through it during the repair rounds."""
-    if not added:
-        return []
-    remaining = Counter(added)
-    bodies = new_plan.fprime_fns
+    fns = plan.fprime_fns
     seeds: list = []
-    for src, edges in new_plan.out_edges.items():
+    for (src, dst, params, body), count in added.items():
         value = values.get(src)
-        for dst, params, fn in edges:
-            signature = (src, dst, params, bodies.index(fn))
-            if remaining.get(signature, 0) > 0:
-                remaining[signature] -= 1
-                if value is not None:
-                    seeds.append((dst, fn(value, *params)))
+        if value is not None:
+            seeds += [(dst, fns[body](value, *params))] * count
     return seeds
-
-
-def _forward_closure(seeds, old_plan: CompiledPlan, new_plan: CompiledPlan) -> set:
-    """Forward closure of ``seeds`` over the union of both plans' edges."""
-    adjacency: dict = {}
-    for plan in (old_plan, new_plan):
-        for src, edges in plan.out_edges.items():
-            adjacency.setdefault(src, set()).update(dst for dst, _, _ in edges)
-    affected = set(seeds)
-    stack = list(affected)
-    while stack:
-        key = stack.pop()
-        for dst in adjacency.get(key, ()):
-            if dst not in affected:
-                affected.add(dst)
-                stack.append(dst)
-    return affected
 
 
 def _run_rounds(kernel, termination, counters: WorkCounters, obs) -> tuple:
@@ -269,15 +345,21 @@ def repair_plan(
     prior_values: dict,
     *,
     mode: str,
+    diff: Optional[PlanDiff] = None,
     backend: Optional[str] = None,
     obs=None,
     program: str = "",
 ) -> RepairResult:
     """Repair ``prior_values`` (the fixpoint of ``old_plan``) into the
-    fixpoint of ``new_plan``; see the module docstring for strategies."""
+    fixpoint of ``new_plan``; see the module docstring for strategies.
+
+    ``diff`` is the two plans' :class:`PlanDiff` when the caller holds
+    it already; the plans are diffed here otherwise.  The repair reads
+    the diff and the new plan, never the old plan's edges."""
     obs = ensure_obs(obs)
     backend = resolve_backend_for_plan(new_plan, backend)
-    diff = diff_plans(old_plan, new_plan)
+    if diff is None:
+        diff = diff_plans(old_plan, new_plan)
     strategy = choose_strategy(mode, diff)
     label = program or new_plan.name
 
@@ -300,44 +382,43 @@ def repair_plan(
             new_plan, counters=counters, initial=dict(prior_values)
         )
         seeds = list(diff.improved.items())
-        seeds.extend(_added_edge_seeds(new_plan, diff.added, prior_values))
+        seeds += _added_edge_seeds(new_plan, diff.added, prior_values)
+        batches = [seeds]
         reset_keys = 0
     else:  # rederive
-        lost = {key for (_, key, _, _) in diff.removed}
+        lost = {dst for _, dst, _, _ in diff.removed}
         lost.update(diff.regressed)
         lost.update(key for key in prior_values if key not in new_plan.keys)
-        affected = _forward_closure(lost, old_plan, new_plan)
+        # old ∪ new plan edges = new plan edges ∪ removed ones
+        affected = kernel_cls.forward_closure(
+            new_plan, lost, ((src, dst) for src, dst, _, _ in diff.removed)
+        )
         surviving = {
             key: value
             for key, value in prior_values.items()
             if key not in affected and key in new_plan.keys
         }
         kernel = kernel_cls.from_plan(new_plan, counters=counters, initial=surviving)
-        seeds = []
-        for key in affected:
-            if key in new_plan.initial:
-                seeds.append((key, new_plan.initial[key]))
-            if key in new_plan.constants:
-                seeds.append((key, new_plan.constants[key]))
-        # boundary: every new-plan in-edge from a surviving valued source
-        for src, edges in new_plan.out_edges.items():
-            value = surviving.get(src)
-            if value is None:
-                continue
-            for dst, params, fn in edges:
-                if dst in affected:
-                    seeds.append((dst, fn(value, *params)))
+        base = [
+            item
+            for facts in (new_plan.initial, new_plan.constants)
+            for item in facts.items()
+            if item[0] in affected
+        ]
+        # every new-plan in-edge from a surviving valued source
+        boundary = kernel_cls.boundary_contributions(new_plan, surviving, affected)
         # growth outside the affected region (mixed insert+delete batches);
         # duplicates with the boundary seeds are absorbed by idempotence
-        seeds.extend(_added_edge_seeds(new_plan, diff.added, surviving))
-        seeds.extend(
+        growth = _added_edge_seeds(new_plan, diff.added, surviving)
+        growth += [
             (key, value)
             for key, value in diff.improved.items()
             if key not in affected
-        )
+        ]
+        batches = [base, boundary, growth]
         reset_keys = len(affected)
 
-    kernel.push_many(seeds)
+    kernel.push_many(*batches)
     stop, tracker, ops = _run_rounds(kernel, new_plan.termination, counters, obs)
 
     result = EvalResult(
@@ -353,7 +434,7 @@ def repair_plan(
         strategy=strategy,
         edges_added=sum(diff.added.values()),
         edges_removed=sum(diff.removed.values()),
-        frontier_size=len(seeds),
+        frontier_size=sum(map(len, batches)),
         reset_keys=reset_keys,
         ops=ops,
     )
@@ -401,6 +482,12 @@ class IncrementalEngine:
     fixpoint in place.  The engine consults
     :func:`repro.analysis.incremental.classify_incremental` once to
     learn which strategies the program is certified for.
+
+    A repair goes through :func:`delta_join` and patches the plan where
+    it can, and compiles the head graph where it cannot (module
+    docstring); which one happened is a function of the analysed
+    program and the delta.  Patched plans stay inside the engine: their
+    edge order is their lineage's.
     """
 
     engine_name = ENGINE_NAME
@@ -427,6 +514,9 @@ class IncrementalEngine:
         self.obs = ensure_obs(obs)
         self.verdict = classify_incremental(self.spec.analysis())
         self._plan: Optional[CompiledPlan] = None
+        #: the EDB ``_plan`` holds the edges of; rebuilt from the view on
+        #: the first repair after a fresh compile
+        self._db: Optional[Database] = None
         self._values: Optional[dict] = None
         self._fixpoint_version: Optional[int] = None
 
@@ -446,6 +536,7 @@ class IncrementalEngine:
         plan = self.spec.plan(self.view.graph)
         result = MRAEvaluator(plan, obs=self.obs, backend=self.backend).run()
         self._plan = plan
+        self._db = None
         self._values = result.values
         self._fixpoint_version = self.view.version
         if self.obs.enabled:
@@ -466,21 +557,44 @@ class IncrementalEngine:
 
     def refresh(self) -> RepairResult:
         """Re-align the fixpoint with the view's current head version
-        (covers views mutated externally, possibly by several deltas)."""
+        (covers views mutated externally, possibly by several deltas:
+        the EDB of the head is diffed against the EDB of the fixpoint's
+        version, whatever lies between)."""
         if self._plan is None or self._values is None:
             self.bootstrap()
         assert self._plan is not None and self._values is not None
-        new_plan = self.spec.plan(self.view.graph)
+        graph = self.view.graph
+        new_plan = diff = new_db = None
+        # mode "none" always recomputes, which needs the compiled plan
+        if self.verdict.maintainable:
+            build = self.spec.build_database
+            new_db = build(graph)
+            old_db = self._db
+            if old_db is None:
+                old_db = build(self.view.graph_at(self._fixpoint_version))
+            joined = delta_join(self._plan, old_db, new_db)
+            if joined is not None:
+                diff, initial, constants = joined
+                if diff.is_empty:
+                    new_plan = self._plan
+                elif choose_strategy(self.verdict.mode, diff) != "recompute":
+                    new_plan = self._plan.patched(
+                        diff.added, diff.removed, initial, constants
+                    )
+        if new_plan is None:
+            new_plan = self.spec.plan(graph)
         repair = repair_plan(
             self._plan,
             new_plan,
             self._values,
             mode=self.verdict.mode,
+            diff=diff,
             backend=self.backend,
             obs=self.obs,
             program=self.spec.name,
         )
         self._plan = new_plan
+        self._db = new_db
         self._values = repair.result.values
         self._fixpoint_version = self.view.version
         return repair

@@ -27,8 +27,10 @@ weights first and only then edits the edge list.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.graphs.graph import Graph
 
@@ -113,8 +115,12 @@ class GraphDelta:
     # -- validation -----------------------------------------------------------
     def validate(self, graph: Graph) -> None:
         """Raise :class:`DeltaValidationError` unless the batch is applicable."""
+        self._validate(graph, set(graph.edges))
+
+    def _validate(self, graph: Graph, existing) -> None:
+        """:meth:`validate` against ``existing``, any container of the
+        graph's ``(src, dst)`` pairs."""
         bound = graph.num_vertices + self.add_vertices
-        existing = set(graph.edges)
         removed_vertices = set(self.remove_vertices)
 
         if self.add_vertices < 0:
@@ -197,23 +203,40 @@ class GraphDelta:
         The result always carries materialised weights (see module
         docstring); surviving edges keep their original order, inserts
         are appended in batch order, so the mutation is deterministic.
-        """
-        self.validate(graph)
-        base = graph if graph.weights is not None else graph.with_weights()
 
-        removed_pairs = set(self.delete_edges)
+        Only the batch is walked in Python: the edge list is indexed
+        and copied whole, then reweighted in place and cut at the
+        positions the batch names.
+        """
+        base = graph if graph.weights is not None else graph.with_weights()
+        edges = list(base.edges)
+        weights = list(base.weights)
+        positions = dict(zip(edges, range(len(edges))))
+        self._validate(graph, positions)
+
         removed_vertices = set(self.remove_vertices)
         updates = {(src, dst): weight for src, dst, weight in self.update_weights}
-
-        edges: list = []
-        weights: list = []
-        for (src, dst), weight in zip(base.edges, base.weights):
-            if (src, dst) in removed_pairs:
-                continue
-            if src in removed_vertices or dst in removed_vertices:
-                continue
-            edges.append((src, dst))
-            weights.append(updates.get((src, dst), weight))
+        if removed_vertices or len(positions) != len(edges):
+            # incident edges and the copies of a repeated pair cannot be
+            # read off the index: scan for them
+            named = updates.keys() | set(self.delete_edges)
+            touched = [
+                position
+                for position, edge in enumerate(edges)
+                if edge in named or not removed_vertices.isdisjoint(edge)
+            ]
+        else:
+            touched = [positions[edge] for edge in chain(updates, self.delete_edges)]
+        drop = []
+        for position in touched:
+            edge = edges[position]
+            if edge in updates and removed_vertices.isdisjoint(edge):
+                weights[position] = updates[edge]
+            else:
+                drop.append(position)
+        for position in sorted(drop, reverse=True):
+            del edges[position]
+            del weights[position]
         for src, dst, weight in self.insert_edges:
             edges.append((src, dst))
             weights.append(DEFAULT_WEIGHT if weight is None else weight)
@@ -239,6 +262,17 @@ class GraphDelta:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GraphDelta":
+        """The batch a :meth:`to_dict` payload describes.
+
+        The payload comes from outside the program (``repro delta
+        --file``), so every shape is checked: anything but a well-formed
+        batch raises :class:`DeltaValidationError` naming the field and
+        the entry at fault.
+        """
+        if not isinstance(payload, dict):
+            raise DeltaValidationError(
+                f"a delta is an object of fields, got {payload!r}"
+            )
         known = {
             "insert_edges",
             "delete_edges",
@@ -250,23 +284,98 @@ class GraphDelta:
         unknown = set(payload) - known
         if unknown:
             raise DeltaValidationError(
-                f"unknown delta fields: {sorted(unknown)} (known: {sorted(known)})"
+                f"unknown delta fields: {sorted(unknown, key=repr)} "
+                f"(known: {sorted(known)})"
             )
+        add_vertices = payload.get("add_vertices", 0)
+        if type(add_vertices) is not int:
+            raise DeltaValidationError(
+                f"add_vertices: expected an integer, got {add_vertices!r}"
+            )
+        allow_self_loops = payload.get("allow_self_loops", False)
+        if type(allow_self_loops) is not bool:
+            raise DeltaValidationError(
+                f"allow_self_loops: expected true or false, got {allow_self_loops!r}"
+            )
+        removed = _entries(payload, "remove_vertices")
         return cls(
-            insert_edges=tuple(tuple(e) for e in payload.get("insert_edges", ())),
-            delete_edges=tuple(tuple(e) for e in payload.get("delete_edges", ())),
-            update_weights=tuple(tuple(e) for e in payload.get("update_weights", ())),
-            add_vertices=int(payload.get("add_vertices", 0)),
-            remove_vertices=tuple(payload.get("remove_vertices", ())),
-            allow_self_loops=bool(payload.get("allow_self_loops", False)),
+            insert_edges=_edge_entries(payload, "insert_edges"),
+            delete_edges=_edge_entries(payload, "delete_edges"),
+            update_weights=_edge_entries(payload, "update_weights"),
+            add_vertices=add_vertices,
+            remove_vertices=tuple(
+                _vertex("remove_vertices", removed, vertex) for vertex in removed
+            ),
+            allow_self_loops=allow_self_loops,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "GraphDelta":
-        return cls.from_dict(json.loads(text))
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DeltaValidationError(f"not valid JSON: {exc}") from None
+        return cls.from_dict(payload)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
+
+
+def _entries(payload: dict, field: str):
+    entries = payload.get(field, ())
+    if not isinstance(entries, (list, tuple)):
+        raise DeltaValidationError(f"{field}: expected a list, got {entries!r}")
+    return entries
+
+
+def _vertex(field: str, entry, value) -> int:
+    if type(value) is not int:
+        raise DeltaValidationError(
+            f"{field}: vertex ids must be integers, got {value!r} in {entry!r}"
+        )
+    return value
+
+
+def _check_weight(field: str, entry, weight) -> None:
+    if type(weight) not in (int, float):
+        raise DeltaValidationError(
+            f"{field}: weight {weight!r} in {entry!r} is not a number"
+        )
+    try:
+        finite = math.isfinite(weight)
+    except OverflowError:  # an integer no float can hold
+        finite = False
+    if not finite:
+        raise DeltaValidationError(
+            f"{field}: weight {weight!r} in {entry!r} is not finite"
+        )
+
+
+#: per edge field of the file format: accepted entry lengths, spelled out
+_EDGE_SHAPES = {
+    "insert_edges": ((2, 3), "[src, dst] or [src, dst, weight]"),
+    "delete_edges": ((2,), "[src, dst]"),
+    "update_weights": ((3,), "[src, dst, weight]"),
+}
+
+
+def _edge_entries(payload: dict, field: str) -> tuple:
+    """``payload[field]`` as ``(src, dst[, weight])`` tuples: integer
+    endpoints, and a finite number for a weight (``null`` on an insert
+    asks for :data:`DEFAULT_WEIGHT`)."""
+    widths, shape = _EDGE_SHAPES[field]
+    edges = []
+    for entry in _entries(payload, field):
+        if not isinstance(entry, (list, tuple)) or len(entry) not in widths:
+            raise DeltaValidationError(f"{field}: expected {shape}, got {entry!r}")
+        edge = [_vertex(field, entry, value) for value in entry[:2]]
+        if len(entry) == 3:
+            weight = entry[2]
+            if weight is not None or field != "insert_edges":
+                _check_weight(field, entry, weight)
+            edge.append(weight)
+        edges.append(tuple(edge))
+    return tuple(edges)
 
 
 def random_delta(

@@ -9,6 +9,14 @@ validated :class:`~repro.delta.model.GraphDelta`.  All versions and the
 deltas that produced them stay addressable, which is what lets the
 serving layer repair a fixpoint cached at version ``j`` up to the
 current version without replaying the workload.
+
+A bump costs the batch, not the graph, in Python: ``apply`` goes through
+:meth:`~repro.delta.model.GraphDelta.apply_to`, which indexes and copies
+the head's edge list whole and edits it at the positions the batch
+names.  Edge order and weight objects are part of the contract --
+:func:`~repro.delta.model.random_delta` sorts and samples the head's
+edges, so a view that ordered them differently would change every
+seeded delta stream drawn from it.
 """
 
 from __future__ import annotations

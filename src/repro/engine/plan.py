@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Optional
@@ -112,9 +112,93 @@ class CompiledPlan:
         signature: Counter = Counter()
         for body, columns in enumerate(self.edge_columns):
             signature.update(
-                zip(columns.srcs, columns.dsts, columns.param_rows(), repeat(body))
+                edge_signatures(body, columns.srcs, columns.dsts, columns.param_cols)
             )
         return signature
+
+    def patched(
+        self, added: Counter, removed: Counter, initial: dict, constants: dict
+    ) -> "CompiledPlan":
+        """This plan minus the edges ``removed``, plus the edges ``added``
+        (multisets of :attr:`signature` elements), over the given base
+        facts: what a fresh compile of the changed EDB holds, as a
+        multiset -- a patched plan's *edge order* is its lineage's, not
+        a fresh compile's.
+
+        Costs the change, not the plan: a ``signature -> positions``
+        index is built on a lineage's first patch and handed from plan
+        to plan; a removed edge is overwritten by its body's last edge
+        (swap-remove), an added one appended.  Columns stay type-exact
+        (:class:`EdgeColumns`), ``keys`` shrinks when an endpoint's last
+        edge goes, and none of this plan's caches carry over.
+        """
+        index = self.__dict__.pop("_edge_positions", None)
+        if index is None:
+            index = {}
+            for body, columns in enumerate(self.edge_columns):
+                edges = edge_signatures(
+                    body, columns.srcs, columns.dsts, columns.param_cols
+                )
+                for position, edge in enumerate(edges):
+                    index.setdefault(edge, []).append(position)
+        bodies = [
+            [columns.srcs[:], columns.dsts[:], *(col[:] for col in columns.param_cols)]
+            for columns in self.edge_columns
+        ]
+        for edge, count in removed.items():
+            body = edge[3]
+            cols = bodies[body]
+            positions = index[edge]
+            for _ in range(count):
+                position = positions.pop()
+                last = len(cols[0]) - 1
+                if position != last:
+                    moved = (
+                        cols[0][last],
+                        cols[1][last],
+                        tuple(col[last] for col in cols[2:]),
+                        body,
+                    )
+                    held = index[moved]
+                    held[held.index(last)] = position
+                    for col in cols:
+                        col[position] = col[last]
+                for col in cols:
+                    col.pop()
+            if not positions:
+                del index[edge]
+        for edge, count in added.items():
+            src, dst, params, body = edge
+            cols = bodies[body]
+            positions = index.setdefault(edge, [])
+            for _ in range(count):
+                positions.append(len(cols[0]))
+                for slot, value in enumerate((src, dst, *params)):
+                    cols[slot] = _appended(cols[slot], value)
+        edge_columns = tuple(
+            EdgeColumns(columns.fn, cols[0], cols[1], cols[2:])
+            for columns, cols in zip(self.edge_columns, bodies)
+        )
+        if removed or initial is not self.initial or constants is not self.constants:
+            keys = frozenset(
+                chain(
+                    initial,
+                    constants,
+                    *(columns.srcs for columns in edge_columns),
+                    *(columns.dsts for columns in edge_columns),
+                )
+            )
+        else:
+            keys = self.keys.union(chain.from_iterable(edge[:2] for edge in added))
+        plan = replace(
+            self,
+            keys=keys,
+            edge_columns=edge_columns,
+            initial=initial,
+            constants=constants,
+        )
+        plan._edge_positions = index
+        return plan
 
     def __repr__(self):
         return (
@@ -156,11 +240,20 @@ class EdgeColumns:
         return zip(*self.param_cols) if self.param_cols else repeat((), len(self))
 
 
+def edge_signatures(body: int, srcs, dsts, param_cols):
+    """``(src, dst, params, body)`` per edge of one body's columns: the
+    elements of :attr:`CompiledPlan.signature`."""
+    params = zip(*param_cols) if param_cols else repeat(())
+    return zip(srcs, dsts, params, repeat(body))
+
+
 _TYPECODES = {int: "q", float: "d"}
 
 
-def _typed_column(values: list):
+def _typed_column(values):
     """``values`` as a C-typed array when that loses nothing, else as is."""
+    if isinstance(values, array):  # typed already; an empty column is a list
+        return values if values else []
     kinds = set(map(type, values))
     if len(kinds) != 1:
         return values
@@ -171,6 +264,113 @@ def _typed_column(values: list):
         return array(typecode, values)
     except OverflowError:  # an int beyond 64 bits
         return values
+
+
+def _appended(column, value):
+    """``column`` with ``value`` appended: a typed array that could only
+    hold the value by coercing it (``4`` in a double array, ``7.0`` or
+    ``2**70`` in an int array) becomes a list first, as
+    :func:`_typed_column` would have left it."""
+    if isinstance(column, array):
+        if _TYPECODES.get(type(value)) == column.typecode:
+            try:
+                column.append(value)
+                return column
+            except OverflowError:  # an int beyond 64 bits
+                pass
+        column = column.tolist()
+    column.append(value)
+    return column
+
+
+def base_values(
+    analysis: ProgramAnalysis, db: Database, counters: Optional[WorkCounters] = None
+) -> tuple[dict, dict]:
+    """``X⁰`` from the base rules and the per-key constants ``C`` from
+    the recursive rule's constant bodies, evaluated against ``db``."""
+    iterated = analysis.head if analysis.iterated else None
+    initial = initial_values(
+        analysis, db, counters=counters, iterated_predicate=iterated
+    )
+    constants: dict = {}
+    if analysis.constant_bodies:
+        contributions = evaluate_rule_bodies(
+            recursive_rule(analysis),
+            db,
+            bodies=analysis.constant_bodies,
+            counters=counters,
+            iterated_predicate=iterated,
+        )
+        constants = aggregate_contributions(analysis.aggregate, contributions)
+    return initial, constants
+
+
+def broadcast_names(analysis: ProgramAnalysis, spec) -> list[str]:
+    """Key variables shared between the recursive atom and the head but
+    not bound by any join atom: *broadcast* dimensions (e.g. the source
+    column S of APSP: ``apsp(S,Y,...) :- apsp(S,X,...), edge(X,Y,...)``).
+    The edge pattern applies for every value of such a variable."""
+    join_bound: set[str] = set()
+    for atom in spec.join_atoms:
+        join_bound.update(atom.variables())
+    return [
+        name
+        for name in spec.source_keys
+        if name in analysis.key_vars and name not in join_bound
+    ]
+
+
+def body_columns(
+    analysis: ProgramAnalysis,
+    spec,
+    db: Database,
+    base_keys,
+    overrides=None,
+    counters: Optional[WorkCounters] = None,
+) -> tuple[list, list, list]:
+    """One recursive body's join as plan columns ``(srcs, dsts,
+    param_cols)``, one entry per dependency edge in emission order.
+
+    ``base_keys`` (the keys of ``X⁰`` and ``C``) supplies the values
+    broadcast dimensions are expanded over.  ``overrides`` replaces
+    relations by name, as in :func:`~repro.engine.rules.match_columns`:
+    joined against only the *changed* rows of a relation the body
+    mentions once, this yields exactly the edges those rows account for,
+    which is how :mod:`repro.delta` turns an EDB delta into a plan delta.
+    """
+    recursion_var = spec.recursion_var
+    # Comparisons participating in F' (the definition chain of the head
+    # variable) mention the recursion variable and are excluded from the
+    # compile-time join; pure filters/assignments over join variables
+    # stay.
+    join_comparisons = [
+        comparison
+        for comparison in spec.comparisons
+        if recursion_var not in comparison.left.free_vars()
+        and recursion_var not in comparison.right.free_vars()
+    ]
+    rows, columns = match_columns(
+        list(spec.join_atoms) + join_comparisons,
+        db,
+        overrides=overrides,
+        counters=counters,
+        iterated_predicate=analysis.head if analysis.iterated else None,
+    )
+    for name in broadcast_names(analysis, spec):
+        # expanded over the values observed in X⁰ and C.  One edge per
+        # value, values innermost: repeat every row, tile the values
+        # against them
+        position = spec.source_keys.index(name)
+        values = sorted(
+            {(key if isinstance(key, tuple) else (key,))[position] for key in base_keys}
+        )
+        for bound, column in columns.items():
+            columns[bound] = repeat_each(column, repeat(len(values)))
+        columns[name] = values * rows
+        rows *= len(values)
+    srcs = key_column([columns[name] for name in spec.source_keys], rows)
+    dsts = key_column([columns[name] for name in analysis.key_vars], rows)
+    return srcs, dsts, [columns[name] for name in spec.fprime_params]
 
 
 def compile_plan(
@@ -197,83 +397,18 @@ def compile_plan(
     counters = counters if counters is not None else WorkCounters()
     work_db = db.copy()
     evaluate_aux_rules(analysis, work_db, counters=counters)
-    iterated = analysis.head if analysis.iterated else None
-    rec_rule = recursive_rule(analysis)
-
-    initial = initial_values(
-        analysis, work_db, counters=counters, iterated_predicate=iterated
-    )
-
-    constants: dict = {}
-    if analysis.constant_bodies:
-        contributions = evaluate_rule_bodies(
-            rec_rule,
-            work_db,
-            bodies=analysis.constant_bodies,
-            counters=counters,
-            iterated_predicate=iterated,
-        )
-        constants = aggregate_contributions(analysis.aggregate, contributions)
+    initial, constants = base_values(analysis, work_db, counters=counters)
 
     keys: set = set(initial) | set(constants)
+    base_keys = frozenset(keys)
     fprime_fns = []
     edge_columns: list[EdgeColumns] = []
     for spec in analysis.recursions:
-        recursion_var = spec.recursion_var
-        param_names = spec.fprime_params
-        fn = compile_fn(spec.fprime, (recursion_var, *param_names))
+        fn = compile_fn(spec.fprime, (spec.recursion_var, *spec.fprime_params))
         fprime_fns.append(fn)
-        # Comparisons participating in F' (the definition chain of the
-        # head variable) mention the recursion variable and are excluded
-        # from the compile-time join; pure filters/assignments over join
-        # variables stay.
-        join_comparisons = [
-            comparison
-            for comparison in spec.comparisons
-            if recursion_var not in comparison.left.free_vars()
-            and recursion_var not in comparison.right.free_vars()
-        ]
-
-        # Key variables shared between the recursive atom and the head
-        # but not bound by any join atom are *broadcast* dimensions
-        # (e.g. the source column S of APSP:
-        # ``apsp(S,Y,...) :- apsp(S,X,...), edge(X,Y,...)``).  The edge
-        # pattern applies for every value of such a variable; we expand
-        # it over the values observed in X⁰ and C.
-        join_bound: set[str] = set()
-        for atom in spec.join_atoms:
-            join_bound.update(atom.variables())
-        broadcast = [
-            name
-            for name in spec.source_keys
-            if name in analysis.key_vars and name not in join_bound
-        ]
-        broadcast_values: dict[str, set] = {name: set() for name in broadcast}
-        if broadcast:
-            for key in set(initial) | set(constants):
-                key_tuple = key if isinstance(key, tuple) else (key,)
-                for name in broadcast:
-                    position = spec.source_keys.index(name)
-                    broadcast_values[name].add(key_tuple[position])
-
-        rows, columns = match_columns(
-            list(spec.join_atoms) + join_comparisons,
-            work_db,
-            counters=counters,
-            iterated_predicate=iterated,
+        srcs, dsts, param_cols = body_columns(
+            analysis, spec, work_db, base_keys, counters=counters
         )
-        for name in broadcast:
-            # one edge per value, values innermost: repeat every row,
-            # tile the values against them
-            values = sorted(broadcast_values[name])
-            for bound, column in columns.items():
-                columns[bound] = repeat_each(column, repeat(len(values)))
-            columns[name] = values * rows
-            rows *= len(values)
-        srcs = key_column([columns[name] for name in spec.source_keys], rows)
-        dsts = key_column([columns[name] for name in analysis.key_vars], rows)
-        param_cols = [columns[name] for name in param_names]
-
         # interleaved, as emitted: the set's layout (hence its iteration
         # order, which the partition map inherits) depends on it
         keys.update(chain.from_iterable(zip(srcs, dsts)))

@@ -67,6 +67,13 @@ class Relation:
         self._version += 1
         self.extend(rows)
 
+    def difference(self, other: "Relation") -> "Relation":
+        """The tuples of this relation that ``other`` does not hold, as a
+        relation of the same name and arity (one set difference)."""
+        result = Relation(self.name, self.arity)
+        result._tuples = self._tuples - other._tuples
+        return result
+
     def __contains__(self, row: tuple) -> bool:
         return row in self._tuples
 
@@ -139,7 +146,9 @@ class Database:
         ``arity`` is required when ``rows`` may be empty (e.g. the edge
         relation of an edgeless graph); otherwise it is inferred.
         """
-        rows = [tuple(r) for r in rows]
+        rows = list(rows)
+        if not set(map(type, rows)) <= {tuple}:
+            rows = list(map(tuple, rows))
         if not rows and arity is None:
             raise ValueError(f"cannot infer arity of empty relation {name!r}")
         relation = self.relation(name, arity if arity is not None else len(rows[0]))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.runtime.compat import np
 
@@ -36,13 +36,12 @@ class Graph:
     def vertices(self) -> range:
         return range(self.num_vertices)
 
-    def weighted_edges(self) -> Iterator[tuple[int, int, object]]:
+    def weighted_edges(self) -> list[tuple[int, int, object]]:
         """Edges with weights, generating integer weights if absent."""
         weights = self.weights
         if weights is None:
             weights = self.generate_weights()
-        for (src, dst), weight in zip(self.edges, weights):
-            yield src, dst, weight
+        return [(src, dst, w) for (src, dst), w in zip(self.edges, weights)]
 
     def generate_weights(self, low: int = 1, high: int = 10) -> list[int]:
         """Deterministic integer weights in ``[low, high]`` from the seed."""
@@ -92,10 +91,10 @@ class Graph:
         """
         db = Database()
         if weighted:
-            db.add_facts("edge", list(self.weighted_edges()), arity=3)
+            db.add_facts("edge", self.weighted_edges(), arity=3)
         else:
             db.add_facts("edge", self.edges, arity=2)
-        db.add_facts("node", [(v,) for v in self.vertices()], arity=1)
+        db.add_facts("node", zip(self.vertices()), arity=1)
         return db
 
     def __repr__(self):

@@ -107,6 +107,27 @@ key-at-a-time reference:
   anything reads or replaces the receiver's pending column or the work
   counters: selecting a batch, a checkpoint or snapshot, blanking or
   restoring a shard, the end of the run.
+
+Repair walks (:mod:`repro.delta`)
+---------------------------------
+
+Re-deriving after a deletion needs two walks over the plan's edges, and
+like :meth:`Kernel.full_contributions` they are class operations, so a
+backend runs them over the edge structure it already packs:
+
+* :meth:`Kernel.forward_closure` -- the keys reachable from a seed set
+  along the plan's edges plus a few extra ``(src, dst)`` pairs (a
+  delta's removed edges, whose endpoints need not be plan keys any
+  more).  Every backend returns the same *set*.
+* :meth:`Kernel.boundary_contributions` -- ``F'(x)`` along every edge
+  from a valued key into a target set, as a batch for
+  :meth:`Kernel.push_many`: the same contributions on every backend
+  (values as that backend's kernels hold them), one per edge, unfolded,
+  so its ``len()`` is the number of seeds the repair reports.
+
+The base class holds both as loops over ``plan.out_edges`` -- the
+reference, and what the python kernel (which needs that view anyway)
+runs; the array kernel does them on the CSR and never builds the view.
 """
 
 from __future__ import annotations
@@ -405,6 +426,51 @@ class Kernel:
         the engine.
         """
         raise NotImplementedError
+
+    # -- repair walks (repro.delta) ---------------------------------------------
+    @classmethod
+    def forward_closure(cls, plan: Any, seeds: Iterable, pairs: Iterable = ()) -> set:
+        """Every key reachable from ``seeds`` (themselves included) along
+        the plan's edges and the extra ``(src, dst)`` ``pairs`` -- edges
+        the plan no longer has, whose endpoints need not be plan keys.
+
+        This is the reference, a depth-first walk over the adjacency
+        view; a backend may override it with an equivalent over its own
+        edge structure and must return the same set.
+        """
+        extra: dict = {}
+        for src, dst in pairs:
+            extra.setdefault(src, []).append(dst)
+        out_edges = plan.out_edges
+        reached = set(seeds)
+        stack = list(reached)
+        while stack:
+            key = stack.pop()
+            successors = [dst for dst, _, _ in out_edges.get(key, ())]
+            successors += extra.get(key, ())
+            for dst in successors:
+                if dst not in reached:
+                    reached.add(dst)
+                    stack.append(dst)
+        return reached
+
+    @classmethod
+    def boundary_contributions(cls, plan: Any, values: dict, targets: set) -> Any:
+        """``F'(x)`` along every plan edge from a key of ``values`` (plan
+        keys with their values) into ``targets``, as a batch for
+        :meth:`push_many` (take its ``len()``; nothing else): one
+        contribution per edge, unfolded, sources in the order of
+        ``values`` and a source's edges in plan order.
+
+        The reference, over the adjacency view; a backend's override
+        returns its own payload holding the same contributions.
+        """
+        batch = []
+        for src, value in values.items():
+            for dst, params, fn in plan.edges_from(src):
+                if dst in targets:
+                    batch.append((dst, fn(value, *params)))
+        return batch
 
     # -- relational-path helpers ------------------------------------------------
     @classmethod

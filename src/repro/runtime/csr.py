@@ -151,17 +151,20 @@ class PlanCSR:
             self._positions = np.full(self.n, -1, dtype=np.int64)
         return self._positions
 
-    def gather(self, srcs: Any, x: Any) -> tuple:
-        """Flat edge ids + per-edge source values for a source batch."""
+    def edge_ids(self, srcs: Any) -> tuple:
+        """Flat edge ids of a source batch + each source's edge count."""
         starts = self.indptr[srcs]
         counts = self.indptr[srcs + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.float64)
+            return np.empty(0, dtype=np.int64), counts
         cum = np.cumsum(counts)
         offsets = np.repeat(starts - (cum - counts), counts)
-        eids = np.arange(total, dtype=np.int64) + offsets
+        return np.arange(total, dtype=np.int64) + offsets, counts
+
+    def gather(self, srcs: Any, x: Any) -> tuple:
+        """Flat edge ids + per-edge source values for a source batch."""
+        eids, counts = self.edge_ids(srcs)
         return eids, np.repeat(x, counts)
 
     def apply_edges(self, eids: Any, x_per_edge: Any) -> tuple:

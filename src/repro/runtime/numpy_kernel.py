@@ -780,6 +780,65 @@ class NumpyKernel(Kernel):
             )
         ]
 
+    # -- repair walks (repro.delta), on the CSR ---------------------------------
+    @classmethod
+    def forward_closure(cls, plan: Any, seeds: Iterable, pairs: Iterable = ()) -> set:
+        """Level by level: one ``edge_ids`` per level marks a mask over
+        the key codes.  ``pairs`` are few (a delta's removed edges) and
+        may name keys the plan no longer has, so they are stepped along
+        in Python between CSR closures until nothing moves."""
+        _require_numpy()
+        csr = plan_csr(plan)
+        index = csr.index
+        mask = np.zeros(csr.n, dtype=bool)
+        seeds = set(seeds)
+        outside = {key for key in seeds if key not in index}
+        pairs = list(pairs)
+
+        def reached(key: Any) -> bool:
+            code = index.get(key)
+            return key in outside if code is None else bool(mask[code])
+
+        frontier = [index[key] for key in seeds if key in index]
+        while True:
+            frontier = np.asarray(frontier, dtype=np.int64)
+            while len(frontier):
+                mask[frontier] = True
+                dsts = csr.edst[csr.edge_ids(frontier)[0]]
+                frontier, _ = _first_codes(dsts[~mask[dsts]], csr.n)
+            frontier = []
+            stepped = False
+            for src, dst in pairs:
+                if reached(src) and not reached(dst):
+                    stepped = True
+                    code = index.get(dst)
+                    if code is None:
+                        outside.add(dst)
+                    else:
+                        mask[code] = True
+                        frontier.append(code)
+            if not stepped:
+                break
+        keys = csr.keys_sorted
+        outside.update(keys[code] for code in mask.nonzero()[0].tolist())
+        return outside
+
+    @classmethod
+    def boundary_contributions(
+        cls, plan: Any, values: dict, targets: set
+    ) -> "Columns":
+        """One ``gather`` over the valued sources, masked to the edges
+        that land in ``targets``, one ``apply_edges`` over what is left."""
+        _require_numpy()
+        csr = plan_csr(plan)
+        index = csr.index
+        sources = _pair_columns(index, values.items())
+        inside = np.zeros(csr.n, dtype=bool)
+        inside[[index[key] for key in targets if key in index]] = True
+        eids, x_per_edge = csr.gather(sources.codes, sources.vals)
+        keep = inside[csr.edst[eids]]
+        return Columns(*csr.apply_edges(eids[keep], x_per_edge[keep]))
+
     # -- relational-path helpers ------------------------------------------------
     @classmethod
     def fold_contributions(

@@ -439,13 +439,15 @@ class ServingService:
             return None
         old_plan = self._plan(program, basis.graph_version)
         new_plan = self._plan(program, version)
-        if choose_strategy(mode, diff_plans(old_plan, new_plan)) == "recompute":
+        diff = diff_plans(old_plan, new_plan)
+        if choose_strategy(mode, diff) == "recompute":
             return None
         repair = repair_plan(
             old_plan,
             new_plan,
             basis.values,
             mode=mode,
+            diff=diff,
             backend=self.config.backend,
             obs=self.obs,
             program=program,

@@ -229,7 +229,10 @@ class TestEdgeColumns:
         match_columns = plan_module.match_columns
         bound: list[list] = []  # one list of bindings per recursive body
 
-        def recording(atoms, db, counters=None, iterated_predicate=None):
+        def recording(
+            atoms, db, overrides=None, counters=None, iterated_predicate=None
+        ):
+            assert overrides is None  # a from-scratch compile joins whole relations
             bound.append(
                 [
                     dict(binding)

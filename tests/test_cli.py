@@ -178,6 +178,24 @@ class TestRunOnUserGraph:
         assert captured.err == f"error: {path}:2: weight 'nan' is not finite\n"
         assert "Traceback" not in captured.out + captured.err
 
+    def test_malformed_delta_is_a_one_line_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"update_weights": [[0, 1, NaN]]}')
+        argv = ["delta", "sssp", "--dataset", "flickr", "--file", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: update_weights: weight nan in [0, 1, nan] is not finite\n"
+        )
+        # well-formed but inapplicable: the same exit, the same shape
+        path.write_text('{"delete_edges": [[0, 0]]}')
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: delete_edges: edge (0, 0) does not exist (dangling delete)\n"
+        )
+        assert "Traceback" not in captured.out + captured.err
+
     def test_non_convergence_is_a_nonzero_exit(self, tmp_path, capsys):
         # min over a negative cycle (1 -> 2 -> 1 sums to -2) never settles
         path = tmp_path / "negative-cycle.tsv"

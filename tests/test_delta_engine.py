@@ -11,6 +11,7 @@ frontier instead of resetting state.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.delta import (
     DEFAULT_WEIGHT,
@@ -33,6 +34,36 @@ from repro.programs import PROGRAMS
 @pytest.fixture
 def graph():
     return rmat(24, 60, seed=5)
+
+
+#: anything a JSON file can hold
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+_FIELDS = (
+    "insert_edges", "delete_edges", "update_weights",
+    "add_vertices", "remove_vertices", "allow_self_loops",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    payload=_JSON
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), _JSON)
+)
+def test_from_dict_returns_a_delta_or_a_diagnosis(payload):
+    try:
+        delta = GraphDelta.from_dict(payload)
+    except DeltaValidationError:
+        return
+    assert GraphDelta.from_dict(delta.to_dict()) == delta
 
 
 @pytest.fixture
@@ -174,6 +205,43 @@ class TestGraphDeltaApply:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(DeltaValidationError, match="unknown delta fields"):
             GraphDelta.from_dict({"inserts": []})
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{bad", "not valid JSON"),
+            ("[1, 2]", "a delta is an object of fields"),
+            ('"insert_edges"', "a delta is an object of fields"),
+            ('{"insert_edges": 5}', "insert_edges: expected a list, got 5"),
+            ('{"insert_edges": [[1]]}', r"insert_edges: expected \[src, dst\] or .*got \[1\]"),
+            ('{"insert_edges": [[1, 2, 3, 4]]}', "insert_edges: expected"),
+            ('{"insert_edges": [7]}', "insert_edges: expected .* got 7"),
+            ('{"delete_edges": [[1, 2, 3]]}', r"delete_edges: expected \[src, dst\], got"),
+            ('{"update_weights": [[1, 2]]}', r"update_weights: expected \[src, dst, weight\]"),
+            ('{"insert_edges": [[1, "b"]]}', "insert_edges: vertex ids must be integers, got 'b'"),
+            ('{"delete_edges": [[1.5, 2]]}', "delete_edges: vertex ids must be integers, got 1.5"),
+            ('{"delete_edges": [[true, 2]]}', "delete_edges: vertex ids must be integers, got True"),
+            ('{"update_weights": [[1, 2, "w"]]}', "update_weights: weight 'w' .* is not a number"),
+            ('{"update_weights": [[1, 2, null]]}', "update_weights: weight None .* is not a number"),
+            ('{"update_weights": [[1, 2, NaN]]}', "update_weights: weight nan .* is not finite"),
+            ('{"update_weights": [[1, 2, Infinity]]}', "update_weights: weight inf .* is not finite"),
+            ('{"insert_edges": [[1, 2, -Infinity]]}', "insert_edges: weight -inf .* is not finite"),
+            ('{"insert_edges": [[1, 2, 1e999]]}', "insert_edges: weight inf .* is not finite"),
+            ('{"insert_edges": [[1, 2, 1' + "0" * 400 + "]]}", "is not finite"),
+            ('{"add_vertices": "x"}', "add_vertices: expected an integer, got 'x'"),
+            ('{"add_vertices": 1.0}', "add_vertices: expected an integer, got 1.0"),
+            ('{"remove_vertices": 3}', "remove_vertices: expected a list, got 3"),
+            ('{"remove_vertices": [[3]]}', "remove_vertices: vertex ids must be integers"),
+            ('{"allow_self_loops": "yes"}', "allow_self_loops: expected true or false"),
+        ],
+    )
+    def test_malformed_files_are_diagnosed(self, text, message):
+        with pytest.raises(DeltaValidationError, match=message):
+            GraphDelta.from_json(text)
+
+    def test_null_insert_weight_asks_for_the_default(self):
+        delta = GraphDelta.from_json('{"insert_edges": [[0, 1, null], [1, 2]]}')
+        assert delta.insert_edges == ((0, 1, None), (1, 2, None))
 
     def test_random_delta_is_deterministic_and_applicable(self, graph):
         first = random_delta(

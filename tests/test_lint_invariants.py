@@ -9,7 +9,14 @@ REPO_ROOT = Path(__file__).parent.parent
 TOOL = REPO_ROOT / "tools" / "lint_invariants.py"
 
 sys.path.insert(0, str(TOOL.parent))
-from lint_invariants import check_file, check_unused_imports, main  # noqa: E402
+from lint_invariants import (  # noqa: E402
+    ARRAY_FREE_SCOPE,
+    SEEDED_GENERATOR_FILES,
+    check_array_imports,
+    check_file,
+    check_unused_imports,
+    main,
+)
 
 CLEAN = """\
 import random
@@ -116,6 +123,55 @@ class TestUnusedImports:
         assert check_unused_imports(path) == []
 
 
+ARRAY_IMPORTS = """\
+import numpy as np
+import numpy.random
+from numpy import asarray
+from repro.runtime.compat import HAVE_NUMPY, np as xp
+from repro.runtime.numpy_kernel import Columns
+import repro.runtime.numpy_kernel
+
+def later():
+    from repro.runtime import compat  # fine: no array comes with it
+    from repro.runtime.compat import np
+"""
+
+
+class TestArrayFreePackages:
+    def test_flags_every_spelling(self, tmp_path):
+        path = tmp_path / "seeded.py"
+        path.write_text(ARRAY_IMPORTS)
+        lines = sorted(int(v.split(":")[1]) for v in check_array_imports(path))
+        assert lines == [1, 2, 3, 4, 5, 6, 10]
+
+    def test_the_three_packages_and_the_two_exceptions(self):
+        assert sorted(root.name for root in ARRAY_FREE_SCOPE) == [
+            "delta", "distributed", "engine",
+        ]
+        for relative in SEEDED_GENERATOR_FILES:
+            path = REPO_ROOT / relative
+            assert "from repro.runtime.compat import np" in path.read_text()
+            assert check_array_imports(path) == []
+
+    def test_an_exception_covers_one_import_only(self, tmp_path, monkeypatch):
+        import lint_invariants
+
+        path = tmp_path / "chaos.py"
+        path.write_text("import numpy\nfrom repro.runtime.compat import np\n")
+        monkeypatch.setattr(lint_invariants, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(
+            lint_invariants, "SEEDED_GENERATOR_FILES", {Path("chaos.py")}
+        )
+        (violation,) = check_array_imports(path)
+        assert "chaos.py:1: array import numpy" in violation
+
+    def test_nonzero_on_violation(self, tmp_path, capsys):
+        path = tmp_path / "join.py"
+        path.write_text("from repro.runtime.compat import np\n\nprint(np)\n")
+        assert main([str(path)]) == 1
+        assert "array import repro.runtime.compat.np" in capsys.readouterr().out
+
+
 class TestMain:
     def test_core_tree_is_clean(self):
         # the invariants the tool exists to hold: no wall-clock or
@@ -142,3 +198,4 @@ class TestMain:
         assert "determinism invariants hold" in proc.stdout
         # the second pass covers src, tests, benchmarks, examples, tools
         assert "no unused imports" in proc.stdout
+        assert "array-free packages import no numpy" in proc.stdout

@@ -28,7 +28,16 @@ exempt (as in ``pyproject.toml``), a ``# noqa`` on the line is honoured,
 and names that appear only in string annotations or ``__all__`` count as
 used.
 
-Paths given on the command line are checked by both passes.  Exit code
+A third pass holds the **array-free packages** to their import
+convention: ``src/repro/engine``, ``src/repro/distributed`` and
+``src/repro/delta`` move kernel payloads and plan columns without
+knowing which kernel made them, so none of them may import ``numpy``,
+``repro.runtime.compat.np`` or ``repro.runtime.numpy_kernel``.  The two
+files that draw from a seeded generator (``distributed/chaos.py``,
+``distributed/cluster.py``) are the listed exceptions, for that one
+import.
+
+Paths given on the command line are checked by every pass.  Exit code
 0 when clean, 1 with one ``file:line: message`` per violation otherwise.
 Pure stdlib; wired into ``make lint`` and CI.
 """
@@ -53,6 +62,18 @@ DEFAULT_SCOPE = (
 IMPORT_SCOPE = tuple(
     REPO_ROOT / name for name in ("src", "tests", "benchmarks", "examples", "tools")
 )
+
+#: packages that must work without (and never test for) the array kernel
+ARRAY_FREE_SCOPE = tuple(
+    REPO_ROOT / "src" / "repro" / name for name in ("engine", "distributed", "delta")
+)
+
+#: files allowed ``from repro.runtime.compat import np``: they take a
+#: seeded ``np.random.default_rng`` from it and nothing else
+SEEDED_GENERATOR_FILES = {
+    Path("src/repro/distributed/chaos.py"),
+    Path("src/repro/distributed/cluster.py"),
+}
 
 #: (module, attribute) calls that read the host wall clock
 WALL_CLOCK = {
@@ -232,6 +253,33 @@ def check_unused_imports(path: Path) -> list[str]:
     return violations
 
 
+def check_array_imports(path: Path) -> list[str]:
+    """Imports of numpy, under its own name or through ``repro.runtime``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    relative = _relative(path)
+    violations: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in imported:
+            if name == "repro.runtime.compat.np" and relative in SEEDED_GENERATOR_FILES:
+                continue
+            if (
+                name.split(".")[0] == "numpy"
+                or name == "repro.runtime.compat.np"
+                or name.startswith("repro.runtime.numpy_kernel")
+            ):
+                violations.append(
+                    f"{relative}:{node.lineno}: array import {name}: this "
+                    "package handles kernel payloads and plan columns opaquely"
+                )
+    return violations
+
+
 def _run_pass(check, roots) -> tuple[list[str], int]:
     violations: list[str] = []
     checked = 0
@@ -252,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
          "determinism invariants violated", "determinism invariants hold"),
         (check_unused_imports, IMPORT_SCOPE,
          "unused imports", "no unused imports"),
+        (check_array_imports, ARRAY_FREE_SCOPE,
+         "array imports in array-free packages", "array-free packages import no numpy"),
     ):
         violations, checked = _run_pass(check, given or default)
         if violations:
