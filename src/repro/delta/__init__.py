@@ -7,7 +7,8 @@ incrementally maintained service:
   edge/vertex inserts, deletes, weight updates) and the seeded
   :func:`random_delta` generator;
 * :mod:`repro.delta.view`   -- :class:`MutableGraphView`, the versioned
-  mutable facade over the immutable :class:`~repro.graphs.Graph`;
+  mutable facade over the immutable :class:`~repro.graphs.Graph`, which
+  keeps what each bump changed (:class:`EdgeChange`);
 * :mod:`repro.delta.engine` -- plan diffs (from two plans, or from
   the changed EDB rows alone) and the :class:`IncrementalEngine` with
   its ``frontier`` / ``rederive`` / ``recompute`` repair strategies.
@@ -30,6 +31,7 @@ from repro.delta.engine import (
 from repro.delta.model import (
     DEFAULT_WEIGHT,
     DeltaValidationError,
+    EdgeChange,
     GraphDelta,
     random_delta,
 )
@@ -46,6 +48,7 @@ __all__ = [
     "repair_plan",
     "DEFAULT_WEIGHT",
     "DeltaValidationError",
+    "EdgeChange",
     "GraphDelta",
     "random_delta",
     "MutableGraphView",

@@ -7,10 +7,8 @@ and constants (``C``).  There are two ways to one:
 * :func:`diff_plans` subtracts the signature multisets of two compiled
   plans -- any two versions of any program (the serving layer, the
   benches, the test oracle);
-* :func:`delta_join`, what :class:`IncrementalEngine` runs: build the
-  head graph's EDB with the program's own ``build_database``, take
-  per-relation set differences against the EDB of the last fixpoint and
-  join each recursive body against the *changed rows only*
+* :func:`delta_join`, what :class:`IncrementalEngine` runs: join each
+  recursive body against the *changed EDB rows only*
   (:func:`~repro.engine.plan.body_columns` with the rows as the
   relation's override).  The removed rows' edges ``R`` and the added
   rows' edges ``A`` cancel where they agree -- a body that ignores a
@@ -19,11 +17,21 @@ and constants (``C``).  There are two ways to one:
   one patched by it (:meth:`~repro.engine.plan.CompiledPlan.patched`):
   no compile, no plan-sized multiset.
 
-Either way the EDB is the builder's -- symmetrised edges (CC), the
-forward sub-DAG, scaled probabilities and counting certificates are
-handled by the code from-scratch evaluation uses -- and the repair is
-against the plan the oracle would run (a patched plan holds a fresh
-compile's edges in its lineage's order).
+The changed rows come from the graph change.  The engine keeps the EDB
+of its fixpoint; when the program's builder is edge-local
+(:class:`~repro.programs.builders.EdgeLocalBuilder`: ``edge`` is a row
+function of one graph edge, ``node`` the vertex ids) :func:`edb_changes`
+runs the view's change records since the fixpoint through that row
+function -- counted, since two edges can make one row, and cancelled
+where they agree -- and the EDB is patched in place.  Any other builder
+reads more than one edge per row (a degree, a BFS tree, a walk-count
+certificate), so the head's EDB is rebuilt and
+:func:`diff_databases` takes per-relation set differences.  Either way
+the EDB is the builder's -- symmetrised edges (CC), the forward sub-DAG,
+scaled probabilities and counting certificates are handled by the code
+from-scratch evaluation uses -- and the repair is against the plan the
+oracle would run (a patched plan holds a fresh compile's edges in its
+lineage's order).
 
 The delta join covers what is linear in the change: no auxiliary rules
 (their relations would have to be maintained too), at most one atom
@@ -80,7 +88,7 @@ from repro.engine.plan import (
     broadcast_names,
     edge_signatures,
 )
-from repro.engine.relation import Database
+from repro.engine.relation import Database, Relation
 from repro.engine.result import EvalResult, WorkCounters
 from repro.engine.termination import TerminationTracker
 from repro.obs import ensure_obs
@@ -170,19 +178,12 @@ def diff_plans(old_plan: CompiledPlan, new_plan: CompiledPlan) -> PlanDiff:
     )
 
 
-def delta_join(
-    plan: CompiledPlan, old_db: Database, new_db: Database
-) -> Optional[tuple[PlanDiff, dict, dict]]:
-    """What ``diff_plans(plan, compile_plan(analysis, new_db))`` would
-    return, from the rows that differ between ``old_db`` (the EDB
-    ``plan`` holds the edges of) and ``new_db`` alone; with it the new
-    ``initial`` and ``constants``.  ``None`` when the change is not
-    linear in the changed rows (module docstring) and only a fresh
-    compile will do.
-    """
-    analysis = plan.analysis
+def diff_databases(old_db: Database, new_db: Database) -> Optional[dict]:
+    """``name -> (removed rows, added rows)`` for every relation that
+    differs between two EDBs, by set difference; ``None`` when they do
+    not hold the same relations.  The rebuild path's EDB change."""
     names = new_db.names()
-    if analysis.aux_rules or names != old_db.names():
+    if names != old_db.names():
         return None
     changed = {}
     for name in names:
@@ -190,7 +191,82 @@ def delta_join(
         rows = old.difference(new), new.difference(old)
         if any(map(len, rows)):
             changed[name] = rows
+    return changed
 
+
+def edb_changes(builder, db: Database, changes: list, shared: dict) -> dict:
+    """The EDB change an edge-local ``builder`` makes of ``changes`` (the
+    view's records, in version order), against ``db``, the EDB of the
+    graph before the first of them: ``name -> (removed rows, added
+    rows)`` as :func:`diff_databases` would find it, from the records
+    alone.
+
+    With multiplicity: ``shared`` holds the ``edge`` rows more than one
+    graph edge maps to (cc's two directions, a repeated pair) with that
+    count, so a row leaves only with its last edge and arrives only
+    with its first.  Equal rows cancel -- an edge added at one version
+    and removed at a later one, a reweight to an equal value of another
+    type -- and ``shared`` is left counting the graph after the changes.
+    """
+    edge = db.relation("edge")
+    counts: dict = {}
+    for change in changes:
+        for rows, step in (
+            (builder.edge_rows(change.removed), -1),
+            (builder.edge_rows(change.added), 1),
+        ):
+            for row in rows:
+                held = counts.get(row)
+                if held is None:
+                    held = shared.get(row, 1) if row in edge else 0
+                counts[row] = held + step
+    removed, added = [], []
+    for row, held in counts.items():
+        if row in edge:
+            if not held:
+                removed.append(row)
+        elif held:
+            added.append(row)
+        if held > 1:
+            shared[row] = held
+        else:
+            shared.pop(row, None)
+    changed = {}
+    if removed or added:
+        changed["edge"] = (
+            Relation("edge", edge.arity, removed),
+            Relation("edge", edge.arity, added),
+        )
+    vertices = [(vertex,) for change in changes for vertex in change.vertices]
+    if vertices:
+        changed["node"] = (Relation("node", 1), Relation("node", 1, vertices))
+    return changed
+
+
+def shared_rows(builder, graph, db: Database) -> dict:
+    """The ``edge`` rows more than one edge of ``graph`` maps to, with
+    their count: what :func:`edb_changes` needs beside ``db``, the EDB
+    ``builder`` made of ``graph``.  One pass over the graph's rows."""
+    rows = builder.graph_rows(graph)
+    if len(rows) == len(db.relation("edge")):
+        return {}
+    return {row: held for row, held in Counter(rows).items() if held > 1}
+
+
+def delta_join(
+    plan: CompiledPlan, changed: dict, db: Database
+) -> Optional[tuple[PlanDiff, dict, dict]]:
+    """What ``diff_plans(plan, compile_plan(analysis, db))`` would
+    return, from the changed rows alone: ``changed`` maps a relation
+    name to its removed and added rows (relations) between the EDB
+    ``plan`` holds the edges of and ``db``, the EDB after the change.
+    With it the new ``initial`` and ``constants``.  ``None`` when the
+    change is not linear in the changed rows (module docstring) and only
+    a fresh compile will do.
+    """
+    analysis = plan.analysis
+    if analysis.aux_rules:
+        return None
     aggregate = analysis.aggregate
     initial, constants = plan.initial, plan.constants
     base_keys = frozenset(chain(initial, constants))
@@ -204,7 +280,7 @@ def delta_join(
         for body in base_bodies
         for atom in body.predicate_atoms()
     ):
-        initial, constants = base_values(analysis, new_db)
+        initial, constants = base_values(analysis, db)
         if base_keys != frozenset(chain(initial, constants)) and any(
             broadcast_names(analysis, spec) for spec in analysis.recursions
         ):
@@ -222,7 +298,7 @@ def delta_join(
             for edges, rows in zip((lost, gained), changed[name]):
                 if len(rows):
                     columns = body_columns(
-                        analysis, spec, new_db, base_keys, overrides={name: rows}
+                        analysis, spec, db, base_keys, overrides={name: rows}
                     )
                     edges.update(edge_signatures(body, *columns))
     # cancel before patching: different rows can account for equal edges
@@ -483,11 +559,15 @@ class IncrementalEngine:
     :func:`repro.analysis.incremental.classify_incremental` once to
     learn which strategies the program is certified for.
 
-    A repair goes through :func:`delta_join` and patches the plan where
-    it can, and compiles the head graph where it cannot (module
-    docstring); which one happened is a function of the analysed
-    program and the delta.  Patched plans stay inside the engine: their
-    edge order is their lineage's.
+    The engine keeps the EDB its plan holds the edges of -- the one
+    ``bootstrap`` compiled from -- and moves it to the head on every
+    repair: patched in place with the rows the view's change records
+    map to when the program's builder is edge-local, rebuilt and diffed
+    when it is not (module docstring).  A repair then goes through
+    :func:`delta_join` and patches the plan where it can, and compiles
+    the head graph where it cannot; which one happened is a function of
+    the builder, the analysed program and the delta.  Patched plans stay
+    inside the engine: their edge order is their lineage's.
     """
 
     engine_name = ENGINE_NAME
@@ -514,9 +594,11 @@ class IncrementalEngine:
         self.obs = ensure_obs(obs)
         self.verdict = classify_incremental(self.spec.analysis())
         self._plan: Optional[CompiledPlan] = None
-        #: the EDB ``_plan`` holds the edges of; rebuilt from the view on
-        #: the first repair after a fresh compile
+        #: the EDB of the fixpoint's version (maintainable programs only)
         self._db: Optional[Database] = None
+        #: its ``edge`` rows held by several graph edges (edge-local
+        #: builders; counted on the first repair)
+        self._shared: Optional[dict] = None
         self._values: Optional[dict] = None
         self._fixpoint_version: Optional[int] = None
 
@@ -533,10 +615,12 @@ class IncrementalEngine:
 
     def bootstrap(self) -> EvalResult:
         """Full from-scratch evaluation at the view's current version."""
-        plan = self.spec.plan(self.view.graph)
+        db = self.spec.build_database(self.view.graph)
+        plan = self.spec.compile(db)
         result = MRAEvaluator(plan, obs=self.obs, backend=self.backend).run()
         self._plan = plan
-        self._db = None
+        self._db = db if self.verdict.maintainable else None
+        self._shared = None
         self._values = result.values
         self._fixpoint_version = self.view.version
         if self.obs.enabled:
@@ -558,21 +642,17 @@ class IncrementalEngine:
     def refresh(self) -> RepairResult:
         """Re-align the fixpoint with the view's current head version
         (covers views mutated externally, possibly by several deltas:
-        the EDB of the head is diffed against the EDB of the fixpoint's
-        version, whatever lies between)."""
+        their change records are composed in version order).  A builder
+        that refuses the head graph leaves the engine as it was."""
         if self._plan is None or self._values is None:
             self.bootstrap()
         assert self._plan is not None and self._values is not None
-        graph = self.view.graph
-        new_plan = diff = new_db = None
+        new_plan = diff = None
+        db = self._db
         # mode "none" always recomputes, which needs the compiled plan
         if self.verdict.maintainable:
-            build = self.spec.build_database
-            new_db = build(graph)
-            old_db = self._db
-            if old_db is None:
-                old_db = build(self.view.graph_at(self._fixpoint_version))
-            joined = delta_join(self._plan, old_db, new_db)
+            changed, db = self._edb_change()
+            joined = None if changed is None else delta_join(self._plan, changed, db)
             if joined is not None:
                 diff, initial, constants = joined
                 if diff.is_empty:
@@ -582,7 +662,7 @@ class IncrementalEngine:
                         diff.added, diff.removed, initial, constants
                     )
         if new_plan is None:
-            new_plan = self.spec.plan(graph)
+            new_plan = self.spec.plan(self.view.graph)
         repair = repair_plan(
             self._plan,
             new_plan,
@@ -594,7 +674,27 @@ class IncrementalEngine:
             program=self.spec.name,
         )
         self._plan = new_plan
-        self._db = new_db
+        self._db = db
         self._values = repair.result.values
         self._fixpoint_version = self.view.version
         return repair
+
+    def _edb_change(self) -> tuple[Optional[dict], Database]:
+        """The EDB change from the fixpoint's version to the head (as
+        :func:`diff_databases` returns it) and the head's EDB.  An
+        edge-local builder's change is read off the view's records and
+        patched into the kept EDB; any other builder rebuilds the head's
+        EDB, which may refuse it (RA351) before anything changed."""
+        builder = self.spec.build_database
+        assert self._db is not None and self._fixpoint_version is not None
+        if not hasattr(builder, "edge_rows"):
+            db = builder(self.view.graph)
+            return diff_databases(self._db, db), db
+        if self._shared is None:
+            graph = self.view.graph_at(self._fixpoint_version)
+            self._shared = shared_rows(builder, graph, self._db)
+        changes = self.view.changes_between(self._fixpoint_version, self.view.version)
+        changed = edb_changes(builder, self._db, changes, self._shared)
+        for name, (removed, added) in changed.items():
+            self._db.relation(name).patch(removed, added)
+        return changed, self._db

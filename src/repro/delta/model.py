@@ -22,6 +22,10 @@ Weights are always materialised before the first mutation:
 seed, so mutating an unweighted graph lazily would silently re-roll
 every weight.  :meth:`GraphDelta.apply_to` therefore pins the base
 weights first and only then edits the edge list.
+
+Applying a batch also says what it changed, edge by edge
+(:class:`EdgeChange`, from :meth:`GraphDelta.apply_recording`): the
+record the incremental engine turns into EDB rows.
 """
 
 from __future__ import annotations
@@ -41,6 +45,25 @@ class DeltaValidationError(ValueError):
 
 #: default weight for inserts that do not specify one
 DEFAULT_WEIGHT = 1
+
+
+@dataclass(frozen=True)
+class EdgeChange:
+    """What one applied batch did to the edge list, edge by edge.
+
+    ``removed`` holds a ``(src, dst, weight)`` triple, with the weight
+    object the base graph held, for every edge that left or changed: a
+    delete (every copy of a repeated pair), the old side of a reweight,
+    each edge incident to a removed vertex.  ``added`` holds one for
+    every edge that arrived or changed: an insert, the new side of a
+    reweight.  ``vertices`` are the appended vertex ids.  Read edge by
+    edge through a builder's row function, a record is the EDB change
+    (:mod:`repro.delta.engine`).
+    """
+
+    removed: list
+    added: list
+    vertices: range
 
 
 @dataclass(frozen=True)
@@ -203,10 +226,16 @@ class GraphDelta:
         The result always carries materialised weights (see module
         docstring); surviving edges keep their original order, inserts
         are appended in batch order, so the mutation is deterministic.
+        """
+        return self.apply_recording(graph)[0]
+
+    def apply_recording(self, graph: Graph) -> tuple[Graph, "EdgeChange"]:
+        """:meth:`apply_to`, plus the :class:`EdgeChange` it made.
 
         Only the batch is walked in Python: the edge list is indexed
         and copied whole, then reweighted in place and cut at the
-        positions the batch names.
+        positions the batch names -- the positions the change record is
+        read off.
         """
         base = graph if graph.weights is not None else graph.with_weights()
         edges = list(base.edges)
@@ -227,27 +256,35 @@ class GraphDelta:
             ]
         else:
             touched = [positions[edge] for edge in chain(updates, self.delete_edges)]
+        removed: list = []
+        added: list = []
         drop = []
         for position in touched:
             edge = edges[position]
+            removed.append((*edge, weights[position]))
             if edge in updates and removed_vertices.isdisjoint(edge):
                 weights[position] = updates[edge]
+                added.append((*edge, updates[edge]))
             else:
                 drop.append(position)
         for position in sorted(drop, reverse=True):
             del edges[position]
             del weights[position]
         for src, dst, weight in self.insert_edges:
+            weight = DEFAULT_WEIGHT if weight is None else weight
             edges.append((src, dst))
-            weights.append(DEFAULT_WEIGHT if weight is None else weight)
+            weights.append(weight)
+            added.append((src, dst, weight))
 
-        return Graph(
+        mutated = Graph(
             base.num_vertices + self.add_vertices,
             edges,
             weights,
             name=base.name,
             seed=base.seed,
         )
+        vertices = range(base.num_vertices, mutated.num_vertices)
+        return mutated, EdgeChange(removed, added, vertices)
 
     # -- serialisation (the ``repro delta`` CLI file format) -------------------
     def to_dict(self) -> dict:

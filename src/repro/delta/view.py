@@ -11,17 +11,24 @@ serving layer repair a fixpoint cached at version ``j`` up to the
 current version without replaying the workload.
 
 A bump costs the batch, not the graph, in Python: ``apply`` goes through
-:meth:`~repro.delta.model.GraphDelta.apply_to`, which indexes and copies
-the head's edge list whole and edits it at the positions the batch
-names.  Edge order and weight objects are part of the contract --
+:meth:`~repro.delta.model.GraphDelta.apply_recording`, which indexes and
+copies the head's edge list whole and edits it at the positions the
+batch names.  Edge order and weight objects are part of the contract --
 :func:`~repro.delta.model.random_delta` sorts and samples the head's
 edges, so a view that ordered them differently would change every
 seeded delta stream drawn from it.
+
+Each bump also keeps what it changed, edge by edge
+(:class:`~repro.delta.model.EdgeChange`: removed and added ``(src, dst,
+weight)`` triples with the weight objects the graphs hold, appended
+vertex ids), beside the delta that produced it.  ``changes_between``
+hands a range of them to the incremental engine, which reads the EDB
+change off them instead of rebuilding the database.
 """
 
 from __future__ import annotations
 
-from repro.delta.model import GraphDelta
+from repro.delta.model import EdgeChange, GraphDelta
 from repro.graphs.graph import Graph
 
 
@@ -36,6 +43,8 @@ class MutableGraphView:
         self._graphs: dict[int, Graph] = {start_version: materialised}
         #: version -> the delta that produced it (absent for the base)
         self._deltas: dict[int, GraphDelta] = {}
+        #: version -> what that delta changed, edge by edge
+        self._changes: dict[int, EdgeChange] = {}
         self.version = start_version
 
     # -- accessors ------------------------------------------------------------
@@ -69,11 +78,19 @@ class MutableGraphView:
 
     def deltas_between(self, old: int, new: int) -> list:
         """The delta chain turning version ``old`` into version ``new``."""
+        return [self._deltas[v] for v in self._bumps(old, new)]
+
+    def changes_between(self, old: int, new: int) -> list:
+        """The :class:`~repro.delta.model.EdgeChange` records turning
+        version ``old`` into version ``new``, in version order."""
+        return [self._changes[v] for v in self._bumps(old, new)]
+
+    def _bumps(self, old: int, new: int) -> range:
         if not self._start <= old <= new <= self.version:
             raise KeyError(
                 f"version range {old}..{new} outside {self._start}..{self.version}"
             )
-        return [self._deltas[v] for v in range(old + 1, new + 1)]
+        return range(old + 1, new + 1)
 
     def history(self) -> list:
         """``(version, delta summary)`` pairs, oldest first."""
@@ -86,7 +103,7 @@ class MutableGraphView:
     def apply(self, delta: GraphDelta) -> Graph:
         """Validate ``delta`` against the head, bump the version, return
         the new head graph.  On validation failure nothing changes."""
-        mutated = delta.apply_to(self.graph)
+        mutated, change = delta.apply_recording(self.graph)
         renamed = Graph(
             mutated.num_vertices,
             mutated.edges,
@@ -97,6 +114,7 @@ class MutableGraphView:
         self.version += 1
         self._graphs[self.version] = renamed
         self._deltas[self.version] = delta
+        self._changes[self.version] = change
         return renamed
 
     def advance_to(self, version: int, make_delta) -> Graph:

@@ -26,6 +26,10 @@ Robustness guarantees of the on-disk format:
   subclass, and the engines catch exactly it -- corruption falls back
   to reseed-and-replay, while a genuine run mismatch (wrong program,
   wrong worker count) stays loud.
+
+Carrier values JSON has no form for (the k-tropical ``KTuple``) are
+written as a one-field object and read back as the carrier; numeric
+and boolean values are written as before.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import warnings
 import zlib
 from typing import Optional, Union
 
+from repro.aggregates.semiring import KTuple
 from repro.engine.monotable import MonoTable
 from repro.obs import ensure_obs
 
@@ -60,7 +65,22 @@ def _payload_checksum(payload: dict) -> int:
         payload.get("accumulated") or {},
         payload.get("intermediate") or {},
     ]
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
+    return zlib.crc32(
+        json.dumps(body, sort_keys=True, default=_encode_value).encode("utf-8")
+    )
+
+
+def _encode_value(value) -> dict:
+    """JSON for a carrier value ``json`` has no form for."""
+    if isinstance(value, KTuple):
+        return {"ktuple": list(value.values)}
+    raise TypeError(f"cannot checkpoint a {type(value).__name__} value")
+
+
+def _decode_value(obj: dict):
+    if obj.keys() == {"ktuple"}:
+        return KTuple(obj["ktuple"])
+    return obj
 
 
 def _encode_key(key) -> str:
@@ -124,7 +144,7 @@ class Checkpointer:
         path = self._path(run_name, shard_id)
         tmp_path = f"{path}.tmp"
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            json.dump(payload, handle, default=_encode_value)
         os.replace(tmp_path, path)
         if self.obs.enabled:
             self.obs.trace.emit(
@@ -157,7 +177,7 @@ class Checkpointer:
         path = self._path(run_name, shard_id)
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+                payload = json.load(handle, object_hook=_decode_value)
             accumulated = payload["accumulated"]
             intermediate = payload["intermediate"]
         except FileNotFoundError:

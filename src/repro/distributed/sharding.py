@@ -197,11 +197,14 @@ class ShardedRun:
 
         The paper's termination check (section 5.4) compares consecutive
         global aggregation results; summing |value| works for both
-        additive and selective aggregates.
+        additive and selective aggregates.  |value| is the aggregate's
+        own magnitude, as in the kernels: ``abs(float(value))`` for a
+        numeric carrier, the semiring's measure for ``KTuple`` and kin.
         """
+        magnitude = self.plan.aggregate.delta_magnitude
         total = 0.0
         for shard in self.shards:
             for value in shard.accumulated.values():
                 if value is not None:
-                    total += abs(float(value))
+                    total += magnitude(value)
         return total

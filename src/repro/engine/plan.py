@@ -24,7 +24,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import ne
 from typing import Callable, Optional
 
 from repro.datalog import ProgramAnalysis
@@ -125,79 +126,52 @@ class CompiledPlan:
         multiset -- a patched plan's *edge order* is its lineage's, not
         a fresh compile's.
 
-        Costs the change, not the plan: a ``signature -> positions``
-        index is built on a lineage's first patch and handed from plan
-        to plan; a removed edge is overwritten by its body's last edge
-        (swap-remove), an added one appended.  Columns stay type-exact
-        (:class:`EdgeColumns`), ``keys`` shrinks when an endpoint's last
-        edge goes, and none of this plan's caches carry over.
+        Costs the change, not the plan: what a lineage of patched plans
+        needs (:class:`_Lineage` -- where each edge sits, how many edge
+        endpoints each key has, the value types of its untyped columns)
+        is built in C-level passes on the lineage's first patch and
+        handed from plan to plan.  A removed edge is overwritten by its
+        body's last edge (swap-remove), an added one appended; ``keys``
+        changes by the endpoints whose count crosses zero and the base
+        keys that come or go.  Columns stay type-exact
+        (:class:`EdgeColumns`) without a pass over a column whose kind
+        the type counts say did not change, and none of this plan's
+        caches carry over.
         """
-        index = self.__dict__.pop("_edge_positions", None)
-        if index is None:
-            index = {}
-            for body, columns in enumerate(self.edge_columns):
-                edges = edge_signatures(
-                    body, columns.srcs, columns.dsts, columns.param_cols
-                )
-                for position, edge in enumerate(edges):
-                    index.setdefault(edge, []).append(position)
+        lineage = self.__dict__.pop("_lineage", None) or _Lineage(self.edge_columns)
         bodies = [
             [columns.srcs[:], columns.dsts[:], *(col[:] for col in columns.param_cols)]
             for columns in self.edge_columns
         ]
+        leaving: set = set()
         for edge, count in removed.items():
-            body = edge[3]
-            cols = bodies[body]
-            positions = index[edge]
-            for _ in range(count):
-                position = positions.pop()
-                last = len(cols[0]) - 1
-                if position != last:
-                    moved = (
-                        cols[0][last],
-                        cols[1][last],
-                        tuple(col[last] for col in cols[2:]),
-                        body,
-                    )
-                    held = index[moved]
-                    held[held.index(last)] = position
-                    for col in cols:
-                        col[position] = col[last]
-                for col in cols:
-                    col.pop()
-            if not positions:
-                del index[edge]
+            leaving.update(lineage.remove(bodies[edge[3]], edge, count))
         for edge, count in added.items():
-            src, dst, params, body = edge
-            cols = bodies[body]
-            positions = index.setdefault(edge, [])
-            for _ in range(count):
-                positions.append(len(cols[0]))
-                for slot, value in enumerate((src, dst, *params)):
-                    cols[slot] = _appended(cols[slot], value)
-        edge_columns = tuple(
-            EdgeColumns(columns.fn, cols[0], cols[1], cols[2:])
-            for columns, cols in zip(self.edge_columns, bodies)
-        )
-        if removed or initial is not self.initial or constants is not self.constants:
-            keys = frozenset(
-                chain(
-                    initial,
-                    constants,
-                    *(columns.srcs for columns in edge_columns),
-                    *(columns.dsts for columns in edge_columns),
-                )
-            )
-        else:
-            keys = self.keys.union(chain.from_iterable(edge[:2] for edge in added))
+            lineage.append(bodies[edge[3]], edge, count)
+        lineage.retype(bodies)
+
+        arriving = {key for edge in added for key in edge[:2]}
+        if initial is not self.initial or constants is not self.constants:
+            after = initial.keys() | constants.keys()
+            leaving |= (self.initial.keys() | self.constants.keys()) - after
+            arriving |= after
+        leaving = {key for key in leaving if key not in lineage.refs} - initial.keys()
+        leaving -= constants.keys()
+        arriving -= self.keys
+        keys = self.keys
+        if leaving or arriving:
+            keys = keys.difference(leaving).union(arriving)
         plan = replace(
             self,
             keys=keys,
-            edge_columns=edge_columns,
+            edge_columns=tuple(
+                EdgeColumns.typed(columns.fn, cols)
+                for columns, cols in zip(self.edge_columns, bodies)
+            ),
             initial=initial,
             constants=constants,
         )
-        plan._edge_positions = index
+        plan._lineage = lineage
         return plan
 
     def __repr__(self):
@@ -232,6 +206,17 @@ class EdgeColumns:
         self.dsts = _typed_column(dsts)
         self.param_cols = tuple(_typed_column(col) for col in param_cols)
 
+    @classmethod
+    def typed(cls, fn: Callable, cols: list) -> "EdgeColumns":
+        """``[srcs, dsts, *param_cols]`` that are type-exact already (a
+        patch keeps them so): no pass over their values."""
+        columns = cls.__new__(cls)
+        columns.fn = fn
+        # an emptied typed column is the list ``_typed_column`` leaves
+        columns.srcs, columns.dsts, *params = [col if col else [] for col in cols]
+        columns.param_cols = tuple(params)
+        return columns
+
     def __len__(self) -> int:
         return len(self.srcs)
 
@@ -245,6 +230,154 @@ def edge_signatures(body: int, srcs, dsts, param_cols):
     elements of :attr:`CompiledPlan.signature`."""
     params = zip(*param_cols) if param_cols else repeat(())
     return zip(srcs, dsts, params, repeat(body))
+
+
+def edge_index(edge_columns) -> dict:
+    """Where each edge sits: signature -> position, or -> the ascending
+    positions of a signature held more than once.  One C-level pass per
+    body; Python runs only over the repeated copies."""
+    index: dict = {}
+    for body, columns in enumerate(edge_columns):
+        signatures = list(
+            edge_signatures(body, columns.srcs, columns.dsts, columns.param_cols)
+        )
+        span = range(len(signatures))
+        positions = dict(zip(signatures, span))
+        if len(positions) != len(signatures):
+            # every position but a signature's last
+            earlier = compress(
+                span, map(ne, map(positions.__getitem__, signatures), span)
+            )
+            repeats: dict = {}
+            for position in earlier:
+                repeats.setdefault(signatures[position], []).append(position)
+            for edge, held in repeats.items():
+                held.append(positions[edge])
+                positions[edge] = held
+        index.update(positions)
+    return index
+
+
+class _Lineage:
+    """What a lineage of patched plans hands from plan to plan.
+
+    ``positions`` is :func:`edge_index`, kept current by the patches;
+    ``refs`` counts each key's edge endpoints (a key whose count reaches
+    zero is a key no more, unless a base fact holds it); ``types``
+    counts the value types of every column stored untyped, so a patch
+    knows when one could be typed again without looking at it.  All
+    three are built in C-level passes on the lineage's first patch.
+    """
+
+    __slots__ = ("positions", "refs", "types", "touched")
+
+    def __init__(self, edge_columns) -> None:
+        self.positions = edge_index(edge_columns)
+        self.refs: Counter = Counter()
+        self.types: dict = {}
+        #: ``(body, slot)`` of the columns the current patch changed
+        self.touched: set = set()
+        for body, columns in enumerate(edge_columns):
+            self.refs.update(columns.srcs)
+            self.refs.update(columns.dsts)
+            for slot, col in enumerate((columns.srcs, columns.dsts, *columns.param_cols)):
+                if type(col) is list:
+                    self.types[body, slot] = Counter(map(type, col))
+
+    def remove(self, cols: list, edge, count: int) -> list:
+        """Take ``count`` copies of ``edge`` out of its body's columns
+        ``cols``, each overwritten by the body's last edge; returns the
+        keys left with no edge endpoint."""
+        body = edge[3]
+        for _ in range(count):
+            position = self._take(edge)
+            for slot, col in enumerate(cols):
+                if type(col) is list:
+                    self.types[body, slot][type(col[position])] -= 1
+                    self.touched.add((body, slot))
+            last = len(cols[0]) - 1
+            if position != last:
+                moved = (
+                    cols[0][last],
+                    cols[1][last],
+                    tuple(col[last] for col in cols[2:]),
+                    body,
+                )
+                self._move(moved, last, position)
+                for col in cols:
+                    col[position] = col[last]
+            for col in cols:
+                col.pop()
+        emptied = []
+        for key in edge[:2]:
+            held = self.refs[key] - count
+            if held:
+                self.refs[key] = held
+            else:
+                del self.refs[key]
+                emptied.append(key)
+        return emptied
+
+    def append(self, cols: list, edge, count: int) -> None:
+        """Append ``count`` copies of ``edge`` to its body's columns."""
+        src, dst, params, body = edge
+        for _ in range(count):
+            self._put(edge, len(cols[0]))
+            for slot, value in enumerate((src, dst, *params)):
+                col = cols[slot]
+                if type(col) is list:
+                    kinds = self.types.get((body, slot))
+                    if kinds is None:  # a typed column emptied before
+                        kinds = self.types[body, slot] = Counter()
+                    kinds[type(value)] += 1
+                    col.append(value)
+                else:
+                    col = cols[slot] = _appended(col, value)
+                    if type(col) is list:  # demoted: count what it holds
+                        self.types[body, slot] = Counter(map(type, col))
+                self.touched.add((body, slot))
+        for key in edge[:2]:
+            self.refs[key] += count
+
+    def retype(self, bodies: list) -> None:
+        """Type every untyped column this patch changed whose values
+        are of one C type again (``_typed_column``'s verdict)."""
+        for body, slot in self.touched:
+            col = bodies[body][slot]
+            kinds = [kind for kind, n in self.types.get((body, slot), {}).items() if n]
+            if type(col) is list and len(kinds) == 1 and kinds[0] in _TYPECODES:
+                typed = _typed_column(col)
+                if typed is not col:
+                    bodies[body][slot] = typed
+                    del self.types[body, slot]
+        self.touched.clear()
+
+    def _take(self, edge) -> int:
+        """Forget (and return) the last position holding ``edge``."""
+        held = self.positions[edge]
+        if type(held) is int:
+            del self.positions[edge]
+            return held
+        position = held.pop()
+        if len(held) == 1:
+            self.positions[edge] = held[0]
+        return position
+
+    def _put(self, edge, position: int) -> None:
+        held = self.positions.get(edge)
+        if held is None:
+            self.positions[edge] = position
+        elif type(held) is int:
+            self.positions[edge] = [held, position]
+        else:
+            held.append(position)
+
+    def _move(self, edge, old: int, new: int) -> None:
+        held = self.positions[edge]
+        if type(held) is int:
+            self.positions[edge] = new
+        else:
+            held[held.index(old)] = new
 
 
 _TYPECODES = {int: "q", float: "d"}

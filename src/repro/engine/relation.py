@@ -67,6 +67,17 @@ class Relation:
         self._version += 1
         self.extend(rows)
 
+    def patch(self, removed: Iterable[tuple], added: Iterable[tuple]) -> None:
+        """Delete the ``removed`` rows and insert the ``added`` ones in
+        place, walking only them; indexes are invalidated.  All or
+        nothing on arity, like :meth:`extend`."""
+        added = list(added)
+        if not set(map(len, added)) <= {self.arity}:
+            self.add(next(row for row in added if len(row) != self.arity))
+        self._tuples.difference_update(removed)
+        self._tuples.update(added)
+        self._version += 1
+
     def difference(self, other: "Relation") -> "Relation":
         """The tuples of this relation that ``other`` does not hold, as a
         relation of the same name and arity (one set difference)."""

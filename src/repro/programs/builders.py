@@ -12,12 +12,28 @@ relations for SimRank.
 Counting inputs are certified rather than clamped:
 :func:`multiplicity_dag_db` proves the exact walk-count bound of its
 output (via the RA35x abstract interpreter's
-:func:`~repro.analysis.absint.counting_walk_bound`) and raises with the
-RA351 verdict when float64 exactness cannot be guaranteed, instead of
-relying on a multiplicity clamp to keep counts small.
+:func:`~repro.analysis.absint.counting_walk_bound`) and raises
+:class:`WalkBoundError` with the RA351 verdict when float64 exactness
+cannot be guaranteed, instead of relying on a multiplicity clamp to keep
+counts small.
+
+**Edge-local builders** (:class:`EdgeLocalBuilder`) are the ones whose
+``edge`` rows are a function of one graph edge at a time and whose
+``node`` rows are the vertex ids: ``weighted_graph_db``,
+``plain_graph_db``, ``symmetrized_db``, ``dag_db`` and the probability
+builders.  Each states its rows once, as a *batch* row function over
+parallel ``(src, dst)`` pairs and weights; the from-scratch build calls
+it over the whole graph, and :mod:`repro.delta` calls it over the edges
+a graph version bump removed and added, so a patched EDB and a rebuilt
+one cannot drift.  The rest are not edge-local and are always rebuilt:
+the row-normalised builders read a vertex aggregate (out-degree, or
+in-degree for SimRank), ``tree_db`` reads a global BFS, and
+``multiplicity_dag_db`` certifies its whole output.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Optional
 
 from repro.runtime.compat import np
 
@@ -25,24 +41,84 @@ from repro.engine.relation import Database
 from repro.graphs.graph import Graph
 
 
-def weighted_graph_db(graph: Graph) -> Database:
-    """``edge(src, dst, weight)`` with integer weights, plus ``node``."""
-    return graph.as_database(weighted=True)
+class WalkBoundError(ValueError):
+    """RA351: a counting builder refuses a graph whose walk counts would
+    leave float64's exact-integer range."""
 
 
-def plain_graph_db(graph: Graph) -> Database:
-    """``edge(src, dst)`` and ``node(v)``."""
-    return graph.as_database(weighted=False)
+class EdgeLocalBuilder:
+    """An EDB of ``edge`` rows computed edge by edge, plus ``node(v)``.
+
+    ``rows(pairs, weights)`` maps parallel columns of ``(src, dst)``
+    pairs and weights (``None`` unless ``weighted``) to the ``edge``
+    rows they account for, in order and with repeats.  A from-scratch
+    build inserts them as produced -- deduplicated and sorted first
+    when ``sort_rows`` is set -- so a graph's rows come from one call
+    and, for the plain builders, no weights are generated.
+    """
+
+    def __init__(
+        self,
+        rows: Callable[[list, Optional[list]], list],
+        *,
+        arity: int,
+        weighted: bool,
+        sort_rows: bool = False,
+        doc: str = "",
+    ) -> None:
+        self.rows = rows
+        self.arity = arity
+        self.weighted = weighted
+        self.sort_rows = sort_rows
+        self.__doc__ = doc
+
+    def __call__(self, graph: Graph) -> Database:
+        rows = self.graph_rows(graph)
+        if self.sort_rows:
+            rows = sorted(set(rows))
+        db = Database()
+        db.add_facts("edge", rows, arity=self.arity)
+        db.add_facts("node", zip(graph.vertices()), arity=1)
+        return db
+
+    def graph_rows(self, graph: Graph) -> list:
+        """The ``edge`` rows of every edge of ``graph`` (repeats kept)."""
+        weights = None
+        if self.weighted:
+            weights = graph.weights
+            if weights is None:
+                weights = graph.generate_weights()
+        return self.rows(graph.edges, weights)
+
+    def edge_rows(self, triples: list) -> list:
+        """The ``edge`` rows of recorded ``(src, dst, weight)`` triples,
+        one per edge the row function maps them to (repeats kept)."""
+        pairs = [(src, dst) for src, dst, _ in triples]
+        weights = [weight for _, _, weight in triples] if self.weighted else None
+        return self.rows(pairs, weights)
 
 
-def symmetrized_db(graph: Graph) -> Database:
-    """Undirected view for CC: every edge present in both directions."""
-    edges = set(graph.edges)
-    edges.update((dst, src) for src, dst in graph.edges)
-    db = Database()
-    db.add_facts("edge", sorted(edges), arity=2)
-    db.add_facts("node", [(v,) for v in graph.vertices()], arity=1)
-    return db
+weighted_graph_db = EdgeLocalBuilder(
+    lambda pairs, weights: [(s, d, w) for (s, d), w in zip(pairs, weights)],
+    arity=3,
+    weighted=True,
+    doc="``edge(src, dst, weight)`` with integer weights, plus ``node``.",
+)
+
+plain_graph_db = EdgeLocalBuilder(
+    lambda pairs, weights: pairs,
+    arity=2,
+    weighted=False,
+    doc="``edge(src, dst)`` and ``node(v)``.",
+)
+
+symmetrized_db = EdgeLocalBuilder(
+    lambda pairs, weights: [*pairs, *((d, s) for s, d in pairs)],
+    arity=2,
+    weighted=False,
+    sort_rows=True,
+    doc="Undirected view for CC: every edge present in both directions.",
+)
 
 
 def _normalized_weights(graph: Graph) -> list[tuple[int, int, float]]:
@@ -93,32 +169,30 @@ def bp_db(graph: Graph, num_classes: int = 2) -> Database:
     return db
 
 
-def probability_dag_db(graph: Graph) -> Database:
-    """DAG with edge probabilities in (0, 1] for Cost and Viterbi."""
-    db = Database()
-    rows = [
-        (src, dst, weight / 10.0) for src, dst, weight in graph.weighted_edges()
-    ]
-    db.add_facts("edge", rows)
-    db.add_facts("node", [(v,) for v in graph.vertices()])
-    return db
+def _probabilities(pairs: list, weights: list) -> list:
+    return [(s, d, w / 10.0) for (s, d), w in zip(pairs, weights)]
 
 
-def dag_db(graph: Graph) -> Database:
-    """Unweighted DAG for path counting.
+probability_dag_db = EdgeLocalBuilder(
+    _probabilities,
+    arity=3,
+    weighted=True,
+    doc="DAG with edge probabilities in (0, 1] for Cost and Viterbi.",
+)
+
+dag_db = EdgeLocalBuilder(
+    lambda pairs, weights: [(s, d) for s, d in pairs if s < d],
+    arity=2,
+    weighted=False,
+    doc="""Unweighted DAG for path counting.
 
     Cyclic inputs (the social datasets) are canonicalised to their
     forward sub-DAG -- only edges ``src < dst`` are kept -- so walk
     counting is well-defined and terminates.  The DAG generators emit
     topologically-id-ordered edges, so acyclic fixtures pass through
     unchanged.
-    """
-    db = Database()
-    db.add_facts(
-        "edge", [(src, dst) for src, dst in graph.edges if src < dst], arity=2
-    )
-    db.add_facts("node", [(v,) for v in graph.vertices()], arity=1)
-    return db
+    """,
+)
 
 
 def multiplicity_dag_db(graph: Graph) -> Database:
@@ -146,7 +220,7 @@ def multiplicity_dag_db(graph: Graph) -> Database:
     ]
     bound = counting_walk_bound(rows)
     if bound >= FLOAT64_EXACT_LIMIT:
-        raise ValueError(
+        raise WalkBoundError(
             f"RA351: walk counts reach {bound:g} >= 2**53 on this "
             "multiplicity DAG; the counting semiring's float64 carrier "
             "would lose precision.  Shrink the graph or its "
@@ -158,14 +232,17 @@ def multiplicity_dag_db(graph: Graph) -> Database:
     return db
 
 
-def probability_graph_db(graph: Graph) -> Database:
-    """General digraph with edge success probabilities in (0, 1].
+probability_graph_db = EdgeLocalBuilder(
+    _probabilities,
+    arity=3,
+    weighted=True,
+    doc="""General digraph with edge success probabilities in (0, 1].
 
     Unlike :func:`probability_dag_db` the input may be cyclic: products
     of probabilities never increase along a walk, so the Viterbi-style
     max fixpoint still terminates.
-    """
-    return probability_dag_db(graph)
+    """,
+)
 
 
 def tree_db(graph: Graph) -> Database:

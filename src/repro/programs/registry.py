@@ -57,7 +57,12 @@ class ProgramSpec:
         return _analysis_for_source(self.name, self.source)
 
     def plan(self, graph: Graph) -> CompiledPlan:
-        return compile_plan(self.analysis(), self.build_database(graph))
+        return self.compile(self.build_database(graph))
+
+    def compile(self, db: Database) -> CompiledPlan:
+        """The plan over an EDB ``build_database`` made: what :meth:`plan`
+        compiles, for a caller that keeps the database."""
+        return compile_plan(self.analysis(), db)
 
 
 _SSSP = """

@@ -13,6 +13,10 @@ generated request stream against them on one simulated clock:
   per engine backend trips on consecutive failures and half-opens on the
   simulated clock; while open, requests are served stale from the
   result cache or parked until the breaker's probe window;
+* **typed refusals** -- a graph version the program's builder refuses
+  (``path_count``'s RA351 walk bound, :class:`WalkBoundError`) resolves
+  the request ``FAILED`` with the diagnostic as its detail; it never
+  escapes the serving loop;
 * **graceful degradation** -- a :class:`~repro.serving.cache.ResultCache`
   keyed on ``(program, graph version, params)`` answers repeated queries
   fresh and, under degradation, serves stale-but-certified fixpoints
@@ -71,6 +75,7 @@ from repro.distributed.sync_engine import SyncEngine
 from repro.distributed.unified import UnifiedEngine
 from repro.obs import ensure_obs
 from repro.programs import get_program
+from repro.programs.builders import WalkBoundError
 from repro.runtime.compat import np
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.cache import CacheEntry, ResultCache, cache_key
@@ -786,7 +791,13 @@ class _ServingRun:
         if profile is not None:
             predicted, basis = profile.duration, "measured"
         else:
-            predicted, basis = self._static_prediction(request), "static"
+            try:
+                predicted, basis = self._static_prediction(request), "static"
+            except WalkBoundError as refusal:
+                # the program's builder refuses this graph version
+                # (RA351): no attempt could succeed, so none is made
+                self._resolve(request, FAILED, detail=str(refusal))
+                return False
         if self.now + predicted > request.deadline:
             stale = self.cache.fallback(
                 request.program, self.graph_version, request.params

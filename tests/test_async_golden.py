@@ -160,13 +160,7 @@ def chaos_digest(program, engine, backend, tmp_path) -> dict:
         run_name="golden-chaos",
         obs=obs,
     )
-    try:
-        return _digest(chaotic.run(), obs)
-    except TypeError:
-        # kpaths outlives the first master check only under chaos, and
-        # ShardedRun.global_accumulation cannot sum its KTuple carrier: a
-        # defect of the parent this file pins rather than hides
-        return {"raises": "TypeError"}
+    return _digest(chaotic.run(), obs)
 
 
 @pytest.fixture(scope="module")

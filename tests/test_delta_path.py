@@ -11,6 +11,7 @@ fresh compiles, ``diff_plans`` and ``tests/reference_repair.py``.
 import sys
 from array import array
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,12 +26,13 @@ from repro.delta import (
     diff_plans,
     random_delta,
 )
-from repro.delta.engine import delta_join
+from repro.delta.engine import delta_join, diff_databases
 from repro.engine import MRAEvaluator
-from repro.engine.plan import EdgeColumns
+from repro.engine.plan import EdgeColumns, edge_index, edge_signatures
+from repro.engine.relation import Relation
 from repro.graphs import Graph, random_dag, rmat
 from repro.programs import PROGRAMS
-from repro.programs.builders import weighted_graph_db
+from repro.programs.builders import EdgeLocalBuilder, WalkBoundError, weighted_graph_db
 from repro.programs.registry import ProgramSpec
 from repro.runtime import HAVE_NUMPY, available_backends, get_kernel
 from repro.runtime.base import Kernel
@@ -47,7 +49,10 @@ ACYCLIC = ("viterbi", "dag_paths", "cost", "path_count")
 #: float-additive: a seed order is a sum order (outside the bit-exact contract)
 FLOAT_ADDITIVE = ("cost",)
 
-KINDS = ("insert", "delete", "reweight", "mixed", "add_vertices", "remove_vertices")
+KINDS = (
+    "insert", "delete", "reweight", "retype", "mixed", "add_vertices",
+    "remove_vertices",
+)
 
 
 def test_the_delta_path_programs_are_the_maintainable_ones():
@@ -75,6 +80,21 @@ def base_graph(program: str, seed: int) -> Graph:
     return rmat(14, 40, seed=seed)
 
 
+def with_repeats(graph: Graph) -> Graph:
+    """``graph`` with three of its pairs held twice: under an equal
+    weight, under another weight, under the equal weight's float."""
+    graph = graph if graph.weights is not None else graph.with_weights(1, 3)
+    first = graph.weights[:3]
+    extra = [first[0], first[1] % 3 + 1, float(first[2])]
+    return Graph(
+        graph.num_vertices,
+        graph.edges + graph.edges[:3],
+        graph.weights + extra,
+        name=graph.name,
+        seed=graph.seed,
+    )
+
+
 def make_delta(graph: Graph, kind: str, seed: int, acyclic: bool) -> GraphDelta:
     size = 1 + seed % 3
     sizes = {
@@ -86,6 +106,15 @@ def make_delta(graph: Graph, kind: str, seed: int, acyclic: bool) -> GraphDelta:
     if kind in sizes:
         return random_delta(
             graph, seed, acyclic=acyclic, weight_range=(1, 3), **sizes[kind]
+        )
+    if kind == "retype":
+        # the same weights as floats: ``5 -> 5.0`` (a float stays itself)
+        start = seed % max(1, graph.num_edges)
+        picked = zip(graph.edges[start:start + 3], graph.weights[start:start + 3])
+        return GraphDelta(
+            update_weights=tuple(
+                (src, dst, float(weight)) for (src, dst), weight in dict(picked).items()
+            )
         )
     if kind == "add_vertices":
         # the fresh vertex has the largest id, so the edge keeps a DAG a DAG
@@ -152,9 +181,39 @@ def assert_same_repair(repair, expected, approximate: bool = False) -> None:
     assert repair.stop_reason == expected.stop_reason
 
 
-def check_batch(engine: IncrementalEngine, delta: GraphDelta) -> bool:
-    """Apply one batch through the engine and through the oracle; False
-    when the builder refuses the new graph (path_count's RA351)."""
+def row_sets(changed: dict) -> dict:
+    return {
+        name: (set(removed), set(added)) for name, (removed, added) in changed.items()
+    }
+
+
+def assert_edb_is_rebuilt(engine: IncrementalEngine) -> None:
+    """The engine's kept EDB holds what the builder makes of the head."""
+    rebuilt = engine.spec.build_database(engine.view.graph)
+    assert engine._db.names() == rebuilt.names()
+    for name in rebuilt.names():
+        assert set(engine._db.relation(name)) == set(rebuilt.relation(name)), name
+
+
+def record_edb_changes(engine: IncrementalEngine) -> list:
+    """Every EDB change the engine moves its kept EDB by, in order."""
+    seen: list = []
+    read = engine._edb_change
+
+    def recorded():
+        changed, db = read()
+        seen.append(changed)
+        return changed, db
+
+    engine._edb_change = recorded
+    return seen
+
+
+def check_batch(engine: IncrementalEngine, delta: GraphDelta, seen: list) -> bool:
+    """Apply one batch through the engine and through the oracle (the
+    rebuild path: fresh EDBs, their set difference, fresh compiles);
+    False when the builder refuses the new graph (path_count's RA351).
+    ``seen`` is the engine's :func:`record_edb_changes`."""
     spec, mode = engine.spec, engine.verdict.mode
     old_graph = engine.view.graph
     new_graph = delta.apply_to(old_graph)
@@ -164,9 +223,10 @@ def check_batch(engine: IncrementalEngine, delta: GraphDelta) -> bool:
     except ValueError:
         return False
     expected_diff = diff_plans(fresh_old, fresh_new)
-    joined = delta_join(
-        engine._plan, spec.build_database(old_graph), spec.build_database(new_graph)
-    )
+    new_db = spec.build_database(new_graph)
+    rebuilt = diff_databases(spec.build_database(old_graph), new_db)
+    plan = engine._plan
+    joined = delta_join(plan, rebuilt, new_db)
     if joined is not None:
         diff = joined[0]
         assert diff.added == expected_diff.added
@@ -178,6 +238,14 @@ def check_batch(engine: IncrementalEngine, delta: GraphDelta) -> bool:
         fresh_old, fresh_new, dict(engine.values), mode=mode, backend=engine.backend
     )
     repair = engine.apply(delta)
+    # the EDB change read off the view's record is the rebuild's, so is
+    # the EDB it patched, and so is the delta join over it
+    assert row_sets(seen[-1]) == row_sets(rebuilt)
+    assert_edb_is_rebuilt(engine)
+    if joined is not None:
+        patched = delta_join(plan, seen[-1], engine._db)
+        assert patched[0] == joined[0]
+        assert patched[1:] == joined[1:]
     assert_plan_is_a_fresh_compile(engine._plan, fresh_new)
     assert_same_repair(
         repair, expected, approximate=spec.name in FLOAT_ADDITIVE
@@ -195,6 +263,8 @@ def check_batch(engine: IncrementalEngine, delta: GraphDelta) -> bool:
 def test_delta_path_is_the_recompile_path(program, data):
     backend = data.draw(st.sampled_from(BACKENDS))
     graph = base_graph(program, data.draw(st.integers(0, 10**6)))
+    if data.draw(st.booleans()):
+        graph = with_repeats(graph)
     stream = data.draw(
         st.lists(
             st.tuples(st.sampled_from(KINDS), st.integers(0, 10**6)),
@@ -204,9 +274,10 @@ def test_delta_path_is_the_recompile_path(program, data):
     )
     engine = IncrementalEngine(program, graph, backend=backend)
     engine.bootstrap()
+    seen = record_edb_changes(engine)
     for kind, seed in stream:
         delta = make_delta(engine.view.graph, kind, seed, program in ACYCLIC)
-        if not check_batch(engine, delta):
+        if not check_batch(engine, delta, seen):
             break
 
 
@@ -270,7 +341,7 @@ class TestCancelBeforePatching:
         # the EDB did change ...
         assert len(old_db.relation("edge").difference(new_db.relation("edge"))) == 1
         # ... the plan did not: R and A hold the same edge
-        diff, _, _ = delta_join(engine._plan, old_db, new_db)
+        diff, _, _ = delta_join(engine._plan, diff_databases(old_db, new_db), new_db)
         assert diff.is_empty
         repair = engine.refresh()
         assert repair.strategy == "frontier"
@@ -292,6 +363,128 @@ class TestCancelBeforePatching:
         repair = engine.refresh()
         assert (repair.edges_added, repair.edges_removed) == (1, 1)
         assert engine.values == oracle(engine.spec, engine.view.graph)
+
+
+class TestTheEdbIsPatched:
+    """The kept EDB moves by the view's records, and stays the rebuild's."""
+
+    def test_which_builders_are_edge_local(self):
+        local = {
+            name
+            for name in DELTA_PATH
+            if isinstance(PROGRAMS[name].build_database, EdgeLocalBuilder)
+        }
+        # a global BFS (lca) and a whole-output certificate (path_count)
+        assert set(DELTA_PATH) - local == {"lca", "path_count"}
+
+    def test_cc_reverse_insert_then_one_direction_deleted(self):
+        graph = weighted(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        engine = IncrementalEngine("cc", graph)
+        engine.bootstrap()
+        plan = engine._plan
+        engine.apply(GraphDelta(insert_edges=((1, 0, 1),)))
+        # (1, 0) still accounts for both rows (0, 1) deleted itself
+        repair = engine.apply(GraphDelta(delete_edges=((0, 1),)))
+        assert (repair.edges_added, repair.edges_removed) == (0, 0)
+        assert engine._plan is plan
+        assert_edb_is_rebuilt(engine)
+        # the last edge of the pair takes both directions with it
+        repair = engine.apply(GraphDelta(delete_edges=((1, 0),)))
+        assert repair.edges_removed == 2
+        assert_edb_is_rebuilt(engine)
+        assert engine.values == oracle(engine.spec, engine.view.graph)
+
+    def test_a_repeated_pair_leaves_with_its_last_copy(self):
+        # two copies of (1, 2) under one weight: one row, held twice
+        graph = weighted(4, [(0, 1, 1), (1, 2, 4), (1, 2, 4), (2, 3, 1)])
+        engine = IncrementalEngine("sssp", graph)
+        engine.bootstrap()
+        seen = record_edb_changes(engine)
+        engine.apply(GraphDelta(update_weights=((1, 2, 3),)))  # both copies
+        assert row_sets(seen[-1]) == {"edge": ({(1, 2, 4)}, {(1, 2, 3.0)})}
+        assert engine._shared == {(1, 2, 3.0): 2}
+        engine.apply(GraphDelta(delete_edges=((1, 2),)))
+        assert row_sets(seen[-1]) == {"edge": ({(1, 2, 3.0)}, set())}
+        assert engine._shared == {}
+        assert_edb_is_rebuilt(engine)
+        assert engine.values == oracle(engine.spec, engine.view.graph)
+
+    def test_refresh_composes_three_external_bumps(self):
+        graph = weighted(5, [(0, 1, 2), (1, 2, 2), (2, 3, 1)])
+        engine = IncrementalEngine("sssp", graph)
+        engine.bootstrap()
+        seen = record_edb_changes(engine)
+        engine.view.apply(GraphDelta(insert_edges=((3, 4, 1),)))
+        engine.view.apply(GraphDelta(update_weights=((1, 2, 1),)))
+        engine.view.apply(GraphDelta(delete_edges=((3, 4),)))
+        repair = engine.refresh()
+        # (3, 4) came at v2 and went at v4: only the reweight is left
+        assert row_sets(seen[-1]) == {"edge": ({(1, 2, 2)}, {(1, 2, 1.0)})}
+        assert (repair.edges_added, repair.edges_removed) == (1, 1)
+        assert engine.fixpoint_version == 4
+        assert_edb_is_rebuilt(engine)
+        assert engine.values == oracle(engine.spec, engine.view.graph)
+
+    def test_reweight_to_an_equal_value_keeps_the_rows_object(self):
+        engine = IncrementalEngine("sssp", weighted(3, [(0, 1, 5), (1, 2, 5)]))
+        engine.bootstrap()
+        seen = record_edb_changes(engine)
+        engine.apply(GraphDelta(update_weights=((0, 1, 5),)))  # 5.0
+        assert seen[-1] == {}
+        # the EDB keeps 5 where a rebuild holds 5.0: equal, not identical
+        (row,) = [row for row in engine._db.relation("edge") if row[:2] == (0, 1)]
+        assert exact(row[2]) == exact(5)
+        assert_edb_is_rebuilt(engine)
+
+    def test_added_vertices_are_node_rows(self):
+        engine = IncrementalEngine("apsp", rmat(6, 12, seed=3))
+        engine.bootstrap()
+        engine.apply(GraphDelta(add_vertices=2, insert_edges=((0, 6, 2),)))
+        assert (7,) in engine._db.relation("node")
+        assert_edb_is_rebuilt(engine)
+        assert engine.values == oracle(engine.spec, engine.view.graph)
+
+    @pytest.mark.parametrize("program", ["path_count", "lca"])
+    def test_the_other_builders_rebuild_and_diff(self, program, monkeypatch):
+        engine = IncrementalEngine(program, base_graph(program, 3))
+        engine.bootstrap()
+        calls = CountedCalls(monkeypatch)
+        calls.wrap(Relation, "difference")
+        calls.wrap(Relation, "patch")
+        engine.apply(make_delta(engine.view.graph, "insert", 5, program in ACYCLIC))
+        assert calls.counts == {"difference": 2 * len(engine._db.names())}
+        assert engine._shared is None
+        assert_edb_is_rebuilt(engine)
+
+
+class TestRefusal:
+    """RA351 is a typed diagnostic, and a refused head changes nothing."""
+
+    #: walk counts 3**v along the chain: 3**33 < 2**53 <= 3**34
+    CHAIN = Graph(35, [(v, v + 1) for v in range(33)], [3] * 33)
+
+    def test_the_builder_raises_a_walk_bound_error(self):
+        assert issubclass(WalkBoundError, ValueError)
+        PROGRAMS["path_count"].build_database(self.CHAIN)
+        longer = GraphDelta(insert_edges=((33, 34, 3),)).apply_to(self.CHAIN)
+        with pytest.raises(WalkBoundError, match="RA351"):
+            PROGRAMS["path_count"].build_database(longer)
+
+    def test_a_refusal_leaves_the_engine_unchanged(self):
+        engine = IncrementalEngine("path_count", self.CHAIN)
+        engine.bootstrap()
+        plan, db, values = engine._plan, engine._db, engine._values
+        rows = {name: set(db.relation(name)) for name in db.names()}
+        with pytest.raises(WalkBoundError):
+            engine.apply(GraphDelta(insert_edges=((33, 34, 3),)))
+        assert engine.view.version == 2  # the view moved, the fixpoint did not
+        assert engine._plan is plan and engine._db is db and engine._values is values
+        assert engine.fixpoint_version == 1
+        assert {name: set(db.relation(name)) for name in db.names()} == rows
+        # a later head the builder accepts repairs from the kept fixpoint
+        engine.apply(GraphDelta(delete_edges=((33, 34),)))
+        assert engine.fixpoint_version == 3
+        assert engine.values == values == oracle(engine.spec, engine.view.graph)
 
 
 class TestTypeExactColumns:
@@ -439,7 +632,7 @@ class TestFallsBackToAFreshCompile:
         assert calls.counts["compile_plan"] == 1  # the delta path
         engine.apply(GraphDelta(add_vertices=1, insert_edges=((0, 6, 2),)))
         assert calls.counts["compile_plan"] == 2  # node/1 changed X⁰'s keys
-        assert "_edge_positions" not in vars(engine._plan)
+        assert "_lineage" not in vars(engine._plan)
         assert engine.values == oracle(engine.spec, engine.view.graph)
 
     def test_recompute_restarts_the_lineage(self, monkeypatch):
@@ -451,15 +644,15 @@ class TestFallsBackToAFreshCompile:
         engine.bootstrap()
         repair = engine.apply(random_delta(engine.view.graph, 1, insert_edges=2, acyclic=True))
         assert repair.strategy == "frontier"
-        assert "_edge_positions" in vars(engine._plan)
+        assert "_lineage" in vars(engine._plan)
         repair = engine.apply(random_delta(engine.view.graph, 2, delete_edges=2))
         assert repair.strategy == "recompute"
         assert calls.counts["compile_plan"] == 2
-        assert "_edge_positions" not in vars(engine._plan)
+        assert "_lineage" not in vars(engine._plan)
         repair = engine.apply(random_delta(engine.view.graph, 3, insert_edges=2, acyclic=True))
         assert repair.strategy == "frontier"
         assert calls.counts["compile_plan"] == 2 and calls.counts["diff_plans"] == 0
-        assert "_edge_positions" in vars(engine._plan)
+        assert "_lineage" in vars(engine._plan)
         assert engine.values == oracle(engine.spec, engine.view.graph)
 
     def test_mode_none_compiles_as_before(self, monkeypatch):
@@ -552,6 +745,82 @@ def test_a_repair_neither_compiles_nor_diffs_nor_builds_a_view(monkeypatch):
     assert set(strategies) == {"frontier", "rederive"}
     assert calls.counts == {"compile_plan": 1}  # the bootstrap
     assert engine.values == oracle(engine.spec, engine.view.graph, "numpy")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_repair_neither_builds_nor_diffs_the_edb(monkeypatch, backend):
+    calls = CountedCalls(monkeypatch)
+    calls.wrap(registry, "compile_plan")
+    engine = IncrementalEngine("sssp", rmat(60, 240, seed=9), backend=backend)
+    engine.bootstrap()
+    calls.wrap(EdgeLocalBuilder, "__call__")  # spec.build_database
+    calls.wrap(Relation, "difference")
+    for index, kind in enumerate(("insert", "delete", "reweight") * 2):
+        engine.apply(make_delta(engine.view.graph, kind, 100 + index, acyclic=False))
+    assert calls.counts == {"compile_plan": 1}  # the bootstrap
+    monkeypatch.undo()
+    assert engine.values == oracle(engine.spec, engine.view.graph, backend)
+
+
+class CountingColumn(list):
+    """A plan column that counts the passes made over it (and its copies)."""
+
+    passes = 0
+
+    def __iter__(self):
+        CountingColumn.passes += 1
+        return super().__iter__()
+
+    def __getitem__(self, item):
+        got = super().__getitem__(item)
+        return CountingColumn(got) if isinstance(item, slice) else got
+
+
+def test_a_removal_only_patch_never_walks_a_column():
+    plan = PROGRAMS["sssp"].plan(rmat(300, 2000, seed=4))
+    (columns,) = plan.edge_columns
+    assert len(columns) >= 2000
+    # pair keys and mixed weights: columns that stay untyped lists
+    srcs = [(0, src) for src in columns.srcs]
+    dsts = [(0, dst) for dst in columns.dsts]
+    weights = [w if j % 2 else float(w) for j, w in enumerate(columns.param_cols[0])]
+    counted = replace(
+        plan,
+        keys=frozenset(srcs + dsts),
+        initial={},
+        constants={},
+        edge_columns=(
+            EdgeColumns.typed(
+                columns.fn, [CountingColumn(col) for col in (srcs, dsts, weights)]
+            ),
+        ),
+    )
+    edges = list(edge_signatures(0, srcs, dsts, [weights]))
+    first = counted.patched(Counter(), Counter(edges[:1]), {}, {})  # the lineage
+    CountingColumn.passes = 0
+    removed = Counter(edges[1:40:2])
+    patched = first.patched(Counter(), removed, {}, {})
+    assert CountingColumn.passes == 0
+    assert all(type(col) is CountingColumn for col in patched.edge_columns[0].param_cols)
+    assert patched.signature == Counter(edges) - Counter(edges[:1]) - removed
+    assert patched.keys == frozenset(
+        key for src, dst, _, _ in patched.signature for key in (src, dst)
+    )
+
+
+def test_the_c_level_index_is_the_per_edge_one():
+    # (1, 2) three times and (2, 3) twice under weights the body ignores
+    triples = [(0, 1, 1), (1, 2, 4), (2, 3, 1), (1, 2, 6), (1, 2, 7), (2, 3, 5)]
+    plan = IGNORES_WEIGHT.plan(weighted(4, triples))
+    per_edge: dict = {}
+    for body, columns in enumerate(plan.edge_columns):
+        signatures = edge_signatures(body, columns.srcs, columns.dsts, columns.param_cols)
+        for position, edge in enumerate(signatures):
+            per_edge.setdefault(edge, []).append(position)
+    assert any(len(held) > 2 for held in per_edge.values())
+    assert edge_index(plan.edge_columns) == {
+        edge: held[0] if len(held) == 1 else held for edge, held in per_edge.items()
+    }
 
 
 def test_view_apply_runs_no_python_per_edge():

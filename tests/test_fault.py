@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.aggregates import MIN, SUM
+from repro.aggregates.semiring import KTuple
 from repro.distributed import Checkpointer, CheckpointMismatchError
 from repro.engine import MonoTable, MRAEvaluator
 from repro.engine.monotable import MonoTable as MonoTableClass
@@ -32,6 +33,18 @@ class TestRoundTrip:
         restored = MonoTable(MIN, initial={})
         checkpointer.restore_shard("pairs", 2, restored)
         assert restored.accumulated == {(0, 3): 4, (1, 2): 7}
+
+    def test_ktuple_values_roundtrip(self, tmp_path):
+        topk = PROGRAMS["kpaths"].analysis().aggregate
+        checkpointer = Checkpointer(tmp_path)
+        table = MonoTable(topk, initial={0: KTuple((0.0,)), 3: KTuple((2.0, 5.5))})
+        table.push(3, KTuple((1.0,)))
+        checkpointer.save_shard("kpaths", 0, table)
+        restored = MonoTable(topk, initial={})
+        assert checkpointer.restore_shard("kpaths", 0, restored)
+        assert restored.accumulated == table.accumulated
+        assert restored.intermediate == table.intermediate
+        assert type(restored.accumulated[3]) is KTuple
 
     def test_aggregate_mismatch_rejected(self, tmp_path):
         checkpointer = Checkpointer(tmp_path)

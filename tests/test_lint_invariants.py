@@ -12,8 +12,11 @@ sys.path.insert(0, str(TOOL.parent))
 from lint_invariants import (  # noqa: E402
     ARRAY_FREE_SCOPE,
     SEEDED_GENERATOR_FILES,
+    CONTRACT_CLASSES,
+    KERNEL_SCOPE,
     check_array_imports,
     check_file,
+    check_kernel_contract,
     check_unused_imports,
     main,
 )
@@ -172,6 +175,56 @@ class TestArrayFreePackages:
         assert "array import repro.runtime.compat.np" in capsys.readouterr().out
 
 
+KERNEL_DRIFT = """\
+from repro.runtime.base import Kernel, SendSide
+
+
+class Drifted(Kernel):
+    def push(self, key, value):
+        pass
+
+    @classmethod
+    def forward_closure(cls, plan, seeds, pairs=None):
+        return set()
+
+    def apply_batch(self, deltas=None, keys=None):
+        pass
+
+    def helper(self, anything):
+        pass
+
+
+class Sender(SendSide):
+    def fill(self, buffers, out):
+        pass
+"""
+
+
+class TestKernelContract:
+    def test_flags_each_drifted_override(self, tmp_path):
+        path = tmp_path / "drifted.py"
+        path.write_text(KERNEL_DRIFT)
+        violations = check_kernel_contract(path)
+        flagged = sorted(v.split(": ", 1)[1].split("(")[0] for v in violations)
+        # a changed default, a keyword-only made positional, a dropped
+        # parameter; the kept override and the extra helper are fine
+        assert flagged == ["Drifted.apply_batch", "Drifted.forward_closure", "Sender.fill"]
+        (closure,) = [v for v in violations if "forward_closure" in v]
+        assert ":9: " in closure and "pairs=None" in closure and "Iterable=()" in closure
+
+    def test_the_runtime_keeps_the_contract(self):
+        assert CONTRACT_CLASSES == ("Kernel", "SendSide")
+        for root in KERNEL_SCOPE:
+            for path in sorted(root.rglob("*.py")):
+                assert check_kernel_contract(path) == [], path
+
+    def test_nonzero_on_drift(self, tmp_path, capsys):
+        path = tmp_path / "drifted.py"
+        path.write_text(KERNEL_DRIFT)
+        assert main([str(path)]) == 1
+        assert "kernel contract drift (3)" in capsys.readouterr().out
+
+
 class TestMain:
     def test_core_tree_is_clean(self):
         # the invariants the tool exists to hold: no wall-clock or
@@ -199,3 +252,4 @@ class TestMain:
         # the second pass covers src, tests, benchmarks, examples, tools
         assert "no unused imports" in proc.stdout
         assert "array-free packages import no numpy" in proc.stdout
+        assert "kernel overrides keep the contract" in proc.stdout

@@ -28,6 +28,8 @@ from repro.serving import (
     render_text,
     report_to_json,
 )
+from repro.delta import MutableGraphView
+from repro.graphs import Graph
 from repro.serving.service import Outage
 
 
@@ -300,6 +302,22 @@ class TestServiceLifecycle:
             + outcome.counters["executions_repaired"]
             == 2
         )
+
+    def test_a_refused_graph_fails_the_request_with_the_diagnostic(self):
+        # walk counts 3**34 >= 2**53: path_count's builder refuses (RA351)
+        chain = Graph(35, [(v, v + 1) for v in range(34)], [3] * 34)
+        service = ServingService(ServeConfig())
+        service._views["path_count"] = MutableGraphView(chain)
+        spec = single_spec(num_requests=2, program_mix=(("path_count", 1.0),))
+        requests = [
+            Request(id=i, tenant="solo", program="path_count", engine="sync",
+                    arrival=0.5 * i, deadline=6.0)
+            for i in range(2)
+        ]
+        outcome = service.serve(requests, spec, seed=5)
+        assert [r.status for r in outcome.responses] == [FAILED, FAILED]
+        assert all(r.detail.startswith("RA351") for r in outcome.responses)
+        assert outcome.counters["attempts"] == 0
 
     def test_deadline_expired_queued_requests_release_queue_slots(self):
         # requests 1-3 fill the queue and deadline out before their

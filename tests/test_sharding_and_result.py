@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aggregates.semiring import KTuple
 from repro.distributed import Checkpointer, ClusterConfig
 from repro.distributed.sharding import ShardedRun
 from repro.engine import EvalResult, WorkCounters
@@ -48,6 +49,17 @@ class TestShardedRun:
         state.shards[0].accumulated = {min(state.shard_keys[0]): 3}
         state.shards[1].accumulated = {min(state.shard_keys[1]): -4}
         assert state.global_accumulation() == 7.0
+
+    def test_global_accumulation_of_a_non_numeric_carrier(self):
+        # kpaths' KTuple has no float(); its magnitude is the semiring's
+        kpaths = ShardedRun(
+            PROGRAMS["kpaths"].plan(rmat(20, 60, seed=3)), ClusterConfig(num_workers=2)
+        )
+        aggregate = kpaths.plan.aggregate
+        values = [aggregate.identity.merge(KTuple((1.0, 4.0))), KTuple((2.0,))]
+        for shard, value in zip(kpaths.shards, values):
+            shard.accumulated = {min(kpaths.plan.keys): value}
+        assert kpaths.global_accumulation() == sum(map(aggregate.delta_magnitude, values))
 
     def test_checkpoint_roundtrip(self, state, tmp_path):
         state.seed_initial_delta()

@@ -37,6 +37,13 @@ files that draw from a seeded generator (``distributed/chaos.py``,
 ``distributed/cluster.py``) are the listed exceptions, for that one
 import.
 
+A fourth pass holds the **kernel contract**: every method a subclass of
+``Kernel`` or ``SendSide`` (``src/repro/runtime/base.py``) overrides in
+``src/repro/runtime`` keeps the base method's signature -- parameter
+names, kinds and defaults.  The engines call kernels through the base
+class only, so an override that renamed a keyword or dropped a default
+would break just the callers that use it, on one backend.
+
 Paths given on the command line are checked by every pass.  Exit code
 0 when clean, 1 with one ``file:line: message`` per violation otherwise.
 Pure stdlib; wired into ``make lint`` and CI.
@@ -67,6 +74,11 @@ IMPORT_SCOPE = tuple(
 ARRAY_FREE_SCOPE = tuple(
     REPO_ROOT / "src" / "repro" / name for name in ("engine", "distributed", "delta")
 )
+
+#: where the kernel contract is implemented, and where it is stated
+KERNEL_SCOPE = (REPO_ROOT / "src" / "repro" / "runtime",)
+CONTRACT_FILE = REPO_ROOT / "src" / "repro" / "runtime" / "base.py"
+CONTRACT_CLASSES = ("Kernel", "SendSide")
 
 #: files allowed ``from repro.runtime.compat import np``: they take a
 #: seeded ``np.random.default_rng`` from it and nothing else
@@ -280,6 +292,70 @@ def check_array_imports(path: Path) -> list[str]:
     return violations
 
 
+def _parameters(function: ast.FunctionDef) -> list[tuple]:
+    """``(name, kind, default source)`` per parameter of ``function``."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    defaults = [None] * (len(positional) - len(args.defaults)) + list(args.defaults)
+    params = [
+        (arg.arg, "positional-only" if index < len(args.posonlyargs) else "positional", default)
+        for index, (arg, default) in enumerate(zip(positional, defaults))
+    ]
+    if args.vararg:
+        params.append((args.vararg.arg, "var-positional", None))
+    params += [
+        (arg.arg, "keyword-only", default)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+    ]
+    if args.kwarg:
+        params.append((args.kwarg.arg, "var-keyword", None))
+    return [
+        (name, kind, None if default is None else ast.unparse(default))
+        for name, kind, default in params
+    ]
+
+
+def _methods(cls: ast.ClassDef) -> dict:
+    return {
+        node.name: node
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def _contract() -> dict:
+    """Contract class name -> method name -> its definition."""
+    tree = ast.parse(CONTRACT_FILE.read_text(encoding="utf-8"))
+    return {
+        node.name: _methods(node)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in CONTRACT_CLASSES
+    }
+
+
+def check_kernel_contract(path: Path) -> list[str]:
+    """Overrides of a contract method whose signature drifted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    relative = _relative(path)
+    contract = _contract()
+    violations: list[str] = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for base in {_dotted(node).rpartition(".")[2] for node in cls.bases}:
+            for name, method in _methods(cls).items():
+                expected = contract.get(base, {}).get(name)
+                if expected is None or _parameters(method) == _parameters(expected):
+                    continue
+                violations.append(
+                    f"{relative}:{method.lineno}: {cls.name}.{name}"
+                    f"({ast.unparse(method.args)}) drifts from {base}.{name}"
+                    f"({ast.unparse(expected.args)}): keep the contract's "
+                    "parameter names, kinds and defaults"
+                )
+    return violations
+
+
 def _run_pass(check, roots) -> tuple[list[str], int]:
     violations: list[str] = []
     checked = 0
@@ -302,6 +378,8 @@ def main(argv: list[str] | None = None) -> int:
          "unused imports", "no unused imports"),
         (check_array_imports, ARRAY_FREE_SCOPE,
          "array imports in array-free packages", "array-free packages import no numpy"),
+        (check_kernel_contract, KERNEL_SCOPE,
+         "kernel contract drift", "kernel overrides keep the contract"),
     ):
         violations, checked = _run_pass(check, given or default)
         if violations:
