@@ -98,11 +98,13 @@ e2e-quick:
 	$(PYTHON) benchmarks/e2e/run.py --quick --trace 1
 
 # the golden snapshots (lint reports, compiled-plan digests, the full
-# asynchronous-run matrix, ~2 min) must be regenerable bit-for-bit: rerun
-# the regeneration and fail if anything under tests/golden drifts
+# asynchronous- and synchronous-run matrices, ~2.5 min) must be
+# regenerable bit-for-bit: rerun the regeneration and fail if anything
+# under tests/golden drifts
 golden-drift:
 	REPRO_REGEN_GOLDEN=1 $(PYTHON) -m pytest -q tests/test_lint_golden.py \
-		tests/test_plan_golden.py tests/test_async_golden.py
+		tests/test_plan_golden.py tests/test_async_golden.py \
+		tests/test_sync_golden.py
 	git diff --quiet tests/golden || ( \
 		echo "tests/golden drifted from the committed snapshots:"; \
 		git --no-pager diff --stat tests/golden; exit 1 )
