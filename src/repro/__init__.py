@@ -21,7 +21,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.datalog` -- parser + analyzer (G / F' / C extraction)
 * :mod:`repro.checker` -- automatic MRA condition verification
 * :mod:`repro.aggregates` -- min/max/sum/count/mean operators
-* :mod:`repro.engine` -- naive, semi-naive and MRA evaluation; MonoTable
+* :mod:`repro.engine` -- naive, semi-naive and MRA evaluation
+* :mod:`repro.runtime` -- the kernels: Figure 7's MonoTable and its inner loop
 * :mod:`repro.distributed` -- simulated cluster: sync/async/unified/AAP
 * :mod:`repro.systems` -- SociaLite/Myria/BigDatalog/... baselines + PowerLog
 * :mod:`repro.programs` -- the paper's fourteen programs (Table 1)
@@ -38,7 +39,6 @@ from repro.engine import (
     NaiveEvaluator,
     SemiNaiveEvaluator,
     MRAEvaluator,
-    MonoTable,
     compile_plan,
     CompiledPlan,
     EvalResult,
@@ -70,7 +70,6 @@ __all__ = [
     "NaiveEvaluator",
     "SemiNaiveEvaluator",
     "MRAEvaluator",
-    "MonoTable",
     "compile_plan",
     "CompiledPlan",
     "EvalResult",

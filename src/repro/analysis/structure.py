@@ -5,10 +5,13 @@ paper (section 2.1, footnote 2): *direct, linear* recursion -- exactly
 one recursive rule, each of whose bodies mentions the head predicate at
 most once -- with an aggregate as the last head argument.
 
-This pass is the single source of truth for those constraints:
-:func:`repro.datalog.analyzer.analyze` delegates to it (raising
+This pass is the only check of those constraints:
+:func:`repro.datalog.analyzer.analyze` runs it first (raising
 :class:`~repro.datalog.errors.AnalysisError` on the first error
-diagnostic) and ``repro lint`` reports every finding at once.
+diagnostic) and then extracts ``G``/``F'``/``C`` without re-checking
+anything checked here, and ``repro lint`` reports every finding at
+once.  A constraint the extraction relies on is therefore stated here
+or nowhere.
 
 Unlike the historical ad-hoc check, recursion detection here is
 SCC-based (Tarjan over the predicate dependency graph), so mutual

@@ -16,6 +16,13 @@ mentions the head predicate at most once.  A rule may have *several*
 recursive bodies (the paper's Program 2.b aggregates a key's previous
 value together with neighbour contributions); each body carries its own
 ``F'``.
+
+Whether a program is in that class is decided once, by the structure
+pass (:mod:`repro.analysis.structure`, RA101--RA112), which
+:func:`analyze` runs first and which raises on its first error.  What
+follows it here is extraction over a program already known to be
+well-formed; the only errors this module raises itself are about
+resolving ``F'`` (RA120--RA122).
 """
 
 from __future__ import annotations
@@ -27,13 +34,13 @@ from typing import Optional
 from repro.aggregates import Aggregate, get_aggregate
 from repro.datalog.ast import (
     ComparisonAtom,
+    IterationNext,
     PredicateAtom,
     Program,
     Rule,
     RuleBody,
     TerminationAtom,
     Variable,
-    Wildcard,
 )
 from repro.datalog.errors import AnalysisError
 from repro.expr import Expr, Interval, Var
@@ -126,12 +133,8 @@ def _domains_from_assumptions(program: Program) -> dict[str, Interval]:
             update = Interval(-math.inf, bound, hi_strict=True)
         elif decl.op == "<=":
             update = Interval(-math.inf, bound)
-        elif decl.op == "=":
+        else:  # "=": the structure pass admits no other operator (RA112)
             update = Interval(bound, bound)
-        else:
-            raise AnalysisError(
-                f"unsupported assume operator {decl.op!r}", code="RA112"
-            )
         domains[decl.variable] = _intersect(current, update)
     return domains
 
@@ -164,69 +167,18 @@ def _check_structure(program: Program) -> Rule:
     return rule
 
 
-def _split_iteration(rule: Rule) -> tuple[bool, Optional[str]]:
-    """Detect ``head(i+1, ...)`` iteration indexing in the head."""
-    from repro.datalog.ast import IterationNext
-
-    for position, term in enumerate(rule.head.terms):
-        if isinstance(term, IterationNext):
-            if position != 0:
-                raise AnalysisError(
-                    "iteration index must be the first argument", code="RA107"
-                )
-            return True, term.name
-    return False, None
-
-
-def _strip_iteration_terms(atom: PredicateAtom, iterated: bool) -> tuple:
-    return atom.terms[1:] if iterated else atom.terms
-
-
-def _decompose_recursive_body(
-    body: RuleBody, head: str, iterated: bool, iter_var: Optional[str]
-) -> RecursionSpec:
-    r_atoms = [a for a in body.predicate_atoms() if a.name == head]
-    if len(r_atoms) != 1:
-        raise AnalysisError(
-            f"non-linear recursion: body mentions {head!r} {len(r_atoms)} times",
-            code="RA104",
-        )
-    r_atom = r_atoms[0]
-    terms = list(_strip_iteration_terms(r_atom, iterated))
-    if iterated:
-        first = r_atom.terms[0]
-        if not (isinstance(first, Variable) and first.name == iter_var):
-            raise AnalysisError(
-                f"recursive atom must use iteration index {iter_var!r} as first argument",
-                code="RA107",
-            )
-    if not terms:
-        raise AnalysisError(
-            f"recursive atom {r_atom!r} has no value position", code="RA109"
-        )
-    value_term = terms[-1]
-    if not isinstance(value_term, Variable):
-        raise AnalysisError(
-            f"value position of {r_atom!r} must be a variable, found {value_term!r}",
-            code="RA109",
-        )
-    source_keys = []
-    for term in terms[:-1]:
-        if isinstance(term, Variable):
-            source_keys.append(term.name)
-        elif not isinstance(term, Wildcard):
-            raise AnalysisError(
-                f"key positions of {r_atom!r} must be variables, found {term!r}",
-                code="RA108",
-            )
-    join_atoms = tuple(a for a in body.predicate_atoms() if a is not r_atom)
+def _decompose_recursive_body(body: RuleBody, head: str, iterated: bool) -> RecursionSpec:
+    """Split a recursive body (linear, its atom's value a variable and
+    its keys variables or ``_``: RA104/RA107--RA109) into its parts."""
+    (r_atom,) = [a for a in body.predicate_atoms() if a.name == head]
+    terms = r_atom.terms[1:] if iterated else r_atom.terms
     return RecursionSpec(
         body=body,
         r_atom=r_atom,
-        join_atoms=join_atoms,
+        join_atoms=tuple(a for a in body.predicate_atoms() if a is not r_atom),
         comparisons=tuple(body.comparison_atoms()),
-        recursion_var=value_term.name,
-        source_keys=tuple(source_keys),
+        recursion_var=terms[-1].name,
+        source_keys=tuple(t.name for t in terms[:-1] if isinstance(t, Variable)),
     )
 
 
@@ -295,7 +247,10 @@ def analyze(program: Program) -> ProgramAnalysis:
     assert agg_spec is not None  # RA105 checked by the structure pass
     aggregate = get_aggregate(agg_spec.op)
 
-    iterated, iter_var = _split_iteration(rule)
+    # ``head(i+1, ...)``: the structure pass admits the index first only
+    first = rule.head.terms[0]
+    iterated = isinstance(first, IterationNext)
+    iter_var = first.name if iterated else None
     head_terms = rule.head.terms[1:] if iterated else rule.head.terms
     key_vars = [
         term.name for term in head_terms[:-1] if isinstance(term, Variable)
@@ -305,7 +260,7 @@ def analyze(program: Program) -> ProgramAnalysis:
     constant_bodies = tuple(b for b in rule.bodies if not b.mentions(head))
     specs = []
     for body in recursive_bodies:
-        spec = _decompose_recursive_body(body, head, iterated, iter_var)
+        spec = _decompose_recursive_body(body, head, iterated)
         fprime = _resolve_fprime(spec, agg_spec.variable)
         params = tuple(sorted(fprime.free_vars() - {spec.recursion_var}))
         specs.append(replace(spec, fprime=fprime, fprime_params=params))
@@ -327,12 +282,10 @@ def analyze(program: Program) -> ProgramAnalysis:
             referenced.update(a.name for a in body.predicate_atoms())
     edb = tuple(sorted(referenced - defined))
 
-    termination: Optional[TerminationAtom] = None
-    for body in rule.bodies:
-        for atom in body.termination_atoms():
-            if termination is not None:
-                raise AnalysisError("multiple termination clauses", code="RA111")
-            termination = atom
+    # at most one clause (RA111)
+    termination: Optional[TerminationAtom] = next(
+        (atom for body in rule.bodies for atom in body.termination_atoms()), None
+    )
 
     return ProgramAnalysis(
         program=program,

@@ -37,7 +37,8 @@ wires failure into the same event clock:
   drops and partitions are recovered by exponential-backoff
   retransmission, duplicates are absorbed by ``g``-combining (idempotent
   aggregates) or suppressed by per-sender sequence dedup (additive
-  ones);
+  ones) -- the :class:`~repro.distributed.chaos.DeliveryLedger` the sync
+  engine keeps too;
 * scheduled worker crashes lose all volatile state; recovery restores
   the shard from its latest :class:`~repro.distributed.fault.Checkpointer`
   checkpoint (or reseeds it from the constant part ``C``) and replays
@@ -65,15 +66,13 @@ from repro.distributed.buffers import (
     FixedBuffer,
     RetransmitBuffer,
 )
-from repro.distributed.chaos import injector_for
+from repro.distributed.chaos import DeliveryLedger, injector_for
 from repro.distributed.cluster import ClusterConfig
-from repro.distributed.fault import restore_guarding_corruption
 from repro.distributed.sharding import ShardedRun
 from repro.engine.plan import CompiledPlan
 from repro.engine.result import EvalResult
 from repro.engine.termination import TerminationSpec, TerminationTracker
-from repro.obs import ensure_obs
-from repro.runtime import record_backend_metrics
+from repro.obs import ensure_obs, record_run
 
 
 class AsyncEngine:
@@ -164,19 +163,7 @@ class AsyncEngine:
         obs = self.obs
         num_workers = cluster.num_workers
         state = ShardedRun(plan, cluster, backend=self.backend)
-        restored = False
-        if self.checkpointer is not None:
-            restored = restore_guarding_corruption(
-                lambda: state.restore(self.checkpointer, self.run_name),
-                what=f"async run {self.run_name}",
-                obs=obs,
-            )
-            if obs.enabled:
-                obs.trace.emit(
-                    "ckpt.restore", t=0.0, run=self.run_name, restored=restored
-                )
-        if not restored:
-            state.seed_initial_delta()
+        state.resume_or_seed(self.checkpointer, self.run_name, "async", obs)
         counters = state.counters
         shards = state.shards
         speeds = state.speeds
@@ -215,7 +202,7 @@ class AsyncEngine:
         if chaos is not None:
             schedule_cfg = cluster.faults
             down = [False] * num_workers
-            seq_next = [[0] * num_workers for _ in range(num_workers)]
+            ledger = DeliveryLedger(num_workers, chaos, selective)
             retrans = [
                 {
                     target: RetransmitBuffer(
@@ -228,15 +215,11 @@ class AsyncEngine:
                 }
                 for w in range(num_workers)
             ]
-            #: seen[target][sender] -> sequence numbers already applied
-            seen = [
-                [set() for _ in range(num_workers)] for _ in range(num_workers)
-            ]
             remaining_crashes = sorted(
                 schedule_cfg.crashes, key=lambda crash: crash.at
             )
         else:
-            down = retrans = seen = None
+            down = retrans = ledger = None
             remaining_crashes = []
 
         heap: list = []
@@ -261,8 +244,7 @@ class AsyncEngine:
                 schedule(send_time + cost.message_latency, "deliver", (target, payload))
                 inflight += 1
                 return
-            seq = seq_next[worker][target]
-            seq_next[worker][target] = seq + 1
+            seq = ledger.stamp(worker, target)
             rbuffer = retrans[worker][target]
             rbuffer.track(seq, payload)
             schedule(send_time + rbuffer.timeout(1), "rto", (worker, target, seq, 1))
@@ -438,20 +420,8 @@ class AsyncEngine:
                     )
                 else:
                     schedule(time + cost.message_latency, "ack", (sender, target, seq))
-                if seq in seen[target][sender]:
-                    chaos.record(
-                        "duplicates_absorbed",
-                        t=time,
-                        sender=sender,
-                        target=target,
-                        seq=seq,
-                    )
-                    if not selective:
-                        # non-idempotent aggregates must not re-apply; the
-                        # idempotent path falls through and lets g absorb
-                        return
-                else:
-                    seen[target][sender].add(seq)
+                if not ledger.admit(sender, target, seq, time):
+                    return
             inbox[target].append(payload)
             self._observe_delivery(target, len(payload))
             schedule_worker(target, time)
@@ -504,8 +474,7 @@ class AsyncEngine:
                     {t: dict(r.unacked) for t, r in worker_retrans.items()}
                     for worker_retrans in retrans
                 ],
-                "seq_next": [list(row) for row in seq_next],
-                "seen": [[set(s) for s in row] for row in seen],
+                "ledger": ledger.snapshot(),
                 "progress": (progress_updates, progress_magnitude, prev_global),
             }
 
@@ -548,23 +517,16 @@ class AsyncEngine:
                 buffer.flush(time)
             for rbuffer in retrans[worker].values():
                 rbuffer.clear()
-            for sender_seen in seen[worker]:
-                sender_seen.clear()
+            ledger.forget(worker)
             state.shards[worker] = state.blank_shard(worker)
             schedule(time + crash.restart_after, "restart", worker)
 
         def handle_restart(worker: int, time: float) -> None:
             """Local recovery: checkpoint (or ``C``) restore + Theorem-3 replay."""
             down[worker] = False
-            restored_shard = False
-            if self.checkpointer is not None:
-                restored_shard = restore_guarding_corruption(
-                    lambda: state.restore_shard_state(
-                        self.checkpointer, self.run_name, worker
-                    ),
-                    what=f"async run {self.run_name} shard {worker}",
-                    obs=obs,
-                )
+            restored_shard = state.recover_shard(
+                self.checkpointer, self.run_name, worker, "async", obs
+            )
             if obs.enabled:
                 obs.trace.emit(
                     "ckpt.restore",
@@ -573,8 +535,6 @@ class AsyncEngine:
                     worker=worker,
                     restored=restored_shard,
                 )
-            if not restored_shard:
-                state.reseed_shard(worker)
             chaos.record("recoveries", t=time, worker=worker)
             # every live worker re-derives the deltas that cross the
             # crashed worker's boundary from its *accumulated* column;
@@ -633,9 +593,7 @@ class AsyncEngine:
             for w, snap_retrans in enumerate(snap["retrans"]):
                 for t, unacked in snap_retrans.items():
                     retrans[w][t].unacked = dict(unacked)
-            for w in range(num_workers):
-                seq_next[w][:] = snap["seq_next"][w]
-                seen[w] = [set(s) for s in snap["seen"][w]]
+            ledger.restore(snap["ledger"])
             progress_updates, progress_magnitude, prev_global = snap["progress"]
             # every queued event refers to pre-rollback state: wipe the
             # future and rebuild it from the restored state
@@ -800,18 +758,6 @@ class AsyncEngine:
             faults=chaos.stats if chaos is not None else None,
             backend=state.backend,
         )
-        if obs.enabled:
-            from repro.analysis.absint import (
-                estimate_plan_cost,
-                record_cost_metrics,
-            )
-            from repro.analysis.comm import record_comm_metrics
-
-            obs.metrics.absorb_work_counters(counters, engine=self.engine_name)
-            record_backend_metrics(obs.metrics, self.engine_name, state.backend)
-            record_comm_metrics(
-                obs.metrics, self.plan, self.cluster.num_workers
-            )
-            record_cost_metrics(obs.metrics, estimate_plan_cost(self.plan))
-            result.metrics = obs.metrics
+        record_run(obs, result)
+        state.record_plan_metrics(obs)
         return result

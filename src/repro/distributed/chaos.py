@@ -9,10 +9,11 @@ run is exactly reproducible.
 
 The recovery machinery that survives the injected faults lives in the
 engines themselves (ack/timeout/retransmit on top of
-:class:`~repro.distributed.buffers.RetransmitBuffer`, per-sender
-sequence-number dedup, checkpoint restore and delta replay); this module
-only decides *what* goes wrong and *when*, and counts what happened so
-:class:`~repro.engine.result.EvalResult` can report the overhead.
+:class:`~repro.distributed.buffers.RetransmitBuffer`, checkpoint restore
+and delta replay); this module decides *what* goes wrong and *when*,
+counts what happened so :class:`~repro.engine.result.EvalResult` can
+report the overhead, and keeps the one exactly-once rule both engines
+deliver by (:class:`DeliveryLedger`).
 
 Why the injected faults are survivable at all is Theorem 3 of the paper:
 every delta flows through the aggregate's ``g``, so re-derived or
@@ -298,13 +299,59 @@ class FaultInjector:
                 factor = max(factor, straggler.factor)
         return factor
 
-    # -- retransmit tuning -----------------------------------------------------
-    def retransmit_timeout(self, attempt: int) -> float:
-        """Exponential-backoff ack timeout for the given attempt (1-based)."""
-        timeout = self.schedule.retransmit_timeout * (
-            self.schedule.retransmit_backoff ** max(0, attempt - 1)
+
+class DeliveryLedger:
+    """Exactly-once bookkeeping for one run's inter-worker messages.
+
+    Per ``(sender, target)`` pair the sender stamps consecutive sequence
+    numbers and the target remembers the ones it has applied.  A second
+    arrival (an injected duplicate, or a retransmit whose first copy did
+    land) counts as ``duplicates_absorbed`` and is dropped for an
+    additive ``⊕``, which would double count it, or let through for a
+    selective one, whose ``g`` absorbs it (Theorem 3).  The ledger is
+    part of an engine's rollback snapshot, and a crashed receiver
+    forgets what it had seen.
+    """
+
+    def __init__(self, num_workers: int, chaos: FaultInjector, selective: bool):
+        self.chaos = chaos
+        self.selective = selective
+        self.seq_next = [[0] * num_workers for _ in range(num_workers)]
+        #: seen[target][sender] -> sequence numbers already applied
+        self.seen: list[list[set]] = [
+            [set() for _ in range(num_workers)] for _ in range(num_workers)
+        ]
+
+    def stamp(self, sender: int, target: int) -> int:
+        """The sequence number of ``sender``'s next message to ``target``."""
+        seq = self.seq_next[sender][target]
+        self.seq_next[sender][target] = seq + 1
+        return seq
+
+    def admit(self, sender: int, target: int, seq: int, t: float) -> bool:
+        """Record an arrival at simulated time ``t``; False when the
+        receiver must drop it."""
+        seen = self.seen[target][sender]
+        if seq not in seen:
+            seen.add(seq)
+            return True
+        self.chaos.record(
+            "duplicates_absorbed", t=t, sender=sender, target=target, seq=seq
         )
-        return min(timeout, self.schedule.max_retransmit_timeout)
+        return self.selective
+
+    def forget(self, worker: int) -> None:
+        """``worker`` crashed: its dedup memory died with it."""
+        for sender_seen in self.seen[worker]:
+            sender_seen.clear()
+
+    def snapshot(self) -> tuple:
+        return [row[:] for row in self.seq_next], [[set(s) for s in row] for row in self.seen]
+
+    def restore(self, snap: tuple) -> None:
+        seq_next, seen = snap
+        self.seq_next = [row[:] for row in seq_next]
+        self.seen = [[set(s) for s in row] for row in seen]
 
 
 def injector_for(cluster, obs=None) -> "FaultInjector | None":

@@ -1,11 +1,14 @@
-"""Fault tolerance: MonoTable checkpointing (paper Figure 6).
+"""Fault tolerance: kernel checkpointing (paper Figure 6).
 
 PowerLog checkpoints intermediates to HDFS; this reproduction
-checkpoints the sharded MonoTable state to local JSON files and can
-restore a run after a simulated worker failure.  Because MRA state is a
-pair of per-key aggregates (accumulation + intermediate), a checkpoint
-is simply both columns; restoring and continuing evaluation reaches the
-same fixpoint by Theorem 3 (any delta re-delivery is ``g``-combined).
+checkpoints each shard's :class:`~repro.runtime.Kernel` (Figure 7's
+MonoTable, on either backend) to local JSON files and can restore a run
+after a simulated worker failure.  Because MRA state is a pair of
+per-key aggregates (accumulation + intermediate), a checkpoint is simply
+both columns; restoring and continuing evaluation reaches the same
+fixpoint by Theorem 3 (any delta re-delivery is ``g``-combined).  Both
+engines resume and recover through
+:class:`~repro.distributed.sharding.ShardedRun`.
 
 Robustness guarantees of the on-disk format:
 
@@ -38,11 +41,13 @@ import json
 import os
 import warnings
 import zlib
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.aggregates.semiring import KTuple
-from repro.engine.monotable import MonoTable
 from repro.obs import ensure_obs
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime import Kernel
 
 #: bump when the on-disk payload layout changes incompatibly
 CHECKPOINT_SCHEMA_VERSION = 3
@@ -97,7 +102,7 @@ def _decode_key(text: str):
 
 
 class Checkpointer:
-    """Write and restore MonoTable shard checkpoints.
+    """Write and restore kernel shard checkpoints.
 
     With an :class:`~repro.obs.Observability` handle attached, every
     shard write/restore emits a ``ckpt.shard_write`` /
@@ -118,7 +123,7 @@ class Checkpointer:
         self,
         run_name: str,
         shard_id: int,
-        table: MonoTable,
+        table: "Kernel",
         meta: Optional[dict] = None,
     ) -> str:
         """Checkpoint one shard's accumulation and intermediate columns.
@@ -161,7 +166,7 @@ class Checkpointer:
         self,
         run_name: str,
         shard_id: int,
-        table: MonoTable,
+        table: "Kernel",
         expect_meta: Optional[dict] = None,
     ) -> bool:
         """Load a checkpoint back into a shard (in place).

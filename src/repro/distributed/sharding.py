@@ -3,8 +3,11 @@
 A :class:`ShardedRun` owns the per-worker vertex-runtime kernels (one
 :class:`repro.runtime.Kernel` per simulated worker), the partition map,
 and the seeded initial deltas; every engine (sync, async, unified, AAP)
-starts from one.  All shards share the run's :class:`WorkCounters`, so
-work accounting is uniform regardless of which worker did the work.
+starts from one (:meth:`ShardedRun.resume_or_seed`) and ends by
+recording its plan's communication and cost gauges
+(:meth:`ShardedRun.record_plan_metrics`).  All shards share the run's
+:class:`WorkCounters`, so work accounting is uniform regardless of which
+worker did the work.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.distributed.cluster import ClusterConfig
+from repro.distributed.fault import restore_guarding_corruption
 from repro.distributed.partition import HashPartitioner
 from repro.engine.plan import CompiledPlan
 from repro.engine.result import WorkCounters
@@ -66,6 +70,35 @@ class ShardedRun:
     def blank_shard(self, worker: int) -> Kernel:
         """An empty kernel for the partition (crash-recovery scratch state)."""
         return self._make_shard(worker, initial={})
+
+    def resume_or_seed(self, checkpointer, run_name: str, engine: str, obs) -> None:
+        """The run's starting state: every shard from ``run_name``'s
+        checkpoint when ``checkpointer`` holds a readable one (a corrupt
+        shard degrades to "none", :func:`restore_guarding_corruption`),
+        else ``X⁰`` plus ``ΔX¹``.  With a checkpointer, the attempt is
+        traced as ``ckpt.restore`` at ``t=0``."""
+        restored = False
+        if checkpointer is not None:
+            restored = restore_guarding_corruption(
+                lambda: self.restore(checkpointer, run_name),
+                what=f"{engine} run {run_name}",
+                obs=obs,
+            )
+            if obs.enabled:
+                obs.trace.emit("ckpt.restore", t=0.0, run=run_name, restored=restored)
+        if not restored:
+            self.seed_initial_delta()
+
+    def record_plan_metrics(self, obs) -> None:
+        """The plan's static ``comm_*`` and ``cost_*`` gauges, recorded
+        after a distributed run's epilogue."""
+        if not obs.enabled:
+            return
+        from repro.analysis.absint import estimate_plan_cost, record_cost_metrics
+        from repro.analysis.comm import record_comm_metrics
+
+        record_comm_metrics(obs.metrics, self.plan, self.cluster.num_workers)
+        record_cost_metrics(obs.metrics, estimate_plan_cost(self.plan))
 
     def seed_initial_delta(self) -> None:
         """Distribute ``ΔX¹`` (section 3.3) to its owners' shards."""
@@ -182,15 +215,27 @@ class ShardedRun:
                     if worker is None or peer == worker or target == worker:
                         yield peer, target, dst, fn(value, *params)
 
-    def restore_shard_state(self, checkpointer, run_name: str, shard_id: int) -> bool:
-        """Restore a single crashed shard from its latest checkpoint."""
-        table = self.blank_shard(shard_id)
-        if not checkpointer.restore_shard(
-            run_name, shard_id, table, expect_meta=self.checkpoint_meta()
-        ):
-            return False
-        self.shards[shard_id] = table
-        return True
+    def recover_shard(
+        self, checkpointer, run_name: str, shard_id: int, engine: str, obs
+    ) -> bool:
+        """A crashed shard's state: its latest checkpoint when
+        ``checkpointer`` holds a readable one (a corrupt one degrades to
+        "none"), else :meth:`reseed_shard`.  True when restored."""
+        restored = False
+        if checkpointer is not None:
+            table = self.blank_shard(shard_id)
+            restored = restore_guarding_corruption(
+                lambda: checkpointer.restore_shard(
+                    run_name, shard_id, table, expect_meta=self.checkpoint_meta()
+                ),
+                what=f"{engine} run {run_name} shard {shard_id}",
+                obs=obs,
+            )
+            if restored:
+                self.shards[shard_id] = table
+        if not restored:
+            self.reseed_shard(shard_id)
+        return restored
 
     def global_accumulation(self) -> float:
         """Master-side global aggregate of the accumulation column.

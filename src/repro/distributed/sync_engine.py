@@ -27,7 +27,10 @@ scheduled crashes fire at barriers -- recovering via single-shard
 checkpoint restore plus boundary replay (idempotent) or a coordinated
 rollback to the latest barrier snapshot (additive).  Incremental mode
 only; naive mode recomputes everything each superstep and has no delta
-state worth protecting.
+state worth protecting.  The sequence numbers and the duplicate rule are
+the :class:`~repro.distributed.chaos.DeliveryLedger` the asynchronous
+engine keeps too; only the transport (superstep backoff here, ack
+timeouts there) is this engine's own.
 """
 
 from __future__ import annotations
@@ -35,15 +38,13 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.distributed.chaos import injector_for
+from repro.distributed.chaos import DeliveryLedger, injector_for
 from repro.distributed.cluster import ClusterConfig
-from repro.distributed.fault import restore_guarding_corruption
 from repro.distributed.sharding import ShardedRun
 from repro.engine.plan import CompiledPlan
 from repro.engine.result import EvalResult
 from repro.engine.termination import TerminationSpec, TerminationTracker
-from repro.obs import ensure_obs
-from repro.runtime import record_backend_metrics
+from repro.obs import ensure_obs, record_run
 
 
 class SyncEngine:
@@ -65,8 +66,16 @@ class SyncEngine:
     ):
         if mode not in ("incremental", "naive"):
             raise ValueError(f"unknown mode {mode!r}")
-        if delta_stepping and not plan.aggregate.is_idempotent:
-            raise ValueError("delta stepping requires a selective aggregate")
+        if delta_stepping:
+            from repro.analysis.frontier import classify_frontier
+
+            verdict = classify_frontier(plan.analysis)
+            if not verdict.delta_stepping:
+                raise ValueError(
+                    "delta stepping requires a selective, numeric, monotone "
+                    f"program (RA330); {plan.name} is {verdict.code}: "
+                    f"{verdict.detail}"
+                )
         if checkpoint_every and checkpointer is None:
             raise ValueError("checkpoint_every requires a checkpointer")
         faults = (cluster or ClusterConfig()).faults
@@ -106,19 +115,7 @@ class SyncEngine:
             backend=self.backend,
             delta_step_width=self.delta_width if self.delta_stepping else None,
         )
-        restored = False
-        if self.checkpointer is not None:
-            restored = restore_guarding_corruption(
-                lambda: state.restore(self.checkpointer, self.run_name),
-                what=f"sync run {self.run_name}",
-                obs=obs,
-            )
-            if obs.enabled:
-                obs.trace.emit(
-                    "ckpt.restore", t=0.0, run=self.run_name, restored=restored
-                )
-        if not restored:
-            state.seed_initial_delta()
+        state.resume_or_seed(self.checkpointer, self.run_name, "sync", obs)
         counters = state.counters
         shards = state.shards
         num_workers = cluster.num_workers
@@ -126,12 +123,8 @@ class SyncEngine:
         chaos = injector_for(cluster, obs)
         selective = plan.aggregate.is_idempotent
         if chaos is not None:
-            #: per (sender, target) sequence numbers and per-receiver
-            #: dedup sets; the barrier doubles as the ack point
-            seq_next = [[0] * num_workers for _ in range(num_workers)]
-            seen = [
-                [set() for _ in range(num_workers)] for _ in range(num_workers)
-            ]
+            #: the barrier doubles as the ack point
+            ledger = DeliveryLedger(num_workers, chaos, selective)
             #: (sender, target) -> {seq: {"payload", "attempt", "wait"}}
             retrans_queue: dict = {}
             remaining_crashes = sorted(
@@ -140,21 +133,8 @@ class SyncEngine:
             snapshot_every = self.checkpoint_every or 4
 
             def arrive(sender: int, target: int, seq: int, payload) -> None:
-                if seq in seen[target][sender]:
-                    chaos.record(
-                        "duplicates_absorbed",
-                        t=simulated,
-                        sender=sender,
-                        target=target,
-                        seq=seq,
-                    )
-                    if not selective:
-                        # non-idempotent aggregates must not re-apply; the
-                        # idempotent path falls through and lets g absorb
-                        return
-                else:
-                    seen[target][sender].add(seq)
-                inboxes[target].append(payload)
+                if ledger.admit(sender, target, seq, simulated):
+                    inboxes[target].append(payload)
 
             def transmit(sender: int, target: int, seq: int, payload) -> bool:
                 """One attempt on the wire; False when the payload was lost."""
@@ -200,8 +180,7 @@ class SyncEngine:
                         }
                         for pair, queued in retrans_queue.items()
                     },
-                    "seq_next": [list(row) for row in seq_next],
-                    "seen": [[set(s) for s in row] for row in seen],
+                    "ledger": ledger.snapshot(),
                 }
 
             #: a barrier plus the retransmit queues is the complete global
@@ -288,8 +267,7 @@ class SyncEngine:
                     if chaos is None:
                         inboxes[target].append(payload)
                         continue
-                    seq = seq_next[sender][target]
-                    seq_next[sender][target] = seq + 1
+                    seq = ledger.stamp(sender, target)
                     if not transmit(sender, target, seq, payload):
                         entry = {"payload": payload, "attempt": 1, "wait": 1}
                         retrans_queue.setdefault((sender, target), {})[seq] = entry
@@ -364,7 +342,7 @@ class SyncEngine:
                     simulated += crash.restart_after
                     if selective:
                         simulated += self._recover_shard(
-                            crash.worker, state, chaos, seen, retrans_queue, simulated
+                            crash.worker, state, chaos, ledger, retrans_queue, simulated
                         )
                     else:
                         # coordinated rollback: additive deltas replayed from
@@ -384,9 +362,7 @@ class SyncEngine:
                                 for pair, queued in snapshot["retrans"].items()
                             }
                         )
-                        for w in range(num_workers):
-                            seq_next[w][:] = snapshot["seq_next"][w]
-                            seen[w] = [set(s) for s in snapshot["seen"][w]]
+                        ledger.restore(snapshot["ledger"])
 
             pending = state.total_pending()
             tracker.record(changed, total_delta)
@@ -409,24 +385,12 @@ class SyncEngine:
             faults=chaos.stats if chaos is not None else None,
             backend=state.backend,
         )
-        if obs.enabled:
-            from repro.analysis.absint import (
-                estimate_plan_cost,
-                record_cost_metrics,
-            )
-            from repro.analysis.comm import record_comm_metrics
-
-            obs.metrics.absorb_work_counters(counters, engine=result.engine)
-            record_backend_metrics(obs.metrics, result.engine, state.backend)
-            record_comm_metrics(
-                obs.metrics, self.plan, self.cluster.num_workers
-            )
-            record_cost_metrics(obs.metrics, estimate_plan_cost(self.plan))
-            result.metrics = obs.metrics
+        record_run(obs, result)
+        state.record_plan_metrics(obs)
         return result
 
     def _recover_shard(
-        self, worker, state, chaos, seen, retrans_queue, now=None
+        self, worker, state, chaos, ledger, retrans_queue, now=None
     ) -> float:
         """Single-shard recovery for idempotent aggregates.
 
@@ -440,28 +404,19 @@ class SyncEngine:
         Returns the simulated seconds the replay costs.
         """
         chaos.record("recoveries", t=now, worker=worker)
-        restored = False
-        if self.checkpointer is not None:
-            restored = restore_guarding_corruption(
-                lambda: state.restore_shard_state(
-                    self.checkpointer, self.run_name, worker
-                ),
-                what=f"sync run {self.run_name} shard {worker}",
-                obs=self.obs,
+        restored = state.recover_shard(
+            self.checkpointer, self.run_name, worker, "sync", self.obs
+        )
+        if self.checkpointer is not None and self.obs.enabled:
+            self.obs.trace.emit(
+                "ckpt.restore", t=now, run=self.run_name, worker=worker,
+                restored=restored,
             )
-            if self.obs.enabled:
-                self.obs.trace.emit(
-                    "ckpt.restore", t=now, run=self.run_name, worker=worker,
-                    restored=restored,
-                )
-        if not restored:
-            state.reseed_shard(worker)
         # the crashed worker's retransmit buffers and dedup memory died
         # with it; replay regenerates everything those entries carried
         for pair in [p for p in retrans_queue if p[0] == worker]:
             del retrans_queue[pair]
-        for sender_seen in seen[worker]:
-            sender_seen.clear()
+        ledger.forget(worker)
         shards = state.shards
         cost = self.cluster.cost
         counters = state.counters
@@ -650,8 +605,5 @@ class SyncEngine:
             trace=tracker.history,
             backend=state.backend,
         )
-        if self.obs.enabled:
-            self.obs.metrics.absorb_work_counters(counters, engine=self.engine_name)
-            record_backend_metrics(self.obs.metrics, self.engine_name, state.backend)
-            result.metrics = self.obs.metrics
+        record_run(self.obs, result)
         return result

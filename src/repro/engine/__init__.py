@@ -8,11 +8,11 @@ Two execution paths with one semantics:
   stored relations -- this is what the paper's naive evaluation (Eq. 2)
   and classic semi-naive evaluation (Eq. 3) do, joins included;
 * the **compiled path** (:mod:`~repro.engine.plan`,
-  :mod:`~repro.engine.monotable`, :mod:`~repro.engine.mra`) pre-joins the
-  auxiliary predicates into per-edge parameters (the MonoTable
-  "Auxiliaries" columns of Figure 7) and runs MRA evaluation (Eq. 4) on
-  the MonoTable; the distributed engines in :mod:`repro.distributed`
-  shard exactly this representation.
+  :mod:`~repro.engine.mra`) pre-joins the auxiliary predicates into
+  per-edge parameters (the MonoTable "Auxiliaries" columns of Figure 7)
+  and runs MRA evaluation (Eq. 4) on a kernel, the MonoTable of
+  :mod:`repro.runtime`; the distributed engines in
+  :mod:`repro.distributed` shard exactly this representation.
 
 Tests assert that all paths agree with each other and with the
 independent oracles in :mod:`repro.reference`.
@@ -25,7 +25,6 @@ from repro.engine.result import EvalResult, WorkCounters
 from repro.engine.plan import CompiledPlan, compile_plan
 from repro.engine.naive import NaiveEvaluator
 from repro.engine.seminaive import SemiNaiveEvaluator
-from repro.engine.monotable import MonoTable
 from repro.engine.mra import MRAEvaluator, compute_initial_delta
 from repro.engine.validate import Comparison, Mismatch, compare_results, tolerance_for
 
@@ -42,7 +41,6 @@ __all__ = [
     "compile_plan",
     "NaiveEvaluator",
     "SemiNaiveEvaluator",
-    "MonoTable",
     "MRAEvaluator",
     "compute_initial_delta",
     "Comparison",

@@ -18,8 +18,8 @@ from typing import Optional
 from repro.engine.plan import CompiledPlan
 from repro.engine.result import EvalResult, WorkCounters
 from repro.engine.termination import TerminationSpec, TerminationTracker
-from repro.obs import ensure_obs
-from repro.runtime import get_kernel, record_backend_metrics, resolve_backend_for_plan
+from repro.obs import ensure_obs, record_run
+from repro.runtime import get_kernel, resolve_backend_for_plan
 
 
 def compute_initial_delta(plan: CompiledPlan) -> dict:
@@ -100,8 +100,5 @@ class MRAEvaluator:
             trace=tracker.history,
             backend=self.backend,
         )
-        if self.obs.enabled:
-            self.obs.metrics.absorb_work_counters(self.counters, engine=self.engine_name)
-            record_backend_metrics(self.obs.metrics, self.engine_name, self.backend)
-            result.metrics = self.obs.metrics
+        record_run(self.obs, result)
         return result

@@ -29,8 +29,8 @@ from repro.engine.rules import (
     evaluate_rule_bodies,
 )
 from repro.engine.termination import TerminationSpec, TerminationTracker
-from repro.obs import ensure_obs
-from repro.runtime import get_kernel, record_backend_metrics, resolve_backend_for_plan
+from repro.obs import ensure_obs, record_run
+from repro.runtime import get_kernel, resolve_backend_for_plan
 
 
 class NaiveEvaluator:
@@ -125,8 +125,5 @@ class NaiveEvaluator:
             trace=tracker.history,
             backend=self.backend,
         )
-        if self.obs.enabled:
-            self.obs.metrics.absorb_work_counters(self.counters, engine=self.engine_name)
-            record_backend_metrics(self.obs.metrics, self.engine_name, self.backend)
-            result.metrics = self.obs.metrics
+        record_run(self.obs, result)
         return result

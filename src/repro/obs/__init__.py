@@ -6,8 +6,9 @@ handle that engines accept as an optional constructor argument:
 * :class:`MetricsRegistry` -- labelled counters, gauges (with optional
   time series) and histograms, generalising the fixed-field
   :class:`~repro.engine.result.WorkCounters` (which every engine still
-  measures; an enabled registry absorbs them at the end of a run and
-  travels on :class:`~repro.engine.result.EvalResult.metrics`);
+  measures; an enabled registry absorbs them at the end of a run, in
+  the one epilogue :func:`record_run`, and travels on
+  :class:`~repro.engine.result.EvalResult.metrics`);
 * :class:`TraceRecorder` -- structured JSONL events stamped with the
   engine's *simulated* clock: supersteps/epochs, buffer flushes and
   ``beta(i,j)`` adaptations, ack/retransmit/backoff decisions,
@@ -27,7 +28,7 @@ Fault-injection events are emitted *by the same call that increments*
 ``EvalResult.faults.snapshot()`` exactly, by construction.
 """
 
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.obs.metrics import MetricsRegistry, NULL_METRICS, record_run
 from repro.obs.trace import (
     TraceRecorder,
     NULL_TRACE,
@@ -46,4 +47,5 @@ __all__ = [
     "Observability",
     "NULL_OBS",
     "ensure_obs",
+    "record_run",
 ]

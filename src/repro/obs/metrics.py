@@ -214,3 +214,17 @@ class MetricsRegistry:
 
 #: the shared disabled registry: every method is a cheap no-op
 NULL_METRICS = MetricsRegistry(enabled=False)
+
+
+def record_run(obs, result) -> None:
+    """The one run epilogue every engine ends with: absorb the run's
+    :class:`WorkCounters` as ``work.*`` counters and record its backend,
+    both labelled with ``result.engine``, then attach the registry as
+    ``result.metrics``.  A no-op on a disabled ``obs``."""
+    if not obs.enabled:
+        return
+    from repro.runtime.base import record_backend_metrics
+
+    obs.metrics.absorb_work_counters(result.counters, engine=result.engine)
+    record_backend_metrics(obs.metrics, result.engine, result.backend)
+    result.metrics = obs.metrics

@@ -1,18 +1,19 @@
 """The vertex-runtime kernel contract.
 
-A :class:`Kernel` owns one partition of MonoTable state (the
-accumulation and intermediate columns of paper Figure 7) together with
-the recursive inner loop over it: fetch pending deltas, combine them
-into the accumulation column with ``G``, apply ``F'`` along the
-compiled plan's out-edges, and route the resulting contributions.  The
+A :class:`Kernel` is paper Figure 7's MonoTable for one partition: the
+accumulation and intermediate columns, the fetch/reset/accumulate/push
+protocol over them, and the recursive inner loop that protocol runs --
+fetch pending deltas, combine them into the accumulation column with
+``G``, apply ``F'`` along the compiled plan's out-edges, and route the
+resulting contributions.  There is no separate table class: the
 engines -- single-node MRA and all four distributed modes -- only
-*schedule* kernels; they no longer touch per-vertex state themselves.
+*schedule* kernels, and checkpoint them
+(:class:`~repro.distributed.fault.Checkpointer`).
 
 Two interchangeable backends implement the contract:
 
 * :class:`~repro.runtime.python_kernel.PythonKernel` -- the reference
-  dict-based loop (a lift of the original MonoTable code paths); it
-  executes every program;
+  dict-based loop; it executes every program;
 * :class:`~repro.runtime.numpy_kernel.NumpyKernel` -- the array kernel:
   CSR-packed edges, vectorised batch aggregation over float64 columns
   and a compacted frontier, for numeric min/max/sum programs.
@@ -246,11 +247,10 @@ class SendSide:
 class Kernel:
     """Base class/contract for vertex-runtime execution backends.
 
-    Kernels deliberately keep the MonoTable attribute protocol
-    (``aggregate`` / ``accumulated`` / ``intermediate`` plus the
-    push/fetch/drain/accumulate methods) so the existing
-    :class:`~repro.distributed.fault.Checkpointer` and the chaos
-    snapshot machinery work unchanged on every backend.
+    The MonoTable attribute protocol -- ``aggregate`` / ``accumulated``
+    / ``intermediate`` plus the push/fetch/drain/accumulate methods --
+    is what :class:`~repro.distributed.fault.Checkpointer` reads and
+    writes, on every backend.
     """
 
     backend = "abstract"
@@ -260,6 +260,11 @@ class Kernel:
 
     #: the plan's aggregate (semiring ⊕); set by concrete ``__init__``s
     aggregate: Any
+
+    #: Figure 7's two columns as ``key -> value`` dicts (assignable: a
+    #: checkpoint restore replaces them whole)
+    accumulated: dict
+    intermediate: dict
 
     #: unified work accounting (see module docstring)
     counters: WorkCounters

@@ -163,6 +163,16 @@ class TestDeltaStepping:
         with pytest.raises(ValueError, match="selective"):
             SyncEngine(plan, cluster, delta_stepping=True)
 
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_refused_by_the_frontier_verdict(self, graph, cluster, backend):
+        """kpaths is selective, but its top-k tuples have no float bucket
+        priority: RA331, refused at construction instead of dying mid-run
+        comparing a ``KTuple`` with a float."""
+        plan = PROGRAMS["kpaths"].plan(graph)
+        assert plan.aggregate.is_idempotent
+        with pytest.raises(ValueError, match="RA331: .*non-numeric semiring carrier"):
+            SyncEngine(plan, cluster, delta_stepping=True, backend=backend)
+
 
 class TestImportanceThreshold:
     def test_threshold_reduces_work(self, graph, cluster):

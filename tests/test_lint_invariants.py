@@ -13,10 +13,12 @@ from lint_invariants import (  # noqa: E402
     ARRAY_FREE_SCOPE,
     SEEDED_GENERATOR_FILES,
     CONTRACT_CLASSES,
+    EPILOGUE_FILES,
     KERNEL_SCOPE,
     check_array_imports,
     check_file,
     check_kernel_contract,
+    check_run_epilogue,
     check_unused_imports,
     main,
 )
@@ -225,6 +227,41 @@ class TestKernelContract:
         assert "kernel contract drift (3)" in capsys.readouterr().out
 
 
+SECOND_EPILOGUE = """\
+class Engine:
+    def __init__(self, obs):
+        self.metrics = obs.metrics
+
+    def run(self, result, obs):
+        obs.metrics.absorb_work_counters(result.counters, engine="x")
+        result.metrics = obs.metrics
+        out, result.metrics = 1, None
+        return result
+"""
+
+
+class TestRunEpilogue:
+    def test_flags_each_step_outside_the_epilogue(self, tmp_path):
+        path = tmp_path / "engine.py"
+        path.write_text(SECOND_EPILOGUE)
+        lines = [int(v.split(":")[1]) for v in check_run_epilogue(path)]
+        # an instance's own ``self.metrics`` is not a result's
+        assert lines == [6, 7, 8]
+
+    def test_only_the_epilogue_and_the_repair_say_it(self):
+        assert sorted(str(p) for p in EPILOGUE_FILES) == [
+            "src/repro/delta/engine.py", "src/repro/obs/metrics.py",
+        ]
+        for relative in EPILOGUE_FILES:
+            assert "absorb_work_counters(" in (REPO_ROOT / relative).read_text()
+
+    def test_nonzero_on_a_second_epilogue(self, tmp_path, capsys):
+        path = tmp_path / "engine.py"
+        path.write_text(SECOND_EPILOGUE)
+        assert main([str(path)]) == 1
+        assert "run epilogue said twice (3)" in capsys.readouterr().out
+
+
 class TestMain:
     def test_core_tree_is_clean(self):
         # the invariants the tool exists to hold: no wall-clock or
@@ -253,3 +290,4 @@ class TestMain:
         assert "no unused imports" in proc.stdout
         assert "array-free packages import no numpy" in proc.stdout
         assert "kernel overrides keep the contract" in proc.stdout
+        assert "one run epilogue" in proc.stdout

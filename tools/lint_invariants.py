@@ -44,6 +44,12 @@ names, kinds and defaults.  The engines call kernels through the base
 class only, so an override that renamed a keyword or dropped a default
 would break just the callers that use it, on one backend.
 
+A fifth pass keeps the **run epilogue** said once: absorbing a run's
+work counters (``.absorb_work_counters(...)``) and attaching metrics to
+a result (``<name>.metrics = ...``, anything but ``self``) happen only
+in ``src/repro/obs/metrics.py`` (``record_run``, which every engine ends
+with) and ``src/repro/delta/engine.py`` (a repair's counters).
+
 Paths given on the command line are checked by every pass.  Exit code
 0 when clean, 1 with one ``file:line: message`` per violation otherwise.
 Pure stdlib; wired into ``make lint`` and CI.
@@ -79,6 +85,13 @@ ARRAY_FREE_SCOPE = tuple(
 KERNEL_SCOPE = (REPO_ROOT / "src" / "repro" / "runtime",)
 CONTRACT_FILE = REPO_ROOT / "src" / "repro" / "runtime" / "base.py"
 CONTRACT_CLASSES = ("Kernel", "SendSide")
+
+#: where engines end their runs, and the two files that may say how
+EPILOGUE_SCOPE = (REPO_ROOT / "src" / "repro",)
+EPILOGUE_FILES = {
+    Path("src/repro/obs/metrics.py"),
+    Path("src/repro/delta/engine.py"),
+}
 
 #: files allowed ``from repro.runtime.compat import np``: they take a
 #: seeded ``np.random.default_rng`` from it and nothing else
@@ -356,6 +369,36 @@ def check_kernel_contract(path: Path) -> list[str]:
     return violations
 
 
+def check_run_epilogue(path: Path) -> list[str]:
+    """Epilogue steps taken outside :data:`EPILOGUE_FILES`."""
+    relative = _relative(path)
+    if relative in EPILOGUE_FILES:
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    violations: list[str] = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "absorb_work_counters"
+        ):
+            step = "absorb_work_counters()"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr == "metrics"
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        ):
+            step = f"{ast.unparse(node)} ="
+        else:
+            continue
+        violations.append(
+            f"{relative}:{node.lineno}: {step} outside the run epilogue: "
+            "end the run with repro.obs.record_run"
+        )
+    return violations
+
+
 def _run_pass(check, roots) -> tuple[list[str], int]:
     violations: list[str] = []
     checked = 0
@@ -380,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
          "array imports in array-free packages", "array-free packages import no numpy"),
         (check_kernel_contract, KERNEL_SCOPE,
          "kernel contract drift", "kernel overrides keep the contract"),
+        (check_run_epilogue, EPILOGUE_SCOPE,
+         "run epilogue said twice", "one run epilogue"),
     ):
         violations, checked = _run_pass(check, given or default)
         if violations:
