@@ -51,18 +51,27 @@ class ShardedRun:
         for key, worker in self.owner.items():
             shard_keys[worker].add(key)
         self.shard_keys = shard_keys
-        self.shards: list[Kernel] = [
-            self._make_shard(worker) for worker in range(cluster.num_workers)
-        ]
+        #: one kernel per worker, built together: the array kernel's are
+        #: the rows of one stack (``Kernel.cluster_round``)
+        self.shards: list[Kernel] = self.kernel_cls.shards_from_plan(
+            plan, shard_keys, self.counters
+        )
+        for shard in self.shards:
+            self._announce_width(shard)
 
     def _make_shard(self, worker: int, initial: Optional[dict] = None) -> Kernel:
         """A fresh kernel for one worker's partition (``X⁰`` by default)."""
-        kernel = self.kernel_cls.from_plan(
-            self.plan,
-            keys=self.shard_keys[worker],
-            counters=self.counters,
-            initial=initial,
+        return self._announce_width(
+            self.kernel_cls.from_plan(
+                self.plan,
+                keys=self.shard_keys[worker],
+                counters=self.counters,
+                initial=initial,
+            )
         )
+
+    def _announce_width(self, kernel: Kernel) -> Kernel:
+        """``kernel``, told the run's delta-stepping bucket width."""
         if self.delta_step_width is not None:
             kernel.enable_delta_stepping(self.delta_step_width)
         return kernel
@@ -101,9 +110,11 @@ class ShardedRun:
         record_cost_metrics(obs.metrics, estimate_plan_cost(self.plan))
 
     def seed_initial_delta(self) -> None:
-        """Distribute ``ΔX¹`` (section 3.3) to its owners' shards."""
-        for shard, pairs in zip(self.shards, self._initial_delta_slices()):
-            shard.push_many(pairs)
+        """Distribute ``ΔX¹`` (section 3.3) to its owners' shards: one
+        ingest, each shard's slice its inbox."""
+        self.kernel_cls.cluster_ingest(
+            self.shards, [[pairs] for pairs in self._initial_delta_slices()]
+        )
 
     def _initial_delta_slices(self) -> list:
         """``ΔX¹`` as one ``(key, value)`` list per owner, in its order

@@ -15,8 +15,11 @@ Two modes:
   the per-iteration re-join cost of SociaLite/Myria on non-monotonic
   programs.
 
-Superstep time = slowest worker's compute (including message CPU and
-bandwidth) + one exchange latency + barrier + optional per-job overhead.
+An incremental superstep is one ``Kernel.cluster_round`` over every
+shard and one ``Kernel.cluster_ingest`` of every inbox; the engine keeps
+the exchange and prices it worker by worker.  Superstep time = slowest
+worker's compute (including message CPU and bandwidth) + one exchange
+latency + barrier + optional per-job overhead.
 
 Fault injection (``cluster.faults``) reuses the BSP structure: the
 barrier is the natural ack point, so a dropped inter-worker payload is
@@ -118,6 +121,7 @@ class SyncEngine:
         state.resume_or_seed(self.checkpointer, self.run_name, "sync", obs)
         counters = state.counters
         shards = state.shards
+        kernel_cls = state.kernel_cls
         num_workers = cluster.num_workers
 
         chaos = injector_for(cluster, obs)
@@ -192,28 +196,22 @@ class SyncEngine:
         simulated = 0.0
         stop = None
         while stop is None:
+            deltas = None
             if self.delta_stepping:
                 threshold = self._bucket_threshold(shards)
+                deltas = [shard.take_pending_below(threshold) for shard in shards]
 
-            # outboxes[sender][target] -> that pair's payload this superstep
-            outboxes: list[list] = []
+            # one round over every shard; sends[sender, target] -> that
+            # pair's payload this superstep
+            results, sends = kernel_cls.cluster_round(
+                shards, state.owner_table, num_workers, deltas
+            )
             compute_seconds = [0.0] * num_workers
             changed = 0
             total_delta = 0.0
-            for worker, shard in enumerate(shards):
-                if self.delta_stepping:
-                    round_result = shard.apply_batch(
-                        shard.take_pending_below(threshold)
-                    )
-                else:
-                    round_result = shard.apply_pending()
+            for worker, round_result in enumerate(results):
                 changed += round_result.changed
                 total_delta += round_result.magnitude
-                outboxes.append(
-                    shard.split_out(
-                        round_result.out, state.owner_table, num_workers
-                    )
-                )
                 compute_seconds[worker] += (
                     round_result.ops * cost.tuple_cost / state.speeds[worker]
                 )
@@ -253,34 +251,29 @@ class SyncEngine:
                             trace_backoff(sender, target, seq, entry)
                     if not queued:
                         del retrans_queue[(sender, target)]
-            for sender, boxes in enumerate(outboxes):
-                sent_tuples = 0
-                for target, payload in enumerate(boxes):
-                    size = len(payload)
-                    if not size:
-                        continue
-                    if target == sender:
-                        inboxes[target].append(payload)
-                        continue
-                    messages += 1
-                    sent_tuples += size
-                    if chaos is None:
-                        inboxes[target].append(payload)
-                        continue
-                    seq = ledger.stamp(sender, target)
-                    if not transmit(sender, target, seq, payload):
-                        entry = {"payload": payload, "attempt": 1, "wait": 1}
-                        retrans_queue.setdefault((sender, target), {})[seq] = entry
-                        trace_backoff(sender, target, seq, entry)
+            sent = [0] * num_workers
+            for (sender, target), payload in sends.items():
+                if target == sender:
+                    inboxes[target].append(payload)
+                    continue
+                messages += 1
+                sent[sender] += len(payload)
+                if chaos is None:
+                    inboxes[target].append(payload)
+                    continue
+                seq = ledger.stamp(sender, target)
+                if not transmit(sender, target, seq, payload):
+                    entry = {"payload": payload, "attempt": 1, "wait": 1}
+                    retrans_queue.setdefault((sender, target), {})[seq] = entry
+                    trace_backoff(sender, target, seq, entry)
+            for sender, sent_tuples in enumerate(sent):
                 cross += sent_tuples
                 compute_seconds[sender] += (
                     (1 if sent_tuples else 0) * cost.message_cpu_cost
                     + sent_tuples * cost.tuple_net_cost
                 ) / state.speeds[sender]
-            # one ingest per receiver: its inbox, folded in arrival order
-            for shard, inbox in zip(shards, inboxes):
-                if inbox:
-                    shard.push_many(*inbox)
+            # one ingest: every receiver's inbox, folded in arrival order
+            kernel_cls.cluster_ingest(shards, inboxes)
             counters.messages += messages
             counters.message_tuples += cross
             counters.barriers += 1
@@ -562,7 +555,11 @@ class SyncEngine:
                     total_delta += aggregate.delta_magnitude(value)
                 elif value != old:
                     changed += 1
-                    total_delta += abs(value - old)
+                    # an invertible ⊕'s change is the difference; an
+                    # idempotent one's is the semiring's distance (KTuple
+                    # has no subtraction)
+                    tmp = None if aggregate.is_idempotent else value - old
+                    total_delta += aggregate.change_magnitude(value, old, tmp)
             changed += sum(1 for key in values if key not in next_values)
             counters.updates += changed
             values = next_values

@@ -109,6 +109,19 @@ key-at-a-time reference:
   counters: selecting a batch, a checkpoint or snapshot, blanking or
   restoring a shard, the end of the run.
 
+A cluster's shards (the BSP superstep)
+-------------------------------------
+
+The shards of one simulated cluster are built together
+(:meth:`Kernel.shards_from_plan`), and a synchronous superstep is two
+class operations over all of them: :meth:`Kernel.cluster_round` (every
+worker's round, its output cut per ``(sender, target)`` pair) and
+:meth:`Kernel.cluster_ingest` (every receiver's inbox).  The base class
+holds each as the per-shard loop -- the reference, and what the python
+kernel runs; the array kernel stacks its shards' columns and runs each
+as one array pass (:mod:`repro.runtime.numpy_kernel`), so a superstep's
+host cost does not grow with the number of workers.
+
 Repair walks (:mod:`repro.delta`)
 ---------------------------------
 
@@ -412,6 +425,71 @@ class Kernel:
         for pair in out:
             boxes[owners[pair[0]]].append(pair)
         return boxes
+
+    # -- a cluster's shards (one BSP superstep) ---------------------------------
+    @classmethod
+    def shards_from_plan(
+        cls,
+        plan: Any,
+        shard_keys: list,
+        counters: Optional[WorkCounters] = None,
+    ) -> list:
+        """One kernel per partition of ``shard_keys``, each holding its
+        keys' ``X⁰``, all counting into ``counters``."""
+        return [
+            cls.from_plan(plan, keys=keys, counters=counters)
+            for keys in shard_keys
+        ]
+
+    @classmethod
+    def cluster_round(
+        cls,
+        shards: list,
+        owners: Any,
+        parts: int,
+        deltas: Optional[list] = None,
+    ) -> tuple[list, dict]:
+        """One superstep's rounds over all of a cluster's ``shards``
+        (built by :meth:`shards_from_plan`, one ``WorkCounters``).
+
+        Worker ``w`` runs ``apply_pending()`` -- ``apply_batch(deltas[w])``
+        when ``deltas`` holds one dict per worker (delta-stepping) -- and
+        its ``out`` is cut by :meth:`split_out`.  Returns ``(results,
+        sends)``: per worker a :class:`BatchResult` with that round's
+        ``changed``, ``magnitude`` and ``ops`` (``out`` is empty), and
+        ``(sender, target) -> payload`` for every non-empty pair, senders
+        ascending, each sender's targets ascending.
+
+        This loop is the reference; a backend may override it with one
+        pass over all shards that leaves the same results, payloads,
+        counters and shard state, bit for bit.
+        """
+        results = []
+        sends: dict = {}
+        for sender, shard in enumerate(shards):
+            if deltas is None:
+                result = shard.apply_pending()
+            else:
+                result = shard.apply_batch(deltas[sender])
+            boxes = cls.split_out(result.out, owners, parts)
+            for target, payload in enumerate(boxes):
+                if len(payload):
+                    sends[sender, target] = payload
+            result.out = ()
+            results.append(result)
+        return results, sends
+
+    @classmethod
+    def cluster_ingest(cls, shards: list, inboxes: list) -> None:
+        """Fold every receiver's inbox -- its payloads (or ``(key,
+        value)`` batches) in arrival order -- into its pending column.
+
+        The reference is one ``push_many(*inbox)`` per non-empty inbox; a
+        backend's override must leave the same state and counters.
+        """
+        for shard, inbox in zip(shards, inboxes):
+            if inbox:
+                shard.push_many(*inbox)
 
     # -- asynchronous send side -------------------------------------------------
     @classmethod

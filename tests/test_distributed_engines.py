@@ -11,6 +11,7 @@ from repro.distributed import (
     UnifiedEngine,
 )
 from repro.distributed.buffers import BufferPolicy
+from repro.distributed.chaos_harness import default_graph
 from repro.engine import MRAEvaluator
 from repro.graphs import rmat
 from repro.programs import PROGRAMS
@@ -73,6 +74,14 @@ class TestCorrectness:
         plan = PROGRAMS["sssp"].plan(graph)
         result = SyncEngine(plan, ClusterConfig(num_workers=1)).run()
         assert_same_values(result.values, reference_values("sssp", graph), exact=True)
+
+    def test_naive_mode_on_a_non_numeric_carrier(self, cluster):
+        # kpaths' KTuple has no subtraction: naive mode measures each
+        # change with the semiring's own distance
+        plan = PROGRAMS["kpaths"].plan(default_graph("kpaths"))
+        result = SyncEngine(plan, cluster, mode="naive").run()
+        assert result.stop_reason == "fixpoint"
+        assert result.values == MRAEvaluator(plan).run().values
 
 
 class TestStopReasons:

@@ -300,19 +300,16 @@ def test_sync_chaos_payloads_identical_and_immutable(
     for leg in ("python", backend):
         plan = spec.plan(graph)
         kernel_cls = get_kernel(leg)
-        split_out = kernel_cls.split_out
+        cluster_round = kernel_cls.cluster_round
         produced = []
 
-        def recording(out, owners, parts, split_out=split_out, plan=plan):
-            boxes = split_out(out, owners, parts)
-            for payload in boxes:
-                if len(payload):
-                    produced.append(
-                        (payload, decode(kernel_cls, plan, payload))
-                    )
-            return boxes
+        def recording(shards, owners, parts, deltas=None, plan=plan):
+            results, sends = cluster_round(shards, owners, parts, deltas)
+            for payload in sends.values():
+                produced.append((payload, decode(kernel_cls, plan, payload)))
+            return results, sends
 
-        monkeypatch.setattr(kernel_cls, "split_out", staticmethod(recording))
+        monkeypatch.setattr(kernel_cls, "cluster_round", staticmethod(recording))
         results[leg] = SyncEngine(
             plan,
             cluster.with_faults(schedule),

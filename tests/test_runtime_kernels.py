@@ -78,10 +78,9 @@ class TestBackendResolution:
         assert MRAEvaluator(plan).backend == "python"
 
     def test_plan_resolution_degrades_nonnumeric_carrier(self, monkeypatch):
-        from repro.distributed.chaos_harness import default_graph
         from repro.runtime import resolve_backend_for_plan
 
-        kplan = PROGRAMS["kpaths"].plan(default_graph("kpaths", seed=7))
+        kplan = PROGRAMS["kpaths"].plan(_deterministic_graph())
         # a float64 array cannot hold KTuple values: every preference
         # resolves to the python kernel instead of crashing the run
         for preference in BACKENDS:

@@ -88,13 +88,7 @@ def _build(program, seed, mode, workers, backend, faults=None, **extra):
 def run_digest(program, seed, mode, workers, backend) -> dict:
     obs = Observability()
     engine = _build(program, seed, mode, workers, backend, obs=obs)
-    try:
-        result = engine.run()
-    except TypeError as exc:
-        # pinned as a failure: naive mode folds a non-numeric carrier
-        # (kpaths' KTuple) with ``abs(value - old)``
-        return {"error": f"TypeError: {exc}"}
-    return _digest(result, obs)
+    return _digest(engine.run(), obs)
 
 
 def chaos_digest(program, backend, tmp_path) -> dict:
