@@ -25,7 +25,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.runtime` -- the kernels: Figure 7's MonoTable and its inner loop
 * :mod:`repro.distributed` -- simulated cluster: sync/async/unified/AAP
 * :mod:`repro.systems` -- SociaLite/Myria/BigDatalog/... baselines + PowerLog
-* :mod:`repro.programs` -- the paper's fourteen programs (Table 1)
+* :mod:`repro.programs` -- the paper's fourteen programs (Table 1) and four
+  semiring families
 * :mod:`repro.graphs` -- generators, Table-2 dataset stand-ins, stats
 * :mod:`repro.bench` -- regenerates every paper table and figure
 * :mod:`repro.reference` -- independent oracles (tests only)

@@ -23,9 +23,7 @@ runtime message counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, TYPE_CHECKING
-
-from repro.analysis.diagnostics import Diagnostic, info
+from typing import Any, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datalog.analyzer import ProgramAnalysis
@@ -129,29 +127,6 @@ def estimate_plan_communication(
         cross_edges=cross,
         per_worker_out=tuple(per_worker),
     )
-
-
-def comm_diagnostics(
-    analysis: "ProgramAnalysis",
-    estimate: Optional[PlanCommEstimate] = None,
-) -> list[Diagnostic]:
-    """INFO-level RA401 diagnostics summarising the shape analysis."""
-    diagnostics: list[Diagnostic] = []
-    for shape in communication_shape(analysis):
-        diagnostics.append(
-            info("RA401", f"body {shape.body}: {shape.detail}")
-        )
-    if estimate is not None:
-        diagnostics.append(
-            info(
-                "RA401",
-                f"compiled plan ships {estimate.cross_edges} of "
-                f"{estimate.total_edges} edges cross-worker "
-                f"({estimate.cross_fraction:.1%}) at "
-                f"{estimate.workers} workers",
-            )
-        )
-    return diagnostics
 
 
 def record_comm_metrics(

@@ -132,10 +132,10 @@ def run_figure1(scale: float = 1.0) -> ExperimentReport:
 
 
 # --------------------------------------------------------------------------
-# Table 1 -- automatic condition check on the fourteen programs
+# Table 1 -- automatic condition check on every registry program
 # --------------------------------------------------------------------------
 def run_table1(emit_scripts: bool = False) -> ExperimentReport:
-    """MRA satisfiability of all fourteen programs + engine routing."""
+    """MRA satisfiability of every registry program + engine routing."""
     powerlog = PowerLog()
     rows = []
     scripts: dict[str, str] = {}

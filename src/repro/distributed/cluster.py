@@ -100,9 +100,6 @@ class ClusterConfig:
 
         return draw
 
-    def with_workers(self, num_workers: int) -> "ClusterConfig":
-        return replace(self, num_workers=num_workers)
-
     def with_cost(self, **kwargs) -> "ClusterConfig":
         return replace(self, cost=self.cost.with_overrides(**kwargs))
 
@@ -111,7 +108,3 @@ class ClusterConfig:
             faults.validate(self.num_workers)
         return replace(self, faults=faults)
 
-
-#: canonical cluster used by the benchmark harness (paper section 6.2)
-def paper_cluster() -> ClusterConfig:
-    return ClusterConfig(num_workers=16)

@@ -1,5 +1,5 @@
-"""Registry of the paper's fourteen recursive aggregate programs, plus
-four semiring-family extensions.
+"""Registry of eighteen programs: the paper's fourteen recursive aggregate
+programs (Table 1) plus four semiring-family extensions.
 
 Each program is given in the paper's Datalog dialect; sources follow the
 paper's listings (Programs 1-7) where available.  Two deliberate,

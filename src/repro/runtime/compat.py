@@ -49,9 +49,3 @@ def numpy_version() -> Optional[str]:
     """The installed numpy version string, or ``None`` when absent."""
     return str(_numpy.__version__) if _numpy is not None else None
 
-
-def require_numpy(feature: str) -> Any:
-    """Return the real numpy module or raise a clean ImportError."""
-    if _numpy is None:
-        raise ImportError(f"{feature}: {NUMPY_INSTALL_HINT}")
-    return _numpy

@@ -72,15 +72,6 @@ class Request:
     attempts: int = 0
     admitted: bool = False
 
-    @property
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
-    def params_text(self) -> str:
-        if not self.params:
-            return "-"
-        return ",".join(f"{k}={v}" for k, v in self.params)
-
 
 @dataclass
 class Response:

@@ -147,6 +147,10 @@ def default_chaos() -> ServeChaos:
     )
 
 
+#: fraction of head edges each serving version bump inserts
+DEFAULT_DELTA_FRACTION = 0.02
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Service-side knobs (the workload side lives in WorkloadSpec)."""
@@ -173,7 +177,7 @@ class ServeConfig:
     #: seed of the base graphs and their per-version mutation deltas
     graph_seed: int = 7
     #: fraction of head edges inserted by each version-bump delta
-    delta_fraction: float = 0.02
+    delta_fraction: float = DEFAULT_DELTA_FRACTION
     #: the distributed cost model that prices everything the service
     #: predicts instead of measures: repair ops (accumulate attempts +
     #: edge applications, at ``tuple_cost`` per op spread over the
@@ -219,11 +223,6 @@ class ServeOutcome:
     #: static cost estimates consulted for deadline pricing, keyed
     #: ``"program@vN"`` (the abstract-interpretation cost section)
     static_costs: dict = field(default_factory=dict)
-
-
-#: fraction of head edges each serving version bump inserts when the
-#: ServeConfig does not override it
-DEFAULT_DELTA_FRACTION = 0.02
 
 
 def serving_delta(
