@@ -12,7 +12,9 @@ the fixed buffers are sized far below the defaults (:data:`FIXED_BETA`)
 because a 60-vertex shard never fills a 64-update buffer and the
 mid-batch ``reason="full"`` flush is the path worth pinning;
 plus one crash + drop + duplicate leg with a ``Checkpointer`` per
-program, engine and kernel.  A digest covers the values by
+program, engine and kernel; plus a 16-worker slice (:data:`W16_CASES`,
+``ClusterConfig()``'s and the benchmark's size, where the engines'
+lookahead windows hold the most workers).  A digest covers the values by
 ``float.hex`` in result order, the ``WorkCounters``, the simulated
 clock, the stop reason, the ``FaultStats``, the termination trace and
 the **whole obs event stream** -- every ``buffer.flush`` with its
@@ -61,6 +63,16 @@ CASES = [
     for batch in (None, 5)
     for backend in BACKENDS
 ]
+#: the default cluster's 16 workers, seed 7: a dense (pagerank) and two
+#: sparse-frontier programs
+W16_CASES = [
+    (program, 7, engine, 16, batch, backend)
+    for program in ("cc", "pagerank", "sssp")
+    for engine in ENGINES
+    for batch in (None, 5)
+    for backend in BACKENDS
+]
+CASES += W16_CASES
 CHAOS_CASES = [
     (program, engine, backend)
     for program in sorted(PROGRAMS)
@@ -73,7 +85,7 @@ TIER1 = [
     case
     for case in CASES
     if case[1] == 7 and case[3] == 4 and (case[4] is None or case[0] in ("pagerank", "sssp"))
-]
+] + [case for case in W16_CASES if case[4] is None and case[0] in ("pagerank", "sssp")]
 TIER1_CHAOS = [case for case in CHAOS_CASES if case[0] in ("pagerank", "sssp", "dag_paths")]
 
 
