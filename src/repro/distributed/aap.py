@@ -71,6 +71,14 @@ class AAPEngine(AsyncEngine):
     def _batch_limit(self, worker: int) -> Optional[int]:
         return self._batch.get(worker, self.stream_batch)
 
+    def _batch_limit_after(self, worker: int, delivered: list) -> Optional[int]:
+        if not delivered:
+            return self._batch_limit(worker)
+        return self._mode(
+            self._received.get(worker, 0) + sum(map(len, delivered)),
+            self._processed.get(worker, 0),
+        )[0]
+
     def _observe_delivery(self, worker: int, payload_size: int) -> None:
         self._received[worker] = self._received.get(worker, 0) + payload_size
         self._adapt(worker)
@@ -79,17 +87,22 @@ class AAPEngine(AsyncEngine):
         self._processed[worker] = self._processed.get(worker, 0) + processed
         self._adapt(worker)
 
+    def _mode(self, received: int, processed: int) -> tuple:
+        """The batch limit for a worker that has been delivered
+        ``received`` tuples and processed ``processed`` keys, and the
+        ratio it is read off."""
+        ratio = received / (processed + 1)
+        if ratio > 2.0:
+            return None, ratio  # SP/SSP-like: full sweeps
+        if ratio > 0.5:
+            return self.block_batch, ratio
+        return self.stream_batch, ratio  # AP-like: stream eagerly
+
     def _adapt(self, worker: int) -> None:
         """Mode switch: flooded workers batch up, starved workers stream."""
-        received = self._received.get(worker, 0)
-        processed = self._processed.get(worker, 0) + 1
-        ratio = received / processed
-        if ratio > 2.0:
-            mode_batch: Optional[int] = None  # SP/SSP-like: full sweeps
-        elif ratio > 0.5:
-            mode_batch = self.block_batch
-        else:
-            mode_batch = self.stream_batch  # AP-like: stream eagerly
+        mode_batch, ratio = self._mode(
+            self._received.get(worker, 0), self._processed.get(worker, 0)
+        )
         old = self._batch.get(worker, self.stream_batch)
         self._batch[worker] = mode_batch
         if self.obs.enabled and mode_batch != old:

@@ -17,17 +17,23 @@ Simulated time is the event clock: worker busy time is measured work
 (tuples, message CPU, bandwidth) divided by per-worker speed; message
 delivery is delayed by latency plus payload bandwidth.
 
-What moves between those events is the kernels' *payloads*, a process
-event at a time (:mod:`repro.runtime.base`): the shard selects its batch
-and runs it (``select_pending``, ``apply_batch(keys=...)``); the batch's
-foreign contributions come back as one payload with the ``ops_so_far``
-each was emitted at; the worker's :class:`~repro.runtime.SendSide` folds
-them into its flush buffers and reports the ones that fill mid-batch,
-which are flushed at the instant their last update was computed; a
-delivered payload is parked in the receiver's inbox and ingested, with
-everything else parked there, by one ``push_many`` before the receiver's
-state is next read (``ingest``: the drain rule).  The loop never looks
-inside a payload and never asks which kernel made it.
+What moves between those events is the kernels' *payloads*
+(:mod:`repro.runtime.base`): a worker's process event ingests its
+inbox, selects its batch and runs it; the batch's foreign contributions
+come back as one payload with the ``ops_so_far`` each was emitted at;
+the worker's :class:`~repro.runtime.SendSide` folds them into its flush
+buffers and reports the ones that fill mid-batch, which are flushed at
+the instant their last update was computed; a delivered payload is
+parked in the receiver's inbox until the receiver's next process event
+ingests it (the drain rule).  The kernel half of the process events --
+ingest, select, apply -- runs a *lookahead window* at a time: at a
+process event without a precomputed outcome, one ``Kernel.window_local``
+call runs it together with the first process event of every other
+worker that lands less than one message latency later, before any event
+that reads or writes a shard (the argument is in
+:mod:`repro.runtime.base`).  Everything else stays one event at a time
+in queue order.  The loop never looks inside a payload and never asks
+which kernel made it.
 
 Fault injection (``cluster.faults``, see :mod:`repro.distributed.chaos`)
 wires failure into the same event clock:
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Optional
 
 from repro.distributed.buffers import (
@@ -149,6 +156,12 @@ class AsyncEngine:
         """Per-worker batch size; AAP overrides this dynamically."""
         return self.batch_size
 
+    def _batch_limit_after(self, worker: int, delivered: list) -> Optional[int]:
+        """``_batch_limit(worker)`` once the payloads ``delivered`` have
+        reached it (``_observe_delivery``): what a worker's process event
+        runs under when a lookahead window runs it ahead."""
+        return self._batch_limit(worker)
+
     def _observe_delivery(self, worker: int, payload_size: int) -> None:
         """Hook: AAP's mode switching watches in-message volume."""
 
@@ -192,6 +205,14 @@ class AsyncEngine:
         #: per worker: delivered payloads not yet ingested (the drain
         #: rule: ``ingest`` before anything reads the pending column)
         inbox: list[list] = [[] for _ in range(num_workers)]
+        #: per worker: the kernel half of its queued process event, run
+        #: ahead with a lookahead window (``Kernel.window_local``)
+        ahead: dict = {}
+        #: per worker: how many buffers hold updates, and a lower bound on
+        #: their last flush times -- None once unknown (a fill or a
+        #: restore since the last full scan)
+        held = [0] * num_workers
+        oldest: list = [None] * num_workers
         busy_until = [0.0] * num_workers
         scheduled = [False] * num_workers
         inflight = 0
@@ -222,11 +243,19 @@ class AsyncEngine:
             down = retrans = ledger = None
             remaining_crashes = []
 
+        #: the event queue, ordered ``(time, seq)``: buffer timers -- the
+        #: most numerous queued events (their chains overlap), and ones
+        #: no window needs to see -- in a heap of their own, everything
+        #: else in ``heap``
         heap: list = []
+        timers: list = []
         sequence = itertools.count()
 
         def schedule(time: float, kind: str, data=None):
-            heapq.heappush(heap, (time, next(sequence), kind, data))
+            heapq.heappush(
+                timers if kind == "timer" else heap,
+                (time, next(sequence), kind, data),
+            )
 
         def schedule_worker(worker: int, time: float):
             if chaos is not None and down[worker]:
@@ -327,33 +356,112 @@ class AsyncEngine:
             return send_cpu
 
         def flush_ready_buffers(worker: int, time: float) -> float:
-            """Flush every buffer that is full or stale; returns new time."""
+            """Flush every buffer that is full or stale; returns new time.
+
+            The scan is skipped while nothing can be due: after a full
+            scan no held buffer is at ``beta`` until the next fill or
+            restore, and none is stale while ``time - oldest < tau`` --
+            float subtraction rounds monotonically, so no later last
+            flush time passes ``should_flush`` either."""
+            bound = oldest[worker]
+            if bound is not None and time - bound < self.buffer_policy.tau:
+                return time
+            count = 0
+            low = math.inf
             for target, buffer in buffers[worker].items():
-                # most buffers are empty at most timer events
-                if buffer.pending_count and buffer.should_flush(time):
-                    time += flush_buffer(worker, target, buffer, time, "ready")
+                if buffer.pending_count:
+                    if buffer.should_flush(time):
+                        time += flush_buffer(worker, target, buffer, time, "ready")
+                    else:
+                        count += 1
+                        if buffer.last_flush_time < low:
+                            low = buffer.last_flush_time
+            held[worker] = count
+            oldest[worker] = low
             return time
 
         def schedule_timer_if_buffered(worker: int, time: float) -> None:
-            if any(b.pending_count for b in buffers[worker].values()):
+            if held[worker]:
                 schedule(time + self.buffer_policy.tau, "timer", worker)
+
+        #: what a window runs through besides timers (which only flush
+        #: send buffers): events that touch no shard -- a fault-free
+        #: delivery only parks a payload; under fault injection the
+        #: ledger decides at its turn whether a delivery is admitted
+        transparent = ("process",) if chaos is not None else ("process", "deliver")
+
+        def open_window(worker: int, time: float) -> None:
+            """Run the kernel half of ``worker``'s process event at
+            ``time`` ahead, together with the first process event of every
+            other worker that falls before ``time + message_latency`` and
+            before the first event that touches a shard; each of those
+            ingests the deliveries queued before it as well.
+
+            Such an event is queued already, or -- for an idle worker --
+            it is the one the first delivery to it will queue, at
+            ``max(delivery, busy_until)`` and after every queued event of
+            that instant."""
+            horizon = time + cost.message_latency
+            inboxes = {worker: inbox[worker]}
+            limits = {worker: self._batch_limit(worker)}
+            # (a window of one when the next event is past the horizon or
+            # closes the window)
+            if heap and heap[0][0] < horizon and heap[0][2] in transparent:
+                #: per worker not in the window yet: the deliveries
+                #: queued for it so far, and when an idle one's event is
+                early: dict = {}
+                wakes: dict = {}
+                for at, _, kind, data in sorted([e for e in heap if e[0] < horizon]):
+                    if kind not in transparent:
+                        horizon = at
+                        break
+                    if kind == "deliver":
+                        target, payload = data
+                        if target not in inboxes and target not in ahead:
+                            early.setdefault(target, []).append((at, payload))
+                            if not scheduled[target] and target not in wakes:
+                                wakes[target] = max(at, busy_until[target])
+                    elif kind == "process" and data not in inboxes and data not in ahead:
+                        if chaos is not None and down[data]:
+                            continue
+                        join(inboxes, limits, data, early.pop(data, []))
+                for target, wake in wakes.items():
+                    if wake < horizon:
+                        join(inboxes, limits, target, [
+                            (at, payload) for at, payload in early[target] if at <= wake
+                        ])
+            ahead.update(
+                state.kernel_cls.window_local(
+                    shards, inboxes, limits, self.importance_threshold, selective
+                )
+            )
+            for member in inboxes:
+                if inbox[member]:
+                    inbox[member] = []
+
+        def join(inboxes: dict, limits: dict, worker: int, delivered: list) -> None:
+            """Add ``worker`` to a window: its inbox is what is parked
+            plus the ``(time, payload)`` deliveries before its event."""
+            payloads = [payload for _, payload in delivered]
+            inboxes[worker] = inbox[worker] + payloads
+            limits[worker] = self._batch_limit_after(worker, payloads)
 
         def handle_process(worker: int, time: float) -> None:
             nonlocal progress_magnitude, progress_updates
             scheduled[worker] = False
             if chaos is not None and down[worker]:
                 return
-            ingest(worker)
-            shard = shards[worker]
-            if not shard.has_pending():
-                return
-            # selective aggregates process best-first, additive ones in
-            # arrival order, deferring deltas below the importance
-            # threshold (section 5.4) while any larger one exists
-            batch = shard.select_pending(
-                self.importance_threshold, selective, self._batch_limit(worker)
-            )
-            if not len(batch):
+            # the ingest, the batch and its round: selective aggregates
+            # process best-first, additive ones in arrival order,
+            # deferring deltas below the importance threshold (section
+            # 5.4) while any larger one exists
+            if worker not in ahead:
+                open_window(worker, time)
+            outcome = ahead.pop(worker)
+            if outcome is None:
+                return  # nothing pending
+            taken, batch_result = outcome
+            if not taken:
                 # everything pending is below the importance threshold;
                 # idle until new deliveries make some delta important --
                 # but buffered remote updates must still age out.
@@ -361,7 +469,6 @@ class AsyncEngine:
                 busy_until[worker] = finish
                 schedule_timer_if_buffered(worker, finish)
                 return
-            batch_result = shard.apply_batch(keys=batch)
             # foreign contributions go to the send buffers; one that
             # fills is flushed mid-batch, at the instant its last update
             # was computed -- the size knob beta is exactly the
@@ -369,6 +476,7 @@ class AsyncEngine:
             # (section 5.3)
             send_cpu_total = 0.0
             if len(batch_result.out):
+                oldest[worker] = None
                 for target, buffer, ops_so_far in sends[worker].fill(
                     buffers[worker], batch_result.out, batch_result.offsets
                 ):
@@ -379,7 +487,7 @@ class AsyncEngine:
             ops = batch_result.ops
             progress_magnitude += batch_result.magnitude
             progress_updates += batch_result.changed
-            self._observe_processing(worker, len(batch))
+            self._observe_processing(worker, taken)
             stretch = draw_transient()
             if chaos is not None:
                 stretch *= chaos.slowdown(worker, time)
@@ -390,7 +498,7 @@ class AsyncEngine:
             finish = flush_ready_buffers(worker, time + compute)
 
             busy_until[worker] = finish
-            if shard.has_pending():
+            if shards[worker].has_pending():
                 schedule_worker(worker, finish)
             else:
                 schedule_timer_if_buffered(worker, finish)
@@ -422,7 +530,8 @@ class AsyncEngine:
                     schedule(time + cost.message_latency, "ack", (sender, target, seq))
                 if not ledger.admit(sender, target, seq, time):
                     return
-            inbox[target].append(payload)
+            if target not in ahead:  # else its window ingested it already
+                inbox[target].append(payload)
             self._observe_delivery(target, len(payload))
             schedule_worker(target, time)
 
@@ -515,6 +624,7 @@ class AsyncEngine:
             ingest(worker)
             for buffer in buffers[worker].values():
                 buffer.flush(time)
+            oldest[worker] = None
             for rbuffer in retrans[worker].values():
                 rbuffer.clear()
             ledger.forget(worker)
@@ -590,6 +700,7 @@ class AsyncEngine:
             for w, snap_buffers in enumerate(snap["buffers"]):
                 for t, buffer_snap in snap_buffers.items():
                     buffers[w][t].restore(buffer_snap)
+                oldest[w] = None
             for w, snap_retrans in enumerate(snap["retrans"]):
                 for t, unacked in snap_retrans.items():
                     retrans[w][t].unacked = dict(unacked)
@@ -598,6 +709,7 @@ class AsyncEngine:
             # every queued event refers to pre-rollback state: wipe the
             # future and rebuild it from the restored state
             heap.clear()
+            timers.clear()
             inflight = 0
             for w in range(num_workers):
                 scheduled[w] = False
@@ -649,8 +761,9 @@ class AsyncEngine:
             )
 
         idle_checks = 0
-        while heap and stop is None:
-            now, _, kind, data = heapq.heappop(heap)
+        while (heap or timers) and stop is None:
+            queue = heap if not timers or (heap and heap[0] < timers[0]) else timers
+            now, _, kind, data = heapq.heappop(queue)
             if kind == "process":
                 handle_process(data, now)
                 last_activity = max(last_activity, busy_until[data])

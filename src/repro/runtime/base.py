@@ -122,6 +122,29 @@ kernel runs; the array kernel stacks its shards' columns and runs each
 as one array pass (:mod:`repro.runtime.numpy_kernel`), so a superstep's
 host cost does not grow with the number of workers.
 
+A lookahead window (the asynchronous engines)
+---------------------------------------------
+
+An asynchronous engine runs the kernel half of its process events --
+ingest, select, ``apply_batch(keys=...)`` -- a *window* at a time, with
+one :meth:`Kernel.window_local` call (conservative lookahead, as in
+parallel discrete-event simulation).  Every delivery lands at least one
+message latency ``L`` after the event that sends it, and between two
+master events a fault-free shard is changed only by its own process
+events.  So at the instant ``T`` of a process event, every delivery
+that lands in ``[T, T + L)`` is already queued, and each worker's
+*first* process event in that window is fully determined: its shard,
+its inbox plus the window's deliveries to it ordered ``(time, seq)``
+before the event, and its batch limit at that turn.  The engine closes a
+window early at any event that reads or writes shard state (the master,
+checkpoints, crashes, restarts, and under fault injection deliveries,
+acks and retransmits), and everything else -- send sides, flushes,
+timers, clocks, the random stretch draws -- stays sequential in queue
+order, consuming the precomputed :class:`BatchResult`.  The base class
+runs the workers one after another; the array kernel runs the window's
+local rounds as one Gauss--Seidel pass over the stacked shard rows,
+each worker's batch in its own row.
+
 Repair walks (:mod:`repro.delta`)
 ---------------------------------
 
@@ -211,23 +234,33 @@ class SendSide:
         Yields ``(target, buffer, ops_so_far)`` each time a buffer
         reaches ``beta``; the caller flushes it (:meth:`take`) before
         resuming, so the next contribution for that target starts an
-        empty box under whatever ``beta`` the flush adapted.
+        empty box under whatever ``beta`` the flush adapted.  A buffer is
+        told what it got once per stretch between flushes: nothing reads
+        it in between.
         """
         owners = self._owners
         boxes = self._boxes
         combine = self._combine
+        # per target: the adds and fresh keys its buffer was not told yet
+        adds = [0] * len(boxes)
+        fresh = [0] * len(boxes)
         for (key, value), offset in zip(out, offsets):
             target = owners[key]
             box = boxes[target]
-            buffer = buffers[target]
+            adds[target] += 1
             if key in box:
                 box[key] = combine(box[key], value)
-                buffer.add(1, 0)
             else:
                 box[key] = value
-                buffer.add(1, 1)
-            if buffer.pending_count >= buffer.beta:
+                fresh[target] += 1
+            buffer = buffers[target]
+            if buffer.pending_count + fresh[target] >= buffer.beta:
+                buffer.add(adds[target], fresh[target])
+                adds[target] = fresh[target] = 0
                 yield target, buffer, offset
+        for target, count in enumerate(adds):
+            if count:
+                buffers[target].add(count, fresh[target])
 
     def fold(self, out: Any) -> None:
         """Fold a stream (a payload or ``(key, value)`` pairs) into the
@@ -490,6 +523,46 @@ class Kernel:
         for shard, inbox in zip(shards, inboxes):
             if inbox:
                 shard.push_many(*inbox)
+
+    # -- a lookahead window (the asynchronous engines) --------------------------
+    @classmethod
+    def window_local(
+        cls,
+        shards: list,
+        inboxes: dict,
+        limits: dict,
+        threshold: Optional[float] = None,
+        best_first: bool = False,
+    ) -> dict:
+        """The kernel half of one process event per worker in
+        ``inboxes`` (worker -> the payloads it ingests first), over a
+        cluster's ``shards`` (built by :meth:`shards_from_plan`).
+
+        Worker ``w`` ingests its inbox, selects its batch with
+        :meth:`select_pending` (``threshold``, ``best_first``,
+        ``limits[w]``) and runs it with ``apply_batch(keys=...)``.
+        Returns worker -> ``None`` when nothing was pending after the
+        ingest, else ``(taken, result)``: the batch's size and its
+        :class:`BatchResult` (``BatchResult()`` for an empty batch).
+
+        This loop is the reference; a backend may override it with one
+        pass over all shards that leaves the same outcomes, payloads,
+        counters and observable shard state, bit for bit.
+        """
+        outcomes: dict = {}
+        for worker, inbox in inboxes.items():  # shards do not share state
+            shard = shards[worker]
+            if inbox:
+                shard.push_many(*inbox)
+            if not shard.has_pending():
+                outcomes[worker] = None
+                continue
+            batch = shard.select_pending(threshold, best_first, limits[worker])
+            taken = len(batch)
+            outcomes[worker] = (
+                taken, shard.apply_batch(keys=batch) if taken else BatchResult()
+            )
+        return outcomes
 
     # -- asynchronous send side -------------------------------------------------
     @classmethod

@@ -153,13 +153,13 @@ class PlanCSR:
 
     def edge_ids(self, srcs: Any) -> tuple:
         """Flat edge ids of a source batch + each source's edge count."""
-        starts = self.indptr[srcs]
-        counts = self.indptr[srcs + 1] - starts
+        starts = self.indptr.take(srcs)
+        counts = self.indptr.take(srcs + 1) - starts
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64), counts
-        cum = np.cumsum(counts)
-        offsets = np.repeat(starts - (cum - counts), counts)
+        cum = counts.cumsum()
+        offsets = (starts - (cum - counts)).repeat(counts)
         return np.arange(total, dtype=np.int64) + offsets, counts
 
     def gather(self, srcs: Any, x: Any) -> tuple:

@@ -110,7 +110,7 @@ call, so a scratch kernel never writes into a live row.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.engine.result import WorkCounters
@@ -203,6 +203,14 @@ def _absent(has: Any, codes: Any) -> Any:
     return codes[np.logical_not(held, out=held)]
 
 
+def _arrivals(has: Any, codes: Any) -> Any:
+    """The distinct ``codes`` whose ``has`` entry is unset, in
+    first-occurrence order: ``_absent(has, _first_codes(codes))``, with
+    no first-occurrence pass when every code is held."""
+    absent = _absent(has, codes)
+    return _first_codes(absent, len(has))[0] if len(absent) else absent
+
+
 def _fold_stream(
     mode: str, val: Any, has: Any, codes: Any, vals: Any, fresh: Any
 ) -> None:
@@ -223,19 +231,20 @@ def _ingest(
     pend_has: Any,
     codes: Any,
     vals: Any,
-    uniq: Any,
     counters: WorkCounters,
     bucketed: bool,
 ) -> tuple:
-    """Fold the stream ``(codes, vals)`` -- ``uniq`` its distinct keys in
-    first-occurrence order -- into the pending columns as one ``push``
-    per tuple would.  Returns the stream's keys that were not pending,
-    in first-occurrence order, and -- ``bucketed`` only -- the pending
-    ones whose value moved (else None)."""
+    """Fold the stream ``(codes, vals)`` into the pending columns as one
+    ``push`` per tuple would.  Returns the stream's keys that were not
+    pending, in first-occurrence order, and -- ``bucketed`` only -- the
+    pending ones whose value moved (else None)."""
     if bucketed:
+        uniq = _first_codes(codes, len(pend))[0]
         held = uniq[pend_has[uniq]]
         old = pend[held]
-    fresh = _absent(pend_has, uniq)
+        fresh = _absent(pend_has, uniq)
+    else:
+        fresh = _arrivals(pend_has, codes)
     _fold_stream(mode, pend, pend_has, codes, vals, fresh)
     # every tuple but a key's first onto an empty entry is a combine
     counters.combines += len(codes) - len(fresh)
@@ -344,7 +353,7 @@ class _ShardStack:
     as one ``(W × n)`` array whose row ``w`` is worker ``w``'s column
     (the module docstring's "stacked shards")."""
 
-    __slots__ = _STACKED + ("n", "seated", "delivery")
+    __slots__ = _STACKED + ("n", "seated", "delivery", "owned", "place")
 
     def __init__(self, parts: int, n: int) -> None:
         self.n = n
@@ -360,10 +369,31 @@ class _ShardStack:
         #: fault-free exchange fills them, their pair-ordered columns
         #: and each receiver's tuple count (:func:`_split_pairs`)
         self.delivery: Optional[tuple] = None
+        #: the seated kernels' owned masks as one vector (built on first
+        #: use, dropped when a kernel is seated) and an all ``-1`` scratch
+        #: over the stack indices (:meth:`NumpyKernel.window_local`)
+        self.owned: Optional[Any] = None
+        self.place: Optional[Any] = None
 
     def flat(self, name: str) -> Any:
         """Column ``name`` as one vector: stack index ``row·n + code``."""
         return getattr(self, name).reshape(-1)
+
+    def owned_flat(self) -> Any:
+        """Per stack index: does the row's kernel own the code?"""
+        if self.owned is None:
+            self.owned = np.concatenate([
+                np.ones(self.n, dtype=bool) if kernel._owned_mask is None
+                else kernel._owned_mask
+                for kernel in self.seated
+            ])
+        return self.owned
+
+    def positions(self) -> Any:
+        """:meth:`PlanCSR.positions` over the stack indices."""
+        if self.place is None:
+            self.place = np.full(self._pend.size, -1, dtype=np.int64)
+        return self.place
 
     def bind(self, row: int, kernel: "NumpyKernel") -> None:
         """Make row ``row`` ``kernel``'s columns, whatever it holds."""
@@ -385,6 +415,7 @@ class _ShardStack:
         for name in _STACKED:
             getattr(self, name)[row] = getattr(kernel, name)
         self.bind(row, kernel)
+        self.owned = None
 
 
 def _owners_of(index: dict, n: int, shard_keys: list) -> Any:
@@ -479,6 +510,44 @@ def _drain_stack(stack: _ShardStack, shards: list) -> tuple:
         if shard._pend_live:
             shard._clear_pending()
     return flat, stack.flat("_pend").take(flat)
+
+
+def _push_rows(
+    shards: list, stack: _ShardStack, codes: Any, vals: Any, bucketed: bool
+) -> None:
+    """Fold the stream ``(codes, vals)`` -- stack indices grouped by row,
+    rows ascending, each row's tuples in push order -- into the pending
+    columns, as one ``push`` per tuple on each row's kernel would
+    (``bucketed``: some shard keeps delta-stepping buckets)."""
+    n = stack.n
+    first = shards[0]
+    fresh, moved = _ingest(
+        first._mode,
+        stack.flat("_pend"),
+        stack.flat("_pend_has"),
+        codes,
+        vals,
+        first.counters,
+        bucketed,
+    )
+    if moved is not None:
+        for row, held in _rows_of(moved, n, len(shards)):
+            if shards[row]._bucket_width is not None:
+                shards[row]._rebucket(held)
+    if not len(fresh):
+        return
+    # each row's fresh keys, numbered from its own sequence counter
+    rows = fresh // n
+    arrived = (fresh - rows * n).tolist()
+    seq = stack.flat("_seq")
+    start = 0
+    for row, count in enumerate(np.bincount(rows, minlength=len(shards)).tolist()):
+        if count:
+            shard = shards[row]
+            stop = start + count
+            seq[fresh[start:stop]] = np.arange(shard._seq_next, shard._seq_next + count)
+            shard._enlist(arrived[start:stop])
+            start = stop
 
 
 def _stack_deltas(index: dict, n: int, deltas: list) -> tuple:
@@ -594,6 +663,160 @@ def _split_pairs(
         )
     )
     return sends, (inboxes, whole, sizes.reshape(parts, workers).sum(axis=1))
+
+
+def _local_pass(
+    kernel: "NumpyKernel",
+    columns: tuple,
+    owned: Optional[Any],
+    place: Any,
+    batch: Any,
+    local: Any,
+    bounds: list,
+) -> tuple:
+    """Asynchronous local rounds of one or more batches, set-at-a-time
+    (exactness: the Gauss--Seidel argument in :mod:`repro.runtime.base`).
+
+    ``columns`` are ``(acc, acc_has, pend, pend_has)`` over indices
+    ``row·n + code`` -- a lone kernel's own columns (one row) or a
+    stack's -- and ``owned`` says which indices the row's kernel owns
+    (None: all).  ``batch`` is the batches one after another, rows
+    ascending, each in fetch order, ``local`` their key codes and
+    ``bounds`` each batch's non-empty ``[start, stop)``.  An edge never
+    leaves its source's row, so the batches do not see one another.
+
+    Returns a :class:`BatchResult` per batch, the indices that got their
+    first accumulated entry (batch order), and the owned contributions
+    to push as ``(indices, values)`` in emission order (None if none).
+    """
+    csr = kernel._csr
+    mode = kernel._mode
+    counters = kernel.counters
+    acc, acc_has, pend, pend_has = columns
+    size = len(batch)
+    tmp = pend.take(batch)
+    # every out-edge of the batches with its source's position, in
+    # emission order; which of them are applied is decided below
+    positions = np.arange(size)
+    eids, degree = csr.edge_ids(local)
+    spos = positions.repeat(degree)
+    if len(eids):
+        base = (batch - local).take(spos)  # each edge's row, as an offset
+        place[batch] = positions
+        dpos = place.take(base + csr.edst.take(eids))
+        place[batch] = -1
+        # edges into a key the batch fetches later: their values reach
+        # that key's delta before it is fetched
+        forward = (dpos > spos).nonzero()[0]
+        if len(forward):
+            _settle_forward(
+                kernel, acc, acc_has, tmp, batch,
+                eids.take(forward), spos.take(forward), dpos.take(forward),
+            )
+    pend_has[batch] = False
+    changed, mags, fresh = _accumulate(mode, acc, acc_has, batch, tmp, counters)
+    starts = [start for start, _ in bounds]
+    # per batch: the keys that changed and the edges they apply
+    updated = np.add.reduceat(changed, starts, dtype=np.int64).tolist()
+    fanout = np.add.reduceat(degree * changed, starts).tolist()
+    mags = mags[changed]
+    results = []
+    done = 0
+    for (start, stop), count, fan in zip(bounds, updated, fanout):
+        results.append(BatchResult(
+            changed=count,
+            magnitude=_left_sum(mags[done:done + count]),  # batch order
+            ops=stop - start + fan,
+        ))
+        done += count
+    if not any(fanout):
+        return results, fresh, None
+    applied = changed.take(spos).nonzero()[0]
+    counters.fprime_applications += len(applied)
+    src = spos.take(applied)
+    dsts, vals = csr.apply_edges(eids.take(applied), tmp.take(src))
+    edge_base = base.take(applied)
+    # owned destinations the batch does not fetch later -- outside it,
+    # fetched already, or the source itself -- see the batch's keys
+    # fetched whenever in the batch they are pushed; the forward ones
+    # were folded above
+    back = dpos.take(applied) <= src
+    if owned is None:
+        near = back.nonzero()[0]
+    else:
+        mask = owned.take(edge_base + dsts)
+        near = (mask & back).nonzero()[0]
+        # one mask, inverted in place: variable-length byte arrays are
+        # what fills numpy's small-block cache
+        far = np.logical_not(mask, out=mask).nonzero()[0]
+        if len(far):
+            _emit_far(results, starts, fanout, far, src, dsts, vals)
+    if not len(near):
+        return results, fresh, None
+    return results, fresh, (edge_base.take(near) + dsts.take(near), vals.take(near))
+
+
+def _emit_far(
+    results: list, starts: list, fanout: list, far: Any, src: Any, dsts: Any, vals: Any
+) -> None:
+    """Hand each batch's foreign contributions -- the applied edges
+    ``far`` (ascending) -- to its result, with the ``ops`` so far at
+    each: the keys its batch fetched so far plus the edges it applied so
+    far, counting the contribution's own source and edge."""
+    origin = src.take(far)
+    applied_before = list(accumulate(fanout, initial=0))
+    cuts = far.searchsorted(applied_before).tolist()
+    sizes = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+    lead = np.array([
+        start + before for start, before in zip(starts, applied_before)
+    ]).repeat(sizes)
+    offsets = far + origin - lead + 2
+    far_dsts, far_vals = dsts.take(far), vals.take(far)
+    for result, lo, hi in zip(results, cuts, cuts[1:]):
+        if hi > lo:
+            result.out = Columns(far_dsts[lo:hi], far_vals[lo:hi])
+            result.offsets = offsets[lo:hi]
+
+
+def _settle_forward(
+    kernel: "NumpyKernel",
+    acc: Any,
+    acc_has: Any,
+    tmp: Any,
+    batch: Any,
+    eids: Any,
+    src: Any,
+    dst: Any,
+) -> None:
+    """Raise ``tmp`` (the batches' deltas, by position) by the in-batch
+    forward edges ``src -> dst`` (positions), level by level.
+
+    A key's level is one more than the highest level among the sources
+    of its forward edges, so when a level is folded every delta below it
+    is final -- including whether its key changes, which decides if its
+    edges are applied at all.  A target's own delta heads its stream and
+    contributions follow in emission order: the order the reference
+    pushes them in.  Levels stay per batch: a forward edge never leaves
+    its batch.
+    """
+    mode = kernel._mode
+    level = np.zeros(len(batch), dtype=np.int64)
+    while True:
+        raised = level[src] + 1
+        if (raised <= level[dst]).all():
+            break
+        np.maximum.at(level, dst, raised)
+    has = acc_has[batch]
+    old = acc[batch]
+    fold_at = _FOLD_AT[mode][0].at
+    into = level[dst]
+    for depth in range(1, int(level.max()) + 1):
+        _, changes = _merge(mode, has, old, tmp)
+        live = ((into == depth) & changes[src]).nonzero()[0]
+        if len(live):
+            _, vals = kernel._csr.apply_edges(eids[live], tmp[src[live]])
+            fold_at(tmp, dst[live], vals)
+            kernel.counters.combines += len(live)
 
 
 @register_kernel
@@ -762,18 +985,16 @@ class NumpyKernel(Kernel):
 
         ``fetch_and_reset`` leaves stale entries behind and a re-push of
         a fetched key appends a fresh occurrence; a Python dict would
-        re-insert that key at the *end*.  The last occurrence of each
-        live index is therefore the authoritative position -- compact
-        lazily whenever stale or duplicate entries exist.
+        re-insert that key at the *end*.  Every no-entry -> entry
+        transition stamps ``_seq``, so the live indices sorted by their
+        stamps are that order -- rebuilt lazily whenever stale or
+        duplicate entries exist.
         """
         order = self._pend_order
         if len(order) == self._pend_live:
             return order
-        has = self._pend_has
-        last = {i: pos for pos, i in enumerate(order)}
-        rebuilt = [
-            i for pos, i in enumerate(order) if has[i] and last[i] == pos
-        ]
+        live = self._pend_has.nonzero()[0]
+        rebuilt = live.take(self._seq.take(live).argsort()).tolist()
         self._pend_order = rebuilt
         return rebuilt
 
@@ -858,7 +1079,6 @@ class NumpyKernel(Kernel):
             return
         fresh, moved = _ingest(
             self._mode, self._pend, self._pend_has, codes, vals,
-            _first_codes(codes, len(self._pend))[0],
             self.counters, self._bucket_width is not None,
         )
         if moved is not None:
@@ -1072,35 +1292,10 @@ class NumpyKernel(Kernel):
                 np.concatenate([batch.vals for batch in batches]),
             )
         codes = stream.codes + np.repeat(np.arange(0, len(shards) * n, n), sizes)
-        vals = stream.vals
-        uniq = _first_codes(codes, len(shards) * n)[0]
-        first = shards[0]
-        fresh, moved = _ingest(
-            first._mode,
-            stack.flat("_pend"),
-            stack.flat("_pend_has"),
-            codes,
-            vals,
-            uniq,
-            first.counters,
+        _push_rows(
+            shards, stack, codes, stream.vals,
             any(shard._bucket_width is not None for shard in shards),
         )
-        if moved is not None:
-            for row, held in _rows_of(moved, n, len(shards)):
-                if shards[row]._bucket_width is not None:
-                    shards[row]._rebucket(held)
-        # each receiver's fresh keys, numbered from its own sequence counter
-        rows = fresh // n
-        counts = np.bincount(rows, minlength=len(shards))
-        starts = np.cumsum(counts) - counts
-        base = np.fromiter(
-            (shard._seq_next for shard in shards), dtype=np.int64, count=len(shards)
-        )
-        stack.flat("_seq")[fresh] = np.arange(len(fresh)) + np.repeat(base - starts, counts)
-        arrived = (fresh - rows * n).tolist()
-        for shard, start, count in zip(shards, starts.tolist(), counts.tolist()):
-            if count:
-                shard._enlist(arrived[start:start + count])
 
     @classmethod
     def send_side(cls, plan: Any, owners: Any, parts: int) -> SendSide:
@@ -1189,98 +1384,136 @@ class NumpyKernel(Kernel):
         return self._frontier_round(scatter_self=True)
 
     def _apply_local(self, batch: Any) -> BatchResult:
-        """One asynchronous batch, set-at-a-time (exactness: the
-        Gauss--Seidel argument in :mod:`repro.runtime.base`)."""
-        csr = self._csr
+        """One asynchronous batch, set-at-a-time: :func:`_local_pass`
+        over this kernel's own columns."""
         size = len(batch)
         if not size:
             return BatchResult()
-        tmp = self._pend[batch]
-        # every out-edge of the batch with its source's batch position,
-        # in emission order; which of them are applied is decided below
-        positions = np.arange(size)
-        eids, spos = csr.gather(batch, positions)
-        if len(eids):
-            place = csr.positions()
-            place[batch] = positions
-            dpos = place[csr.edst[eids]]
-            place[batch] = -1
-            # edges into a key the batch fetches later: their values
-            # reach that key's delta before it is fetched
-            forward = (dpos > spos).nonzero()[0]
-            if len(forward):
-                self._settle_forward(
-                    tmp, batch, eids[forward], spos[forward], dpos[forward]
-                )
-        self._pend_has[batch] = False  # stale entries stay in _pend_order
-        self._pend_live -= size
-        changed, mags = self._vector_accumulate(batch, tmp)
-        result = BatchResult(
-            changed=int(changed.sum()),
-            magnitude=_left_sum(mags[changed]),  # batch order
-            ops=size,
+        (result,), fresh, near = _local_pass(
+            self,
+            (self._acc, self._acc_has, self._pend, self._pend_has),
+            self._owned_mask,
+            self._csr.positions(),
+            batch,
+            batch,
+            [(0, size)],
         )
-        if not result.changed or not len(eids):
-            return result
-        applied = changed[spos].nonzero()[0]
-        if not len(applied):
-            return result
-        self.counters.fprime_applications += len(applied)
-        result.ops += len(applied)
-        dsts, vals = csr.apply_edges(eids[applied], tmp[spos[applied]])
-        if self._owned_mask is None:
-            near = np.arange(len(applied))
-        else:
-            # one mask, inverted in place: variable-length byte arrays
-            # are what fills numpy's small-block cache
-            mask = self._owned_mask.take(dsts)
-            near = mask.nonzero()[0]
-            far = np.logical_not(mask, out=mask).nonzero()[0]
-            if len(far):
-                result.out = Columns(dsts[far], vals[far])
-                # fetched keys so far + applied edges so far
-                result.offsets = far + spos[applied[far]] + 2
-        if len(near):
-            # owned destinations the batch does not fetch later --
-            # outside it, fetched already, or the source itself -- see
-            # the batch's keys fetched whenever in the batch they are
-            # pushed; the forward ones were folded above
-            edge = applied[near]
-            near = near[dpos[edge] <= spos[edge]]
-            self.push_many(Columns(dsts[near], vals[near]))
+        self._pend_live -= size  # stale entries stay in _pend_order
+        if len(fresh):
+            self._acc_order.extend(fresh.tolist())
+        if near is not None:
+            self.push_many(Columns(*near))
         return result
 
-    def _settle_forward(
-        self, tmp: Any, batch: Any, eids: Any, src: Any, dst: Any
-    ) -> None:
-        """Raise ``tmp`` (the batch's deltas, by position) by the
-        in-batch forward edges ``src -> dst`` (batch positions), level by
-        level.
-
-        A key's level is one more than the highest level among the
-        sources of its forward edges, so when a level is folded every
-        delta below it is final -- including whether its key changes,
-        which decides if its edges are applied at all.  A target's own
-        delta heads its stream and contributions follow in emission
-        order: the order the reference pushes them in.
-        """
-        level = np.zeros(len(batch), dtype=np.int64)
-        while True:
-            raised = level[src] + 1
-            if (raised <= level[dst]).all():
-                break
-            np.maximum.at(level, dst, raised)
-        has = self._acc_has[batch]
-        old = self._acc[batch]
-        fold_at = _FOLD_AT[self._mode][0].at
-        into = level[dst]
-        for depth in range(1, int(level.max()) + 1):
-            _, changes = _merge(self._mode, has, old, tmp)
-            live = ((into == depth) & changes[src]).nonzero()[0]
-            if len(live):
-                _, vals = self._csr.apply_edges(eids[live], tmp[src[live]])
-                fold_at(tmp, dst[live], vals)
-                self.counters.combines += len(live)
+    @classmethod
+    def window_local(
+        cls,
+        shards: list,
+        inboxes: dict,
+        limits: dict,
+        threshold: Optional[float] = None,
+        best_first: bool = False,
+    ) -> dict:
+        """The window's process events as one pass over the stack: one
+        ingest of every inbox, one selection over the members' pending
+        entries and one :func:`_local_pass` over their batches (exactness:
+        "a lookahead window" in :mod:`repro.runtime.base`)."""
+        stack = _stack_of(shards)
+        stack.delivery = None
+        n = stack.n
+        members = sorted(inboxes)
+        bucketed = any(shard._bucket_width is not None for shard in shards)
+        # every member's inbox as one stream, members ascending
+        index = shards[0]._index
+        codes_in: list = []
+        vals_in: list = []
+        rows_in: list = []
+        sizes_in: list = []
+        for worker in members:
+            if inboxes[worker]:
+                total = 0
+                for payload in inboxes[worker]:
+                    if not isinstance(payload, Columns):
+                        payload = _pair_columns(index, payload)
+                    codes_in.append(payload.codes)
+                    vals_in.append(payload.vals)
+                    total += len(payload.codes)
+                rows_in.append(worker * n)
+                sizes_in.append(total)
+        if codes_in:
+            codes = np.concatenate(codes_in)
+            codes += np.array(rows_in, dtype=np.int64).repeat(sizes_in)
+            _push_rows(shards, stack, codes, np.concatenate(vals_in), bucketed)
+        outcomes: dict = dict.fromkeys(members)
+        active = [w for w in members if shards[w]._pend_live]
+        if not active:
+            return outcomes
+        # every active member's live pending entries in arrival order
+        orders = [shards[w]._pend_indices() for w in active]
+        lens = [len(order) for order in orders]
+        codes = np.fromiter(chain.from_iterable(orders), dtype=np.int64, count=sum(lens))
+        flat = codes + np.array(active, dtype=np.int64).repeat(lens) * n
+        # select_pending's rule per member, members kept apart, then
+        # each member's first ``limits[w]``
+        if best_first:
+            # stable: ties stay in arrival order, as sorted() leaves them
+            slot = np.arange(len(active)).repeat(lens)
+            pick = np.lexsort((stack.flat("_pend").take(flat), slot))
+            counts = lens
+        elif threshold is not None:
+            pick = (np.abs(stack.flat("_pend").take(flat)) >= threshold).nonzero()[0]
+            cuts = pick.searchsorted(list(accumulate(lens, initial=0))).tolist()
+            counts = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+        else:
+            pick = np.arange(len(flat))
+            counts = lens
+        taken = [
+            count if limits[w] is None else min(count, limits[w])
+            for w, count in zip(active, counts)
+        ]
+        if taken != counts:
+            kept = []
+            start = 0
+            for count, keep in zip(counts, taken):
+                kept.append(pick[start:start + keep])
+                start += count
+            pick = np.concatenate(kept)
+        # what each member leaves pending, in arrival order
+        left = np.ones(len(flat), dtype=bool)
+        left[pick] = False
+        rest = codes[left].tolist()
+        start = 0
+        for worker, size, count in zip(active, lens, taken):
+            shard = shards[worker]
+            shard._pend_order = rest[start:start + size - count]
+            shard._pend_live = size - count
+            start += size - count
+        results: Iterator = iter(())
+        if len(pick):
+            bounds = []
+            start = 0
+            for count in taken:
+                if count:
+                    bounds.append((start, start + count))
+                start += count
+            passed, fresh, near = _local_pass(
+                shards[0],
+                tuple(stack.flat(name) for name in ("_acc", "_acc_has", "_pend", "_pend_has")),
+                stack.owned_flat(),
+                stack.positions(),
+                flat.take(pick),
+                codes.take(pick),
+                bounds,
+            )
+            results = iter(passed)
+            if len(fresh):
+                for row, fresh_codes in _rows_of(fresh, n, len(shards)):
+                    shards[row]._acc_order.extend(fresh_codes.tolist())
+            if near is not None:
+                _push_rows(shards, stack, *near, bucketed)
+        for worker, count in zip(active, taken):
+            outcomes[worker] = (count, next(results) if count else BatchResult())
+        return outcomes
 
     # -- whole-table sweep (naive BSP mode) -------------------------------------
     @classmethod
@@ -1558,7 +1791,8 @@ class NumpyKernel(Kernel):
             "acc_order": list(self._acc_order),
             "pend": self._pend.copy(),
             "pend_has": self._pend_has.copy(),
-            "pend_order": list(self._pend_order),
+            # the live order: the stamps it is read off are not kept
+            "pend_order": list(self._pend_indices()),
         }
 
     def restore(self, snap: dict) -> None:
@@ -1604,9 +1838,11 @@ class ColumnSendSide(SendSide):
         crossing test in :mod:`repro.runtime.base`)."""
         owners, parts = self._owners, self._parts
         codes = out.codes
-        adds = np.bincount(owners.take(codes), minlength=parts).tolist()
-        arrived = _absent(self._has, _first_codes(codes, len(self._val))[0])
-        fresh = np.bincount(owners.take(arrived), minlength=parts).tolist()
+        targets = owners.take(codes)
+        adds = np.bincount(targets, minlength=parts).tolist()
+        arrived = _arrivals(self._has, codes)
+        bound = owners.take(arrived)
+        fresh = np.bincount(bound, minlength=parts).tolist()
         filling = []
         for target, count in enumerate(adds):
             if count:
@@ -1616,20 +1852,21 @@ class ColumnSendSide(SendSide):
                 else:
                     buffer.add(count, fresh[target])
         if not filling:
-            self._fold(codes, out.vals, arrived)
+            self._fold(codes, out.vals, arrived, bound, fresh)
             return
         chosen = np.zeros(parts, dtype=bool)
         chosen[filling] = True
-        replayed = chosen.take(owners.take(codes))
+        replayed = chosen.take(targets)
         picked = replayed.nonzero()[0]
         if len(picked) < len(codes):
             rest = np.logical_not(replayed, out=replayed)
             # a key has one owner: the rest's new keys are the stream's
             # minus the filling targets'
+            kept = np.logical_not(chosen.take(bound))
+            for target in filling:
+                fresh[target] = 0
             self._fold(
-                codes[rest],
-                out.vals[rest],
-                arrived[~chosen.take(owners.take(arrived))],
+                codes[rest], out.vals[rest], arrived[kept], bound[kept], fresh
             )
         yield from self._replay(
             buffers, codes[picked], out.vals[picked], offsets[picked]
@@ -1672,21 +1909,25 @@ class ColumnSendSide(SendSide):
         if not isinstance(out, Columns):
             out = _pair_columns(self._index, out)
         if len(out):
-            uniq, _ = _first_codes(out.codes, len(self._val))
-            self._fold(out.codes, out.vals, _absent(self._has, uniq))
+            arrived = _arrivals(self._has, out.codes)
+            bound = self._owners.take(arrived)
+            self._fold(
+                out.codes, out.vals, arrived, bound,
+                np.bincount(bound, minlength=self._parts).tolist(),
+            )
 
-    def _fold(self, codes: Any, vals: Any, arrived: Any) -> None:
+    def _fold(
+        self, codes: Any, vals: Any, arrived: Any, bound: Any, counts: list
+    ) -> None:
         """Fold a stream; ``arrived`` is its keys not held yet, in
-        first-occurrence order."""
+        first-occurrence order, ``bound`` their targets and ``counts``
+        how many each target gets."""
         _fold_stream(self._mode, self._val, self._has, codes, vals, arrived)
         # hand the new keys to their targets' orders: a stable sort by
         # target keeps first-occurrence order inside each
-        bound = self._owners.take(arrived)
-        arrived = arrived.take(np.argsort(bound, kind="stable")).tolist()
+        arrived = arrived.take(bound.argsort(kind="stable")).tolist()
         start = 0
-        for target, count in enumerate(
-            np.bincount(bound, minlength=self._parts).tolist()
-        ):
+        for target, count in enumerate(counts):
             if count:
                 self._order[target].extend(arrived[start:start + count])
                 start += count
@@ -1699,7 +1940,7 @@ class ColumnSendSide(SendSide):
 
     def peek(self, target: int) -> Columns:
         codes = np.array(self._order[target], dtype=np.int64)
-        return Columns(codes, self._val[codes])
+        return Columns(codes, self._val.take(codes))
 
     def put(self, target: int, payload: Columns) -> None:
         self.take(target)

@@ -115,8 +115,9 @@ class TestStopClock:
 
 class TestPerEventCost:
     """The per-layer benchmark metrics, as a tier-1 guard: on the array
-    kernel the unified engine pays per process event, so a reintroduced
-    per-edge or per-tuple loop fails here and not only in a traced run."""
+    kernel the unified engine pays per lookahead window and per process
+    event, so a reintroduced per-edge, per-tuple or per-shard kernel call
+    fails here and not only in a traced run."""
 
     def test_calls_scale_with_events_not_edges(self, monkeypatch):
         pytest.importorskip("numpy")
@@ -124,10 +125,10 @@ class TestPerEventCost:
         from repro.runtime.numpy_kernel import ColumnSendSide, NumpyKernel
 
         calls = dict.fromkeys(
-            ("push", "batches", "selects", "adds", "flushes", "replayed",
-             "ingests", "ingested_payloads", "deliveries"), 0
+            ("push", "push_many", "ingested_payloads", "batches", "selects",
+             "windows", "members", "adds", "flushes", "replayed",
+             "deliveries"), 0
         )
-        inside_batch = [False]
 
         def counting(cls, name, key):
             original = getattr(cls, name)
@@ -140,31 +141,34 @@ class TestPerEventCost:
 
         counting(NumpyKernel, "push", "push")
         counting(NumpyKernel, "select_pending", "selects")
+        counting(NumpyKernel, "apply_batch", "batches")
         counting(FixedBuffer, "add", "adds")
         counting(FixedBuffer, "flush", "flushes")
 
-        apply_batch, push_many = NumpyKernel.apply_batch, NumpyKernel.push_many
+        window_local, push_many = NumpyKernel.window_local, NumpyKernel.push_many
         replay = ColumnSendSide._replay
+        ran = []  # per window: the process events that ran a batch
 
-        def flagging_apply_batch(self, *args, **kwargs):
-            calls["batches"] += 1
-            inside_batch[0] = True
-            try:
-                return apply_batch(self, *args, **kwargs)
-            finally:
-                inside_batch[0] = False
+        def counting_window_local(cls, shards, inboxes, limits, *args):
+            calls["windows"] += 1
+            calls["members"] += len(inboxes)
+            calls["ingested_payloads"] += sum(map(len, inboxes.values()))
+            outcomes = window_local(shards, inboxes, limits, *args)
+            ran.append(sum(1 for o in outcomes.values() if o and o[0]))
+            return outcomes
 
         def counting_push_many(self, *batches):
-            if not inside_batch[0]:
-                calls["ingests"] += 1
-                calls["ingested_payloads"] += len(batches)
+            calls["push_many"] += 1
+            calls["ingested_payloads"] += len(batches)
             return push_many(self, *batches)
 
         def counting_replay(self, buffers, codes, vals, offsets):
             calls["replayed"] += len(codes)
             return replay(self, buffers, codes, vals, offsets)
 
-        monkeypatch.setattr(NumpyKernel, "apply_batch", flagging_apply_batch)
+        monkeypatch.setattr(
+            NumpyKernel, "window_local", classmethod(counting_window_local)
+        )
         monkeypatch.setattr(NumpyKernel, "push_many", counting_push_many)
         monkeypatch.setattr(ColumnSendSide, "_replay", counting_replay)
 
@@ -179,21 +183,21 @@ class TestPerEventCost:
         ).run()
         counters = result.counters
         assert result.backend == "numpy" and result.stop_reason == "epsilon"
+        batches = sum(ran)
         # the work is there: a few hundred F' applications per event
-        assert counters.fprime_applications > 100 * calls["batches"] > 0
-
-        # no per-tuple delivery: seeding is push_many too, so never a push
-        assert calls["push"] == 0
+        assert counters.fprime_applications > 100 * batches > 0
+        # no per-shard kernel call: a window's ingest, selections and
+        # rounds are one pass; seeding is one cluster ingest and the end
+        # of the run drains at most one inbox per worker
+        assert calls["push"] == calls["selects"] == calls["batches"] == 0
+        assert calls["push_many"] <= workers
+        # windows hold several workers' events
+        assert calls["windows"] < batches < calls["members"]
         # one add per (event, target), plus the contributions of targets
         # whose buffer filled mid-batch, replayed one at a time
         assert calls["replayed"] > 0
-        assert calls["adds"] <= calls["batches"] * (workers - 1) + calls["replayed"]
+        assert calls["adds"] <= batches * (workers - 1) + calls["replayed"]
         assert calls["adds"] * 10 < counters.fprime_applications
         assert calls["flushes"] == counters.messages == calls["deliveries"]
-        # one ingest per process event that had deliveries (seeding is
-        # one cluster ingest, no push_many; the end of the run: at most
-        # one per worker), each taking everything received since the last
-        ingests = calls["ingests"]
-        assert 0 < ingests <= calls["selects"] + workers
+        # every delivered payload is ingested exactly once
         assert calls["ingested_payloads"] == calls["deliveries"]
-        assert ingests < calls["deliveries"]

@@ -499,11 +499,13 @@ class TestSendSide:
 
 def _counting_engine(monkeypatch, kernel_cls):
     """A UnifiedEngine that tallies delivered tuples, a tally of the
-    tuples ``push_many`` ingested outside ``apply_batch`` and the seeding
-    (nothing but inbox drains), and one of the tuples the seeding's
-    ``cluster_ingest`` took."""
+    tuples ingested outside ``apply_batch`` and the seeding -- by
+    ``push_many`` or as a lookahead window's inboxes: nothing but inbox
+    drains -- and one of the tuples the seeding's ``cluster_ingest``
+    took."""
     tally = SimpleNamespace(
-        delivered=0, ingested=0, seeded=0, inside=False, seeding=False
+        delivered=0, ingested=0, seeded=0, inside=False, seeding=False,
+        windowed=False,
     )
 
     class Engine(UnifiedEngine):
@@ -512,11 +514,23 @@ def _counting_engine(monkeypatch, kernel_cls):
 
     push_many = kernel_cls.push_many
     cluster_ingest = kernel_cls.cluster_ingest
+    window_local = kernel_cls.window_local
 
     def counting_push_many(self, *batches):
-        if not (tally.inside or tally.seeding):
+        if not (tally.inside or tally.seeding or tally.windowed):
             tally.ingested += sum(len(batch) for batch in batches)
         return push_many(self, *batches)
+
+    def counting_window_local(cls, shards, inboxes, *args):
+        # what it ingests is counted here, not by a push_many inside
+        tally.ingested += sum(
+            len(batch) for inbox in inboxes.values() for batch in inbox
+        )
+        tally.windowed = True
+        try:
+            return window_local(shards, inboxes, *args)
+        finally:
+            tally.windowed = False
 
     def counting_cluster_ingest(cls, shards, inboxes):
         if tally.seeding:
@@ -538,6 +552,9 @@ def _counting_engine(monkeypatch, kernel_cls):
     monkeypatch.setattr(kernel_cls, "push_many", counting_push_many)
     monkeypatch.setattr(
         kernel_cls, "cluster_ingest", classmethod(counting_cluster_ingest)
+    )
+    monkeypatch.setattr(
+        kernel_cls, "window_local", classmethod(counting_window_local)
     )
     flagging(kernel_cls, "apply_batch", "inside")
     flagging(ShardedRun, "seed_initial_delta", "seeding")
