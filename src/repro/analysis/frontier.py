@@ -1,26 +1,28 @@
-"""Sparse-frontier applicability classification: RA330/RA331.
+"""Delta-stepping applicability classification: RA330/RA331.
 
-The array kernel (:mod:`repro.runtime.numpy_kernel`) has two
-scheduling modes and this pass derives, statically, which one a program
-may use:
+``SyncEngine(delta_stepping=True)`` is a scheduling policy over the
+pending frontier: each superstep takes only the pending deltas within
+``Δ`` of the smallest (Meyer--Sanders, as SociaLite runs SSSP); every
+kernel serves it through ``pending_min``/``take_pending_below``.  This
+pass derives, statically, whether a program may run under it:
 
 * ``delta-stepping`` (RA330): selective, idempotent aggregates
   (min/max) whose every recursive body passed the Theorem-1 structural
-  pre-screen.  Bucketed (Meyer--Sanders style) value scheduling is
-  exact for these programs because the fold is order-insensitive and
-  idempotent: a pending value parked in a later bucket can only be
-  *improved* by work drained from earlier buckets, and re-relaxing a
-  key is harmless, so lazy bucket deletion never changes the fixpoint.
+  pre-screen.  Value-ordered scheduling is exact for these programs
+  because the fold is order-insensitive and idempotent: a pending value
+  left for a later superstep can only be *improved* by work drained
+  before it, and re-relaxing a key is harmless, so the order of the
+  takes never changes the fixpoint.
 
-* ``compaction-only`` (RA331): everything else.  Frontier compaction
-  (batching ``G ∘ F'`` over the packed pending set) is always exact --
-  it changes how the frontier is *stored*, not which contributions
-  fold -- but value-bucketed scheduling is not: additive aggregates
-  accumulate every contribution, so draining buckets out of arrival
-  order would observe partial sums, and non-monotone programs lack the
-  improvement invariant the bucket ordering rests on.  Requesting
-  delta-stepping for such a program is refused at the engine layer;
-  this diagnostic is the static warning ahead of that refusal.
+* ``compaction-only`` (RA331): everything else.  Draining the whole
+  frontier each round is always exact, but value-ordered scheduling is
+  not: additive aggregates accumulate every contribution, so draining
+  out of arrival order would observe partial sums, and non-monotone
+  programs lack the improvement invariant the value order rests on.
+  Requesting delta-stepping for such a program is refused at the engine
+  layer; this diagnostic is the static warning ahead of that refusal.
+
+The verdicts' detail strings are pinned by ``tests/golden``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ MODE_CODES = {
 
 @dataclass(frozen=True)
 class FrontierVerdict:
-    """Static verdict on the sparse backend's scheduling options."""
+    """Static verdict on delta-stepping applicability."""
 
     #: ``"delta-stepping"`` | ``"compaction-only"``
     mode: str

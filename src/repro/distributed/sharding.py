@@ -30,7 +30,6 @@ class ShardedRun:
         plan: CompiledPlan,
         cluster: ClusterConfig,
         backend: Optional[str] = None,
-        delta_step_width: Optional[float] = None,
     ):
         self.plan = plan
         self.cluster = cluster
@@ -44,8 +43,6 @@ class ShardedRun:
         self.kernel_cls = get_kernel(self.backend)
         #: ``owner`` in the form the kernel splits a round's output by
         self.owner_table = self.kernel_cls.owner_table(plan, self.owner)
-        #: bucket width announced to every kernel (sync delta-stepping)
-        self.delta_step_width = delta_step_width
 
         shard_keys: list[set] = [set() for _ in range(cluster.num_workers)]
         for key, worker in self.owner.items():
@@ -56,25 +53,15 @@ class ShardedRun:
         self.shards: list[Kernel] = self.kernel_cls.shards_from_plan(
             plan, shard_keys, self.counters
         )
-        for shard in self.shards:
-            self._announce_width(shard)
 
     def _make_shard(self, worker: int, initial: Optional[dict] = None) -> Kernel:
         """A fresh kernel for one worker's partition (``X⁰`` by default)."""
-        return self._announce_width(
-            self.kernel_cls.from_plan(
-                self.plan,
-                keys=self.shard_keys[worker],
-                counters=self.counters,
-                initial=initial,
-            )
+        return self.kernel_cls.from_plan(
+            self.plan,
+            keys=self.shard_keys[worker],
+            counters=self.counters,
+            initial=initial,
         )
-
-    def _announce_width(self, kernel: Kernel) -> Kernel:
-        """``kernel``, told the run's delta-stepping bucket width."""
-        if self.delta_step_width is not None:
-            kernel.enable_delta_stepping(self.delta_step_width)
-        return kernel
 
     def blank_shard(self, worker: int) -> Kernel:
         """An empty kernel for the partition (crash-recovery scratch state)."""

@@ -112,12 +112,7 @@ class SyncEngine:
         cluster = self.cluster
         cost = cluster.cost
         obs = self.obs
-        state = ShardedRun(
-            plan,
-            cluster,
-            backend=self.backend,
-            delta_step_width=self.delta_width if self.delta_stepping else None,
-        )
+        state = ShardedRun(plan, cluster, backend=self.backend)
         state.resume_or_seed(self.checkpointer, self.run_name, "sync", obs)
         counters = state.counters
         shards = state.shards

@@ -629,6 +629,9 @@ class Kernel:
         return batch
 
     # -- relational-path helpers ------------------------------------------------
+    # The naive and semi-naive evaluators fold Python tuples from the
+    # relational rule evaluator; every backend shares these loops, so
+    # their ``combines`` count is one definition.
     @classmethod
     def fold_contributions(
         cls,
@@ -637,7 +640,17 @@ class Kernel:
         counters: Optional[WorkCounters] = None,
     ) -> dict:
         """Group-and-fold ``(key, value)`` pairs with ``g`` in arrival order."""
-        raise NotImplementedError
+        combine = aggregate.combine
+        out: dict = {}
+        for key, value in contributions:
+            old = out.get(key)
+            if old is None:
+                out[key] = value
+            else:
+                out[key] = combine(old, value)
+                if counters is not None:
+                    counters.combines += 1
+        return out
 
     @classmethod
     def improve_contributions(
@@ -652,7 +665,29 @@ class Kernel:
         Returns ``key -> improved value`` for keys whose accumulated
         value would change; idempotent aggregates only.
         """
-        raise NotImplementedError
+        combine = aggregate.combine
+        changed: dict = {}
+        for key, value in contributions:
+            old = current.get(key)
+            if old is not None:
+                if counters is not None:
+                    counters.combines += 1
+                if combine(old, value) == old:
+                    continue  # idempotent aggregate: no improvement, prune
+            best = changed.get(key)
+            if best is None:
+                if old is None:
+                    improved = value
+                else:
+                    improved = combine(old, value)
+                    if counters is not None:
+                        counters.combines += 1
+            else:
+                improved = combine(best, value)
+                if counters is not None:
+                    counters.combines += 1
+            changed[key] = improved
+        return changed
 
     # -- inspection -------------------------------------------------------------
     def pending_keys(self) -> list:
@@ -664,25 +699,13 @@ class Kernel:
     def pending_count(self) -> int:
         return len(self.pending_keys())
 
-    def pending_magnitude(self) -> float:
-        raise NotImplementedError
-
     def pending_min(self) -> float:
-        """Smallest pending delta value (delta-stepping bucket base)."""
+        """Smallest pending delta value (the base of a delta-stepping threshold)."""
         raise NotImplementedError
 
     def take_pending_below(self, threshold: float) -> dict:
         """Remove and return pending entries with value <= threshold."""
         raise NotImplementedError
-
-    def enable_delta_stepping(self, width: float) -> None:
-        """Hint that the engine will drive bucketed delta-stepping.
-
-        Engines running in ``delta_stepping`` mode call this once per
-        kernel so backends that keep bucket structures (the array
-        kernel) can size them; the default is a no-op because the
-        contract methods above already express the protocol.
-        """
 
     def result(self) -> dict:
         raise NotImplementedError
@@ -698,13 +721,6 @@ class Kernel:
 
     def restore(self, snap: dict) -> None:
         raise NotImplementedError
-
-    def merge(self, other: "Kernel") -> None:
-        """Fold another kernel's state into this one with ``g``."""
-        for key, value in other.result().items():
-            self.accumulate(key, value)
-        for key, value in other.drain_all().items():
-            self.push(key, value)
 
     def __len__(self) -> int:
         return len(self.result())

@@ -1,7 +1,7 @@
 """The array kernel: float64 columns, CSR edges, a compacted frontier.
 
 One vectorised backend serves dense-frontier programs (pagerank, katz)
-and sparse-frontier ones (sssp, cc) alike.  Three mechanisms keep its
+and sparse-frontier ones (sssp, cc) alike.  Two mechanisms keep its
 cost proportional to the *frontier* where the frontier is small and to
 C-speed array scans where it is not:
 
@@ -12,13 +12,7 @@ C-speed array scans where it is not:
   covers more than ``1 / _DENSE_DIVISOR`` of the keys, an ``O(n)`` mask
   scan / scratch scatter beats list compaction and the sort inside
   ``np.unique``, so the round switches to it.  Both sides compute the
-  same index set in the same ascending order;
-* **value buckets** -- when an engine announces
-  ``enable_delta_stepping(width)`` (sync engine in ``delta_stepping``
-  mode), pending entries are additionally indexed into Meyer--Sanders
-  value buckets ``floor(value / width)`` with lazy deletion, so
-  ``pending_min`` and ``take_pending_below`` inspect only the candidate
-  buckets instead of the whole frontier.
+  same index set in the same ascending order.
 
 The kernel holds numeric carriers whose ``⊕`` is a float64 ``min``,
 ``max`` or ``sum`` fold (:meth:`NumpyKernel.supports_plan`); every other
@@ -42,16 +36,10 @@ Exactness argument (why this backend is *bit-identical* to
   unique destinations) equals the ascending ``np.nonzero`` order;
 * insertion orders observable through the MonoTable protocol (the
   ``accumulated``/``intermediate`` dicts, ``global_accumulation``'s sum
-  order, async batch selection, bucket takes) are tracked explicitly:
-  every no-entry -> entry transition is stamped with an arrival
-  sequence number, and bucket takes collect candidates from the value
-  buckets but *return them sorted by that sequence* -- exactly the dict
-  insertion order the reference kernel yields.  Value buckets use lazy
-  deletion: a combine that moves an entry appends it to its new bucket
-  and the stale occurrence is skipped (``floor(value/width)`` no longer
-  matches); every live value therefore always has an entry in its
-  current bucket, which is the invariant both ``pending_min`` and the
-  take rely on;
+  order, async batch selection, delta-stepping takes) are tracked
+  explicitly: every no-entry -> entry transition is stamped with an
+  arrival sequence number, and the live pending indices sorted by it
+  are exactly the dict insertion order the reference kernel yields;
 * batch ingest (:meth:`NumpyKernel.push_many`: the BSP exchange, an
   asynchronous worker's inbox), the send side and the fused ``ΔX¹`` fold
   *streams*: the tuples in the order the reference would push them.
@@ -125,10 +113,6 @@ from repro.runtime.base import (
 from repro.runtime.compat import HAVE_NUMPY, NUMPY_INSTALL_HINT, np
 from repro.runtime.csr import plan_csr
 
-#: bucket id used for non-finite pending values (never taken by a
-#: finite threshold; floor() would raise on them)
-_FAR_BUCKET = 2**62
-
 #: frontier fraction above which the O(n) dense round paths win; below
 #: it the compacted O(frontier) paths are used (see _frontier_round)
 _DENSE_DIVISOR = 4
@@ -197,17 +181,12 @@ def _rank_codes(codes: Any, size: int) -> tuple:
     return first, slot.take(codes)
 
 
-def _absent(has: Any, codes: Any) -> Any:
-    """The ``codes`` whose ``has`` entry is unset, in order."""
-    held = has.take(codes)
-    return codes[np.logical_not(held, out=held)]
-
-
 def _arrivals(has: Any, codes: Any) -> Any:
     """The distinct ``codes`` whose ``has`` entry is unset, in
-    first-occurrence order: ``_absent(has, _first_codes(codes))``, with
-    no first-occurrence pass when every code is held."""
-    absent = _absent(has, codes)
+    first-occurrence order, with no first-occurrence pass when every
+    code is held."""
+    held = has.take(codes)
+    absent = codes[np.logical_not(held, out=held)]
     return _first_codes(absent, len(has))[0] if len(absent) else absent
 
 
@@ -232,23 +211,15 @@ def _ingest(
     codes: Any,
     vals: Any,
     counters: WorkCounters,
-    bucketed: bool,
-) -> tuple:
+) -> Any:
     """Fold the stream ``(codes, vals)`` into the pending columns as one
     ``push`` per tuple would.  Returns the stream's keys that were not
-    pending, in first-occurrence order, and -- ``bucketed`` only -- the
-    pending ones whose value moved (else None)."""
-    if bucketed:
-        uniq = _first_codes(codes, len(pend))[0]
-        held = uniq[pend_has[uniq]]
-        old = pend[held]
-        fresh = _absent(pend_has, uniq)
-    else:
-        fresh = _arrivals(pend_has, codes)
+    pending, in first-occurrence order."""
+    fresh = _arrivals(pend_has, codes)
     _fold_stream(mode, pend, pend_has, codes, vals, fresh)
     # every tuple but a key's first onto an empty entry is a combine
     counters.combines += len(codes) - len(fresh)
-    return fresh, held[pend[held] != old] if bucketed else None
+    return fresh
 
 
 def _merge(mode: str, has: Any, old: Any, tmp: Any) -> tuple:
@@ -512,28 +483,20 @@ def _drain_stack(stack: _ShardStack, shards: list) -> tuple:
     return flat, stack.flat("_pend").take(flat)
 
 
-def _push_rows(
-    shards: list, stack: _ShardStack, codes: Any, vals: Any, bucketed: bool
-) -> None:
+def _push_rows(shards: list, stack: _ShardStack, codes: Any, vals: Any) -> None:
     """Fold the stream ``(codes, vals)`` -- stack indices grouped by row,
     rows ascending, each row's tuples in push order -- into the pending
-    columns, as one ``push`` per tuple on each row's kernel would
-    (``bucketed``: some shard keeps delta-stepping buckets)."""
+    columns, as one ``push`` per tuple on each row's kernel would."""
     n = stack.n
     first = shards[0]
-    fresh, moved = _ingest(
+    fresh = _ingest(
         first._mode,
         stack.flat("_pend"),
         stack.flat("_pend_has"),
         codes,
         vals,
         first.counters,
-        bucketed,
     )
-    if moved is not None:
-        for row, held in _rows_of(moved, n, len(shards)):
-            if shards[row]._bucket_width is not None:
-                shards[row]._rebucket(held)
     if not len(fresh):
         return
     # each row's fresh keys, numbered from its own sequence counter
@@ -871,9 +834,6 @@ class NumpyKernel(Kernel):
         #: number of live pending entries (the compacted frontier size)
         self._pend_live = 0
         self._seq_next = 0
-        #: delta-stepping state; None until an engine enables bucketing
-        self._bucket_width: Optional[float] = None
-        self._buckets: dict[int, list[int]] = {}
         #: the cluster stack whose row ``_row`` the columns are, if any
         self._stack: Optional[_ShardStack] = None
         self._row = 0
@@ -999,16 +959,14 @@ class NumpyKernel(Kernel):
         return rebuilt
 
     def _clear_pending(self) -> None:
-        """Forget the frontier's order, count and buckets (not the mask)."""
+        """Forget the frontier's order and count (not the mask)."""
         self._pend_order = []
         self._pend_live = 0
-        if self._buckets:
-            self._buckets.clear()
 
     def _stamp_arrivals(self, arrival: Any) -> None:
         """Append ``arrival`` (index array of no-entry -> entry
         transitions, values already written) to the frontier: order,
-        live count, sequence numbers and buckets."""
+        live count and sequence numbers."""
         self._seq[arrival] = np.arange(
             self._seq_next, self._seq_next + len(arrival), dtype=np.int64
         )
@@ -1016,14 +974,10 @@ class NumpyKernel(Kernel):
 
     def _enlist(self, arrived: list) -> None:
         """:meth:`_stamp_arrivals` once the sequence numbers are stamped:
-        the order, live count, next sequence number and buckets."""
+        the order, live count and next sequence number."""
         self._pend_order.extend(arrived)
         self._pend_live += len(arrived)
         self._seq_next += len(arrived)
-        if self._bucket_width is not None:
-            pend = self._pend
-            for i in arrived:
-                self._bucket_put(i, float(pend[i]))
 
     @property
     def intermediate(self) -> dict:
@@ -1043,12 +997,8 @@ class NumpyKernel(Kernel):
 
     def _push_idx(self, i: int, value: float) -> None:
         if self._pend_has[i]:
-            old = float(self._pend[i])
-            new = self.aggregate.combine(old, value)
+            self._pend[i] = self.aggregate.combine(float(self._pend[i]), value)
             self.counters.combines += 1
-            self._pend[i] = new
-            if self._bucket_width is not None and new != old:
-                self._bucket_put(i, new)
         else:
             self._pend[i] = value
             self._pend_has[i] = True
@@ -1056,16 +1006,14 @@ class NumpyKernel(Kernel):
             self._pend_live += 1
             self._seq[i] = self._seq_next
             self._seq_next += 1
-            if self._bucket_width is not None:
-                self._bucket_put(i, value)
 
     def push_many(self, *batches: Any) -> None:
         """One fold of the concatenated batches into the pending column.
 
         Bit-identical to one ``push`` per tuple from any pending state:
         an existing entry heads its key's tuples in the fold (see the
-        module docstring), fresh keys are stamped in first-occurrence
-        order, and an entry whose value moved is re-bucketed.
+        module docstring) and fresh keys are stamped in first-occurrence
+        order.
         """
         columns = [
             batch
@@ -1077,18 +1025,9 @@ class NumpyKernel(Kernel):
         vals = np.concatenate([column.vals for column in columns])
         if not len(codes):
             return
-        fresh, moved = _ingest(
-            self._mode, self._pend, self._pend_has, codes, vals,
-            self.counters, self._bucket_width is not None,
+        self._stamp_arrivals(
+            _ingest(self._mode, self._pend, self._pend_has, codes, vals, self.counters)
         )
-        if moved is not None:
-            self._rebucket(moved)
-        self._stamp_arrivals(fresh)
-
-    def _rebucket(self, moved: Any) -> None:
-        """Re-bucket the pending entries ``moved`` at their new values."""
-        for i, value in zip(moved.tolist(), self._pend[moved].tolist()):
-            self._bucket_put(i, value)
 
     def fetch_and_reset(self, key: Any) -> Any:
         i = self._index[key]
@@ -1292,10 +1231,7 @@ class NumpyKernel(Kernel):
                 np.concatenate([batch.vals for batch in batches]),
             )
         codes = stream.codes + np.repeat(np.arange(0, len(shards) * n, n), sizes)
-        _push_rows(
-            shards, stack, codes, stream.vals,
-            any(shard._bucket_width is not None for shard in shards),
-        )
+        _push_rows(shards, stack, codes, stream.vals)
 
     @classmethod
     def send_side(cls, plan: Any, owners: Any, parts: int) -> SendSide:
@@ -1422,7 +1358,6 @@ class NumpyKernel(Kernel):
         stack.delivery = None
         n = stack.n
         members = sorted(inboxes)
-        bucketed = any(shard._bucket_width is not None for shard in shards)
         # every member's inbox as one stream, members ascending
         index = shards[0]._index
         codes_in: list = []
@@ -1443,7 +1378,7 @@ class NumpyKernel(Kernel):
         if codes_in:
             codes = np.concatenate(codes_in)
             codes += np.array(rows_in, dtype=np.int64).repeat(sizes_in)
-            _push_rows(shards, stack, codes, np.concatenate(vals_in), bucketed)
+            _push_rows(shards, stack, codes, np.concatenate(vals_in))
         outcomes: dict = dict.fromkeys(members)
         active = [w for w in members if shards[w]._pend_live]
         if not active:
@@ -1510,7 +1445,7 @@ class NumpyKernel(Kernel):
                 for row, fresh_codes in _rows_of(fresh, n, len(shards)):
                     shards[row]._acc_order.extend(fresh_codes.tolist())
             if near is not None:
-                _push_rows(shards, stack, *near, bucketed)
+                _push_rows(shards, stack, *near)
         for worker, count in zip(active, taken):
             outcomes[worker] = (count, next(results) if count else BatchResult())
         return outcomes
@@ -1602,56 +1537,6 @@ class NumpyKernel(Kernel):
         keep = inside[csr.edst[eids]]
         return Columns(*csr.apply_edges(eids[keep], x_per_edge[keep]))
 
-    # -- relational-path helpers ------------------------------------------------
-    @classmethod
-    def fold_contributions(
-        cls,
-        aggregate: Any,
-        contributions: list,
-        counters: Optional[WorkCounters] = None,
-    ) -> dict:
-        _require_numpy()
-        index: dict = {}
-        codes: list[int] = []
-        raw_vals: list[float] = []
-        for key, value in contributions:
-            codes.append(index.setdefault(key, len(index)))
-            raw_vals.append(value)
-        if not index:
-            return {}
-        folded = _fold_codes(
-            aggregate.fold_mode,
-            np.asarray(codes, dtype=np.int64),
-            np.asarray(raw_vals, dtype=np.float64),
-            len(index),
-        )
-        if counters is not None:
-            counters.combines += len(contributions) - len(index)
-        return dict(zip(index, folded.tolist()))
-
-    @classmethod
-    def improve_contributions(
-        cls,
-        aggregate: Any,
-        current: dict,
-        contributions: list,
-        counters: Optional[WorkCounters] = None,
-    ) -> dict:
-        best = cls.fold_contributions(aggregate, contributions, counters)
-        combine = aggregate.combine
-        changed: dict = {}
-        for key, value in best.items():
-            old = current.get(key)
-            if old is None:
-                changed[key] = value
-                continue
-            if counters is not None:
-                counters.combines += 1
-            improved = combine(old, value)
-            if improved != old:
-                changed[key] = improved
-        return changed
-
     # -- inspection over the compacted frontier ---------------------------------
     def pending_keys(self) -> list:
         keys = self._keys
@@ -1663,24 +1548,13 @@ class NumpyKernel(Kernel):
     def pending_count(self) -> int:
         return self._pend_live
 
-    def pending_magnitude(self) -> float:
-        delta_magnitude = self.aggregate.delta_magnitude
-        pend = self._pend
-        return sum(
-            delta_magnitude(float(pend[i])) for i in self._pend_indices()
-        )
-
     def pending_min(self) -> float:
-        if self._bucket_width is not None:
-            return self._bucket_min()
         live = self._pend_indices()
         if not live:
             return math.inf
         return float(self._pend[live].min())
 
     def take_pending_below(self, threshold: float) -> dict:
-        if self._bucket_width is not None:
-            return self._take_bucketed(threshold)
         keys = self._keys
         pend = self._pend
         has = self._pend_has
@@ -1696,81 +1570,6 @@ class NumpyKernel(Kernel):
         self._pend_order = keep
         self._pend_live = len(keep)
         return take
-
-    # -- bucketed delta-stepping -------------------------------------------------
-    def enable_delta_stepping(self, width: float) -> None:
-        # value buckets would reorder a non-idempotent (sum) fold
-        if self._mode == "sum" or not width > 0:
-            return
-        self._bucket_width = float(width)
-        self._buckets = {}
-        pend = self._pend
-        for i in self._pend_indices():
-            self._bucket_put(i, float(pend[i]))
-
-    def _bucket_put(self, i: int, value: float) -> None:
-        bid = self._bucket_bid(value)
-        bucket = self._buckets.get(bid)
-        if bucket is None:
-            self._buckets[bid] = [i]
-        else:
-            bucket.append(i)
-
-    def _bucket_bid(self, value: float) -> int:
-        width = self._bucket_width
-        assert width is not None  # callers gate on bucketing being enabled
-        q = value / width
-        if -math.inf < q < math.inf:
-            return math.floor(q)
-        return _FAR_BUCKET if not q < 0 else -_FAR_BUCKET
-
-    def _bucket_min(self) -> float:
-        has = self._pend_has
-        pend = self._pend
-        buckets = self._buckets
-        while buckets:
-            bid = min(buckets)
-            best = math.inf
-            fresh: list[int] = []
-            for i in buckets[bid]:
-                # lazy deletion: skip consumed or re-bucketed entries
-                if not has[i] or self._bucket_bid(float(pend[i])) != bid:
-                    continue
-                fresh.append(i)
-                value = float(pend[i])
-                if value < best:
-                    best = value
-            if fresh:
-                buckets[bid] = fresh
-                return best
-            del buckets[bid]
-        return math.inf
-
-    def _take_bucketed(self, threshold: float) -> dict:
-        cap = self._bucket_bid(threshold)
-        has = self._pend_has
-        pend = self._pend
-        buckets = self._buckets
-        taken: list[int] = []
-        for bid in sorted(b for b in buckets if b <= cap):
-            keep: list[int] = []
-            for i in buckets.pop(bid):
-                if not has[i]:
-                    continue  # consumed, or a duplicate already taken
-                value = float(pend[i])
-                if value <= threshold:
-                    has[i] = False
-                    taken.append(i)
-                elif self._bucket_bid(value) == bid:
-                    keep.append(i)
-            if keep:
-                buckets[bid] = keep
-        # dict insertion order == arrival order, like the reference take
-        taken.sort(key=self._seq.__getitem__)
-        keys = self._keys
-        out = {keys[i]: float(pend[i]) for i in taken}
-        self._pend_live -= len(taken)
-        return out
 
     def result(self) -> dict:
         return self.accumulated
@@ -1804,7 +1603,7 @@ class NumpyKernel(Kernel):
         self._pend_has[:] = snap["pend_has"]
         self._pend_order = list(snap["pend_order"])
         self._pend_live = int(self._pend_has.sum())
-        # re-stamp arrivals and re-index buckets in dict-equivalent order
+        # re-stamp arrivals in dict-equivalent order
         live = np.asarray(self._pend_indices(), dtype=np.int64)
         self._clear_pending()
         self._seq_next = 0

@@ -11,7 +11,7 @@ Semantics notes that the NumpyKernel mirrors bit-for-bit:
   pushes in the same order on every backend;
 * the ``accumulated`` and ``intermediate`` dicts keep insertion order,
   which is observable through ``global_accumulation`` (float sum order),
-  async batch selection and delta-stepping bucket takes.
+  async batch selection and delta-stepping takes.
 """
 
 from __future__ import annotations
@@ -215,58 +215,6 @@ class PythonKernel(Kernel):
                 triples.append((src, dst, fn(value, *params)))
         return triples
 
-    # -- relational-path helpers ------------------------------------------------
-    @classmethod
-    def fold_contributions(
-        cls,
-        aggregate: Any,
-        contributions: list,
-        counters: Optional[WorkCounters] = None,
-    ) -> dict:
-        combine = aggregate.combine
-        out: dict = {}
-        for key, value in contributions:
-            old = out.get(key)
-            if old is None:
-                out[key] = value
-            else:
-                out[key] = combine(old, value)
-                if counters is not None:
-                    counters.combines += 1
-        return out
-
-    @classmethod
-    def improve_contributions(
-        cls,
-        aggregate: Any,
-        current: dict,
-        contributions: list,
-        counters: Optional[WorkCounters] = None,
-    ) -> dict:
-        combine = aggregate.combine
-        changed: dict = {}
-        for key, value in contributions:
-            old = current.get(key)
-            if old is not None:
-                if counters is not None:
-                    counters.combines += 1
-                if combine(old, value) == old:
-                    continue  # idempotent aggregate: no improvement, prune
-            best = changed.get(key)
-            if best is None:
-                if old is None:
-                    improved = value
-                else:
-                    improved = combine(old, value)
-                    if counters is not None:
-                        counters.combines += 1
-            else:
-                improved = combine(best, value)
-                if counters is not None:
-                    counters.combines += 1
-            changed[key] = improved
-        return changed
-
     # -- inspection -------------------------------------------------------------
     def pending_keys(self) -> list:
         return list(self.intermediate)
@@ -276,11 +224,6 @@ class PythonKernel(Kernel):
 
     def pending_count(self) -> int:
         return len(self.intermediate)
-
-    def pending_magnitude(self) -> float:
-        return sum(
-            self.aggregate.delta_magnitude(v) for v in self.intermediate.values()
-        )
 
     def pending_min(self) -> float:
         return min(self.intermediate.values(), default=float("inf"))

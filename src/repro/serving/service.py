@@ -437,7 +437,7 @@ class ServingService:
         memo = self.profiles.get(key + ("repair",))
         if memo is not None:
             return memo
-        program, version, params, engine = key
+        program, version, *_ = key
         mode = self._incremental_mode(program)
         if mode == "none":
             return None

@@ -7,7 +7,7 @@ the compiled plan's only edge storage (and the adjacency view derived
 from them), the CSR packer producing *content-identical* structures to
 a per-edge walk of that view, the fused initial-delta path (values and dict
 insertion order), batch-push order equivalence against repeated scalar
-pushes, the delta-stepping bucket invariants and checkpoint
+pushes, delta-stepping's threshold takes and checkpoint
 round-trips -- plus the registry facts around the one class: the
 ``sparse`` alias and the degradation of carriers it refuses.
 """
@@ -510,8 +510,9 @@ class TestPushMany:
     @given(data=st.data())
     def test_any_pending_state_matches_repeated_push(self, data):
         """From any prior pending state -- entries pushed, some fetched
-        away again, buckets on or off -- ``push_many`` over batches with
-        repeated keys leaves what one python ``push`` per tuple leaves."""
+        away again -- ``push_many`` over batches with repeated keys leaves
+        what one python ``push`` per tuple leaves, and the pending
+        minimum and a threshold take agree with python's."""
         program = data.draw(st.sampled_from(INGEST_PROGRAMS))
         plan = plan_for(program)
         # few keys: repeats and already-pending hits in every example
@@ -521,14 +522,11 @@ class TestPushMany:
         prior = data.draw(pairs)
         fetched = data.draw(st.lists(st.sampled_from(keys), max_size=4))
         batches = data.draw(st.lists(pairs, min_size=1, max_size=3))
-        width = data.draw(st.none() | st.floats(min_value=0.5, max_value=9.0))
         threshold = data.draw(_delta_values)
 
         kernels = {}
         for backend in ("python", "numpy"):
             kernel = get_kernel(backend).from_plan(plan)
-            if width is not None and plan.aggregate.is_idempotent:
-                kernel.enable_delta_stepping(width)
             for key, value in prior:
                 kernel.push(key, value)
             for key in fetched:
@@ -632,7 +630,10 @@ class TestPushMany:
 
 
 class TestBuckets:
-    """Delta-stepping buckets agree with the scan-everything reference."""
+    """Delta-stepping drains one bucket -- the pending deltas at most
+    ``width`` above the smallest -- per step; ``pending_min`` and
+    ``take_pending_below`` give the same values in the same dict order
+    as the python reference, bucket by bucket."""
 
     @pytest.mark.parametrize("width", (0.5, 2.0, 7.0))
     @pytest.mark.parametrize("program", ("sssp", "cc"))
@@ -641,7 +642,6 @@ class TestBuckets:
         kernels = {}
         for backend in ("python", "numpy"):
             kernel = get_kernel(backend).from_plan(plan)
-            kernel.enable_delta_stepping(width)
             kernel.push_many(compute_initial_delta(plan).items())
             kernels[backend] = kernel
 
@@ -664,14 +664,6 @@ class TestBuckets:
             assert rounds < 10_000
         assert not kernels["numpy"].has_pending()
         assert kernels["numpy"].result() == kernels["python"].result()
-
-    def test_reenabling_buckets_reindexes_pending(self):
-        plan = plan_for("sssp")
-        kernel = get_kernel("numpy").from_plan(plan)
-        kernel.push_many(compute_initial_delta(plan).items())
-        before_min = kernel.pending_min()
-        kernel.enable_delta_stepping(1.5)
-        assert kernel.pending_min() == before_min
 
 
 class TestCheckpointRoundtrip:
@@ -702,16 +694,14 @@ class TestCheckpointRoundtrip:
             assert original.accumulated == restored.accumulated
             assert original.intermediate == restored.intermediate
 
-    def test_restore_rebuilds_frontier_count_order_and_buckets(self, plan):
-        """snapshot/restore with bucketing on: the restored kernel drains
-        exactly like the one it was copied from."""
+    def test_restore_rebuilds_frontier_count_and_order(self, plan):
+        """snapshot/restore: the restored kernel drains exactly like the
+        one it was copied from."""
         kernel_cls = get_kernel("numpy")
         kernel = kernel_cls.from_plan(plan)
-        kernel.enable_delta_stepping(2.0)
         kernel.push_many(compute_initial_delta(plan).items())
         kernel.fetch_and_reset(next(iter(kernel.intermediate)))  # a stale entry
         restored = kernel_cls.from_plan(plan, initial={})
-        restored.enable_delta_stepping(2.0)
         restored.restore(kernel.snapshot())
         assert restored.pending_count() == kernel.pending_count()
         assert restored.pending_min() == kernel.pending_min()

@@ -6,7 +6,7 @@ class's loop (``Kernel.cluster_round``/``cluster_ingest`` driving the
 array kernel's own per-shard methods) on twin clusters built and driven
 alike.  Compared: every worker's ``changed``/``ops``/``magnitude`` bits,
 every payload in order by ``float.hex``, each shard's columns and hidden
-order state (``_acc_order``, raw ``_pend_order``, ``_seq``, buckets), the
+order state (``_acc_order``, raw ``_pend_order``, ``_seq``), the
 work counters, and the deltas a delta-stepping superstep takes.  The
 last class drives the base-class path alone -- the python kernel, no
 numpy -- to the single-node fixpoint.
@@ -38,7 +38,7 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not insta
 ARRAY_PROGRAMS = tuple(
     name for name in sorted(PROGRAMS) if NumpyKernel.supports_plan(PROGRAMS[name].analysis())
 )
-#: the ones whose RA330 verdict admits bucketed delta-stepping
+#: the ones whose RA330 verdict admits delta-stepping
 DELTA_STEPPING = tuple(
     name for name in ARRAY_PROGRAMS
     if classify_frontier(PROGRAMS[name].analysis()).delta_stepping
@@ -73,7 +73,6 @@ def _shard_state(shard) -> dict:
         "pend_live": shard._pend_live,
         "seq": shard._seq.tolist(),
         "seq_next": shard._seq_next,
-        "buckets": {bid: list(bucket) for bid, bucket in shard._buckets.items()},
     }
 
 
@@ -102,10 +101,7 @@ class Twins:
         self.workers = workers
         self.width = width
         self.runs = [
-            ShardedRun(
-                plan, ClusterConfig(num_workers=workers), backend="numpy",
-                delta_step_width=width,
-            )
+            ShardedRun(plan, ClusterConfig(num_workers=workers), backend="numpy")
             for _ in range(2)
         ]
         for run in self.runs:

@@ -21,7 +21,8 @@ from repro.distributed.async_engine import AsyncEngine
 from repro.distributed.chaos_harness import default_graph, schedule_for
 from repro.distributed.cluster import ClusterConfig
 from repro.distributed.sync_engine import SyncEngine
-from repro.engine import MRAEvaluator
+from repro.aggregates import AggregateKind
+from repro.engine import MRAEvaluator, NaiveEvaluator, SemiNaiveEvaluator
 from repro.graphs import random_dag, rmat
 from repro.programs import PROGRAMS
 from repro.runtime import HAVE_NUMPY, available_backends, get_kernel
@@ -40,7 +41,7 @@ BACKENDS = [b for b in available_backends() if b != "python"]
 DISTRIBUTED_PROGRAMS = ("sssp", "cc", "pagerank", "katz", "viterbi", "dag_paths")
 
 #: selective-aggregate programs run under sync delta-stepping too (the
-#: array kernel's bucket structure must not change a single bit)
+#: array kernel's threshold takes must not change a single bit)
 DELTA_STEP_PROGRAMS = ("sssp", "cc", "viterbi")
 
 
@@ -64,6 +65,41 @@ def test_mra_fixpoint_identical(program, backend):
     other_result = MRAEvaluator(spec.plan(graph), backend=backend).run()
     _assert_identical(python_result, other_result, backend, clock=False)
     assert python_result.counters.iterations == other_result.counters.iterations
+
+
+#: the relational evaluators on every program the array kernel holds;
+#: semi-naive only where it is correct (selective aggregates)
+RELATIONAL_CASES = [
+    (evaluator, program)
+    for program in ALL_PROGRAMS
+    if get_kernel("numpy").supports_plan(PROGRAMS[program].analysis())
+    for evaluator in (NaiveEvaluator, SemiNaiveEvaluator)
+    if evaluator is NaiveEvaluator
+    or PROGRAMS[program].analysis().aggregate.kind is AggregateKind.SELECTIVE
+] if HAVE_NUMPY else []
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "evaluator, program", RELATIONAL_CASES,
+    ids=[f"{evaluator.engine_name}-{program}" for evaluator, program in RELATIONAL_CASES],
+)
+def test_relational_evaluators_identical(evaluator, program, backend):
+    """The naive and semi-naive folds (``fold_contributions``,
+    ``improve_contributions``) give the same value bits, value types and
+    ``WorkCounters`` on every backend."""
+    spec = PROGRAMS[program]
+    graph = default_graph(program, seed=7)
+
+    def run(name):
+        result = evaluator(spec.analysis(), spec.build_database(graph), backend=name).run()
+        values = {
+            key: (type(value).__name__, float(value).hex())
+            for key, value in result.values.items()
+        }
+        return values, result.counters.snapshot(), result.stop_reason
+
+    assert run(backend) == run("python")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -397,7 +433,7 @@ def test_property_random_graphs_distributed(program, num_vertices, seed, workers
     width=st.floats(min_value=0.5, max_value=40.0),
 )
 def test_property_delta_stepping_buckets(program, num_vertices, seed, width, backend):
-    """Bucketed takes agree with the reference for arbitrary widths."""
+    """Threshold takes agree with the reference for arbitrary widths."""
     graph = rmat(num_vertices, num_vertices * 3, seed=seed, name="hyp-bucket")
     spec = PROGRAMS[program]
     cluster = ClusterConfig(num_workers=3)

@@ -184,15 +184,15 @@ class TestIncrementalCodes:
 class TestFrontierCodes:
     """RA33x sparse-frontier scheduling verdicts per registry program.
 
-    The sparse backend's bucketed delta-stepping is only offered where
-    the RA330 verdict holds; everything else runs frontier compaction
-    without value buckets.  The mapping is a contract with the engine
-    layer's refusal path, so it is pinned here.
+    ``SyncEngine(delta_stepping=True)`` is only accepted where the RA330
+    verdict holds; everything else runs frontier compaction alone.  The
+    mapping is a contract with the engine layer's refusal path, so it is
+    pinned here.
     """
 
-    #: selective idempotent fixpoints over numeric carriers: value
-    #: buckets are exact (kpaths is selective but its KTuple carrier
-    #: cannot key float buckets, so it stays compaction-only)
+    #: selective idempotent fixpoints over numeric carriers: a value
+    #: threshold is exact (kpaths is selective but its KTuple carrier
+    #: has no float order to threshold, so it stays compaction-only)
     DELTA_STEPPING = {"sssp", "cc", "viterbi", "lca", "apsp", "why_reach", "reach_prob"}
 
     def verdict_of(self, capsys, name):

@@ -20,6 +20,7 @@ from lint_invariants import (  # noqa: E402
     check_kernel_contract,
     check_run_epilogue,
     check_unused_imports,
+    check_unused_locals,
     main,
 )
 
@@ -262,6 +263,54 @@ class TestRunEpilogue:
         assert "run epilogue said twice (3)" in capsys.readouterr().out
 
 
+LOCALS_DIRTY = """\
+def repair(key, rows):
+    program, version, params = key
+    for row in rows:
+        pass
+    try:
+        total = len(rows)
+    except TypeError as error:
+        return None
+    return program, version
+"""
+
+LOCALS_CLEAN = """\
+def repair(key, rows):
+    program, version, *_ = key
+    seen = 0
+    seen += 1
+    for _row in rows:
+        pass
+    best = min(rows)
+
+    def later():
+        return best
+
+    hits = [x for x in rows if x]
+    return program, version, later, hits
+"""
+
+
+class TestUnusedLocals:
+    def test_flags_each_name_stored_and_never_read(self, tmp_path):
+        path = tmp_path / "locals.py"
+        path.write_text(LOCALS_DIRTY)
+        found = [(int(v.split(":")[1]), v.split("'")[1]) for v in check_unused_locals(path)]
+        assert found == [(2, "params"), (3, "row"), (6, "total"), (7, "error")]
+
+    def test_underscores_augmented_closures_and_comprehensions_read(self, tmp_path):
+        path = tmp_path / "locals.py"
+        path.write_text(LOCALS_CLEAN)
+        assert check_unused_locals(path) == []
+
+    def test_nonzero_on_an_unused_local(self, tmp_path, capsys):
+        path = tmp_path / "locals.py"
+        path.write_text(LOCALS_DIRTY)
+        assert main([str(path)]) == 1
+        assert "unused locals (4)" in capsys.readouterr().out
+
+
 class TestMain:
     def test_core_tree_is_clean(self):
         # the invariants the tool exists to hold: no wall-clock or
@@ -291,3 +340,4 @@ class TestMain:
         assert "array-free packages import no numpy" in proc.stdout
         assert "kernel overrides keep the contract" in proc.stdout
         assert "one run epilogue" in proc.stdout
+        assert "no unused locals" in proc.stdout

@@ -73,11 +73,6 @@ class TestDrain:
         assert drained == {"a": 1, "b": 2}
         assert not table.has_pending()
 
-    def test_pending_magnitude(self):
-        table = monotable(SUM, initial={})
-        table.push_many([("a", -3), ("b", 2)])
-        assert table.pending_magnitude() == 5.0
-
 
 class TestShards:
     def test_key_restriction(self):

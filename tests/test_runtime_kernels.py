@@ -153,16 +153,6 @@ class TestKernelContract:
         kernel.push(1, 1.0)
         assert restored.fetch_and_reset(1) == 4.0
 
-    def test_merge_folds_with_g(self, kernel_cls, plan):
-        left = kernel_cls.from_plan(plan, initial={})
-        right = kernel_cls.from_plan(plan, initial={})
-        left.accumulate(5, 3.0)
-        right.accumulate(5, 1.0)
-        right.push(6, 2.0)
-        left.merge(right)
-        assert left.result()[5] == 1.0  # min(3, 1)
-        assert left.fetch_and_reset(6) == 2.0
-
     def test_state_dicts_hold_plain_floats(self, kernel_cls, plan):
         """The Checkpointer JSON boundary: accumulated/intermediate must
         expose builtin floats, never backend scalar types."""

@@ -42,7 +42,7 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "sync_runs.json"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 BACKENDS = ("python", "numpy")
-#: programs whose RA330 verdict admits bucketed delta-stepping
+#: programs whose RA330 verdict admits delta-stepping
 DELTA_STEPPING = tuple(
     program
     for program in sorted(PROGRAMS)
@@ -58,8 +58,12 @@ CASES = [
     for backend in BACKENDS
 ]
 CHAOS_CASES = [(program, backend) for program in sorted(PROGRAMS) for backend in BACKENDS]
-#: the slice tier-1 recomputes: every program and kernel once per mode
-TIER1 = [case for case in CASES if case[1] == 7 and case[3] == 4]
+#: the slice tier-1 recomputes: every program and kernel once per mode,
+#: and every delta-stepping case (all 56 take about 0.2 s)
+TIER1 = [
+    case for case in CASES
+    if case[2] == "delta-step" or (case[1] == 7 and case[3] == 4)
+]
 #: the chaos leg's schedule knobs (:func:`schedule_for`) and cadence
 CHAOS = dict(crash_fractions=(0.6,), drop_rate=0.1, duplicate_rate=0.1)
 CHAOS_CHECKPOINT_EVERY = 2

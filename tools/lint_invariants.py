@@ -50,6 +50,13 @@ a result (``<name>.metrics = ...``, anything but ``self``) happen only
 in ``src/repro/obs/metrics.py`` (``record_run``, which every engine ends
 with) and ``src/repro/delta/engine.py`` (a repair's counters).
 
+A sixth pass flags **unused locals** (ruff's F841, widened to unpacked
+names) over ``src``: a name a function stores -- by assignment, loop or
+``with`` target, unpacking, ``:=`` or ``except ... as`` -- and never
+reads, where a read in a nested function or comprehension counts.
+Names with a leading underscore (``_``, ``_unused``) are exempt, and so
+are ``global``/``nonlocal`` names, which outlive the call.
+
 Paths given on the command line are checked by every pass.  Exit code
 0 when clean, 1 with one ``file:line: message`` per violation otherwise.
 Pure stdlib; wired into ``make lint`` and CI.
@@ -85,6 +92,9 @@ ARRAY_FREE_SCOPE = tuple(
 KERNEL_SCOPE = (REPO_ROOT / "src" / "repro" / "runtime",)
 CONTRACT_FILE = REPO_ROOT / "src" / "repro" / "runtime" / "base.py"
 CONTRACT_CLASSES = ("Kernel", "SendSide")
+
+#: where the unused-locals pass looks
+LOCALS_SCOPE = (REPO_ROOT / "src",)
 
 #: where engines end their runs, and the two files that may say how
 EPILOGUE_SCOPE = (REPO_ROOT / "src" / "repro",)
@@ -399,6 +409,68 @@ def check_run_epilogue(path: Path) -> list[str]:
     return violations
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(function: ast.AST):
+    """The nodes of ``function``'s own scope: its body, not the bodies of
+    the functions, lambdas and classes defined in it."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _stores(function: ast.AST) -> dict:
+    """Name -> first line, for every name ``function`` binds itself."""
+    stored: dict = {}
+    for node in _own_nodes(function):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name, line = node.id, node.lineno
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            name, line = node.name, node.lineno
+        else:
+            continue
+        stored[name] = min(line, stored.get(name, line))
+    return stored
+
+
+def _reads(function: ast.AST) -> set:
+    """Every name read anywhere inside ``function``, nested scopes too;
+    ``x += 1`` and ``del x`` read ``x``, and ``global``/``nonlocal`` names
+    are kept."""
+    read: set = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            read.add(node.target.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            read.update(node.names)
+    return read
+
+
+def check_unused_locals(path: Path) -> list[str]:
+    """Names a function stores and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    relative = _relative(path)
+    violations: list[str] = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        read = _reads(function)
+        for line, name in sorted((line, name) for name, line in _stores(function).items()):
+            if name in read or name.startswith("_"):
+                continue
+            violations.append(
+                f"{relative}:{line}: local {name!r} is stored and never read: "
+                "drop it (or name it with a leading underscore)"
+            )
+    return violations
+
+
 def _run_pass(check, roots) -> tuple[list[str], int]:
     violations: list[str] = []
     checked = 0
@@ -425,6 +497,8 @@ def main(argv: list[str] | None = None) -> int:
          "kernel contract drift", "kernel overrides keep the contract"),
         (check_run_epilogue, EPILOGUE_SCOPE,
          "run epilogue said twice", "one run epilogue"),
+        (check_unused_locals, LOCALS_SCOPE,
+         "unused locals", "no unused locals"),
     ):
         violations, checked = _run_pass(check, given or default)
         if violations:
