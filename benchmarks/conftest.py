@@ -16,10 +16,12 @@ import pytest
 
 def pytest_benchmark_update_machine_info(config, machine_info):
     """Stamp the runtime backend into every benchmark result JSON."""
-    from repro.runtime import numpy_version, resolve_backend
+    import numpy
+
+    from repro.runtime import resolve_backend
 
     machine_info["repro_backend"] = resolve_backend(None)
-    machine_info["repro_numpy"] = numpy_version()
+    machine_info["repro_numpy"] = numpy.__version__
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ the pair-key APSP program on a small district.
 Run:  python examples/route_planning.py
 """
 
+import numpy as np
+
 from repro import AsyncEngine, SyncEngine, UnifiedEngine, get_program
 from repro.distributed import ClusterConfig
 from repro.graphs import Graph, grid_graph, rmat
@@ -17,8 +19,6 @@ from repro.graphs.graph import deduplicate_edges
 
 def road_network(rows: int = 25, cols: int = 40, seed: int = 5) -> Graph:
     """A directed grid with a few highways (long-range shortcuts)."""
-    import numpy as np
-
     base = grid_graph(rows, cols, name="roads")
     rng = np.random.default_rng(seed)
     n = base.num_vertices

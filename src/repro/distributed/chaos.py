@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from repro.runtime.compat import np
+import numpy as np
 
 from repro.obs import ensure_obs
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.runtime.compat import np
+import numpy as np
 
 from repro.distributed.chaos import FaultSchedule
 

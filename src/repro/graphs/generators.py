@@ -15,7 +15,7 @@ one structural regime of the paper's datasets:
 
 from __future__ import annotations
 
-from repro.runtime.compat import np
+import numpy as np
 
 from repro.graphs.graph import Graph, deduplicate_edges
 

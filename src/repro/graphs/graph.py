@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.runtime.compat import np
+import numpy as np
 
 from repro.engine.relation import Database
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.runtime.compat import np
+import numpy as np
 
 from repro.graphs.graph import Graph
 

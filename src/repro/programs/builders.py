@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.runtime.compat import np
+import numpy as np
 
 from repro.engine.relation import Database
 from repro.graphs.graph import Graph

@@ -6,7 +6,7 @@ import heapq
 from collections import deque
 from typing import Iterable, Mapping
 
-from repro.runtime.compat import np
+import numpy as np
 
 from repro.graphs.graph import Graph
 

@@ -19,11 +19,9 @@ from repro.runtime.base import (
     resolve_backend,
     resolve_backend_for_plan,
 )
-from repro.runtime.compat import HAVE_NUMPY, NUMPY_INSTALL_HINT, numpy_version
 from repro.runtime.python_kernel import PythonKernel
 
-# NumpyKernel registers itself on import; the module imports fine
-# without numpy installed (construction raises KernelUnavailableError).
+# registered second, so KERNELS (and available_backends) list python first
 from repro.runtime.numpy_kernel import NumpyKernel
 
 __all__ = [
@@ -31,16 +29,13 @@ __all__ = [
     "DEFAULT_BACKEND",
     "KERNELS",
     "BatchResult",
-    "HAVE_NUMPY",
     "Kernel",
     "KernelUnavailableError",
-    "NUMPY_INSTALL_HINT",
     "NumpyKernel",
     "PythonKernel",
     "SendSide",
     "available_backends",
     "get_kernel",
-    "numpy_version",
     "record_backend_metrics",
     "register_kernel",
     "resolve_backend",

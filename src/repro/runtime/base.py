@@ -173,8 +173,9 @@ import os
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, TypeVar
 
+import numpy as np
+
 from repro.engine.result import WorkCounters
-from repro.runtime.compat import NUMPY_INSTALL_HINT
 
 DEFAULT_BACKEND = "python"
 
@@ -183,7 +184,8 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
 class KernelUnavailableError(ImportError):
-    """The requested backend cannot run in this environment."""
+    """The array kernel was handed a plan it cannot hold: its carrier is
+    not a float64 min/max/sum fold."""
 
 
 @dataclass
@@ -301,9 +303,6 @@ class Kernel:
 
     backend = "abstract"
 
-    #: shown by :func:`get_kernel` when the backend cannot run here
-    install_hint = NUMPY_INSTALL_HINT
-
     #: the plan's aggregate (semiring ⊕); set by concrete ``__init__``s
     aggregate: Any
 
@@ -326,10 +325,6 @@ class Kernel:
     ) -> "Kernel":
         """Build per-partition state for ``keys`` (all plan keys if None)."""
         raise NotImplementedError
-
-    @classmethod
-    def available(cls) -> bool:
-        return True
 
     @classmethod
     def supports_plan(cls, plan: Any) -> bool:
@@ -745,12 +740,8 @@ def register_kernel(cls: _KernelClass) -> _KernelClass:
 
 
 def available_backends() -> list[str]:
-    """Registered backends that can run here (aliases not repeated)."""
-    return [
-        name
-        for name, cls in KERNELS.items()
-        if cls.backend == name and cls.available()
-    ]
+    """Registered backends (aliases not repeated)."""
+    return [name for name, cls in KERNELS.items() if cls.backend == name]
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
@@ -784,32 +775,20 @@ def resolve_backend_for_plan(plan: Any, backend: Optional[str] = None) -> str:
     compiled plan or a :class:`ProgramAnalysis`).
     """
     name = resolve_backend(backend)
-    cls = KERNELS[name]
-    # unavailable backends are not degraded: the caller's
-    # get_kernel/from_plan must raise the install hint, not be
-    # silently rerouted
-    if cls.available() and not cls.supports_plan(plan):
+    if not KERNELS[name].supports_plan(plan):
         return "python"
     return name
 
 
 def get_kernel(backend: Optional[str] = None) -> type:
-    """Resolve a backend name to its kernel class, checking availability."""
-    name = resolve_backend(backend)
-    cls = KERNELS[name]
-    if not cls.available():
-        raise KernelUnavailableError(
-            f"backend {name!r} is not available: {cls.install_hint}"
-        )
-    return cls
+    """Resolve a backend name to its kernel class."""
+    return KERNELS[resolve_backend(backend)]
 
 
 def record_backend_metrics(metrics: Any, engine: str, backend: str) -> None:
     """Record which backend produced a run in the metrics registry."""
-    from repro.runtime.compat import numpy_version
-
     name = resolve_backend(backend)
     labels: dict = {"engine": engine, "backend": name}
     if name == "numpy":
-        labels["numpy_version"] = numpy_version()
+        labels["numpy_version"] = np.__version__
     metrics.inc("runtime.backend_runs", **labels)

@@ -24,7 +24,8 @@ from __future__ import annotations
 from array import array as _array
 from typing import Any, Callable, Optional
 
-from repro.runtime.compat import np
+import numpy as np
+
 from repro.runtime.python_kernel import plan_key_order
 
 

@@ -101,6 +101,8 @@ import math
 from itertools import accumulate, chain
 from typing import Any, Iterable, Iterator, Optional
 
+import numpy as np
+
 from repro.engine.result import WorkCounters
 from repro.runtime.base import (
     KERNELS,
@@ -110,7 +112,6 @@ from repro.runtime.base import (
     SendSide,
     register_kernel,
 )
-from repro.runtime.compat import HAVE_NUMPY, NUMPY_INSTALL_HINT, np
 from repro.runtime.csr import plan_csr
 
 #: frontier fraction above which the O(n) dense round paths win; below
@@ -128,7 +129,7 @@ _FOLD_AT = {
     "sum": (np.add, -0.0),
     "min": (np.minimum, np.inf),
     "max": (np.maximum, -np.inf),
-} if HAVE_NUMPY else {}
+}
 
 
 def _fold_codes(mode: str, codes: Any, vals: Any, size: int) -> Any:
@@ -308,11 +309,6 @@ def _pair_columns(index: dict, pairs: Any) -> Columns:
         np.fromiter((index[key] for key, _ in pairs), dtype=np.int64, count=m),
         np.fromiter((value for _, value in pairs), dtype=np.float64, count=m),
     )
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise KernelUnavailableError(f"NumpyKernel: {NUMPY_INSTALL_HINT}")
 
 
 #: the state columns a cluster's shards hold as rows of one stack
@@ -811,7 +807,6 @@ class NumpyKernel(Kernel):
     def _bind(self, plan: Any, counters: Optional[WorkCounters]) -> None:
         """Everything but the columns: the plan, ``⊕``, the CSR and the
         Python-side frontier state."""
-        _require_numpy()
         if not self.supports_plan(plan):
             raise KernelUnavailableError(
                 f"NumpyKernel: aggregate {plan.aggregate.name!r} is not a "
@@ -879,10 +874,6 @@ class NumpyKernel(Kernel):
             shard._acc_order = orders[row]
             shard._owned_mask = owned[row]
         return shards
-
-    @classmethod
-    def available(cls) -> bool:
-        return HAVE_NUMPY
 
     @classmethod
     def supports_plan(cls, plan: Any) -> bool:
@@ -1453,7 +1444,6 @@ class NumpyKernel(Kernel):
     # -- whole-table sweep (naive BSP mode) -------------------------------------
     @classmethod
     def full_contributions(cls, plan: Any, values: dict) -> list:
-        _require_numpy()
         csr = plan_csr(plan)
         index = csr.index
         m = len(values)
@@ -1485,7 +1475,6 @@ class NumpyKernel(Kernel):
         the key codes.  ``pairs`` are few (a delta's removed edges) and
         may name keys the plan no longer has, so they are stepped along
         in Python between CSR closures until nothing moves."""
-        _require_numpy()
         csr = plan_csr(plan)
         index = csr.index
         mask = np.zeros(csr.n, dtype=bool)
@@ -1527,7 +1516,6 @@ class NumpyKernel(Kernel):
     ) -> "Columns":
         """One ``gather`` over the valued sources, masked to the edges
         that land in ``targets``, one ``apply_edges`` over what is left."""
-        _require_numpy()
         csr = plan_csr(plan)
         index = csr.index
         sources = _pair_columns(index, values.items())

@@ -57,6 +57,8 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from repro.delta import (
     GraphDelta,
     MutableGraphView,
@@ -76,7 +78,6 @@ from repro.distributed.unified import UnifiedEngine
 from repro.obs import ensure_obs
 from repro.programs import get_program
 from repro.programs.builders import WalkBoundError
-from repro.runtime.compat import np
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.cache import CacheEntry, ResultCache, cache_key
 from repro.serving.request import (

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.runtime.compat import np
+import numpy as np
 
 from repro.serving.request import Request, TenantSpec
 

@@ -32,7 +32,7 @@ from repro.engine import MRAEvaluator
 from repro.graphs.generators import random_dag, rmat
 from repro.obs.metrics import MetricsRegistry
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY, KERNELS
+from repro.runtime import KERNELS
 
 
 #: programs whose frontiers stay dense, and selective ones whose
@@ -48,7 +48,7 @@ def plan_for(name, seed=7):
 def backends_for(plan):
     """python always; numpy wherever its carrier assumptions hold."""
     out = ["python"]
-    if HAVE_NUMPY and KERNELS["numpy"].supports_plan(plan):
+    if KERNELS["numpy"].supports_plan(plan):
         out.append("numpy")
     return out
 

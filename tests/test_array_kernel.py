@@ -14,6 +14,7 @@ round-trips -- plus the registry facts around the one class: the
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,6 @@ from repro.obs import Observability
 from repro.programs import PROGRAMS
 from repro.runtime import (
     BACKEND_ENV_VAR,
-    HAVE_NUMPY,
     KERNELS,
     available_backends,
     get_kernel,
@@ -38,11 +38,8 @@ from repro.runtime import (
     resolve_backend,
     resolve_backend_for_plan,
 )
+from repro.runtime.numpy_kernel import _fold_codes
 from tests.reference_matcher import reference_bindings
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy backend not installed"
-)
 
 ALL_PROGRAMS = sorted(PROGRAMS)
 
@@ -404,8 +401,6 @@ def per_edge_csr(plan):
 
 
 def assert_csr_matches_walk(plan):
-    import numpy as np
-
     from repro.runtime.csr import plan_csr
 
     packed = plan_csr(plan)
@@ -553,10 +548,6 @@ class TestPushMany:
     def test_sum_of_negative_zeros_keeps_its_sign(self):
         """-0.0 + -0.0 is -0.0; only a slot whose every input is -0.0
         folds to it, on the bincount fold and on the in-place one."""
-        import numpy as np
-
-        from repro.runtime.numpy_kernel import _fold_codes
-
         folded = _fold_codes(
             "sum",
             np.array([0, 1, 1, 2, 2, 3]),

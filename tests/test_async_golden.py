@@ -45,7 +45,6 @@ from repro.distributed.chaos_harness import default_graph, schedule_for
 from repro.distributed.fault import Checkpointer
 from repro.obs import Observability
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "async_runs.json"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -178,18 +177,12 @@ def chaos_digest(program, engine, backend, tmp_path) -> dict:
 @pytest.fixture(scope="module")
 def golden(tmp_path_factory) -> dict:
     if REGEN or not GOLDEN_PATH.exists():
-        assert HAVE_NUMPY, "the golden file pins both kernels; numpy is required"
         tmp_path = tmp_path_factory.mktemp("golden-chaos")
         snapshot = {case_id(*case): run_digest(*case) for case in CASES}
         for case in CHAOS_CASES:
             snapshot[chaos_id(*case)] = chaos_digest(*case, tmp_path)
         GOLDEN_PATH.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
     return json.loads(GOLDEN_PATH.read_text())
-
-
-def _needs(backend):
-    if backend == "numpy" and not HAVE_NUMPY:
-        pytest.skip("numpy backend not installed")
 
 
 def test_golden_covers_the_matrix(golden):
@@ -202,7 +195,6 @@ def test_golden_covers_the_matrix(golden):
 
 @pytest.mark.parametrize("case", TIER1, ids=lambda case: case_id(*case))
 def test_async_run_matches_golden(golden, case):
-    _needs(case[-1])
     assert run_digest(*case) == golden[case_id(*case)], (
         f"{case_id(*case)} drifted from {GOLDEN_PATH}; "
         "if intentional, rerun with REPRO_REGEN_GOLDEN=1"
@@ -212,7 +204,6 @@ def test_async_run_matches_golden(golden, case):
 @pytest.mark.chaos
 @pytest.mark.parametrize("case", TIER1_CHAOS, ids=lambda case: chaos_id(*case))
 def test_chaotic_run_matches_golden(golden, case, tmp_path):
-    _needs(case[-1])
     assert chaos_digest(*case, tmp_path) == golden[chaos_id(*case)], (
         f"{chaos_id(*case)} drifted from {GOLDEN_PATH}; "
         "if intentional, rerun with REPRO_REGEN_GOLDEN=1"

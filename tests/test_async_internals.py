@@ -120,7 +120,6 @@ class TestPerEventCost:
     fails here and not only in a traced run."""
 
     def test_calls_scale_with_events_not_edges(self, monkeypatch):
-        pytest.importorskip("numpy")
         from repro.distributed.buffers import FixedBuffer
         from repro.runtime.numpy_kernel import ColumnSendSide, NumpyKernel
 

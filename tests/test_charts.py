@@ -2,6 +2,7 @@
 
 
 from repro.bench import bar_chart, convergence_chart, grouped_bar_chart, sparkline
+from repro.bench.charts import _TICKS
 
 
 class TestBarChart:
@@ -61,7 +62,8 @@ class TestSparkline:
 
     def test_monotone_decay_renders_decreasing_levels(self):
         ticks = sparkline([1000.0, 100.0, 10.0, 1.0])
-        levels = [ticks.index(c) if (c := ch) else 0 for ch in ticks]  # noqa: F841
+        levels = [_TICKS.index(ch) for ch in ticks]
+        assert levels == sorted(levels, reverse=True)
         assert ticks[0] != ticks[-1]
 
     def test_zeros_render_as_blank(self):

@@ -16,6 +16,7 @@ import random
 from functools import lru_cache, partial
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -28,11 +29,9 @@ from repro.distributed.sharding import ShardedRun
 from repro.engine import MRAEvaluator
 from repro.graphs import Graph
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY, Kernel, numpy_kernel
+from repro.runtime import Kernel, numpy_kernel
 from repro.runtime.numpy_kernel import NumpyKernel
 from tests.test_runtime_kernels import _deterministic_graph
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
 
 #: the registry programs the array kernel holds
 ARRAY_PROGRAMS = tuple(
@@ -152,7 +151,6 @@ def _values(fold):
     return tenths | st.just(-0.0) if fold == "sum" else tenths
 
 
-@needs_numpy
 class TestArrayPassIsTheLoop:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -292,13 +290,11 @@ class TestArrayPassIsTheLoop:
 
 
 def _shares(a, b) -> bool:
-    import numpy as np
-
     return np.shares_memory(a, b)
 
 
 class TestBasePath:
-    """The reference loop on the python kernel (runs without numpy)."""
+    """The reference loop on the python kernel."""
 
     def test_supersteps_reach_the_single_node_fixpoint(self):
         plan = PROGRAMS["sssp"].plan(_deterministic_graph())

@@ -29,7 +29,7 @@ from repro.engine import MRAEvaluator
 from repro.graphs import random_dag, rmat
 from repro.obs import Observability
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY, available_backends
+from repro.runtime import available_backends
 
 #: selective-aggregate programs: deletions re-derive (RA320)
 SELECTIVE = ("sssp", "cc", "viterbi")
@@ -116,7 +116,6 @@ def test_weight_updates_match_oracle(program, backend):
         assert engine.values == oracle(program, engine.view.graph, backend)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
 @pytest.mark.parametrize("program", ("sssp", "dag_paths"))
 def test_backends_agree_after_repairs(program):
     graph = base_graph(program)
@@ -186,7 +185,6 @@ def test_property_deletion_rederive_is_exact(graph_seed, delta_seed, program):
     assert engine.values == oracle(program, engine.view.graph, "python")
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
 @_PROPERTY_SETTINGS
 @given(
     graph_seed=st.integers(min_value=0, max_value=10**6),

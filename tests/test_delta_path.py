@@ -34,7 +34,7 @@ from repro.graphs import Graph, random_dag, rmat
 from repro.programs import PROGRAMS
 from repro.programs.builders import EdgeLocalBuilder, WalkBoundError, weighted_graph_db
 from repro.programs.registry import ProgramSpec
-from repro.runtime import HAVE_NUMPY, available_backends, get_kernel
+from repro.runtime import available_backends, get_kernel
 from repro.runtime.base import Kernel
 from tests.reference_repair import reference_apply_to, reference_repair_plan
 
@@ -670,7 +670,6 @@ class TestFallsBackToAFreshCompile:
 _OPS_PROGRAMS = {"min": "sssp", "max": "viterbi", "sum": "dag_paths"}
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
 @settings(max_examples=40, deadline=None)
 @given(
     fold=st.sampled_from(sorted(_OPS_PROGRAMS)),
@@ -716,7 +715,6 @@ def test_array_cone_and_boundary_are_the_reference_ones(fold, graph_seed, data):
     assert folded["numpy"] == folded["python"]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
 def test_array_cone_never_builds_the_adjacency_view():
     plan = PROGRAMS["sssp"].plan(rmat(30, 90, seed=1))
     kernel = get_kernel("numpy")
@@ -729,7 +727,6 @@ def test_array_cone_never_builds_the_adjacency_view():
 # -- a tier-1 mirror of the benchmark's per-layer metrics ----------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
 def test_a_repair_neither_compiles_nor_diffs_nor_builds_a_view(monkeypatch):
     calls = CountedCalls(monkeypatch)
     calls.wrap(registry, "compile_plan")

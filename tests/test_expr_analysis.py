@@ -94,6 +94,7 @@ class TestAffineIn:
         decomposed = affine_in(expr, "rx")
         assert decomposed is not None
         a, b = decomposed
+        assert not a.num.is_zero()
         assert b.num.is_zero()
 
     def test_affine_with_constant(self):

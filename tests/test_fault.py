@@ -16,7 +16,7 @@ from repro.distributed.chaos_harness import default_graph
 from repro.engine import MRAEvaluator
 from repro.graphs import rmat
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY, available_backends, get_kernel, resolve_backend_for_plan
+from repro.runtime import available_backends, get_kernel, resolve_backend_for_plan
 
 
 @functools.cache
@@ -80,7 +80,6 @@ class TestRoundTrip:
         assert checkpointer.has_checkpoint("run", 0)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
 class TestRoundTripNumpy(TestRoundTrip):
     """The same round trips through the array kernel's columns."""
 

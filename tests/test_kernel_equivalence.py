@@ -25,11 +25,7 @@ from repro.aggregates import AggregateKind
 from repro.engine import MRAEvaluator, NaiveEvaluator, SemiNaiveEvaluator
 from repro.graphs import random_dag, rmat
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY, available_backends, get_kernel
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy backend not installed"
-)
+from repro.runtime import available_backends, get_kernel
 
 ALL_PROGRAMS = sorted(PROGRAMS)
 
@@ -76,7 +72,7 @@ RELATIONAL_CASES = [
     for evaluator in (NaiveEvaluator, SemiNaiveEvaluator)
     if evaluator is NaiveEvaluator
     or PROGRAMS[program].analysis().aggregate.kind is AggregateKind.SELECTIVE
-] if HAVE_NUMPY else []
+]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -17,6 +17,7 @@ Three layers, each against the loop it replaced:
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -33,12 +34,9 @@ from repro.distributed.sharding import ShardedRun
 from repro.engine.result import WorkCounters
 from repro.graphs import Graph
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY, get_kernel
+from repro.runtime import get_kernel
+from repro.runtime.numpy_kernel import _pair_columns
 from tests.reference_local import numpy_apply_local, python_apply_local
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy backend not installed"
-)
 
 #: one program per fold the array kernel implements
 FOLD_PROGRAMS = {"min": "sssp", "max": "viterbi", "sum": "pagerank"}
@@ -106,8 +104,6 @@ class Shards:
                     for (dst, value), ops in zip(result.out, result.offsets)
                 ]
             else:
-                import numpy as np
-
                 codes = np.array([kernel._index[key] for key in batch], dtype=np.int64)
                 result = kernel.apply_batch(keys=codes)
                 log = []
@@ -324,8 +320,6 @@ def _payload_bits(plan, payload):
 def _as_out(backend, plan, pairs):
     if backend == "python":
         return list(pairs)
-    from repro.runtime.numpy_kernel import _pair_columns
-
     return _pair_columns({key: i for i, key in enumerate(sorted(plan.keys))}, pairs)
 
 
@@ -336,8 +330,6 @@ def drive(plan, owner, parts, policy, events, offsets=None):
     and the final buffer states.  ``offsets`` gives each contribution's
     ``ops_so_far`` (default: its 1-based index); event ``k``'s
     contribution at ``ops`` happens at time ``k + ops / 1000``."""
-    import numpy as np
-
     combine = plan.aggregate.combine
     legs = {}
     if offsets is None:

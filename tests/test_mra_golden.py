@@ -29,7 +29,6 @@ from repro.engine.mra import MRAEvaluator
 from repro.graphs import load_dataset
 from repro.obs import Observability
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY
 from tests.test_async_golden import _digest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "mra_runs.json"
@@ -61,7 +60,6 @@ def run_digest(program, graph, backend) -> dict:
 @pytest.fixture(scope="module")
 def golden() -> dict:
     if REGEN or not GOLDEN_PATH.exists():
-        assert HAVE_NUMPY, "the golden file pins both kernels; numpy is required"
         snapshot = {case_id(*case): run_digest(*case) for case in CASES}
         GOLDEN_PATH.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
     return json.loads(GOLDEN_PATH.read_text())
@@ -74,8 +72,6 @@ def test_golden_covers_the_matrix(golden):
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case_id(*case))
 def test_mra_run_matches_golden(golden, case):
-    if case[-1] == "numpy" and not HAVE_NUMPY:
-        pytest.skip("numpy backend not installed")
     assert run_digest(*case) == golden[case_id(*case)], (
         f"{case_id(*case)} drifted from {GOLDEN_PATH}; "
         "if intentional, rerun with REPRO_REGEN_GOLDEN=1"

@@ -61,7 +61,7 @@ class TestBroadcastKeys:
 
     def test_apsp_edge_structure(self, pair_graph):
         plan = PROGRAMS["apsp"].plan(pair_graph)
-        src, dst, weight = next(iter(pair_graph.weighted_edges()))
+        src, dst, _ = next(iter(pair_graph.weighted_edges()))
         for s in range(pair_graph.num_vertices):
             targets = {d for d, _, _ in plan.edges_from((s, src))}
             assert (s, dst) in targets

@@ -2,12 +2,11 @@
 
 Covers the pieces the engines now build on: backend resolution
 (argument > ``REPRO_BACKEND`` > default), the MonoTable protocol and
-inner loop on every registered backend, snapshot/restore/merge, the
-optional-numpy degradation path, and the unified work-counter
-semantics (``combines``/``updates``/``fprime_applications`` counted
-inside the kernel, never by the engines).  This module runs on the base
-install (no numpy); what needs the array kernel lives in
-``test_array_kernel``.
+inner loop on every registered backend, snapshot/restore/merge, and
+the unified work-counter semantics
+(``combines``/``updates``/``fprime_applications`` counted inside the
+kernel, never by the engines).  What is particular to the array kernel
+lives in ``test_array_kernel``.
 """
 
 import pytest
@@ -20,22 +19,17 @@ from repro.obs import Observability
 from repro.programs import PROGRAMS
 from repro.runtime import (
     BACKEND_ENV_VAR,
-    KERNELS,
-    HAVE_NUMPY,
     Kernel,
-    KernelUnavailableError,
     available_backends,
     get_kernel,
     resolve_backend,
 )
-from repro.runtime.compat import NUMPY_INSTALL_HINT, MissingNumpy
 
 BACKENDS = available_backends()
 
 
 def _deterministic_graph(num_vertices: int = 40) -> Graph:
-    """A fixed digraph built without numpy so this module runs on the
-    base install (the generators' RNG streams need numpy)."""
+    """A fixed digraph, independent of the generators' RNG streams."""
     edges = []
     for i in range(num_vertices):
         for stride in (1, 7, 13):
@@ -88,29 +82,6 @@ class TestBackendResolution:
             monkeypatch.setenv(BACKEND_ENV_VAR, preference)
             assert resolve_backend_for_plan(kplan, None) == "python"
             assert MRAEvaluator(kplan).backend == "python"
-
-
-class TestOptionalNumpy:
-    def test_missing_numpy_proxy_raises_clean_import_error(self):
-        proxy = MissingNumpy()
-        assert not proxy
-        with pytest.raises(ImportError, match="pip install"):
-            proxy.asarray([1.0])
-
-    def test_unavailable_backend_raises_import_error(self, plan, monkeypatch):
-        monkeypatch.setattr(
-            KERNELS["numpy"], "available", classmethod(lambda cls: False)
-        )
-        with pytest.raises(KernelUnavailableError, match="pip install"):
-            get_kernel("numpy")
-        # the error is an ImportError, so `except ImportError` guards work
-        assert issubclass(KernelUnavailableError, ImportError)
-        with pytest.raises(ImportError):
-            MRAEvaluator(plan, backend="numpy").run()
-        assert available_backends() == ["python"]
-
-    def test_install_hint_names_the_extra(self):
-        assert "repro[fast]" in NUMPY_INSTALL_HINT
 
 
 class TestKernelContract:
@@ -167,9 +138,6 @@ class TestKernelContract:
 class TestUnifiedCounters:
     """combines/updates/F' are counted inside the kernel, once."""
 
-    @pytest.mark.skipif(
-        not HAVE_NUMPY, reason="the cluster simulator's RNG streams need numpy"
-    )
     def test_single_worker_sync_matches_mra_work(self, plan):
         """One BSP worker performs exactly the MRA reference's g/F' work."""
         mra = MRAEvaluator(plan).run()

@@ -15,10 +15,7 @@ import pytest
 from repro.distributed import ClusterConfig, SyncEngine
 from repro.distributed.chaos_harness import default_graph
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY
 from repro.runtime.numpy_kernel import NumpyKernel
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
 
 
 def _counting(monkeypatch, calls: Counter) -> None:

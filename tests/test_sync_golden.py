@@ -35,7 +35,6 @@ from repro.distributed.chaos_harness import default_graph, schedule_for
 from repro.distributed.fault import Checkpointer
 from repro.obs import Observability
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY
 from tests.test_async_golden import _digest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "sync_runs.json"
@@ -113,18 +112,12 @@ def chaos_digest(program, backend, tmp_path) -> dict:
 @pytest.fixture(scope="module")
 def golden(tmp_path_factory) -> dict:
     if REGEN or not GOLDEN_PATH.exists():
-        assert HAVE_NUMPY, "the golden file pins both kernels; numpy is required"
         tmp_path = tmp_path_factory.mktemp("golden-sync-chaos")
         snapshot = {case_id(*case): run_digest(*case) for case in CASES}
         for case in CHAOS_CASES:
             snapshot[chaos_id(*case)] = chaos_digest(*case, tmp_path)
         GOLDEN_PATH.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
     return json.loads(GOLDEN_PATH.read_text())
-
-
-def _needs(backend):
-    if backend == "numpy" and not HAVE_NUMPY:
-        pytest.skip("numpy backend not installed")
 
 
 def test_golden_covers_the_matrix(golden):
@@ -138,7 +131,6 @@ def test_golden_covers_the_matrix(golden):
 
 @pytest.mark.parametrize("case", TIER1, ids=lambda case: case_id(*case))
 def test_sync_run_matches_golden(golden, case):
-    _needs(case[-1])
     assert run_digest(*case) == golden[case_id(*case)], (
         f"{case_id(*case)} drifted from {GOLDEN_PATH}; "
         "if intentional, rerun with REPRO_REGEN_GOLDEN=1"
@@ -150,7 +142,6 @@ def test_sync_run_matches_golden(golden, case):
 @pytest.mark.chaos
 @pytest.mark.parametrize("case", CHAOS_CASES, ids=lambda case: chaos_id(*case))
 def test_chaotic_sync_run_matches_golden(golden, case, tmp_path):
-    _needs(case[-1])
     assert chaos_digest(*case, tmp_path) == golden[chaos_id(*case)], (
         f"{chaos_id(*case)} drifted from {GOLDEN_PATH}; "
         "if intentional, rerun with REPRO_REGEN_GOLDEN=1"

@@ -31,18 +31,14 @@ from repro.distributed.chaos_harness import default_graph
 from repro.distributed.sharding import ShardedRun
 from repro.obs import Observability
 from repro.programs import PROGRAMS
-from repro.runtime import HAVE_NUMPY, Kernel
+from repro.runtime import Kernel
+from repro.runtime.numpy_kernel import Columns, NumpyKernel
 from tests.test_async_golden import GOLDEN_PATH, _build, _digest, case_id
 from tests.test_cluster_round import ARRAY_PROGRAMS, WORKERS, _bits, _shard_state, _values
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
-
-if HAVE_NUMPY:
-    from repro.runtime.numpy_kernel import Columns, NumpyKernel
-
-    #: the base class's loop, over the array kernel's per-shard methods
-    LOOP = partial(Kernel.window_local.__func__, NumpyKernel)
-    ARRAY = NumpyKernel.window_local
+#: the base class's loop, over the array kernel's per-shard methods
+LOOP = partial(Kernel.window_local.__func__, NumpyKernel)
+ARRAY = NumpyKernel.window_local
 
 LIMITS = (None, 1, 3, 5, 30)
 THRESHOLDS = (None, 0.0, 0.01, 0.5)
@@ -134,7 +130,6 @@ class Twins:
                 self.parked[target].append(Columns(out.codes[rows], out.vals[rows]))
 
 
-@needs_numpy
 class TestStackedWindowIsTheLoop:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -374,7 +369,6 @@ SITUATIONS = {
 }
 
 
-@needs_numpy
 class TestWindowsInTheEngine:
     @pytest.mark.parametrize("situation", sorted(SITUATIONS))
     def test_a_run_holding_it_matches_the_per_event_run(self, situation):

@@ -28,14 +28,13 @@ exempt (as in ``pyproject.toml``), a ``# noqa`` on the line is honoured,
 and names that appear only in string annotations or ``__all__`` count as
 used.
 
-A third pass holds the **array-free packages** to their import
-convention: ``src/repro/engine``, ``src/repro/distributed`` and
-``src/repro/delta`` move kernel payloads and plan columns without
-knowing which kernel made them, so none of them may import ``numpy``,
-``repro.runtime.compat.np`` or ``repro.runtime.numpy_kernel``.  The two
-files that draw from a seeded generator (``distributed/chaos.py``,
-``distributed/cluster.py``) are the listed exceptions, for that one
-import.
+A third pass guards the **layering** of the array-free packages:
+``src/repro/engine``, ``src/repro/distributed`` and ``src/repro/delta``
+move kernel payloads and plan columns without knowing which kernel made
+them, so none of them may import ``numpy`` or
+``repro.runtime.numpy_kernel``.  The two files that draw from a seeded
+generator (``distributed/chaos.py``, ``distributed/cluster.py``) are the
+listed exceptions, for that one spelling, ``import numpy as np``.
 
 A fourth pass holds the **kernel contract**: every method a subclass of
 ``Kernel`` or ``SendSide`` (``src/repro/runtime/base.py``) overrides in
@@ -51,9 +50,9 @@ in ``src/repro/obs/metrics.py`` (``record_run``, which every engine ends
 with) and ``src/repro/delta/engine.py`` (a repair's counters).
 
 A sixth pass flags **unused locals** (ruff's F841, widened to unpacked
-names) over ``src``: a name a function stores -- by assignment, loop or
-``with`` target, unpacking, ``:=`` or ``except ... as`` -- and never
-reads, where a read in a nested function or comprehension counts.
+names) over ``src`` and ``tests``: a name a function stores -- by
+assignment, loop or ``with`` target, unpacking, ``:=`` or
+``except ... as`` -- and never reads, where a read in a nested function or comprehension counts.
 Names with a leading underscore (``_``, ``_unused``) are exempt, and so
 are ``global``/``nonlocal`` names, which outlive the call.
 
@@ -83,7 +82,7 @@ IMPORT_SCOPE = tuple(
     REPO_ROOT / name for name in ("src", "tests", "benchmarks", "examples", "tools")
 )
 
-#: packages that must work without (and never test for) the array kernel
+#: packages that handle kernel payloads without knowing (or testing) the kernel
 ARRAY_FREE_SCOPE = tuple(
     REPO_ROOT / "src" / "repro" / name for name in ("engine", "distributed", "delta")
 )
@@ -94,7 +93,7 @@ CONTRACT_FILE = REPO_ROOT / "src" / "repro" / "runtime" / "base.py"
 CONTRACT_CLASSES = ("Kernel", "SendSide")
 
 #: where the unused-locals pass looks
-LOCALS_SCOPE = (REPO_ROOT / "src",)
+LOCALS_SCOPE = (REPO_ROOT / "src", REPO_ROOT / "tests")
 
 #: where engines end their runs, and the two files that may say how
 EPILOGUE_SCOPE = (REPO_ROOT / "src" / "repro",)
@@ -103,8 +102,8 @@ EPILOGUE_FILES = {
     Path("src/repro/delta/engine.py"),
 }
 
-#: files allowed ``from repro.runtime.compat import np``: they take a
-#: seeded ``np.random.default_rng`` from it and nothing else
+#: files allowed ``import numpy as np``: they take a seeded
+#: ``np.random.default_rng`` from it and nothing else
 SEEDED_GENERATOR_FILES = {
     Path("src/repro/distributed/chaos.py"),
     Path("src/repro/distributed/cluster.py"),
@@ -289,24 +288,23 @@ def check_unused_imports(path: Path) -> list[str]:
 
 
 def check_array_imports(path: Path) -> list[str]:
-    """Imports of numpy, under its own name or through ``repro.runtime``."""
+    """Imports of numpy or of the array kernel; a listed exception may
+    ``import numpy as np``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     relative = _relative(path)
     violations: list[str] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported = [alias.name for alias in node.names]
+            imported = [(alias.name, alias.asname) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
-            imported = [f"{node.module}.{alias.name}" for alias in node.names]
+            imported = [(f"{node.module}.{alias.name}", None) for alias in node.names]
         else:
             continue
-        for name in imported:
-            if name == "repro.runtime.compat.np" and relative in SEEDED_GENERATOR_FILES:
+        for name, asname in imported:
+            if (name, asname) == ("numpy", "np") and relative in SEEDED_GENERATOR_FILES:
                 continue
-            if (
-                name.split(".")[0] == "numpy"
-                or name == "repro.runtime.compat.np"
-                or name.startswith("repro.runtime.numpy_kernel")
+            if name.split(".")[0] == "numpy" or name.startswith(
+                "repro.runtime.numpy_kernel"
             ):
                 violations.append(
                     f"{relative}:{node.lineno}: array import {name}: this "
@@ -492,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         (check_unused_imports, IMPORT_SCOPE,
          "unused imports", "no unused imports"),
         (check_array_imports, ARRAY_FREE_SCOPE,
-         "array imports in array-free packages", "array-free packages import no numpy"),
+         "array imports in array-free packages", "array-free packages stay kernel-agnostic"),
         (check_kernel_contract, KERNEL_SCOPE,
          "kernel contract drift", "kernel overrides keep the contract"),
         (check_run_epilogue, EPILOGUE_SCOPE,
