@@ -58,11 +58,10 @@ import sys
 from repro.checker import check_analysis, emit_property2_script
 from repro.datalog import analyze, parse_program
 from repro.distributed import (
-    AAPEngine,
-    AsyncEngine,
+    ENGINES,
+    FAULT_TOLERANT_ENGINES,
     ClusterConfig,
-    SyncEngine,
-    UnifiedEngine,
+    build_engine,
 )
 from repro.graphs import (
     EdgeListError,
@@ -78,30 +77,13 @@ from repro.runtime import (
 )
 from repro.systems import PowerLog
 
-_ENGINES = {
-    "sync": lambda plan, cluster, obs=None, backend=None: SyncEngine(
-        plan, cluster, obs=obs, backend=backend
-    ),
-    "naive": lambda plan, cluster, obs=None, backend=None: SyncEngine(
-        plan, cluster, mode="naive", obs=obs, backend=backend
-    ),
-    "async": lambda plan, cluster, obs=None, backend=None: AsyncEngine(
-        plan, cluster, obs=obs, backend=backend
-    ),
-    "unified": lambda plan, cluster, obs=None, backend=None: UnifiedEngine(
-        plan, cluster, obs=obs, backend=backend
-    ),
-    "aap": lambda plan, cluster, obs=None, backend=None: AAPEngine(
-        plan, cluster, obs=obs, backend=backend
-    ),
-}
 
 def _build_engine(engine: str, plan, cluster, obs=None, backend=None):
     """Construct an engine, rendering Theorem-3 refusals as diagnostics."""
     from repro.analysis import AsyncIneligibleError
 
     try:
-        return _ENGINES[engine](plan, cluster, obs=obs, backend=backend)
+        return build_engine(engine, plan, cluster, obs=obs, backend=backend)
     except AsyncIneligibleError as exc:
         raise SystemExit(f"error: {exc.diagnostic.render()}")
 
@@ -343,22 +325,45 @@ def _observed_graph(args: argparse.Namespace):
     return default_graph(args.program, seed=args.seed)
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def _observed_cluster(args: argparse.Namespace, spec, graph) -> ClusterConfig:
+    """The cluster a ``trace``/``metrics`` run uses: with ``--chaos``, a
+    fault schedule whose crash lands during a fault-free reference run."""
     from repro.distributed.chaos_harness import schedule_for
+
+    cluster = ClusterConfig(num_workers=args.workers)
+    if not args.chaos:
+        return cluster
+    reference = _build_engine(
+        args.engine, spec.plan(graph), cluster, backend=args.backend
+    ).run()
+    schedule = schedule_for(
+        reference.simulated_seconds, cluster.num_workers, seed=args.seed
+    )
+    print(f"fault schedule: {schedule.describe()}")
+    return cluster.with_faults(schedule)
+
+
+def _refuses_chaos(args: argparse.Namespace) -> bool:
+    """True, with one line on stderr, when ``--chaos`` asks for faults
+    on an engine that accepts no fault schedule."""
+    if not args.chaos or args.engine in FAULT_TOLERANT_ENGINES:
+        return False
+    print(
+        f"error: --chaos needs an engine that accepts a fault schedule "
+        f"({', '.join(FAULT_TOLERANT_ENGINES)}), not {args.engine}",
+        file=sys.stderr,
+    )
+    return True
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Observability, aggregate_fault_events
 
+    if _refuses_chaos(args):
+        return 2
     spec = get_program(args.program)
     graph = _observed_graph(args)
-    cluster = ClusterConfig(num_workers=args.workers)
-    if args.chaos:
-        reference = _build_engine(
-            args.engine, spec.plan(graph), cluster, backend=args.backend
-        ).run()
-        schedule = schedule_for(
-            reference.simulated_seconds, cluster.num_workers, seed=args.seed
-        )
-        cluster = cluster.with_faults(schedule)
-        print(f"fault schedule: {schedule.describe()}")
+    cluster = _observed_cluster(args, spec, graph)
     with Observability(trace_path=args.out) as obs:
         result = _build_engine(
             args.engine, spec.plan(graph), cluster, obs, backend=args.backend
@@ -397,20 +402,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.bench.charts import sparkline
     from repro.obs import Observability
 
+    if _refuses_chaos(args):
+        return 2
     spec = get_program(args.program)
     graph = _observed_graph(args)
-    cluster = ClusterConfig(num_workers=args.workers)
-    if args.chaos:
-        from repro.distributed.chaos_harness import schedule_for
-
-        reference = _build_engine(
-            args.engine, spec.plan(graph), cluster, backend=args.backend
-        ).run()
-        schedule = schedule_for(
-            reference.simulated_seconds, cluster.num_workers, seed=args.seed
-        )
-        cluster = cluster.with_faults(schedule)
-        print(f"fault schedule: {schedule.describe()}")
+    cluster = _observed_cluster(args, spec, graph)
     obs = Observability()
     result = _build_engine(
         args.engine, spec.plan(graph), cluster, obs, backend=args.backend
@@ -749,15 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
             "'overflow' fails programs with a proven RA351 overflow risk"
         ),
     )
-    lint.add_argument(
-        "--exact",
-        action="store_true",
-        help=(
-            "kept for compatibility: library programs now always compile "
-            "against their default graph (exact cross-worker census, "
-            "concrete RA35x range and cost sections)"
-        ),
-    )
     lint.add_argument("--seed", type=int, default=7)
     lint.set_defaults(func=cmd_lint)
 
@@ -775,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine",
         default="powerlog",
-        choices=["powerlog", *sorted(_ENGINES)],
+        choices=["powerlog", *sorted(ENGINES)],
     )
     run.add_argument("--workers", type=_positive_int, default=16)
     run.add_argument("--scale", type=_positive_float, default=1.0)
@@ -834,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--engines",
         nargs="*",
-        choices=["sync", "async", "unified", "aap"],
+        choices=FAULT_TOLERANT_ENGINES,
         help="engines to run (default: sync async)",
     )
     chaos.add_argument("--workers", type=_positive_int, default=4)
@@ -872,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _obs_common(subparser, default_engine):
         subparser.add_argument("program", choices=sorted(PROGRAMS))
         subparser.add_argument(
-            "--engine", default=default_engine, choices=sorted(_ENGINES)
+            "--engine", default=default_engine, choices=sorted(ENGINES)
         )
         subparser.add_argument(
             "--dataset",

@@ -25,7 +25,6 @@ from repro.distributed.async_engine import AsyncEngine
 from repro.distributed.buffers import BufferPolicy
 from repro.distributed.cluster import ClusterConfig
 from repro.engine.plan import CompiledPlan
-from repro.engine.termination import TerminationSpec
 
 
 class AAPEngine(AsyncEngine):
@@ -40,27 +39,17 @@ class AAPEngine(AsyncEngine):
         fixed_buffer_size: float = 256.0,
         stream_batch: int = 64,
         block_batch: int = 512,
-        termination: Optional[TerminationSpec] = None,
-        checkpointer=None,
-        checkpoint_interval: float = 0.0,
         run_name: str = "aap-run",
-        obs=None,
-        backend: Optional[str] = None,
+        **options,
     ):
-        policy = BufferPolicy(
-            initial_beta=fixed_buffer_size, adaptive=False
-        )
+        """``options`` are :class:`AsyncEngine`'s other keywords."""
         super().__init__(
             plan,
-            cluster=cluster,
-            buffer_policy=policy,
+            cluster,
+            buffer_policy=BufferPolicy(initial_beta=fixed_buffer_size, adaptive=False),
             batch_size=stream_batch,
-            termination=termination,
-            checkpointer=checkpointer,
-            checkpoint_interval=checkpoint_interval,
             run_name=run_name,
-            obs=obs,
-            backend=backend,
+            **options,
         )
         self.stream_batch = stream_batch
         self.block_batch = block_batch

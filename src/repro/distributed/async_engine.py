@@ -79,7 +79,7 @@ from repro.distributed.sharding import ShardedRun
 from repro.engine.plan import CompiledPlan
 from repro.engine.result import EvalResult
 from repro.engine.termination import TerminationSpec, TerminationTracker
-from repro.obs import ensure_obs, record_run
+from repro.obs import ensure_obs
 
 
 class AsyncEngine:
@@ -221,23 +221,14 @@ class AsyncEngine:
 
         # -- chaos state (all unused on the fault-free path) -------------------
         if chaos is not None:
-            schedule_cfg = cluster.faults
             down = [False] * num_workers
             ledger = DeliveryLedger(num_workers, chaos, selective)
             retrans = [
-                {
-                    target: RetransmitBuffer(
-                        schedule_cfg.retransmit_timeout,
-                        schedule_cfg.retransmit_backoff,
-                        schedule_cfg.max_retransmit_timeout,
-                    )
-                    for target in range(num_workers)
-                    if target != w
-                }
+                {target: RetransmitBuffer() for target in range(num_workers) if target != w}
                 for w in range(num_workers)
             ]
             remaining_crashes = sorted(
-                schedule_cfg.crashes, key=lambda crash: crash.at
+                cluster.faults.crashes, key=lambda crash: crash.at
             )
         else:
             down = retrans = ledger = None
@@ -861,16 +852,11 @@ class AsyncEngine:
         # got to process again before the run stopped
         ingest_all()
 
-        result = EvalResult(
-            values=state.merged_values(),
+        return state.finish(
+            obs,
             stop_reason=stop,
-            counters=counters,
             simulated_seconds=finished_at,
             engine=self.engine_name,
             trace=tracker.history,
-            faults=chaos.stats if chaos is not None else None,
-            backend=state.backend,
+            chaos=chaos,
         )
-        record_run(obs, result)
-        state.record_plan_metrics(obs)
-        return result

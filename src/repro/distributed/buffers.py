@@ -27,14 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: the adaptive rule's damping factor (paper: fixed to 0.8)
+ALPHA = 0.8
+#: the adaptive rule's pace threshold (paper: set to 2)
+R = 2.0
+
+
 @dataclass
 class BufferPolicy:
     """Parameters of the adaptive buffer rule."""
 
     initial_beta: float = 64.0
     tau: float = 5e-3  # flush interval in simulated seconds
-    alpha: float = 0.8  # damping factor (paper: fixed to 0.8)
-    r: float = 2.0  # pace threshold (paper: set to 2)
     min_beta: float = 4.0
     max_beta: float = 8192.0
     adaptive: bool = True
@@ -104,7 +108,9 @@ class RetransmitBuffer:
     (idempotent aggregates) redundant deliveries.
     """
 
-    def __init__(self, base_timeout: float, backoff: float = 2.0, max_timeout: float = 8e-2):
+    def __init__(
+        self, base_timeout: float = 5e-3, backoff: float = 2.0, max_timeout: float = 8e-2
+    ):
         self.base_timeout = base_timeout
         self.backoff = backoff
         self.max_timeout = max_timeout
@@ -168,8 +174,8 @@ class AdaptiveBuffer(FixedBuffer):
             return
         pace = self._window_updates / window  # |B| / dT
         threshold = self.beta / self.policy.tau  # beta / tau
-        if pace > self.policy.r * threshold or pace < threshold / self.policy.r:
-            new_beta = self.policy.alpha * self.policy.tau * pace
+        if pace > R * threshold or pace < threshold / R:
+            new_beta = ALPHA * self.policy.tau * pace
             old_beta = self.beta
             self.beta = min(
                 self.policy.max_beta, max(self.policy.min_beta, new_beta)

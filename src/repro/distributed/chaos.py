@@ -94,12 +94,6 @@ class FaultSchedule:
     #: seed of the injector's RNG; the same schedule + seed + program
     #: reproduces the identical chaotic execution
     seed: int = 7
-    #: base ack timeout before a message is retransmitted
-    retransmit_timeout: float = 5e-3
-    #: exponential backoff factor between retransmit attempts
-    retransmit_backoff: float = 2.0
-    #: cap on the backed-off retransmit timeout
-    max_retransmit_timeout: float = 8e-2
 
     def is_null(self) -> bool:
         """True when the schedule injects nothing at all."""

@@ -26,19 +26,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.distributed.aap import AAPEngine
-from repro.distributed.async_engine import AsyncEngine
 from repro.distributed.chaos import FaultSchedule, WorkerCrash
 from repro.distributed.cluster import ClusterConfig
 from repro.distributed.fault import Checkpointer
-from repro.distributed.sync_engine import SyncEngine
-from repro.distributed.unified import UnifiedEngine
+from repro.distributed.registry import FAULT_TOLERANT_ENGINES, build_engine
 from repro.graphs import random_dag, rmat
 from repro.programs import get_program
-
-#: engines the harness can subject to faults (naive sync is excluded:
-#: it has no delta state worth protecting and rejects fault schedules)
-HARNESS_ENGINES = ("sync", "async", "unified", "aap")
 
 #: the default acceptance matrix: one selective (min), one exact
 #: additive (count-as-sum), one non-monotonic epsilon program (sum)
@@ -142,34 +135,6 @@ def schedule_for(
     )
 
 
-def _build_engine(engine: str, plan, cluster, checkpoint_dir, run_name, backend=None):
-    if engine == "sync":
-        if checkpoint_dir is not None:
-            return SyncEngine(
-                plan,
-                cluster,
-                checkpointer=Checkpointer(checkpoint_dir),
-                checkpoint_every=4,
-                run_name=run_name,
-                backend=backend,
-            )
-        return SyncEngine(plan, cluster, backend=backend)
-    factory = {"async": AsyncEngine, "unified": UnifiedEngine, "aap": AAPEngine}
-    if engine not in factory:
-        raise ValueError(
-            f"unknown harness engine {engine!r} (choose from {HARNESS_ENGINES})"
-        )
-    if checkpoint_dir is not None:
-        return factory[engine](
-            plan,
-            cluster,
-            checkpointer=Checkpointer(checkpoint_dir),
-            run_name=run_name,
-            backend=backend,
-        )
-    return factory[engine](plan, cluster, backend=backend)
-
-
 def default_graph(program_name: str, seed: int = 7):
     """A small graph the program is well-defined on.
 
@@ -216,10 +181,12 @@ def run_chaos(
     if graph is None:
         graph = default_graph(program_name, seed=seed)
     cluster = cluster or ClusterConfig(num_workers=4)
+    if engine not in FAULT_TOLERANT_ENGINES:
+        raise ValueError(
+            f"unknown harness engine {engine!r} (choose from {FAULT_TOLERANT_ENGINES})"
+        )
 
-    reference = _build_engine(
-        engine, spec.plan(graph), cluster, None, "chaos-ref", backend=backend
-    ).run()
+    reference = build_engine(engine, spec.plan(graph), cluster, backend=backend).run()
 
     if schedule is None:
         schedule = schedule_for(
@@ -232,13 +199,12 @@ def run_chaos(
     if tolerance is None:
         tolerance = 0.0 if aggregate.is_idempotent else ADDITIVE_TOLERANCE
 
-    run_name = f"chaos-{program_name}-{engine}-{schedule.seed}"
-    chaotic = _build_engine(
+    chaotic = build_engine(
         engine,
         spec.plan(graph),
         cluster.with_faults(schedule),
-        checkpoint_dir,
-        run_name,
+        checkpointer=None if checkpoint_dir is None else Checkpointer(checkpoint_dir),
+        run_name=f"chaos-{program_name}-{engine}-{schedule.seed}",
         backend=backend,
     ).run()
 

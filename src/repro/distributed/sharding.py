@@ -3,9 +3,9 @@
 A :class:`ShardedRun` owns the per-worker vertex-runtime kernels (one
 :class:`repro.runtime.Kernel` per simulated worker), the partition map,
 and the seeded initial deltas; every engine (sync, async, unified, AAP)
-starts from one (:meth:`ShardedRun.resume_or_seed`) and ends by
-recording its plan's communication and cost gauges
-(:meth:`ShardedRun.record_plan_metrics`).  All shards share the run's
+starts from one (:meth:`ShardedRun.resume_or_seed`, or bare shards for
+naive recomputation) and ends with its epilogue
+(:meth:`ShardedRun.finish`).  All shards share the run's
 :class:`WorkCounters`, so work accounting is uniform regardless of which
 worker did the work.
 """
@@ -18,7 +18,8 @@ from repro.distributed.cluster import ClusterConfig
 from repro.distributed.fault import restore_guarding_corruption
 from repro.distributed.partition import HashPartitioner
 from repro.engine.plan import CompiledPlan
-from repro.engine.result import WorkCounters
+from repro.engine.result import EvalResult, WorkCounters
+from repro.obs import record_run
 from repro.runtime import Kernel, get_kernel, resolve_backend_for_plan
 
 
@@ -85,16 +86,39 @@ class ShardedRun:
         if not restored:
             self.seed_initial_delta()
 
-    def record_plan_metrics(self, obs) -> None:
-        """The plan's static ``comm_*`` and ``cost_*`` gauges, recorded
-        after a distributed run's epilogue."""
-        if not obs.enabled:
-            return
-        from repro.analysis.absint import estimate_plan_cost, record_cost_metrics
-        from repro.analysis.comm import record_comm_metrics
+    def finish(
+        self,
+        obs,
+        stop_reason: str,
+        simulated_seconds: float,
+        engine: str,
+        trace: list,
+        chaos=None,
+        values: Optional[dict] = None,
+    ) -> EvalResult:
+        """The one epilogue of a distributed run: its :class:`EvalResult`
+        (the merged shards unless ``values`` says otherwise, and
+        ``chaos``'s fault counters when the run had an injector),
+        recorded by :func:`repro.obs.record_run`, then the plan's static
+        ``comm_*`` and ``cost_*`` gauges."""
+        result = EvalResult(
+            values=self.merged_values() if values is None else values,
+            stop_reason=stop_reason,
+            counters=self.counters,
+            simulated_seconds=simulated_seconds,
+            engine=engine,
+            trace=trace,
+            faults=chaos.stats if chaos is not None else None,
+            backend=self.backend,
+        )
+        record_run(obs, result)
+        if obs.enabled:
+            from repro.analysis.absint import estimate_plan_cost, record_cost_metrics
+            from repro.analysis.comm import record_comm_metrics
 
-        record_comm_metrics(obs.metrics, self.plan, self.cluster.num_workers)
-        record_cost_metrics(obs.metrics, estimate_plan_cost(self.plan))
+            record_comm_metrics(obs.metrics, self.plan, self.cluster.num_workers)
+            record_cost_metrics(obs.metrics, estimate_plan_cost(self.plan))
+        return result
 
     def seed_initial_delta(self) -> None:
         """Distribute ``ΔX¹`` (section 3.3) to its owners' shards: one

@@ -25,7 +25,6 @@ from repro.distributed.async_engine import AsyncEngine
 from repro.distributed.buffers import BufferPolicy
 from repro.distributed.cluster import ClusterConfig
 from repro.engine.plan import CompiledPlan
-from repro.engine.termination import TerminationSpec
 
 
 def _default_importance_threshold(plan: CompiledPlan) -> Optional[float]:
@@ -54,28 +53,18 @@ class UnifiedEngine(AsyncEngine):
         plan: CompiledPlan,
         cluster: Optional[ClusterConfig] = None,
         buffer_policy: Optional[BufferPolicy] = None,
-        batch_size: Optional[int] = None,
         importance_threshold: Optional[float] = None,
-        termination: Optional[TerminationSpec] = None,
-        checkpointer=None,
-        checkpoint_interval: float = 0.0,
         run_name: str = "unified-run",
-        obs=None,
-        backend: Optional[str] = None,
+        **options,
     ):
-        policy = buffer_policy or BufferPolicy(adaptive=True)
+        """``options`` are :class:`AsyncEngine`'s other keywords."""
         if importance_threshold is None and plan.aggregate.kind is AggregateKind.ADDITIVE:
             importance_threshold = _default_importance_threshold(plan)
         super().__init__(
             plan,
-            cluster=cluster,
-            buffer_policy=policy,
-            batch_size=batch_size,
+            cluster,
+            buffer_policy=buffer_policy or BufferPolicy(adaptive=True),
             importance_threshold=importance_threshold,
-            termination=termination,
-            checkpointer=checkpointer,
-            checkpoint_interval=checkpoint_interval,
             run_name=run_name,
-            obs=obs,
-            backend=backend,
+            **options,
         )

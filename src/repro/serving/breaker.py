@@ -24,6 +24,11 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: consecutive failures that trip a breaker
+FAILURE_THRESHOLD = 3
+#: simulated seconds an open breaker waits before it half-opens
+RESET_TIMEOUT = 0.75
+
 
 class CircuitBreaker:
     """Failure isolation for one engine backend."""
@@ -31,8 +36,8 @@ class CircuitBreaker:
     def __init__(
         self,
         engine: str,
-        failure_threshold: int = 3,
-        reset_timeout: float = 0.75,
+        failure_threshold: int = FAILURE_THRESHOLD,
+        reset_timeout: float = RESET_TIMEOUT,
         on_transition: Optional[Callable] = None,
     ):
         if failure_threshold < 1:

@@ -67,14 +67,11 @@ from repro.delta import (
     random_delta,
     repair_plan,
 )
-from repro.distributed.aap import AAPEngine
-from repro.distributed.async_engine import AsyncEngine
 from repro.distributed.chaos import FaultSchedule
 from repro.distributed.chaos_harness import default_graph
 from repro.distributed.cluster import ClusterConfig, CostModel
 from repro.distributed.fault import Checkpointer
-from repro.distributed.sync_engine import SyncEngine
-from repro.distributed.unified import UnifiedEngine
+from repro.distributed.registry import FAULT_TOLERANT_ENGINES, build_engine
 from repro.obs import ensure_obs
 from repro.programs import get_program
 from repro.programs.builders import WalkBoundError
@@ -91,15 +88,14 @@ from repro.serving.request import (
 )
 from repro.serving.workload import WorkloadSpec, generate_workload
 
-#: engine backends the service can route to
-SERVING_ENGINES = ("sync", "async", "unified", "aap")
-
-_ENGINE_FACTORIES = {
-    "sync": SyncEngine,
-    "async": AsyncEngine,
-    "unified": UnifiedEngine,
-    "aap": AAPEngine,
-}
+#: simulated cost of answering from the cache
+CACHE_COST = 2e-3
+#: a failed attempt retries after ``BACKOFF_BASE * BACKOFF_FACTOR **
+#: (attempts - 1)`` simulated seconds, plus a uniform(0, BACKOFF_JITTER)
+#: fraction of that
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.5
 
 #: certified stop reasons -- only these results enter the cache
 _CERTIFIED_STOPS = ("fixpoint", "epsilon")
@@ -164,15 +160,7 @@ class ServeConfig:
     workers: int = 4
     #: cache entries older than this are recomputed on the happy path
     freshness_ttl: float = 1.5
-    #: simulated cost of answering from the cache
-    cache_cost: float = 2e-3
     max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    #: uniform(0, jitter) fraction added to every backoff wait
-    backoff_jitter: float = 0.5
-    breaker_threshold: int = 3
-    breaker_reset: float = 0.75
     #: sync-engine checkpoint cadence (supersteps) when checkpointing
     checkpoint_every: int = 4
     #: seed of the base graphs and their per-version mutation deltas
@@ -414,17 +402,16 @@ class ServingService:
     def _run_engine(self, key: tuple, seed: int, with_checkpointer: bool):
         program, version, params, engine = key
         plan = self._plan(program, version)
-        kwargs = dict(
+        return build_engine(
+            engine,
+            plan,
+            self._cluster(key, seed),
+            checkpointer=self.checkpointer if with_checkpointer else None,
+            checkpoint_every=self.config.checkpoint_every,
             termination=self._termination(plan, params),
             run_name=self._run_name(key),
             backend=self.config.backend,
-        )
-        if with_checkpointer and self.checkpointer is not None:
-            kwargs["checkpointer"] = self.checkpointer
-            if engine == "sync":
-                kwargs["checkpoint_every"] = self.config.checkpoint_every
-        factory = _ENGINE_FACTORIES[engine]
-        return factory(plan, self._cluster(key, seed), **kwargs).run()
+        ).run()
 
     def _repair_profile(self, key: tuple, basis) -> Optional[ExecutionProfile]:
         """Repair a stale certified fixpoint up to ``key``'s version.
@@ -463,7 +450,7 @@ class ServingService:
         profile = ExecutionProfile(
             key=key,
             values=repair.values,
-            duration=self.config.cache_cost
+            duration=CACHE_COST
             + model.job_overhead
             + repair.ops * model.tuple_cost / max(1, self.config.workers),
             stop_reason=repair.stop_reason,
@@ -576,13 +563,8 @@ class _ServingRun:
             "version_bumps": 0,
         }
         self.breakers = {
-            engine: CircuitBreaker(
-                engine,
-                failure_threshold=self.config.breaker_threshold,
-                reset_timeout=self.config.breaker_reset,
-                on_transition=self._on_breaker_transition,
-            )
-            for engine in SERVING_ENGINES
+            engine: CircuitBreaker(engine, on_transition=self._on_breaker_transition)
+            for engine in FAULT_TOLERANT_ENGINES
         }
 
     # -- plumbing ------------------------------------------------------------
@@ -761,7 +743,7 @@ class _ServingRun:
             self._resolve(
                 request,
                 OK,
-                at=self.now + self.config.cache_cost,
+                at=self.now + CACHE_COST,
                 served_from="cache",
                 graph_version=entry.graph_version,
                 detail="cache",
@@ -985,11 +967,8 @@ class _ServingRun:
         if request.attempts >= self.config.max_attempts:
             self._degrade(request, "retries-exhausted")
             return
-        backoff = (
-            self.config.backoff_base
-            * self.config.backoff_factor ** (request.attempts - 1)
-        )
-        backoff *= 1.0 + self.config.backoff_jitter * float(self.rng.random())
+        backoff = BACKOFF_BASE * BACKOFF_FACTOR ** (request.attempts - 1)
+        backoff *= 1.0 + BACKOFF_JITTER * float(self.rng.random())
         retry_at = self.now + backoff
         if retry_at >= request.deadline:
             self._degrade(request, "deadline")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 
+from repro.serving.breaker import FAILURE_THRESHOLD, RESET_TIMEOUT
 from repro.serving.request import (
     OK,
     OK_STALE,
@@ -114,8 +115,8 @@ def build_report(outcome, spec, config, chaos=None) -> dict:
             "workers": config.workers,
             "freshness_ttl": config.freshness_ttl,
             "max_attempts": config.max_attempts,
-            "breaker_threshold": config.breaker_threshold,
-            "breaker_reset": config.breaker_reset,
+            "breaker_threshold": FAILURE_THRESHOLD,
+            "breaker_reset": RESET_TIMEOUT,
             # the cost-model currency pricing repairs and static
             # deadline predictions (schema 3)
             "cost_model": {

@@ -102,7 +102,7 @@ class TestFixedBuffer:
 
 class TestAdaptiveBuffer:
     def _policy(self, **kwargs):
-        defaults = dict(initial_beta=64, tau=1.0, alpha=0.8, r=2.0)
+        defaults = dict(initial_beta=64, tau=1.0)
         defaults.update(kwargs)
         return BufferPolicy(adaptive=True, **defaults)
 

@@ -207,3 +207,35 @@ class TestRunOnUserGraph:
             "error: sssp did not converge "
             "(stop=iteration-limit after 10000 rounds)\n"
         )
+
+
+class TestEngineNames:
+    @pytest.mark.parametrize("command", ["trace", "metrics"])
+    def test_naive_chaos_is_refused_before_anything_runs(self, command, capsys):
+        assert main([command, "sssp", "--engine", "naive", "--chaos"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --chaos needs an engine that accepts a fault schedule "
+            "(sync, async, unified, aap), not naive\n"
+        )
+        # no reference run, so no fault schedule was printed
+        assert captured.out == ""
+
+    def test_every_surface_reads_the_registry(self):
+        from repro.distributed import ENGINES, FAULT_TOLERANT_ENGINES
+
+        parse = build_parser().parse_args
+        for name in ENGINES:
+            assert parse(["run", "sssp", "--engine", name]).engine == name
+            assert parse(["trace", "sssp", "--engine", name]).engine == name
+        assert parse(["chaos", "--engines", *FAULT_TOLERANT_ENGINES]).engines == list(
+            FAULT_TOLERANT_ENGINES
+        )
+        with pytest.raises(SystemExit):
+            parse(["chaos", "--engines", "naive"])
+
+    def test_naive_metrics_carry_the_plan_gauges(self, capsys):
+        assert main(["metrics", "sssp", "--engine", "naive"]) == 0
+        out = capsys.readouterr().out
+        assert "communication shape" in out
+        assert "static cost estimate" in out

@@ -5,6 +5,10 @@ rows, so a rerun at the baseline's scale must write it byte for byte:
 any drift is a behaviour change of the repair path (or of the
 counters it is priced in), not noise.  Regenerate intentionally with
 ``make bench`` (``benchmarks/bench_delta.py``).
+
+``benchmarks/results/serve-slo.json`` is the serving layer's SLO report
+under the default chaos plan, on the simulated clock; a rerun the way
+``make serve-bench`` writes it must match it byte for byte too.
 """
 
 import json
@@ -26,6 +30,18 @@ def test_delta_baseline_matches_a_rerun(tmp_path):
 def test_delta_baseline_is_byte_stable_shape():
     for row in json.loads(DELTA.read_text())["rows"]:
         assert not any(key.endswith("_seconds") for key in row)
+
+
+def test_slo_report_matches_a_rerun(tmp_path, capsys):
+    from repro.cli import main
+
+    fresh = tmp_path / "serve-slo.json"
+    argv = ["serve", "--chaos", "--acceptance", "--out", str(fresh),
+            "--checkpoint-dir", str(tmp_path / "serve-ckpt")]
+    assert main(argv) == 0, capsys.readouterr().out
+    assert fresh.read_text() == (RESULTS / "serve-slo.json").read_text(), (
+        f"{RESULTS / 'serve-slo.json'} no longer matches `make serve-bench`"
+    )
 
 
 def test_slo_report_is_the_schema_the_code_emits():

@@ -15,7 +15,9 @@ from lint_invariants import (  # noqa: E402
     CONTRACT_CLASSES,
     EPILOGUE_FILES,
     KERNEL_SCOPE,
+    REGISTRY_FILE,
     check_array_imports,
+    check_engine_tables,
     check_file,
     check_kernel_contract,
     check_run_epilogue,
@@ -311,6 +313,46 @@ class TestUnusedLocals:
         assert "unused locals (4)" in capsys.readouterr().out
 
 
+ENGINE_TABLES = """\
+from functools import partial
+
+from repro.distributed import AsyncEngine, SyncEngine
+import repro.distributed.unified as unified
+
+FACTORIES = {"sync": SyncEngine, "async": AsyncEngine}
+BUILDERS = {
+    "unified": lambda plan, cluster: unified.UnifiedEngine(plan, cluster),
+}
+MODES = {"naive": partial(SyncEngine, mode="naive")}
+LABELS = {"sync": "SyncEngine", "async": len}
+
+
+def engines(plan, cluster):
+    return {"sync": SyncEngine(plan, cluster), "label": "x"}
+"""
+
+
+class TestEngineTables:
+    def test_flags_classes_lambdas_and_partials(self, tmp_path):
+        path = tmp_path / "tables.py"
+        path.write_text(ENGINE_TABLES)
+        lines = [int(v.split(":")[1]) for v in check_engine_tables(path)]
+        # a dict of engine instances, built with the caller's own
+        # settings, is not a table of engines
+        assert lines == [6, 7, 10]
+
+    def test_the_registry_holds_the_one_table(self):
+        registry = REPO_ROOT / REGISTRY_FILE
+        assert "ENGINES = {" in registry.read_text()
+        assert check_engine_tables(registry) == []
+
+    def test_nonzero_on_a_second_table(self, tmp_path, capsys):
+        path = tmp_path / "tables.py"
+        path.write_text(ENGINE_TABLES)
+        assert main([str(path)]) == 1
+        assert "engine tables outside the registry (3)" in capsys.readouterr().out
+
+
 class TestMain:
     def test_core_tree_is_clean(self):
         # the invariants the tool exists to hold: no wall-clock or
@@ -340,6 +382,7 @@ class TestMain:
         assert "array-free packages stay kernel-agnostic" in proc.stdout
         assert "kernel overrides keep the contract" in proc.stdout
         assert "one run epilogue" in proc.stdout
+        assert "one engine table" in proc.stdout
         # the sixth pass covers src and tests
         checked = sum(len(list((REPO_ROOT / d).rglob("*.py"))) for d in ("src", "tests"))
         assert f"no unused locals ({checked} files checked)" in proc.stdout

@@ -29,6 +29,7 @@ from repro.distributed import (
     FixedBuffer,
     UnifiedEngine,
 )
+from repro.distributed.buffers import ALPHA, R
 from repro.distributed.chaos_harness import default_graph, schedule_for
 from repro.distributed.sharding import ShardedRun
 from repro.engine.result import WorkCounters
@@ -287,10 +288,10 @@ class ScalarBuffer:
         if self.policy.adaptive and now - self.window_start > 0:
             pace = self.window_updates / (now - self.window_start)
             threshold = self.beta / self.policy.tau
-            if pace > self.policy.r * threshold or pace < threshold / self.policy.r:
+            if pace > R * threshold or pace < threshold / R:
                 self.beta = min(
                     self.policy.max_beta,
-                    max(self.policy.min_beta, self.policy.alpha * self.policy.tau * pace),
+                    max(self.policy.min_beta, ALPHA * self.policy.tau * pace),
                 )
             self.window_start = now
             self.window_updates = 0

@@ -30,7 +30,7 @@ from repro.serving import (
 )
 from repro.delta import MutableGraphView
 from repro.graphs import Graph
-from repro.serving.service import Outage
+from repro.serving.service import CACHE_COST, Outage
 
 
 def single_spec(**overrides):
@@ -341,7 +341,7 @@ class TestServiceLifecycle:
 
     def test_cache_hit_cost_does_not_shift_global_clock(self):
         # requests 1 and 2 queue behind request 0 and both hit the
-        # fresh cache when it completes: each pays cache_cost once,
+        # fresh cache when it completes: each pays CACHE_COST once,
         # from the same dispatch instant -- the cost never accumulates
         # onto the shared clock
         spec = single_spec(num_requests=3)
@@ -355,7 +355,7 @@ class TestServiceLifecycle:
         first, hit1, hit2 = outcome.responses
         assert hit1.served_from == "cache" and hit2.served_from == "cache"
         assert hit1.resolved_at == pytest.approx(
-            first.resolved_at + config.cache_cost
+            first.resolved_at + CACHE_COST
         )
         assert hit2.resolved_at == pytest.approx(hit1.resolved_at)
 

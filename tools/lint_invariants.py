@@ -56,6 +56,14 @@ assignment, loop or ``with`` target, unpacking, ``:=`` or
 Names with a leading underscore (``_``, ``_unused``) are exempt, and so
 are ``global``/``nonlocal`` names, which outlive the call.
 
+A seventh pass keeps **one engine table**: a dict literal in
+``src/repro`` whose values are distributed engine classes (the
+``*Engine`` classes ``src/repro/distributed`` defines), lambdas or
+``partial`` objects that build them, belongs only in
+``src/repro/distributed/registry.py`` (``ENGINES``), which every
+surface that offers engines reads.  A dict of engine *instances*, built
+with each caller's own settings, is not a table of engines.
+
 Paths given on the command line are checked by every pass.  Exit code
 0 when clean, 1 with one ``file:line: message`` per violation otherwise.
 Pure stdlib; wired into ``make lint`` and CI.
@@ -66,6 +74,7 @@ from __future__ import annotations
 import ast
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +110,12 @@ EPILOGUE_FILES = {
     Path("src/repro/obs/metrics.py"),
     Path("src/repro/delta/engine.py"),
 }
+
+#: where engine tables are looked for, the one module that may hold one,
+#: and the package whose ``*Engine`` classes are the engines
+TABLE_SCOPE = (REPO_ROOT / "src" / "repro",)
+REGISTRY_FILE = Path("src/repro/distributed/registry.py")
+ENGINE_PACKAGE = REPO_ROOT / "src" / "repro" / "distributed"
 
 #: files allowed ``import numpy as np``: they take a seeded
 #: ``np.random.default_rng`` from it and nothing else
@@ -407,6 +422,50 @@ def check_run_epilogue(path: Path) -> list[str]:
     return violations
 
 
+@cache
+def _engine_classes() -> frozenset:
+    """The ``*Engine`` class names :data:`ENGINE_PACKAGE` defines."""
+    return frozenset(
+        node.name
+        for path in ENGINE_PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Engine")
+    )
+
+
+def _names_engine(node: ast.AST, engines: set) -> bool:
+    return _dotted(node).rsplit(".", 1)[-1] in engines
+
+
+def _is_engine_constructor(value: ast.AST, engines: set) -> bool:
+    """An engine class, or a lambda or ``partial`` that builds one."""
+    if isinstance(value, ast.Lambda):
+        return isinstance(value.body, ast.Call) and _names_engine(value.body.func, engines)
+    if isinstance(value, ast.Call):
+        return (
+            _dotted(value.func).rsplit(".", 1)[-1] == "partial"
+            and bool(value.args)
+            and _names_engine(value.args[0], engines)
+        )
+    return _names_engine(value, engines)
+
+
+def check_engine_tables(path: Path) -> list[str]:
+    """Name -> engine tables outside :data:`REGISTRY_FILE`."""
+    relative = _relative(path)
+    if relative == REGISTRY_FILE:
+        return []
+    engines = _engine_classes()
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{relative}:{node.lineno}: engine table outside {REGISTRY_FILE}: "
+        "build engines from repro.distributed.ENGINES"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        and any(_is_engine_constructor(value, engines) for value in node.values)
+    ]
+
+
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -497,6 +556,8 @@ def main(argv: list[str] | None = None) -> int:
          "run epilogue said twice", "one run epilogue"),
         (check_unused_locals, LOCALS_SCOPE,
          "unused locals", "no unused locals"),
+        (check_engine_tables, TABLE_SCOPE,
+         "engine tables outside the registry", "one engine table"),
     ):
         violations, checked = _run_pass(check, given or default)
         if violations:
