@@ -42,12 +42,15 @@ class AAPEngine(AsyncEngine):
         run_name: str = "aap-run",
         **options,
     ):
-        """``options`` are :class:`AsyncEngine`'s other keywords."""
+        """``options`` are :class:`AsyncEngine`'s other keywords, less
+        the ones AAP fixes: its buffer, its batch and no importance
+        threshold (Grape+ has no section 5.4 filter)."""
         super().__init__(
             plan,
             cluster,
             buffer_policy=BufferPolicy(initial_beta=fixed_buffer_size, adaptive=False),
             batch_size=stream_batch,
+            importance_threshold=None,
             run_name=run_name,
             **options,
         )

@@ -24,18 +24,25 @@ ENGINES = {
     "aap": AAPEngine,
 }
 
-#: the engines that accept a fault schedule: all but naive recomputation,
-#: which has no delta state worth protecting
-FAULT_TOLERANT_ENGINES = tuple(name for name in ENGINES if name != "naive")
+#: the engines that accept a fault schedule: every entry but those bound
+#: to one of :attr:`SyncEngine.FAULT_FREE_MODES`
+FAULT_TOLERANT_ENGINES = tuple(
+    name
+    for name, build in ENGINES.items()
+    if getattr(build, "keywords", {}).get("mode") not in SyncEngine.FAULT_FREE_MODES
+)
+
+#: supersteps between the sync engine's checkpoints when it has one
+SYNC_CHECKPOINT_EVERY = 4
 
 
-def build_engine(name: str, plan, cluster, checkpointer=None, checkpoint_every: int = 4, **options):
+def build_engine(name: str, plan, cluster, checkpointer=None, **options):
     """``ENGINES[name](plan, cluster, **options)``.  With a
     ``checkpointer``, the sync engine persists every
-    ``checkpoint_every`` supersteps; the event-clock engines checkpoint
-    on their own simulated interval."""
+    :data:`SYNC_CHECKPOINT_EVERY` supersteps; the event-clock engines
+    checkpoint on their own simulated interval."""
     if checkpointer is not None:
         options["checkpointer"] = checkpointer
         if name == "sync":
-            options["checkpoint_every"] = checkpoint_every
+            options["checkpoint_every"] = SYNC_CHECKPOINT_EVERY
     return ENGINES[name](plan, cluster, **options)

@@ -54,6 +54,10 @@ from repro.obs import ensure_obs
 class SyncEngine:
     """BSP execution of a compiled plan on the simulated cluster."""
 
+    #: modes that refuse a fault schedule (the registry derives its
+    #: fault-tolerant engines from this)
+    FAULT_FREE_MODES = ("naive",)
+
     def __init__(
         self,
         plan: CompiledPlan,
@@ -83,7 +87,7 @@ class SyncEngine:
         if checkpoint_every and checkpointer is None:
             raise ValueError("checkpoint_every requires a checkpointer")
         faults = (cluster or ClusterConfig()).faults
-        if mode == "naive" and faults is not None and not faults.is_null():
+        if mode in self.FAULT_FREE_MODES and faults is not None and not faults.is_null():
             raise ValueError("fault injection requires incremental mode")
         self.plan = plan
         self.cluster = cluster or ClusterConfig()

@@ -161,8 +161,6 @@ class ServeConfig:
     #: cache entries older than this are recomputed on the happy path
     freshness_ttl: float = 1.5
     max_attempts: int = 3
-    #: sync-engine checkpoint cadence (supersteps) when checkpointing
-    checkpoint_every: int = 4
     #: seed of the base graphs and their per-version mutation deltas
     graph_seed: int = 7
     #: fraction of head edges inserted by each version-bump delta
@@ -407,7 +405,6 @@ class ServingService:
             plan,
             self._cluster(key, seed),
             checkpointer=self.checkpointer if with_checkpointer else None,
-            checkpoint_every=self.config.checkpoint_every,
             termination=self._termination(plan, params),
             run_name=self._run_name(key),
             backend=self.config.backend,

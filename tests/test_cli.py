@@ -234,6 +234,21 @@ class TestEngineNames:
         with pytest.raises(SystemExit):
             parse(["chaos", "--engines", "naive"])
 
+    def test_fault_tolerant_set_is_what_the_engines_accept(self):
+        from repro.distributed import ENGINES, FAULT_TOLERANT_ENGINES, ClusterConfig
+        from repro.distributed.chaos import FaultSchedule
+        from repro.distributed.chaos_harness import default_graph
+        from repro.programs import PROGRAMS
+
+        plan = PROGRAMS["sssp"].plan(default_graph("sssp", seed=7))
+        cluster = ClusterConfig(num_workers=2).with_faults(FaultSchedule(drop_rate=0.1))
+        for name, build in ENGINES.items():
+            if name in FAULT_TOLERANT_ENGINES:
+                build(plan, cluster)
+            else:
+                with pytest.raises(ValueError, match="fault injection"):
+                    build(plan, cluster)
+
     def test_naive_metrics_carry_the_plan_gauges(self, capsys):
         assert main(["metrics", "sssp", "--engine", "naive"]) == 0
         out = capsys.readouterr().out

@@ -227,6 +227,11 @@ class TestInvalidConfig:
         with pytest.raises(ValueError, match="unknown mode"):
             SyncEngine(plan, cluster, mode="magic")
 
+    def test_aap_has_no_importance_threshold(self, graph, cluster):
+        plan = PROGRAMS["pagerank"].plan(graph)
+        with pytest.raises(TypeError, match="importance_threshold"):
+            AAPEngine(plan, cluster, importance_threshold=1e-4)
+
 
 class TestRemainingBenchmarkedPrograms:
     """Adsorption and BP (pair keys) across every execution mode."""
