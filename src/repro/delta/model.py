@@ -25,7 +25,9 @@ weights first and only then edits the edge list.
 
 Applying a batch also says what it changed, edge by edge
 (:class:`EdgeChange`, from :meth:`GraphDelta.apply_recording`): the
-record the incremental engine turns into EDB rows.
+record the incremental engine turns into EDB rows.  Given the graph's
+:class:`EdgeIndex`, which it keeps current, an application finds the
+edges the batch names without a pass over the graph.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
+from typing import Optional
 
+from repro.engine.plan import position_index
 from repro.graphs.graph import Graph
 
 
@@ -45,6 +50,65 @@ class DeltaValidationError(ValueError):
 
 #: default weight for inserts that do not specify one
 DEFAULT_WEIGHT = 1
+
+
+class EdgeIndex:
+    """Where each ``(src, dst)`` pair of one edge list sits, kept current
+    from bump to bump at the cost of the batch.
+
+    Every edge holds a *slot*, dealt in list order; ``slots`` maps a pair
+    to its slot, or to the ascending slots of a pair held more than once.
+    A removed edge's slot joins the sorted ``dead`` list, so an edge's
+    position is its slot less the dead slots below it -- a bisection,
+    with no renumbering -- and an appended edge takes the next fresh
+    slot.  When the dead outnumber the live edges, :meth:`reset` deals
+    the slots afresh: a pass over the list that as many removals paid
+    for.
+    """
+
+    __slots__ = ("slots", "dead", "size")
+
+    def __init__(self, edges: list) -> None:
+        self.reset(edges)
+
+    def reset(self, edges: list) -> None:
+        """Index ``edges`` from scratch: one C-level pass."""
+        self.slots = position_index(edges)
+        #: slots of removed edges, ascending
+        self.dead: list = []
+        #: slots dealt so far
+        self.size = len(edges)
+
+    def __len__(self) -> int:
+        """The number of edges in the list."""
+        return self.size - len(self.dead)
+
+    def __contains__(self, pair) -> bool:
+        return pair in self.slots
+
+    @property
+    def has_repeats(self) -> bool:
+        """Does some pair sit in the list more than once?"""
+        return len(self) != len(self.slots)
+
+    def positions(self, pair) -> list:
+        """Every position holding ``pair``, ascending."""
+        held = self.slots[pair]
+        dead = self.dead
+        if type(held) is int:
+            return [held - bisect_left(dead, held)]
+        return [slot - bisect_left(dead, slot) for slot in held]
+
+    def remove(self, pair) -> None:
+        """Forget every copy of ``pair``."""
+        held = self.slots.pop(pair)
+        for slot in (held,) if type(held) is int else held:
+            insort(self.dead, slot)
+
+    def append(self, pair) -> None:
+        """``pair``, not held, was appended to the list."""
+        self.slots[pair] = self.size
+        self.size += 1
 
 
 @dataclass(frozen=True)
@@ -229,33 +293,47 @@ class GraphDelta:
         """
         return self.apply_recording(graph)[0]
 
-    def apply_recording(self, graph: Graph) -> tuple[Graph, "EdgeChange"]:
+    def apply_recording(
+        self, graph: Graph, index: Optional[EdgeIndex] = None
+    ) -> tuple[Graph, "EdgeChange"]:
         """:meth:`apply_to`, plus the :class:`EdgeChange` it made.
 
-        Only the batch is walked in Python: the edge list is indexed
-        and copied whole, then reweighted in place and cut at the
-        positions the batch names -- the positions the change record is
-        read off.
+        ``index`` is ``graph``'s :class:`EdgeIndex`, which the call keeps
+        current for the mutated graph (a
+        :class:`~repro.delta.view.MutableGraphView` carries its head's);
+        without one, a fresh index is built, one pass over the edges.
+        Given it, the batch is validated and its positions found without
+        a pass: the edge list is copied whole, then reweighted in place
+        and cut at the positions the batch names -- the positions the
+        change record is read off.  Removed vertices are the exception:
+        their incident edges are found by a scan.  A batch that fails
+        validation leaves ``index`` as it was.
         """
         base = graph if graph.weights is not None else graph.with_weights()
-        edges = list(base.edges)
-        weights = list(base.weights)
-        positions = dict(zip(edges, range(len(edges))))
-        self._validate(graph, positions)
+        if index is None:
+            index = EdgeIndex(base.edges)
+        self._validate(graph, index)
 
         removed_vertices = set(self.remove_vertices)
         updates = {(src, dst): weight for src, dst, weight in self.update_weights}
-        if removed_vertices or len(positions) != len(edges):
-            # incident edges and the copies of a repeated pair cannot be
-            # read off the index: scan for them
+        if removed_vertices:
+            # incident edges cannot be read off the index: scan for them
             named = updates.keys() | set(self.delete_edges)
             touched = [
                 position
-                for position, edge in enumerate(edges)
+                for position, edge in enumerate(base.edges)
                 if edge in named or not removed_vertices.isdisjoint(edge)
             ]
         else:
-            touched = [positions[edge] for edge in chain(updates, self.delete_edges)]
+            touched = list(
+                chain.from_iterable(
+                    map(index.positions, chain(updates, self.delete_edges))
+                )
+            )
+            if index.has_repeats:
+                touched.sort()  # every copy of a repeated pair, in list order
+        edges = list(base.edges)
+        weights = list(base.weights)
         removed: list = []
         added: list = []
         drop = []
@@ -270,11 +348,17 @@ class GraphDelta:
         for position in sorted(drop, reverse=True):
             del edges[position]
             del weights[position]
+        # a dropped pair goes with every copy (the batch names pairs)
+        for pair in dict.fromkeys(base.edges[position] for position in drop):
+            index.remove(pair)
         for src, dst, weight in self.insert_edges:
             weight = DEFAULT_WEIGHT if weight is None else weight
             edges.append((src, dst))
             weights.append(weight)
+            index.append((src, dst))
             added.append((src, dst, weight))
+        if len(index.dead) > len(edges):
+            index.reset(edges)
 
         mutated = Graph(
             base.num_vertices + self.add_vertices,
@@ -426,8 +510,9 @@ def random_delta(
 ) -> GraphDelta:
     """A deterministic random mutation batch over ``graph``.
 
-    Uses ``random.Random`` (not numpy) so delta streams are reproducible
-    on numpy-less installs.  ``acyclic=True`` restricts inserts to
+    Draws from a ``random.Random`` seeded with ``seed`` alone, so a
+    stream of deltas is a function of the graph and the seeds.
+    ``acyclic=True`` restricts inserts to
     ``src < dst`` -- the invariant :func:`repro.graphs.random_dag`
     guarantees -- so path-counting programs stay well-defined.
     """

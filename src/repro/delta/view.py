@@ -10,13 +10,19 @@ deltas that produced them stay addressable, which is what lets the
 serving layer repair a fixpoint cached at version ``j`` up to the
 current version without replaying the workload.
 
-A bump costs the batch, not the graph, in Python: ``apply`` goes through
-:meth:`~repro.delta.model.GraphDelta.apply_recording`, which indexes and
-copies the head's edge list whole and edits it at the positions the
-batch names.  Edge order and weight objects are part of the contract --
-:func:`~repro.delta.model.random_delta` sorts and samples the head's
-edges, so a view that ordered them differently would change every
-seeded delta stream drawn from it.
+A bump costs the batch, not the graph: the view keeps the head's
+:class:`~repro.delta.model.EdgeIndex` (``(src, dst)`` -> position,
+built on the first bump and carried from head to head), so ``apply``
+validates the batch and finds the positions it names by lookups, then
+copies the head's edge and weight lists -- two C-level copies, the new
+version's own -- and edits them there
+(:meth:`~repro.delta.model.GraphDelta.apply_recording`).  Only a vertex
+removal scans the edges, for the incident ones.  Older versions keep
+their graphs but not an index.  Edge order and weight objects are part
+of the contract -- surviving edges keep their order, inserts are
+appended, and :func:`~repro.delta.model.random_delta` sorts and samples
+the head's edges, so a view that ordered them differently would change
+every seeded delta stream drawn from it.
 
 Each bump also keeps what it changed, edge by edge
 (:class:`~repro.delta.model.EdgeChange`: removed and added ``(src, dst,
@@ -28,7 +34,9 @@ change off them instead of rebuilding the database.
 
 from __future__ import annotations
 
-from repro.delta.model import EdgeChange, GraphDelta
+from typing import Optional
+
+from repro.delta.model import EdgeChange, EdgeIndex, GraphDelta
 from repro.graphs.graph import Graph
 
 
@@ -45,6 +53,8 @@ class MutableGraphView:
         self._deltas: dict[int, GraphDelta] = {}
         #: version -> what that delta changed, edge by edge
         self._changes: dict[int, EdgeChange] = {}
+        #: the head's edge index, built on the first bump
+        self._index: Optional[EdgeIndex] = None
         self.version = start_version
 
     # -- accessors ------------------------------------------------------------
@@ -103,7 +113,9 @@ class MutableGraphView:
     def apply(self, delta: GraphDelta) -> Graph:
         """Validate ``delta`` against the head, bump the version, return
         the new head graph.  On validation failure nothing changes."""
-        mutated, change = delta.apply_recording(self.graph)
+        if self._index is None:
+            self._index = EdgeIndex(self.graph.edges)
+        mutated, change = delta.apply_recording(self.graph, self._index)
         renamed = Graph(
             mutated.num_vertices,
             mutated.edges,

@@ -136,16 +136,23 @@ class CompiledPlan:
         keys that come or go.  Columns stay type-exact
         (:class:`EdgeColumns`) without a pass over a column whose kind
         the type counts say did not change, and none of this plan's
-        caches carry over.
+        caches carry over -- but two of the array kernel's: its key order
+        when ``keys`` did not change, and its packed CSR, handed over
+        with the :class:`PlanMoves` that turn it into this plan's
+        (``repro.runtime.csr`` splices it on first use).
         """
         lineage = self.__dict__.pop("_lineage", None) or _Lineage(self.edge_columns)
         bodies = [
             [columns.srcs[:], columns.dsts[:], *(col[:] for col in columns.param_cols)]
             for columns in self.edge_columns
         ]
+        moves = [PlanMoves() for _ in bodies]
         leaving: set = set()
         for edge, count in removed.items():
-            leaving.update(lineage.remove(bodies[edge[3]], edge, count))
+            body = edge[3]
+            leaving.update(lineage.remove(bodies[body], edge, count, moves[body]))
+        for body, cols in enumerate(bodies):
+            moves[body].kept = len(cols[0])
         for edge, count in added.items():
             lineage.append(bodies[edge[3]], edge, count)
         lineage.retype(bodies)
@@ -172,6 +179,12 @@ class CompiledPlan:
             constants=constants,
         )
         plan._lineage = lineage
+        cached = vars(self)
+        if keys is self.keys and "_kernel_key_order" in cached:
+            plan._kernel_key_order = cached["_kernel_key_order"]
+            plan._kernel_keys_sorted = cached["_kernel_keys_sorted"]
+        if "_kernel_csr" in cached:
+            plan._kernel_parent = (cached["_kernel_csr"], moves)
         return plan
 
     def __repr__(self):
@@ -233,37 +246,64 @@ def edge_signatures(body: int, srcs, dsts, param_cols):
 
 
 def edge_index(edge_columns) -> dict:
-    """Where each edge sits: signature -> position, or -> the ascending
-    positions of a signature held more than once.  One C-level pass per
-    body; Python runs only over the repeated copies."""
+    """Where each edge sits: its :func:`flat_signature` -> position, or ->
+    the ascending positions of a signature held more than once.  One
+    C-level pass per body, one tuple per edge; Python runs only over the
+    repeated copies."""
     index: dict = {}
     for body, columns in enumerate(edge_columns):
-        signatures = list(
-            edge_signatures(body, columns.srcs, columns.dsts, columns.param_cols)
-        )
-        span = range(len(signatures))
-        positions = dict(zip(signatures, span))
-        if len(positions) != len(signatures):
-            # every position but a signature's last
-            earlier = compress(
-                span, map(ne, map(positions.__getitem__, signatures), span)
-            )
-            repeats: dict = {}
-            for position in earlier:
-                repeats.setdefault(signatures[position], []).append(position)
-            for edge, held in repeats.items():
-                held.append(positions[edge])
-                positions[edge] = held
-        index.update(positions)
+        flats = zip(columns.srcs, columns.dsts, *columns.param_cols, repeat(body))
+        index.update(position_index(list(flats)))
     return index
+
+
+def flat_signature(edge) -> tuple:
+    """A :attr:`CompiledPlan.signature` element ``(src, dst, params,
+    body)`` as one flat tuple ``(src, dst, *params, body)``."""
+    src, dst, params, body = edge
+    return (src, dst, *params, body)
+
+
+def position_index(items: list) -> dict:
+    """``item -> position`` over ``items``, or -> the ascending positions
+    of an item held more than once: one C-level pass, and Python only
+    over the repeated copies."""
+    span = range(len(items))
+    positions = dict(zip(items, span))
+    if len(positions) != len(items):
+        # every position but an item's last
+        earlier = compress(span, map(ne, map(positions.__getitem__, items), span))
+        repeats: dict = {}
+        for position in earlier:
+            repeats.setdefault(items[position], []).append(position)
+        for item, held in repeats.items():
+            held.append(positions[item])
+            positions[item] = held
+    return positions
+
+
+class PlanMoves:
+    """Where one body's edges went in a patch: the parent's edge at
+    position ``origin[j]`` now sits at ``j`` (swap-remove moved it), the
+    parent's edges ``gone`` (``(position, source key)`` pairs) left,
+    every other edge the parent held below ``kept`` stayed put, and the
+    edges from ``kept`` on are new."""
+
+    __slots__ = ("origin", "gone", "kept")
+
+    def __init__(self) -> None:
+        self.origin: dict = {}
+        self.gone: list = []
+        self.kept = 0
 
 
 class _Lineage:
     """What a lineage of patched plans hands from plan to plan.
 
-    ``positions`` is :func:`edge_index`, kept current by the patches;
-    ``refs`` counts each key's edge endpoints (a key whose count reaches
-    zero is a key no more, unless a base fact holds it); ``types``
+    ``positions`` is :func:`edge_index` (one flat tuple per edge where a
+    signature is two), kept current by the patches; ``refs`` counts each
+    key's edge endpoints (a key whose count reaches zero is a key no
+    more, unless a base fact holds it); ``types``
     counts the value types of every column stored untyped, so a patch
     knows when one could be typed again without looking at it.  All
     three are built in C-level passes on the lineage's first patch.
@@ -284,26 +324,24 @@ class _Lineage:
                 if type(col) is list:
                     self.types[body, slot] = Counter(map(type, col))
 
-    def remove(self, cols: list, edge, count: int) -> list:
+    def remove(self, cols: list, edge, count: int, moves: PlanMoves) -> list:
         """Take ``count`` copies of ``edge`` out of its body's columns
-        ``cols``, each overwritten by the body's last edge; returns the
-        keys left with no edge endpoint."""
+        ``cols``, each overwritten by the body's last edge, and say so in
+        ``moves``; returns the keys left with no edge endpoint."""
         body = edge[3]
+        origin = moves.origin
+        key = flat_signature(edge)
         for _ in range(count):
-            position = self._take(edge)
+            position = self._take(key)
             for slot, col in enumerate(cols):
                 if type(col) is list:
                     self.types[body, slot][type(col[position])] -= 1
                     self.touched.add((body, slot))
             last = len(cols[0]) - 1
+            moves.gone.append((origin.pop(position, position), edge[0]))
             if position != last:
-                moved = (
-                    cols[0][last],
-                    cols[1][last],
-                    tuple(col[last] for col in cols[2:]),
-                    body,
-                )
-                self._move(moved, last, position)
+                origin[position] = origin.pop(last, last)
+                self._move((*(col[last] for col in cols), body), last, position)
                 for col in cols:
                     col[position] = col[last]
             for col in cols:
@@ -321,8 +359,9 @@ class _Lineage:
     def append(self, cols: list, edge, count: int) -> None:
         """Append ``count`` copies of ``edge`` to its body's columns."""
         src, dst, params, body = edge
+        key = flat_signature(edge)
         for _ in range(count):
-            self._put(edge, len(cols[0]))
+            self._put(key, len(cols[0]))
             for slot, value in enumerate((src, dst, *params)):
                 col = cols[slot]
                 if type(col) is list:
@@ -352,30 +391,30 @@ class _Lineage:
                     del self.types[body, slot]
         self.touched.clear()
 
-    def _take(self, edge) -> int:
-        """Forget (and return) the last position holding ``edge``."""
-        held = self.positions[edge]
+    def _take(self, key) -> int:
+        """Forget (and return) the last position holding ``key``."""
+        held = self.positions[key]
         if type(held) is int:
-            del self.positions[edge]
+            del self.positions[key]
             return held
         position = held.pop()
         if len(held) == 1:
-            self.positions[edge] = held[0]
+            self.positions[key] = held[0]
         return position
 
-    def _put(self, edge, position: int) -> None:
-        held = self.positions.get(edge)
+    def _put(self, key, position: int) -> None:
+        held = self.positions.get(key)
         if held is None:
-            self.positions[edge] = position
+            self.positions[key] = position
         elif type(held) is int:
-            self.positions[edge] = [held, position]
+            self.positions[key] = [held, position]
         else:
             held.append(position)
 
-    def _move(self, edge, old: int, new: int) -> None:
-        held = self.positions[edge]
+    def _move(self, key, old: int, new: int) -> None:
+        held = self.positions[key]
         if type(held) is int:
-            self.positions[edge] = new
+            self.positions[key] = new
         else:
             held[held.index(old)] = new
 

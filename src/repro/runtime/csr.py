@@ -5,7 +5,8 @@ A :class:`PlanCSR` is the immutable, plan-wide edge structure every
 grouped by source in canonical key order, each source's edges in plan
 emission order, one :class:`FnGroup` of packed ``F'`` parameter columns
 per recursion body.  :func:`plan_csr` is the only entry point; it packs
-once per plan and caches the result on the plan.
+once per plan, or splices a patched plan's CSR from the one its parent
+handed over (:func:`_splice`), and caches the result on the plan.
 
 The plan stores its edges as columns (one
 :class:`repro.engine.plan.EdgeColumns` per recursion body) and the
@@ -22,6 +23,7 @@ for that recursion body only.
 from __future__ import annotations
 
 from array import array as _array
+from itertools import chain
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -56,25 +58,32 @@ class _ColumnRows:
 class FnGroup:
     """One recursion body's compiled F' and its packed parameter columns."""
 
-    __slots__ = ("fn", "raw_params", "cols")
+    __slots__ = ("fn", "perm", "raw_params", "cols")
 
-    def __init__(self, fn: Callable, columns: Any, perm: Any) -> None:
+    def __init__(
+        self, fn: Callable, columns: Any, perm: Any, cols: Optional[list] = None
+    ) -> None:
         self.fn = fn
+        #: per row (the body's edges in CSR order): the edge's position
+        #: in the body's columns
+        self.perm = perm
         #: row-indexable view of the parameter tuples in CSR edge order
         self.raw_params = _ColumnRows(columns, perm)
         #: float64 parameter columns in CSR edge order (the body's
-        #: ``columns`` permuted by ``perm``), or None when F' does not
-        #: vectorise (per-edge fallback)
+        #: ``columns`` permuted by ``perm``, or ``cols`` when the caller
+        #: has them), or None when F' does not vectorise (per-edge
+        #: fallback)
         self.cols: Optional[list] = None
         if not len(perm):
             return
-        try:  # typed columns are zero-copy views until permuted
-            cols = [
-                np.asarray(col)[perm].astype(np.float64, copy=False)
-                for col in columns
-            ]
-        except (TypeError, ValueError):
-            return  # non-numeric parameters: per-edge fallback
+        if cols is None:
+            try:  # typed columns are zero-copy views until permuted
+                cols = [
+                    np.asarray(col)[perm].astype(np.float64, copy=False)
+                    for col in columns
+                ]
+            except (TypeError, ValueError):
+                return  # non-numeric parameters: per-edge fallback
         if self._vectorises(cols):
             self.cols = cols
 
@@ -271,9 +280,151 @@ def _pack_columns(plan: Any) -> PlanCSR:
     return PlanCSR(plan, indptr, dst_codes[perm], efn, erow, groups)
 
 
+#: parameter types whose float64 value a splice may take one at a time
+_NUMBERS = (int, float)
+
+
+def _find(parent: PlanCSR, body: int, code: int, position: int) -> tuple:
+    """Where ``body``'s edge from key code ``code`` at ``position`` of the
+    body's columns sits, or would sit, among ``parent``'s edges: its CSR
+    position and its row in the body's group (a bisection of the
+    source's block)."""
+    lo, hi = int(parent.indptr[code]), int(parent.indptr[code + 1])
+    if len(parent.groups) == 1:
+        first = lo
+    else:  # the body's block of the row: bodies ascend within it
+        efn = parent.efn
+        block = efn[lo:hi]
+        lo, hi = lo + int(block.searchsorted(body)), lo + int(block.searchsorted(body, "right"))
+        first = int(parent.erow[lo]) if lo < hi else int(np.count_nonzero(efn[:lo] == body))
+    at = int(parent.groups[body].perm[first : first + hi - lo].searchsorted(position))
+    return lo + at, first + at
+
+
+def _pieces(gone: list, at: list) -> list:
+    """How to cut an array: ``(0, a, b)`` for the slice ``a:b`` of it and
+    ``(1, a, b)`` for arrivals ``a:b``, in order, dropping the ascending
+    positions ``gone`` and placing arrival ``k`` before position
+    ``at[k]`` (ascending)."""
+    pieces: list = []
+    cursor = 0
+    i = 0
+    for k, position in enumerate(at):
+        while i < len(gone) and gone[i] < position:
+            if cursor < gone[i]:
+                pieces.append((0, cursor, gone[i]))
+            cursor = gone[i] + 1
+            i += 1
+        if cursor < position:
+            pieces.append((0, cursor, position))
+            cursor = position
+        if pieces and pieces[-1][0] == 1:
+            pieces[-1] = (1, pieces[-1][1], k + 1)
+        else:
+            pieces.append((1, k, k + 1))
+    for position in gone[i:]:
+        if cursor < position:
+            pieces.append((0, cursor, position))
+        cursor = position + 1
+    pieces.append((0, cursor, None))
+    return pieces
+
+
+def _spliced(array: Any, pieces: list, values: Any) -> Any:
+    """``array`` cut by :func:`_pieces`, ``values`` arriving."""
+    parts = (array, values)
+    return np.concatenate([parts[side][a:b] for side, a, b in pieces])
+
+
+def _splice(plan: Any, parent: PlanCSR, moves: list) -> Optional[PlanCSR]:
+    """The CSR of ``plan``, a patch of the plan ``parent`` was packed for
+    (``moves``: one :class:`~repro.engine.plan.PlanMoves` per body),
+    spliced from ``parent``: array for array what :func:`_pack_columns`
+    packs, for a binary search per changed edge and one copy per array.
+
+    CSR order is (source code, body, position in the body's columns).
+    Swap-remove leaves every surviving edge where it was but the moved
+    ones, so the kept edges stay in order: the edges that left and the
+    moved ones are cut out, and the moved and appended ones go in where
+    a search of their source's block puts them -- only the rows a move
+    touched change order.  ``None`` when only a full pack will do: the
+    key set changed (every code moves), the plan has no edges, a parent
+    body packed no float64 columns, or a new parameter is not a number.
+    """
+    index = plan_key_order(plan)
+    bodies = plan.edge_columns
+    if index is not parent.index or not plan.num_edges:
+        return None
+    if len(parent.groups) != len(bodies) or any(
+        group.cols is None for group in parent.groups
+    ):
+        return None
+    change = np.zeros(parent.n, dtype=np.int64)
+    gone: list = []  # the parent's CSR positions that leave
+    gone_rows: list = []  # per body: the rows of its group that leave
+    arriving: list = []  # (source code, body, column position, CSR position, row, ...)
+    for body, (columns, moved) in enumerate(zip(bodies, moves)):
+        srcs, dsts = columns.srcs, columns.dsts
+        rows = []
+        leaving = moved.gone + [(old, srcs[new]) for new, old in moved.origin.items()]
+        for old, src in leaving:
+            code = index[src]
+            at, row = _find(parent, body, code, old)
+            gone.append(at)
+            rows.append(row)
+            change[code] -= 1
+        gone_rows.append(sorted(rows))
+        for j in chain(moved.origin, range(moved.kept, len(columns))):
+            params = tuple(col[j] for col in columns.param_cols)
+            if not all(type(value) in _NUMBERS for value in params):
+                return None
+            code = index[srcs[j]]
+            arriving.append((code, body, j, *_find(parent, body, code, j), index[dsts[j]], params))
+            change[code] += 1
+    arriving.sort()  # CSR order: source, body, column position
+
+    pieces = _pieces(sorted(gone), [arrival[3] for arrival in arriving])
+    edst = np.array([arrival[5] for arrival in arriving], dtype=np.int64)
+    edst = _spliced(parent.edst, pieces, edst)
+    m = len(edst)
+    indptr = parent.indptr.copy()
+    indptr[1:] += change.cumsum()
+    if len(bodies) == 1:
+        efn = np.zeros(m, dtype=np.int64)
+        erow = np.arange(m, dtype=np.int64)
+    else:
+        efn = np.array([arrival[1] for arrival in arriving], dtype=np.int64)
+        efn = _spliced(parent.efn, pieces, efn)
+        erow = np.empty(m, dtype=np.int64)
+        for body in range(len(bodies)):
+            mine = efn == body
+            erow[mine] = np.arange(int(mine.sum()), dtype=np.int64)
+
+    groups = []
+    for body, (columns, group, rows) in enumerate(zip(bodies, parent.groups, gone_rows)):
+        perm, cols = group.perm, group.cols
+        mine = [arrival for arrival in arriving if arrival[1] == body]
+        if rows or mine:
+            if len(bodies) > 1:  # a body's rows are not the CSR positions
+                pieces = _pieces(rows, [arrival[4] for arrival in mine])
+            positions = np.array([arrival[2] for arrival in mine], dtype=np.int64)
+            perm = _spliced(perm, pieces, positions)
+            params = np.array([arrival[6] for arrival in mine], dtype=np.float64)
+            params = params.reshape(len(mine), len(cols))
+            cols = [_spliced(col, pieces, params[:, slot]) for slot, col in enumerate(cols)]
+        groups.append(FnGroup(columns.fn, columns.param_cols, perm, cols))
+    return PlanCSR(plan, indptr, edst, efn, erow, groups)
+
+
 def plan_csr(plan: Any) -> PlanCSR:
-    """The plan's CSR, packed on first use and cached on the plan."""
+    """The plan's CSR, cached on the plan: on first use spliced from the
+    CSR a patch handed over (:func:`_splice`), or else packed."""
     csr = getattr(plan, "_kernel_csr", None)
     if csr is None:
-        csr = plan._kernel_csr = _pack_columns(plan)
+        handed = plan.__dict__.pop("_kernel_parent", None)
+        if handed is not None:
+            csr = _splice(plan, *handed)
+        if csr is None:
+            csr = _pack_columns(plan)
+        plan._kernel_csr = csr
     return csr

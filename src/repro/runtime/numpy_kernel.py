@@ -917,9 +917,8 @@ class NumpyKernel(Kernel):
     # -- MonoTable protocol (scalar paths run on Python floats) -----------------
     @property
     def accumulated(self) -> dict:
-        keys = self._keys
-        acc = self._acc
-        return {keys[i]: float(acc[i]) for i in self._acc_order}
+        order = self._acc_order
+        return dict(zip(map(self._keys.__getitem__, order), self._acc.take(order).tolist()))
 
     @accumulated.setter
     def accumulated(self, values: dict) -> None:
@@ -1507,7 +1506,7 @@ class NumpyKernel(Kernel):
             if not stepped:
                 break
         keys = csr.keys_sorted
-        outside.update(keys[code] for code in mask.nonzero()[0].tolist())
+        outside.update(map(keys.__getitem__, mask.nonzero()[0].tolist()))
         return outside
 
     @classmethod

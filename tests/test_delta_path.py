@@ -13,12 +13,16 @@ from array import array
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.delta.engine as delta_engine
+import repro.engine.plan as plan_module
 import repro.programs.registry as registry
+import repro.runtime.csr as csr_module
 from repro.delta import (
+    DeltaValidationError,
     GraphDelta,
     IncrementalEngine,
     MutableGraphView,
@@ -27,8 +31,9 @@ from repro.delta import (
     random_delta,
 )
 from repro.delta.engine import delta_join, diff_databases
+from repro.delta.model import EdgeIndex
 from repro.engine import MRAEvaluator
-from repro.engine.plan import EdgeColumns, edge_index, edge_signatures
+from repro.engine.plan import EdgeColumns, edge_index, edge_signatures, flat_signature
 from repro.engine.relation import Relation
 from repro.graphs import Graph, random_dag, rmat
 from repro.programs import PROGRAMS
@@ -36,6 +41,7 @@ from repro.programs.builders import EdgeLocalBuilder, WalkBoundError, weighted_g
 from repro.programs.registry import ProgramSpec
 from repro.runtime import available_backends, get_kernel
 from repro.runtime.base import Kernel
+from repro.runtime.csr import _pack_columns
 from tests.reference_repair import reference_apply_to, reference_repair_plan
 
 BACKENDS = tuple(available_backends())
@@ -279,6 +285,98 @@ def test_delta_path_is_the_recompile_path(program, data):
         delta = make_delta(engine.view.graph, kind, seed, program in ACYCLIC)
         if not check_batch(engine, delta, seen):
             break
+
+
+# -- the patched plan's CSR is spliced, not packed -----------------------------
+
+#: sssp with a second recursive body over the reversed edges: a two-body plan
+TWO_BODIES = ProgramSpec(
+    name="sssp_two_bodies",
+    title="shortest paths, reversed edges at twice the weight",
+    source="""
+dist(X, d) :- X = 0, d = 0.
+dist(Y, min[dy]) :- dist(X, dx), edge(X, Y, W), dy = dx + W;
+    :- dist(X, dx), edge(Y, X, W), dy = dx + 2 * W.
+""",
+    aggregator="min",
+    expected_mra=True,
+    build_database=weighted_graph_db,
+)
+
+
+def assert_same_array(got, expected) -> None:
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def assert_csr_is_a_pack(plan) -> None:
+    """The CSR the numpy kernel got for ``plan`` is, array for array, the
+    one a full pack of ``plan`` makes."""
+    got = plan._kernel_csr
+    packed = _pack_columns(plan)
+    assert got.keys_sorted == packed.keys_sorted
+    for name in ("indptr", "edst", "efn", "erow"):
+        assert_same_array(getattr(got, name), getattr(packed, name))
+    assert len(got.groups) == len(packed.groups)
+    for mine, theirs in zip(got.groups, packed.groups):
+        assert mine.fn is theirs.fn
+        assert_same_array(mine.perm, theirs.perm)
+        rows = range(len(theirs.raw_params))
+        assert len(mine.raw_params) == len(rows)
+        assert [exact(mine.raw_params[r]) for r in rows] == [
+            exact(theirs.raw_params[r]) for r in rows
+        ]
+        assert (mine.cols is None) == (theirs.cols is None)
+        if theirs.cols is not None:
+            assert len(mine.cols) == len(theirs.cols)
+            for col, packed_col in zip(mine.cols, theirs.cols):
+                assert_same_array(col, packed_col)
+
+
+@pytest.mark.parametrize("program", DELTA_PATH + ("two_bodies",))
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_a_patched_plan_splices_the_csr_a_pack_makes(program, data):
+    spec = TWO_BODIES if program == "two_bodies" else PROGRAMS[program]
+    graph = base_graph(program, data.draw(st.integers(0, 10**6)))
+    if data.draw(st.booleans()):
+        graph = with_repeats(graph)
+    stream = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(KINDS), st.integers(0, 10**6)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    engine = IncrementalEngine(spec, graph, backend="numpy")
+    engine.bootstrap()
+    for kind, seed in stream:
+        delta = make_delta(engine.view.graph, kind, seed, program in ACYCLIC)
+        try:
+            engine.apply(delta)
+        except ValueError:  # path_count's RA351: the builder refuses the graph
+            break
+        if "_kernel_csr" in vars(engine._plan):  # kpaths runs on python
+            assert_csr_is_a_pack(engine._plan)
+            assert "_kernel_parent" not in vars(engine._plan)
+
+
+def test_the_two_body_plan_is_spliced(monkeypatch):
+    assert len(TWO_BODIES.analysis().recursions) == 2
+    calls = CountedCalls(monkeypatch)
+    calls.wrap(csr_module, "_pack_columns")
+    engine = IncrementalEngine(TWO_BODIES, rmat(40, 160, seed=3), backend="numpy")
+    engine.bootstrap()
+    for index, kind in enumerate(("insert", "delete", "reweight", "mixed") * 2):
+        engine.apply(make_delta(engine.view.graph, kind, 10 + index, acyclic=False))
+        assert_csr_is_a_pack(engine._plan)
+    # the bootstrap's plan is packed; the patches keep the key set
+    assert calls.counts == {"_pack_columns": 1}
+    assert engine.values == oracle(TWO_BODIES, engine.view.graph, "numpy")
 
 
 # -- the traps, by name -------------------------------------------------------
@@ -744,6 +842,30 @@ def test_a_repair_neither_compiles_nor_diffs_nor_builds_a_view(monkeypatch):
     assert engine.values == oracle(engine.spec, engine.view.graph, "numpy")
 
 
+def test_after_the_first_repair_nothing_is_packed_or_indexed_whole(monkeypatch):
+    calls = CountedCalls(monkeypatch)
+    calls.wrap(csr_module, "_pack_columns")
+    calls.wrap(EdgeIndex, "reset")
+    calls.wrap(plan_module, "edge_index")
+    engine = IncrementalEngine("sssp", rmat(60, 240, seed=9), backend="numpy")
+    engine.bootstrap()
+    assert calls.counts == {"_pack_columns": 1}
+    engine.apply(make_delta(engine.view.graph, "insert", 99, acyclic=False))
+    # the first repair indexes the view's head and the plan's lineage
+    assert calls.counts == {"_pack_columns": 1, "reset": 1, "edge_index": 1}
+    calls.counts.clear()
+    keys = engine._plan.keys
+    strategies = []
+    for index, kind in enumerate(("insert", "delete", "reweight", "mixed") * 2):
+        delta = make_delta(engine.view.graph, kind, 100 + index, acyclic=False)
+        strategies.append(engine.apply(delta).strategy)
+        assert_csr_is_a_pack(engine._plan)
+    assert engine._plan.keys == keys
+    assert set(strategies) == {"frontier", "rederive"}
+    assert calls.counts == {}
+    assert engine.values == oracle(engine.spec, engine.view.graph, "numpy")
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_repair_neither_builds_nor_diffs_the_edb(monkeypatch, backend):
     calls = CountedCalls(monkeypatch)
@@ -813,7 +935,7 @@ def test_the_c_level_index_is_the_per_edge_one():
     for body, columns in enumerate(plan.edge_columns):
         signatures = edge_signatures(body, columns.srcs, columns.dsts, columns.param_cols)
         for position, edge in enumerate(signatures):
-            per_edge.setdefault(edge, []).append(position)
+            per_edge.setdefault(flat_signature(edge), []).append(position)
     assert any(len(held) > 2 for held in per_edge.values())
     assert edge_index(plan.edge_columns) == {
         edge: held[0] if len(held) == 1 else held for edge, held in per_edge.items()
@@ -840,6 +962,60 @@ def test_view_apply_runs_no_python_per_edge():
     # a per-edge loop costs at least a call event (append, get) per edge
     assert events < graph.num_edges // 4
     assert (head.edges, head.weights) == (expected.edges, expected.weights)
+
+
+def index_state(index: EdgeIndex) -> tuple:
+    slots = {
+        pair: list(held) if type(held) is list else held for pair, held in index.slots.items()
+    }
+    return slots, list(index.dead), index.size
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    graph_seed=st.integers(0, 10**6),
+    stream=st.lists(
+        st.tuples(st.sampled_from(KINDS), st.integers(0, 10**6)), min_size=10, max_size=20
+    ),
+    repeated=st.booleans(),
+)
+def test_the_view_carries_the_heads_index(graph_seed, stream, repeated):
+    graph = rmat(12, 30, seed=graph_seed).with_weights()
+    if repeated:  # three pairs held twice
+        graph = with_repeats(graph)
+    view = MutableGraphView(graph)
+    versions = {view.version: (list(graph.edges), list(map(exact, graph.weights)))}
+    for kind, seed in stream:
+        head = view.graph
+        delta = make_delta(head, kind, seed, acyclic=False)
+        expected = reference_apply_to(delta, head)
+        bumped = view.apply(delta)
+        assert bumped.edges == expected.edges
+        assert list(map(exact, bumped.weights)) == list(map(exact, expected.weights))
+        index = view._index
+        assert {pair: index.positions(pair)[-1] for pair in index.slots} == dict(
+            zip(bumped.edges, range(len(bumped.edges)))
+        )
+        assert all(
+            index.positions(pair) == [p for p, edge in enumerate(bumped.edges) if edge == pair]
+            for pair in index.slots
+        )
+        versions[view.version] = (list(bumped.edges), list(map(exact, bumped.weights)))
+        # a batch the head refuses changes neither the view nor its index
+        pairs = list(dict.fromkeys(bumped.edges))
+        if len(pairs) >= 2:
+            held = index_state(index)
+            refused = GraphDelta(
+                delete_edges=(pairs[0],), insert_edges=((*pairs[1], 1),)
+            )
+            with pytest.raises(DeltaValidationError):
+                view.apply(refused)
+            assert index_state(view._index) == held
+            assert view.graph is bumped
+    assert view.version == 1 + len(stream)
+    for version, (edges, weights) in versions.items():
+        older = view.graph_at(version)
+        assert (older.edges, list(map(exact, older.weights))) == (edges, weights)
 
 
 @settings(max_examples=60, deadline=None)

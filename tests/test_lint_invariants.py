@@ -1,5 +1,5 @@
-"""The self-lint (``tools/lint_invariants.py``): determinism invariants
-and unused imports."""
+"""The self-lint (``tools/lint_invariants.py``): determinism invariants,
+unused imports and the other passes."""
 
 import subprocess
 import sys
@@ -21,6 +21,7 @@ from lint_invariants import (  # noqa: E402
     check_file,
     check_kernel_contract,
     check_run_epilogue,
+    check_undefined_names,
     check_unused_imports,
     check_unused_locals,
     main,
@@ -353,6 +354,62 @@ class TestEngineTables:
         assert "engine tables outside the registry (3)" in capsys.readouterr().out
 
 
+UNDEFINED = """\
+import os
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from collections import Counter
+
+
+def total(rows: "Counter") -> int:
+    count = 0
+    for row in rows:
+        count += len(row)
+    return cuont + os.sep.count("/")
+
+
+class Box:
+    size = lenght
+
+    def get(self):
+        return [item for item in self.items if item], __file__, super()
+
+
+def fill():
+    global CACHE
+    CACHE = {}
+
+
+def read():
+    try:
+        return CACHE, total([]), Box
+    except KeyError as error:
+        return error
+"""
+
+
+class TestUndefinedNames:
+    def test_flags_each_name_read_and_bound_nowhere(self, tmp_path):
+        path = tmp_path / "names.py"
+        path.write_text(UNDEFINED)
+        found = [(int(v.split(":")[1]), v.split("'")[1]) for v in check_undefined_names(path)]
+        # a builtin, a module attribute, a ``global`` bound in another
+        # function and an import under TYPE_CHECKING are all bound
+        assert found == [(12, "cuont"), (16, "lenght")]
+
+    def test_a_star_import_binds_anything(self, tmp_path):
+        path = tmp_path / "names.py"
+        path.write_text("from os.path import *\n\nprint(join, nowhere)\n")
+        assert check_undefined_names(path) == []
+
+    def test_nonzero_on_an_undefined_name(self, tmp_path, capsys):
+        path = tmp_path / "names.py"
+        path.write_text(UNDEFINED)
+        assert main([str(path)]) == 1
+        assert "undefined names (2)" in capsys.readouterr().out
+
+
 class TestMain:
     def test_core_tree_is_clean(self):
         # the invariants the tool exists to hold: no wall-clock or
@@ -386,3 +443,5 @@ class TestMain:
         # the sixth pass covers src and tests
         checked = sum(len(list((REPO_ROOT / d).rglob("*.py"))) for d in ("src", "tests"))
         assert f"no unused locals ({checked} files checked)" in proc.stdout
+        # so does the eighth
+        assert f"no undefined names ({checked} files checked)" in proc.stdout

@@ -64,6 +64,15 @@ A seventh pass keeps **one engine table**: a dict literal in
 surface that offers engines reads.  A dict of engine *instances*, built
 with each caller's own settings, is not a table of engines.
 
+An eighth pass flags **undefined names** (ruff's F821) over ``src``
+and ``tests``, from the compiler's own scopes (stdlib ``symtable``): a
+name some scope of a module reads as a global that the module never
+binds -- by assignment, ``def``/``class``, import, or a ``global``
+statement and an assignment in a function -- and that is not a builtin
+or a module attribute (``__file__``).  A module with a star import is
+skipped: it may bind anything.  Annotations the compiler does not
+evaluate (``from __future__ import annotations``) are not read.
+
 Paths given on the command line are checked by every pass.  Exit code
 0 when clean, 1 with one ``file:line: message`` per violation otherwise.
 Pure stdlib; wired into ``make lint`` and CI.
@@ -72,7 +81,9 @@ Pure stdlib; wired into ``make lint`` and CI.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
+import symtable
 import sys
 from functools import cache
 from pathlib import Path
@@ -528,6 +539,49 @@ def check_unused_locals(path: Path) -> list[str]:
     return violations
 
 
+#: names every module has without binding them
+MODULE_NAMES = frozenset(dir(builtins)) | {
+    "__file__", "__path__", "__builtins__", "__cached__", "__annotations__",
+}
+
+
+def check_undefined_names(path: Path) -> list[str]:
+    """Names a module reads as globals and binds nowhere."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=str(path))
+    if any(
+        isinstance(node, ast.ImportFrom) and any(alias.name == "*" for alias in node.names)
+        for node in ast.walk(tree)
+    ):
+        return []
+    top = symtable.symtable(source, str(path), "exec")
+    bound = set(MODULE_NAMES)
+    read: set = set()
+    tables = [top]
+    while tables:
+        table = tables.pop()
+        tables.extend(table.get_children())
+        for symbol in table.get_symbols():
+            name = symbol.get_name()
+            if table is top or symbol.is_declared_global():
+                if symbol.is_assigned() or symbol.is_imported() or symbol.is_namespace():
+                    bound.add(name)
+            if symbol.is_referenced() and (table is top or symbol.is_global()):
+                read.add(name)
+    undefined = read - bound
+    if not undefined:
+        return []
+    relative = _relative(path)
+    lines: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in undefined:
+            lines[node.id] = min(node.lineno, lines.get(node.id, node.lineno))
+    return [
+        f"{relative}:{line}: undefined name {name!r}: bind or import it"
+        for line, name in sorted((lines.get(name, 0), name) for name in undefined)
+    ]
+
+
 def _run_pass(check, roots) -> tuple[list[str], int]:
     violations: list[str] = []
     checked = 0
@@ -558,6 +612,8 @@ def main(argv: list[str] | None = None) -> int:
          "unused locals", "no unused locals"),
         (check_engine_tables, TABLE_SCOPE,
          "engine tables outside the registry", "one engine table"),
+        (check_undefined_names, LOCALS_SCOPE,
+         "undefined names", "no undefined names"),
     ):
         violations, checked = _run_pass(check, given or default)
         if violations:
