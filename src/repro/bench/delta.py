@@ -2,7 +2,7 @@
 
 Applies insert-only deltas sized at 0.1%, 1% and 10% of the dataset's
 edges to the RA320 programs (``sssp``, ``cc``), repairs the standing
-fixpoint with :func:`repro.delta.repair_plan` and re-evaluates the
+fixpoint with :meth:`repro.delta.IncrementalEngine.apply` and re-evaluates the
 mutated graph from scratch with the MRA evaluator.  Exactness is
 asserted *while* measuring -- the repaired fixpoint must equal the
 recomputed one bit for bit, otherwise the speedup is meaningless.
@@ -24,10 +24,9 @@ import os
 import time
 from typing import Optional, Sequence
 
-from repro.analysis.incremental import classify_incremental
 from repro.bench.harness import ExperimentReport
 from repro.bench.report import format_table
-from repro.delta import random_delta, repair_plan
+from repro.delta import IncrementalEngine, random_delta
 from repro.engine.mra import MRAEvaluator
 from repro.graphs import load_dataset
 from repro.programs import PROGRAMS
@@ -45,7 +44,7 @@ DELTA_PROGRAMS = ("sssp", "cc")
 BASELINE_PATH = os.path.join("benchmarks", "results", "BENCH_delta.json")
 
 
-def _work(counters) -> int:
+def work(counters) -> int:
     """The deterministic work measure: F' applications + combines + updates."""
     return (
         counters.fprime_applications + counters.combines + counters.updates
@@ -69,23 +68,20 @@ def run_delta_bench(
     rows = []
     for program in programs:
         spec = PROGRAMS[program]
-        mode = classify_incremental(spec.analysis()).mode
-        old_plan = spec.plan(graph)
-        prior = MRAEvaluator(old_plan).run().values
         for fraction in fractions:
+            engine = IncrementalEngine(spec, graph)
+            engine.bootstrap()
             inserts = max(1, int(graph.num_edges * fraction))
             delta = random_delta(
                 graph, seed=seed, insert_edges=inserts
             )
-            mutated = delta.apply_to(graph)
-            new_plan = spec.plan(mutated)
 
             started = time.perf_counter()
-            repair = repair_plan(old_plan, new_plan, prior, mode=mode)
+            repair = engine.apply(delta)
             repair_seconds = time.perf_counter() - started
 
             started = time.perf_counter()
-            scratch = MRAEvaluator(spec.plan(mutated)).run()
+            scratch = MRAEvaluator(spec.plan(engine.view.graph)).run()
             scratch_seconds = time.perf_counter() - started
 
             if repair.values != scratch.values:
@@ -93,8 +89,8 @@ def run_delta_bench(
                     f"{program} @ {fraction:.1%}: repaired fixpoint "
                     "differs from recompute -- speedup would be bogus"
                 )
-            repair_work = _work(repair.counters)
-            scratch_work = _work(scratch.counters)
+            repair_work = work(repair.counters)
+            scratch_work = work(scratch.counters)
             rows.append(
                 {
                     "program": program,

@@ -557,6 +557,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
 def _run_delta(args: argparse.Namespace) -> int:
     import json
 
+    from repro.bench.delta import work
     from repro.delta import GraphDelta, IncrementalEngine, random_delta
     from repro.engine import MRAEvaluator
 
@@ -591,14 +592,6 @@ def _run_delta(args: argparse.Namespace) -> int:
     if engine.values != scratch.values:
         raise SystemExit(
             "error: repaired fixpoint differs from recompute (bug)"
-        )
-
-    def work(counters):
-        snapshot = counters.snapshot()
-        return (
-            snapshot["fprime_applications"]
-            + snapshot["combines"]
-            + snapshot["updates"]
         )
 
     repair_work = work(repair.counters)

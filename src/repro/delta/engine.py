@@ -90,7 +90,7 @@ from repro.engine.plan import (
 )
 from repro.engine.relation import Database, Relation
 from repro.engine.result import EvalResult, WorkCounters
-from repro.engine.termination import TerminationTracker
+from repro.engine.termination import run_rounds
 from repro.obs import ensure_obs
 from repro.runtime import get_kernel, record_backend_metrics, resolve_backend, resolve_backend_for_plan
 
@@ -394,27 +394,6 @@ def _added_edge_seeds(plan: CompiledPlan, added: Counter, values: dict) -> list:
     return seeds
 
 
-def _run_rounds(kernel, termination, counters: WorkCounters, obs) -> tuple:
-    tracker = TerminationTracker(termination)
-    stop = None
-    ops = 0
-    while stop is None:
-        round_result = kernel.step()
-        counters.iterations += 1
-        ops += round_result.ops
-        tracker.record(round_result.changed, round_result.magnitude)
-        stop = tracker.stop_reason()
-        if obs.enabled:
-            obs.trace.emit(
-                "delta.epoch",
-                engine=ENGINE_NAME,
-                round=counters.iterations,
-                changed=round_result.changed,
-                delta=round_result.magnitude,
-            )
-    return stop, tracker, ops
-
-
 def repair_plan(
     old_plan: CompiledPlan,
     new_plan: CompiledPlan,
@@ -495,14 +474,16 @@ def repair_plan(
         reset_keys = len(affected)
 
     kernel.push_many(*batches)
-    stop, tracker, ops = _run_rounds(kernel, new_plan.termination, counters, obs)
+    stop, trace, ops = run_rounds(
+        kernel.step, new_plan.termination, counters, obs, ENGINE_NAME, event="delta.epoch"
+    )
 
     result = EvalResult(
         values=kernel.result(),
         stop_reason=stop,
         counters=counters,
         engine=ENGINE_NAME,
-        trace=tracker.history,
+        trace=trace,
         backend=backend,
     )
     repair = RepairResult(

@@ -14,7 +14,10 @@ description -- as do we.  The defining differences the paper names:
 
 This implementation realises both: fixed-size message buffers, plus a
 per-worker dynamic batch limit driven by the ratio of received to
-processed update volume.
+processed update volume.  Those counts and the limits are per-run state:
+they live on the run (:class:`repro.distributed.async_engine._AsyncRun`,
+which counts them for every asynchronous engine), and the engine's
+hooks read and move them there.
 """
 
 from __future__ import annotations
@@ -56,27 +59,19 @@ class AAPEngine(AsyncEngine):
         )
         self.stream_batch = stream_batch
         self.block_batch = block_batch
-        self._received: dict[int, int] = {}
-        self._processed: dict[int, int] = {}
-        self._batch: dict[int, Optional[int]] = {}
-
-    def _batch_limit(self, worker: int) -> Optional[int]:
-        return self._batch.get(worker, self.stream_batch)
 
     def _batch_limit_after(self, worker: int, delivered: list) -> Optional[int]:
         if not delivered:
             return self._batch_limit(worker)
+        run = self._run
         return self._mode(
-            self._received.get(worker, 0) + sum(map(len, delivered)),
-            self._processed.get(worker, 0),
+            run.received[worker] + sum(map(len, delivered)), run.processed[worker]
         )[0]
 
     def _observe_delivery(self, worker: int, payload_size: int) -> None:
-        self._received[worker] = self._received.get(worker, 0) + payload_size
         self._adapt(worker)
 
     def _observe_processing(self, worker: int, processed: int) -> None:
-        self._processed[worker] = self._processed.get(worker, 0) + processed
         self._adapt(worker)
 
     def _mode(self, received: int, processed: int) -> tuple:
@@ -92,11 +87,10 @@ class AAPEngine(AsyncEngine):
 
     def _adapt(self, worker: int) -> None:
         """Mode switch: flooded workers batch up, starved workers stream."""
-        mode_batch, ratio = self._mode(
-            self._received.get(worker, 0), self._processed.get(worker, 0)
-        )
-        old = self._batch.get(worker, self.stream_batch)
-        self._batch[worker] = mode_batch
+        run = self._run
+        mode_batch, ratio = self._mode(run.received[worker], run.processed[worker])
+        old = run.limits[worker]
+        run.limits[worker] = mode_batch
         if self.obs.enabled and mode_batch != old:
             mode = (
                 "sweep" if mode_batch is None

@@ -7,7 +7,14 @@ from typing import Optional
 from repro.datalog import ProgramAnalysis
 from repro.engine.relation import Database, Relation
 from repro.engine.result import WorkCounters
-from repro.engine.rules import aggregate_contributions, evaluate_rule_bodies
+from repro.engine.rules import (
+    aggregate_contributions,
+    evaluate_aux_rules,
+    evaluate_rule_bodies,
+)
+from repro.engine.termination import TerminationSpec
+from repro.obs import ensure_obs
+from repro.runtime import resolve_backend_for_plan
 
 
 def recursive_rule(analysis: ProgramAnalysis):
@@ -76,3 +83,42 @@ def values_as_relation(analysis: ProgramAnalysis, values: dict) -> Relation:
         key_tuple = key if isinstance(key, tuple) else (key,)
         relation.add(key_tuple + (value,))
     return relation
+
+
+class RelationalEvaluator:
+    """What naive and semi-naive evaluation share: a private copy of the
+    database with the auxiliary rules evaluated into it, and the join of
+    the recursive bodies over a round's input.  Each subclass's ``run``
+    is :func:`repro.engine.termination.evaluate_rounds` over its round."""
+
+    engine_name: str
+
+    def __init__(
+        self,
+        analysis: ProgramAnalysis,
+        db: Database,
+        termination: Optional[TerminationSpec] = None,
+        obs=None,
+        backend: Optional[str] = None,
+    ):
+        self.analysis = analysis
+        self.db = db.copy()
+        self.termination = termination or TerminationSpec.from_analysis(analysis)
+        self.obs = ensure_obs(obs)
+        self.counters = WorkCounters()
+        self.backend = resolve_backend_for_plan(analysis, backend)
+        evaluate_aux_rules(analysis, self.db, counters=self.counters)
+        self._iterated_predicate = analysis.head if analysis.iterated else None
+
+    def _recursive_contributions(self, values: dict) -> list[tuple]:
+        """The recursive bodies joined with ``values`` as the head
+        predicate."""
+        analysis = self.analysis
+        return evaluate_rule_bodies(
+            recursive_rule(analysis),
+            self.db,
+            bodies=[spec.body for spec in analysis.recursions],
+            overrides={analysis.head: values_as_relation(analysis, values)},
+            counters=self.counters,
+            iterated_predicate=self._iterated_predicate,
+        )

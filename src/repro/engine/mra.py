@@ -17,8 +17,8 @@ from typing import Optional
 
 from repro.engine.plan import CompiledPlan
 from repro.engine.result import EvalResult, WorkCounters
-from repro.engine.termination import TerminationSpec, TerminationTracker
-from repro.obs import ensure_obs, record_run
+from repro.engine.termination import TerminationSpec, evaluate_rounds
+from repro.obs import ensure_obs
 from repro.runtime import get_kernel, resolve_backend_for_plan
 
 
@@ -75,30 +75,4 @@ class MRAEvaluator:
         kernel_cls = get_kernel(self.backend)
         kernel = kernel_cls.from_plan(plan, counters=self.counters)
         kernel.push_many(kernel_cls.initial_delta(plan).items())
-
-        tracker = TerminationTracker(self.termination)
-        stop = None
-        while stop is None:
-            round_result = kernel.step()
-            self.counters.iterations += 1
-            tracker.record(round_result.changed, round_result.magnitude)
-            stop = tracker.stop_reason()
-            if self.obs.enabled:
-                self.obs.trace.emit(
-                    "engine.epoch",
-                    engine=self.engine_name,
-                    round=self.counters.iterations,
-                    changed=round_result.changed,
-                    delta=round_result.magnitude,
-                )
-
-        result = EvalResult(
-            values=kernel.result(),
-            stop_reason=stop,
-            counters=self.counters,
-            engine=self.engine_name,
-            trace=tracker.history,
-            backend=self.backend,
-        )
-        record_run(self.obs, result)
-        return result
+        return evaluate_rounds(self, kernel.step, kernel.result)

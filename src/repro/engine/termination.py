@@ -4,12 +4,20 @@ Level 1 (program): fixpoint detection for finite-lattice programs, or a
 user-specified ``{sum[delta] < eps}`` clause for limit programs such as
 PageRank.  Level 2 (system): a hard iteration cap so that a diverging
 program always stops.
+
+:func:`run_rounds` is the one round loop of the single-node evaluators
+(MRA, naive, semi-naive) and of the delta repair: a step per round, the
+tracker deciding after each one.  :func:`evaluate_rounds` adds the
+evaluators' run epilogue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
+
+from repro.engine.result import EvalResult
+from repro.obs import record_run
 
 #: system-level default iteration cap (paper: "a termination number of
 #: iterations at the system level").
@@ -79,3 +87,54 @@ class TerminationTracker:
         if self.iterations >= self.spec.max_iterations:
             return "iteration-limit"
         return None
+
+
+def run_rounds(
+    step: Callable, termination: TerminationSpec, counters, obs, engine: str,
+    event: str = "engine.epoch",
+) -> tuple:
+    """Run ``step`` round after round until ``termination`` stops it.
+
+    ``step()`` runs one round and returns what it did as a
+    :class:`~repro.runtime.BatchResult` (its ``changed``, ``magnitude``
+    and ``ops``).  Each round counts one iteration in ``counters``,
+    feeds the tracker and emits ``event`` for ``engine``.  Returns the
+    stop reason, the convergence trace and the rounds' total ``ops``."""
+    tracker = TerminationTracker(termination)
+    stop = None
+    ops = 0
+    while stop is None:
+        result = step()
+        counters.iterations += 1
+        ops += result.ops
+        tracker.record(result.changed, result.magnitude)
+        stop = tracker.stop_reason()
+        if obs.enabled:
+            obs.trace.emit(
+                event,
+                engine=engine,
+                round=counters.iterations,
+                changed=result.changed,
+                delta=result.magnitude,
+            )
+    return stop, tracker.history, ops
+
+
+def evaluate_rounds(evaluator, step: Callable, values: Callable) -> EvalResult:
+    """A single-node evaluator's run: :func:`run_rounds` over ``step``
+    with the evaluator's termination, counters, observability and name,
+    then the run epilogue over ``values()``."""
+    stop, trace, _ = run_rounds(
+        step, evaluator.termination, evaluator.counters, evaluator.obs,
+        evaluator.engine_name,
+    )
+    result = EvalResult(
+        values=values(),
+        stop_reason=stop,
+        counters=evaluator.counters,
+        engine=evaluator.engine_name,
+        trace=trace,
+        backend=evaluator.backend,
+    )
+    record_run(evaluator.obs, result)
+    return result

@@ -17,13 +17,13 @@ from collections import Counter
 from repro.delta.engine import (
     ENGINE_NAME,
     RepairResult,
-    _run_rounds,
     choose_strategy,
     diff_plans,
 )
 from repro.delta.model import DEFAULT_WEIGHT
 from repro.engine.mra import MRAEvaluator
 from repro.engine.result import EvalResult, WorkCounters
+from repro.engine.termination import run_rounds
 from repro.graphs import Graph
 from repro.obs import ensure_obs
 from repro.runtime import get_kernel, resolve_backend_for_plan
@@ -122,14 +122,16 @@ def reference_repair_plan(
         reset_keys = len(affected)
 
     kernel.push_many(seeds)
-    stop, tracker, ops = _run_rounds(kernel, new_plan.termination, counters, obs)
+    stop, trace, ops = run_rounds(
+        kernel.step, new_plan.termination, counters, obs, ENGINE_NAME, event="delta.epoch"
+    )
 
     result = EvalResult(
         values=kernel.result(),
         stop_reason=stop,
         counters=counters,
         engine=ENGINE_NAME,
-        trace=tracker.history,
+        trace=trace,
         backend=backend,
     )
     return RepairResult(

@@ -4,6 +4,8 @@
 import pytest
 
 from repro.distributed import (
+    ENGINES,
+    FAULT_TOLERANT_ENGINES,
     AAPEngine,
     AsyncEngine,
     ClusterConfig,
@@ -11,7 +13,7 @@ from repro.distributed import (
     UnifiedEngine,
 )
 from repro.distributed.buffers import BufferPolicy
-from repro.distributed.chaos_harness import default_graph
+from repro.distributed.chaos_harness import default_graph, schedule_for
 from repro.engine import MRAEvaluator
 from repro.graphs import rmat
 from repro.programs import PROGRAMS
@@ -149,6 +151,53 @@ class TestDeterminism:
         assert first.values == second.values
         assert first.simulated_seconds == second.simulated_seconds
         assert first.counters.snapshot() == second.counters.snapshot()
+
+
+class TestRerunIdentity:
+    """One engine object run twice runs the same way twice: everything a
+    run changes belongs to that run, AAP's adaptive counts included (on
+    this graph AAP's second run would start in other modes, and run
+    differently, if they outlived the first)."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat(400, 2400, seed=21, name="rerun-graph")
+
+    @staticmethod
+    def _outcome(result) -> tuple:
+        faults = result.faults.snapshot() if result.faults is not None else None
+        return (
+            result.values,
+            list(result.values),
+            result.stop_reason,
+            result.counters.snapshot(),
+            result.simulated_seconds,
+            faults,
+        )
+
+    def _assert_reruns_alike(self, engine):
+        first = self._outcome(engine.run())
+        assert self._outcome(engine.run()) == first
+        return first
+
+    @pytest.mark.parametrize("program", ["cc", "pagerank"])
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_fault_free(self, name, program, graph):
+        plan = PROGRAMS[program].plan(graph)
+        engine = ENGINES[name](plan, ClusterConfig(num_workers=4))
+        self._assert_reruns_alike(engine)
+
+    @pytest.mark.parametrize("program", ["cc", "pagerank"])
+    @pytest.mark.parametrize("name", sorted(FAULT_TOLERANT_ENGINES))
+    def test_under_faults(self, name, program, graph):
+        plan = PROGRAMS[program].plan(graph)
+        cluster = ClusterConfig(num_workers=4)
+        reference = ENGINES[name](plan, cluster).run()
+        faults = schedule_for(reference.simulated_seconds, cluster.num_workers)
+        engine = ENGINES[name](plan, cluster.with_faults(faults))
+        *_, stats = self._assert_reruns_alike(engine)
+        # the schedule did strike: a crash and its recovery
+        assert stats["crashes"] == stats["recoveries"] == 1
 
 
 class TestDeltaStepping:

@@ -16,7 +16,9 @@ from lint_invariants import (  # noqa: E402
     EPILOGUE_FILES,
     KERNEL_SCOPE,
     REGISTRY_FILE,
+    CLOSURE_SCOPE,
     check_array_imports,
+    check_engine_closures,
     check_engine_tables,
     check_file,
     check_kernel_contract,
@@ -410,6 +412,59 @@ class TestUndefinedNames:
         assert "undefined names (2)" in capsys.readouterr().out
 
 
+CLOSURES = """\
+from functools import partial
+
+
+def helper(rows):
+    def key(row):
+        return row[0]
+
+    return sorted(rows, key=key)
+
+
+class Engine:
+    def run(self):
+        def step(worker):
+            return worker + 1
+
+        hook = partial(self.hook, 1)
+        order = sorted(range(3), key=lambda worker: -worker)
+        return step, hook, order
+
+    def hook(self, worker, now):
+        return worker, now
+
+    async def poll(self):
+        async def tick():
+            return 0
+
+        return tick
+"""
+
+
+class TestNoEngineClosures:
+    def test_flags_each_nested_def_in_a_method(self, tmp_path):
+        path = tmp_path / "engine.py"
+        path.write_text(CLOSURES)
+        found = [(int(v.split(":")[1]), v.split("'")[1]) for v in check_engine_closures(path)]
+        # a nested def in a module-level function, a lambda and a
+        # partial of a bound method all pass
+        assert found == [(13, "step"), (24, "tick")]
+
+    def test_the_engine_modules_are_clean(self):
+        assert len(CLOSURE_SCOPE) == 4
+        for path in CLOSURE_SCOPE:
+            assert path.exists()
+            assert check_engine_closures(path) == []
+
+    def test_nonzero_on_a_closure(self, tmp_path, capsys):
+        path = tmp_path / "engine.py"
+        path.write_text(CLOSURES)
+        assert main([str(path)]) == 1
+        assert "closures in engine methods (2)" in capsys.readouterr().out
+
+
 class TestMain:
     def test_core_tree_is_clean(self):
         # the invariants the tool exists to hold: no wall-clock or
@@ -445,3 +500,4 @@ class TestMain:
         assert f"no unused locals ({checked} files checked)" in proc.stdout
         # so does the eighth
         assert f"no undefined names ({checked} files checked)" in proc.stdout
+        assert "engine methods define no closures (4 files checked)" in proc.stdout

@@ -73,6 +73,13 @@ or a module attribute (``__file__``).  A module with a star import is
 skipped: it may bind anything.  Annotations the compiler does not
 evaluate (``from __future__ import annotations``) are not read.
 
+A ninth pass keeps the **engines' state on objects**: no method of a
+class in ``distributed/sync_engine.py``, ``async_engine.py``, ``aap.py``
+or ``unified.py`` may define a nested function.  A run's state lives on
+its run object and its handlers are that object's methods, so a closure
+over a method's locals is state kept where no second run can see it
+reset.  Lambdas pass.
+
 Paths given on the command line are checked by every pass.  Exit code
 0 when clean, 1 with one ``file:line: message`` per violation otherwise.
 Pure stdlib; wired into ``make lint`` and CI.
@@ -127,6 +134,11 @@ EPILOGUE_FILES = {
 TABLE_SCOPE = (REPO_ROOT / "src" / "repro",)
 REGISTRY_FILE = Path("src/repro/distributed/registry.py")
 ENGINE_PACKAGE = REPO_ROOT / "src" / "repro" / "distributed"
+
+#: the engine modules whose methods define no nested functions
+CLOSURE_SCOPE = tuple(
+    ENGINE_PACKAGE / f"{name}.py" for name in ("sync_engine", "async_engine", "aap", "unified")
+)
 
 #: files allowed ``import numpy as np``: they take a seeded
 #: ``np.random.default_rng`` from it and nothing else
@@ -477,6 +489,26 @@ def check_engine_tables(path: Path) -> list[str]:
     ]
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def check_engine_closures(path: Path) -> list[str]:
+    """Nested ``def``s inside the methods of any class in ``path``."""
+    relative = _relative(path)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{relative}:{node.lineno}: nested def {node.name!r} in "
+        f"{cls.name}.{method.name}: keep run state on the run object and "
+        "make it a method"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, _FUNCTIONS)
+        for node in ast.walk(method)
+        if node is not method and isinstance(node, _FUNCTIONS)
+    ]
+
+
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -614,6 +646,8 @@ def main(argv: list[str] | None = None) -> int:
          "engine tables outside the registry", "one engine table"),
         (check_undefined_names, LOCALS_SCOPE,
          "undefined names", "no undefined names"),
+        (check_engine_closures, CLOSURE_SCOPE,
+         "closures in engine methods", "engine methods define no closures"),
     ):
         violations, checked = _run_pass(check, given or default)
         if violations:
