@@ -7,7 +7,7 @@
 PYTHON ?= python3
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install lint lint-programs typecheck test chaos serve serve-bench bench quick-bench smoke-bench e2e-quick golden-drift examples check clean
+.PHONY: install lint lint-programs typecheck test chaos serve serve-bench results-drift e2e-quick golden-drift examples check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -67,20 +67,18 @@ serve-bench:
 		--out benchmarks/results/serve-slo.json
 	rm -rf benchmarks/results/serve-ckpt
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-quick-bench:
-	REPRO_BENCH_SCALE=0.5 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# CI smoke run: tiny scale, skipping the figures whose qualitative
-# claims only hold at larger scales (see benchmarks/README notes)
-smoke-bench:
-	REPRO_BENCH_SCALE=0.25 $(PYTHON) -m pytest benchmarks/ --benchmark-only \
-		--benchmark-json=benchmarks/results/smoke.json \
-		--ignore=benchmarks/bench_fig10_gain.py \
-		--ignore=benchmarks/bench_fig11_aap.py \
-		--ignore=benchmarks/bench_worker_scaling.py
+# every paper artifact under benchmarks/results is written by
+# `repro experiment NAME --save` (serve-slo.json, by serve-bench, is
+# rerun in tier-1): rerun the whole experiment table (~17 min) and fail,
+# as golden-drift does, if a file differs from the index or is new
+results-drift:
+	for name in $$($(PYTHON) -c 'from repro.bench import EXPERIMENTS; print(*EXPERIMENTS)'); do \
+		$(PYTHON) -m repro experiment $$name --save >/dev/null || exit 1; \
+	done
+	git diff --quiet benchmarks/results && \
+	test -z "$$(git ls-files --others --exclude-standard benchmarks/results)" || ( \
+		echo "benchmarks/results drifted from the code:"; \
+		git status --short benchmarks/results; exit 1 )
 
 # end-to-end benchmark smoke (~20 s): every workload at 1/20 size against
 # expected.json's pinned simulated clocks, work.* counters and digests,
@@ -107,6 +105,7 @@ examples:
 check:
 	$(PYTHON) -m repro experiment table1
 
+# untracked outputs only: benchmarks/results holds committed artifacts
 clean:
-	rm -rf .pytest_cache src/repro.egg-info benchmarks/results
+	rm -rf .pytest_cache .hypothesis src/repro.egg-info benchmarks/results/serve-ckpt
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,10 +1,11 @@
 """Benchmark harness: regenerates every table and figure of the paper.
 
 Each experiment has a runner returning structured rows plus a formatter
-that prints them in the paper's layout; the ``benchmarks/`` directory
-wires these into pytest-benchmark targets.  ``paper_data`` embeds the
-numbers and prose claims from the paper so every report shows
-paper-vs-measured side by side.
+that prints them in the paper's layout.  ``EXPERIMENTS`` names them all
+with the files each saves; ``repro experiment NAME --save`` is the one
+writer of ``benchmarks/results/``.  ``paper_data`` embeds the numbers
+and prose claims from the paper so every report shows paper-vs-measured
+side by side.
 """
 
 from repro.bench.report import format_table, format_grid, write_report
@@ -27,7 +28,8 @@ from repro.bench.harness import (
     run_engine_micro,
     run_worker_scaling,
 )
-from repro.bench.delta import run_delta_bench, write_delta_baseline
+from repro.bench.delta import run_delta_bench
+from repro.bench.experiments import EXPERIMENTS, Experiment
 
 __all__ = [
     "format_table",
@@ -52,5 +54,6 @@ __all__ = [
     "run_engine_micro",
     "run_worker_scaling",
     "run_delta_bench",
-    "write_delta_baseline",
+    "EXPERIMENTS",
+    "Experiment",
 ]

@@ -12,7 +12,7 @@ combines + updates`` from :class:`~repro.engine.result.WorkCounters`),
 never wall-clock: work counters are deterministic per (graph, delta,
 backend), so the committed baseline
 ``benchmarks/results/BENCH_delta.json`` is byte-stable across hosts
-(ratios rounded to 9 decimals, wall-clock columns dropped).
+(ratios rounded to 9 decimals, no wall-clock column).
 The guarded claim: at delta sizes <= 1% the repair does at most
 ``WORK_RATIO_CEILING`` of the recompute work.
 """
@@ -20,8 +20,6 @@ The guarded claim: at delta sizes <= 1% the repair does at most
 from __future__ import annotations
 
 import json
-import os
-import time
 from typing import Optional, Sequence
 
 from repro.bench.harness import ExperimentReport
@@ -41,8 +39,6 @@ WORK_RATIO_CEILING = 0.5
 #: RA320 programs exercised by default (insert-only frontier repairs)
 DELTA_PROGRAMS = ("sssp", "cc")
 
-BASELINE_PATH = os.path.join("benchmarks", "results", "BENCH_delta.json")
-
 
 def work(counters) -> int:
     """The deterministic work measure: F' applications + combines + updates."""
@@ -60,8 +56,9 @@ def run_delta_bench(
 ) -> ExperimentReport:
     """Repair-vs-recompute rows for every (program, delta fraction).
 
-    Each row records both wall times (host-dependent, informational) and
-    both work counts (deterministic, the contract) plus their ratio.
+    Each row records both work counts (deterministic, the contract) and
+    their ratio; the report's ``BENCH_delta.json`` artifact is the same
+    rows as the committed JSON baseline.
     """
     programs = list(programs or DELTA_PROGRAMS)
     graph = load_dataset(dataset, scale).with_weights()
@@ -75,14 +72,8 @@ def run_delta_bench(
             delta = random_delta(
                 graph, seed=seed, insert_edges=inserts
             )
-
-            started = time.perf_counter()
             repair = engine.apply(delta)
-            repair_seconds = time.perf_counter() - started
-
-            started = time.perf_counter()
             scratch = MRAEvaluator(spec.plan(engine.view.graph)).run()
-            scratch_seconds = time.perf_counter() - started
 
             if repair.values != scratch.values:
                 raise AssertionError(
@@ -102,8 +93,6 @@ def run_delta_bench(
                     "repair_work": repair_work,
                     "recompute_work": scratch_work,
                     "work_ratio": round(repair_work / scratch_work, 9),
-                    "repair_seconds": round(repair_seconds, 6),
-                    "recompute_seconds": round(scratch_seconds, 6),
                     "fixpoint_matches": True,
                 }
             )
@@ -123,28 +112,14 @@ def run_delta_bench(
         + "\n"
         + "\n".join(notes)
     )
-    return ExperimentReport("delta", rows, text, notes)
-
-
-def write_delta_baseline(
-    report: ExperimentReport, path: str = BASELINE_PATH
-) -> str:
-    """Persist the committed JSON baseline for ``make smoke-bench``."""
-    # wall times are host noise -- the committed baseline keeps only the
-    # deterministic work columns so re-running the bench never dirties it
-    stable_rows = [
-        {k: v for k, v in row.items() if not k.endswith("_seconds")}
-        for row in report.rows
-    ]
-    payload = {
+    baseline = {
         "benchmark": "delta",
         "work_ratio_ceiling": WORK_RATIO_CEILING,
-        "delta_fractions": list(DELTA_FRACTIONS),
-        "programs": list(DELTA_PROGRAMS),
-        "rows": stable_rows,
+        "delta_fractions": list(fractions),
+        "programs": programs,
+        "rows": rows,
     }
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path
+    return ExperimentReport(
+        "delta", rows, text, notes,
+        {"BENCH_delta.json": json.dumps(baseline, indent=2) + "\n"},
+    )

@@ -41,12 +41,18 @@ from repro.systems import SYSTEMS, PowerLog
 
 @dataclass
 class ExperimentReport:
-    """Rows plus formatted text for one experiment."""
+    """Rows plus formatted text for one experiment.
+
+    ``artifacts`` holds the files saved beside ``<name>.txt``, by path
+    relative to ``benchmarks/results/`` (Table 1's SMT-LIB scripts, the
+    delta bench's JSON baseline).
+    """
 
     name: str
     rows: list[dict]
     text: str
     notes: list[str] = field(default_factory=list)
+    artifacts: dict[str, str] = field(default_factory=dict)
 
     def __str__(self):
         return self.text
@@ -135,7 +141,11 @@ def run_figure1(scale: float = 1.0) -> ExperimentReport:
 # Table 1 -- automatic condition check on every registry program
 # --------------------------------------------------------------------------
 def run_table1(emit_scripts: bool = False) -> ExperimentReport:
-    """MRA satisfiability of every registry program + engine routing."""
+    """MRA satisfiability of every registry program + engine routing.
+
+    With ``emit_scripts`` the report's artifacts carry each program's
+    Figure-4 Property-2 script as ``smtlib/<program>.smt2``.
+    """
     powerlog = PowerLog()
     rows = []
     scripts: dict[str, str] = {}
@@ -156,7 +166,7 @@ def run_table1(emit_scripts: bool = False) -> ExperimentReport:
             }
         )
         if emit_scripts:
-            scripts[name] = emit_property2_script(
+            scripts[f"smtlib/{name}.smt2"] = emit_property2_script(
                 analysis.aggregate,
                 analysis.fprime,
                 analysis.recursion_var,
@@ -171,9 +181,7 @@ def run_table1(emit_scripts: bool = False) -> ExperimentReport:
         + "\n"
         + "\n".join(notes)
     )
-    report = ExperimentReport("table1", rows, text, notes)
-    report.scripts = scripts  # type: ignore[attr-defined]
-    return report
+    return ExperimentReport("table1", rows, text, notes, scripts)
 
 
 # --------------------------------------------------------------------------

@@ -59,13 +59,17 @@ def format_grid(
     return f"{title}\n{table}" if title else table
 
 
-def write_report(name: str, content: str) -> str:
-    """Persist a report under ``benchmarks/results/`` and return its path."""
-    directory = os.path.abspath(RESULTS_DIR)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{name}.txt")
-    with open(path, "w", encoding="utf-8") as handle:
+def write_report(path: str, content: str) -> str:
+    """Persist one artifact at ``path`` under ``benchmarks/results/``.
+
+    ``path`` is relative to the results directory (``table1.txt``,
+    ``smtlib/sssp.smt2``); the file always ends with a newline.  Returns
+    the absolute path written.
+    """
+    target = os.path.join(os.path.abspath(RESULTS_DIR), path)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    with open(target, "w", encoding="utf-8") as handle:
         handle.write(content)
         if not content.endswith("\n"):
             handle.write("\n")
-    return path
+    return target

@@ -48,9 +48,9 @@ class TestTable1Runner:
 
     def test_scripts_emitted_on_request(self):
         report = run_table1(emit_scripts=True)
-        scripts = report.scripts
+        scripts = report.artifacts
         assert len(scripts) == 18
-        assert "(check-sat)" in scripts["pagerank"]
+        assert "(check-sat)" in scripts["smtlib/pagerank.smt2"]
 
 
 class TestTable2Runner:

@@ -159,6 +159,23 @@ class TestExperiment:
         assert main(["experiment", "table2"]) == 0
         assert "Arabic-2005" in capsys.readouterr().out
 
+    def test_unknown_name_is_a_usage_error(self, capsys):
+        assert main(["experiment", "figure99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment 'figure99'")
+        assert "table1" in err
+
+    def test_importing_the_cli_leaves_the_harness_out(self):
+        # only `repro experiment` pays for importing repro.bench
+        import subprocess
+        import sys
+
+        code = "import sys, repro.cli; print('repro.bench' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
+
 
 class TestRunOnUserGraph:
     def test_graph_file_option(self, tmp_path, capsys):

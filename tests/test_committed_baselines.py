@@ -1,10 +1,14 @@
-"""The committed benchmark baselines still match the code that writes them.
+"""The committed benchmark artifacts still match the code that writes them.
+
+``repro experiment NAME --save`` writes every paper artifact under
+``benchmarks/results/``; ``make results-drift`` reruns the whole
+experiment table and fails on any change.  The fast entries rerun here
+too, through the CLI into a scratch results directory, and must write
+exactly the files the table declares, byte for byte.
 
 ``benchmarks/results/BENCH_delta.json`` holds only deterministic work
-rows, so a rerun at the baseline's scale must write it byte for byte:
-any drift is a behaviour change of the repair path (or of the
-counters it is priced in), not noise.  Regenerate intentionally with
-``make bench`` (``benchmarks/bench_delta.py``).
+rows, so any drift there is a behaviour change of the repair path (or
+of the counters it is priced in), not noise.
 
 ``benchmarks/results/serve-slo.json`` is the serving layer's SLO report
 under the default chaos plan, on the simulated clock; a rerun the way
@@ -14,17 +18,41 @@ under the default chaos plan, on the simulated clock; a rerun the way
 import json
 from pathlib import Path
 
-from repro.bench.delta import run_delta_bench, write_delta_baseline
+import pytest
+
+import repro.bench.report as report_module
+from repro.bench import EXPERIMENTS
+from repro.cli import main
 
 RESULTS = Path(__file__).parent.parent / "benchmarks" / "results"
 DELTA = RESULTS / "BENCH_delta.json"
 
 
-def test_delta_baseline_matches_a_rerun(tmp_path):
-    fresh = write_delta_baseline(run_delta_bench(scale=0.25), tmp_path / "delta.json")
-    assert Path(fresh).read_text() == DELTA.read_text(), (
-        f"{DELTA} no longer matches run_delta_bench(scale=0.25)"
+def _save_and_compare(name, directory, monkeypatch, capsys):
+    monkeypatch.setattr(report_module, "RESULTS_DIR", str(directory))
+    assert main(["experiment", name, "--save"]) == 0, capsys.readouterr().err
+    written = sorted(
+        path.relative_to(directory).as_posix()
+        for path in directory.rglob("*")
+        if path.is_file()
     )
+    assert written == sorted(EXPERIMENTS[name].saves)
+    for path in written:
+        assert (directory / path).read_text() == (RESULTS / path).read_text(), (
+            f"{RESULTS / path} no longer matches `repro experiment {name} --save`"
+        )
+
+
+@pytest.mark.parametrize("name", ["table1", "table2", "micro", "figure1"])
+def test_saved_experiment_matches_the_committed_files(
+    name, tmp_path, monkeypatch, capsys
+):
+    _save_and_compare(name, tmp_path, monkeypatch, capsys)
+
+
+def test_delta_baseline_matches_a_rerun(tmp_path, monkeypatch, capsys):
+    # delta.txt and BENCH_delta.json come from one run
+    _save_and_compare("delta", tmp_path, monkeypatch, capsys)
 
 
 def test_delta_baseline_is_byte_stable_shape():

@@ -1,8 +1,11 @@
 """Integration tests for the experiment runners (reduced scale).
 
-The benchmarks run the full grids; these tests run the same code paths
-on quarter-scale datasets so regressions in the harness surface in the
-unit suite, quickly.
+``repro experiment NAME --save`` runs the full grids, and
+``tests/test_paper_claims.py`` checks the committed results; these
+tests run the slow runners' code paths on quarter-scale datasets or a
+single cell so regressions in the harness surface in the unit suite,
+quickly.  Figure 1 is fast enough to rerun whole at full scale in
+``tests/test_committed_baselines.py``.
 """
 
 import math
@@ -10,7 +13,6 @@ import math
 
 from repro.bench import (
     run_buffer_ablation,
-    run_figure1,
     run_figure9,
     run_figure10,
     run_figure11,
@@ -20,17 +22,6 @@ from repro.bench import (
 from repro.bench.report import write_report
 
 SCALE = 0.25
-
-
-class TestFigure1Runner:
-    def test_structure(self):
-        report = run_figure1(scale=SCALE)
-        assert len(report.rows) == 4
-        for row in report.rows:
-            assert not math.isnan(row["SociaLite(s)"])
-            assert not math.isnan(row["Myria(s)"])
-            assert row["winner"] in ("SociaLite", "Myria")
-        assert report.notes
 
 
 class TestFigure9Runner:
