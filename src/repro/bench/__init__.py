@@ -8,8 +8,8 @@ and prose claims from the paper so every report shows paper-vs-measured
 side by side.
 """
 
-from repro.bench.report import format_table, format_grid, write_report
-from repro.bench.charts import bar_chart, grouped_bar_chart, sparkline, convergence_chart
+from repro.bench.report import fixed_point, format_table, write_report
+from repro.bench.charts import bar_chart, grouped_bar_chart, sparkline
 from repro.bench.paper_data import (
     PAPER_FIGURE1,
     PAPER_SPEEDUP_CLAIMS,
@@ -33,11 +33,10 @@ from repro.bench.experiments import EXPERIMENTS, Experiment
 
 __all__ = [
     "format_table",
+    "fixed_point",
     "bar_chart",
     "grouped_bar_chart",
     "sparkline",
-    "convergence_chart",
-    "format_grid",
     "write_report",
     "PAPER_FIGURE1",
     "PAPER_SPEEDUP_CLAIMS",

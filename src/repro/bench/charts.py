@@ -2,7 +2,7 @@
 
 The paper presents its evaluation as bar charts (Figures 1, 9, 10, 11);
 this module renders the reproduced numbers in the same visual shape as
-ASCII bars, plus convergence curves from the engines' traces -- so a
+ASCII bars, plus one-line sparklines for time series -- so a
 terminal-only environment still gets figure-like artefacts next to the
 tables.
 """
@@ -75,7 +75,7 @@ def grouped_bar_chart(
 
 
 def sparkline(values: Sequence[float], width: int = 60) -> str:
-    """A one-line log-scale sparkline (for convergence traces)."""
+    """A one-line log-scale sparkline."""
     if not values:
         return "(empty)"
     clean = [max(v, 0.0) for v in values]
@@ -100,20 +100,3 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
         level = (math.log10(value) - lo) / span
         out.append(_TICKS[1 + round(level * (len(_TICKS) - 2))])
     return "".join(out)
-
-
-def convergence_chart(
-    traces: Mapping[str, Sequence[tuple]],
-    title: str = "convergence (total |delta| per round, log scale)",
-) -> str:
-    """Sparklines of per-round delta magnitude for several engines."""
-    label_width = max((len(str(k)) for k in traces), default=0)
-    lines = [title]
-    for label, trace in traces.items():
-        deltas = [delta for _, delta in trace]
-        final = deltas[-1] if deltas else float("nan")
-        lines.append(
-            f"{str(label):<{label_width}}  {sparkline(deltas)}  "
-            f"({len(deltas)} rounds, final {final:.2g})"
-        )
-    return "\n".join(lines)

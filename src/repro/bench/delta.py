@@ -23,7 +23,7 @@ import json
 from typing import Optional, Sequence
 
 from repro.bench.harness import ExperimentReport
-from repro.bench.report import format_table
+from repro.bench.report import fixed_point, format_table
 from repro.delta import IncrementalEngine, random_delta
 from repro.engine.mra import MRAEvaluator
 from repro.graphs import load_dataset
@@ -104,7 +104,7 @@ def run_delta_bench(
         notes.append(
             f"{row['program']} @ {row['delta_fraction']:.1%} "
             f"({row['delta_edges']} edges): {row['strategy']} repair did "
-            f"{row['work_ratio']:.1%} of the recompute work"
+            f"{fixed_point(100 * row['work_ratio'], 1)}% of the recompute work"
         )
     text = (
         "Incremental repair vs recompute -- insert-only deltas\n"

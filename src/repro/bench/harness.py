@@ -21,17 +21,12 @@ from repro.bench.paper_data import (
 )
 from repro.bench.charts import grouped_bar_chart, sparkline
 from repro.bench.report import format_table
-from repro.checker import check_analysis, emit_property2_script
-from repro.distributed import (
-    AAPEngine,
-    AsyncEngine,
-    ClusterConfig,
-    SyncEngine,
-    UnifiedEngine,
-)
+from repro.checker import emit_property2_script
+from repro.distributed import ClusterConfig, build_engine
 from repro.distributed.buffers import BufferPolicy
 from repro.engine import MRAEvaluator, NaiveEvaluator, SemiNaiveEvaluator, compare_results
 from repro.engine.plan import CompiledPlan
+from repro.engine.result import EvalResult
 from repro.graphs import compute_stats, dataset_names, load_dataset
 from repro.graphs.generators import random_dag, rmat
 from repro.obs import Observability
@@ -72,14 +67,36 @@ def _reference_values(program: str, dataset: str, scale: float):
     return MRAEvaluator(_plan(program, dataset, scale)).run().values
 
 
-def _result_ok(program: str, dataset: str, scale: float, values: dict) -> bool:
+def _seconds(result: EvalResult, program: str, dataset: str, scale: float) -> float:
+    """A run's simulated seconds, NaN when its values miss the reference."""
     reference = _reference_values(program, dataset, scale)
     aggregate = PROGRAMS[program].analysis().aggregate
-    return compare_results(reference, values, aggregate).ok
-
-
-def _seconds(result) -> float:
+    if not compare_results(reference, result.values, aggregate).ok:
+        return float("nan")
     return result.simulated_seconds if result.simulated_seconds is not None else 0.0
+
+
+def _run_grid(grid: dict, program: str, dataset: str, scale: float) -> dict:
+    """Seconds per label of a ``label -> (ENGINES name, options)`` grid."""
+    plan = _plan(program, dataset, scale)
+    cluster = ClusterConfig()
+    return {
+        label: _seconds(
+            build_engine(engine, plan, cluster, **options).run(), program, dataset, scale
+        )
+        for label, (engine, options) in grid.items()
+    }
+
+
+def _figure(name: str, title: str, rows: list, notes: list, series: list) -> ExperimentReport:
+    """Table, notes, and grouped bars with one group per program/dataset."""
+    chart = grouped_bar_chart(
+        [{**row, "cell": f"{row['program']}/{row['dataset']}"} for row in rows],
+        "cell",
+        series,
+    )
+    text = f"{title}\n{format_table(rows)}\n" + "\n".join(notes) + "\n\n" + chart
+    return ExperimentReport(name, rows, text, notes)
 
 
 # --------------------------------------------------------------------------
@@ -100,10 +117,7 @@ def run_figure1(scale: float = 1.0) -> ExperimentReport:
         measured = {}
         for system_name in ("SociaLite", "Myria"):
             result = SYSTEMS[system_name].run(spec, graph)
-            ok = _result_ok(program, dataset, scale, result.values)
-            measured[system_name] = _seconds(result)
-            if not ok:
-                measured[system_name] = float("nan")
+            measured[system_name] = _seconds(result, program, dataset, scale)
         paper = PAPER_FIGURE1[(program, dataset)]
         rows.append(
             {
@@ -146,13 +160,12 @@ def run_table1(emit_scripts: bool = False) -> ExperimentReport:
     With ``emit_scripts`` the report's artifacts carry each program's
     Figure-4 Property-2 script as ``smtlib/<program>.smt2``.
     """
-    powerlog = PowerLog()
     rows = []
     scripts: dict[str, str] = {}
     for name, spec in PROGRAMS.items():
         analysis = spec.analysis()
-        report = check_analysis(analysis)
-        decision = powerlog.decide(spec)
+        decision = PowerLog.decide(spec)
+        report = decision.report
         expected = "yes" if spec.expected_mra else "no"
         verdict = "yes" if report.mra_satisfiable else "no"
         rows.append(
@@ -234,10 +247,7 @@ def run_figure9(
                 if not system.supports(spec):
                     cell[system_name] = None
                     continue
-                result = system.run(spec, graph)
-                seconds = _seconds(result)
-                if not _result_ok(program, dataset, scale, result.values):
-                    seconds = float("nan")
+                seconds = _seconds(system.run(spec, graph), program, dataset, scale)
                 cell[system_name] = seconds
                 times[system_name] = seconds
             powerlog_time = times.get("PowerLog")
@@ -256,23 +266,13 @@ def run_figure9(
         notes.append(
             f"{program}: PowerLog speedup {low:.1f}x-{high:.1f}x{claim_text}"
         )
-    chart = grouped_bar_chart(
-        [
-            {**row, "cell": f"{row['program']}/{row['dataset']}"}
-            for row in rows
-        ],
-        "cell",
+    return _figure(
+        "figure9",
+        "Figure 9 -- overall comparison (simulated seconds, log-scale bars)",
+        rows,
+        notes,
         system_names,
     )
-    text = (
-        "Figure 9 -- overall comparison (simulated seconds, log-scale bars)\n"
-        + format_table(rows)
-        + "\n"
-        + "\n".join(notes)
-        + "\n\n"
-        + chart
-    )
-    return ExperimentReport("figure9", rows, text, notes)
 
 
 # --------------------------------------------------------------------------
@@ -287,6 +287,16 @@ _GRAPH_BASELINE = {
     "bp": "Prom",
 }
 
+_ASYNC_BETA64 = {"buffer_policy": BufferPolicy(initial_beta=64, adaptive=False)}
+
+#: label -> (ENGINES name, options)
+_FIGURE10_GRID = {
+    "naive+sync": ("naive", {}),
+    "mra+sync": ("sync", {}),
+    "mra+async": ("async", _ASYNC_BETA64),
+    "mra+sync-async": ("unified", {}),
+}
+
 
 def run_figure10(
     programs: Optional[Sequence[str]] = None,
@@ -295,7 +305,6 @@ def run_figure10(
 ) -> ExperimentReport:
     """Naive+Sync vs MRA x {sync, async, sync-async} vs graph engines."""
     programs = list(programs or benchmark_programs())
-    cluster = ClusterConfig()
     rows = []
     gains: dict[tuple[str, str], list[float]] = {}
     for program in programs:
@@ -303,33 +312,19 @@ def run_figure10(
         baseline_system = SYSTEMS[_GRAPH_BASELINE[program]]
         for dataset in datasets:
             graph = load_dataset(dataset, scale)
-            plan = _plan(program, dataset, scale)
-            configs = {
-                "naive+sync": SyncEngine(plan, cluster, mode="naive"),
-                "mra+sync": SyncEngine(plan, cluster, mode="incremental"),
-                "mra+async": AsyncEngine(
-                    plan,
-                    cluster,
-                    buffer_policy=BufferPolicy(initial_beta=64, adaptive=False),
-                ),
-                "mra+sync-async": UnifiedEngine(plan, cluster),
+            cell: dict = {
+                "program": program,
+                "dataset": dataset,
+                **_run_grid(_FIGURE10_GRID, program, dataset, scale),
             }
-            cell: dict = {"program": program, "dataset": dataset}
-            naive_seconds = None
-            for label, engine in configs.items():
-                result = engine.run()
-                seconds = _seconds(result)
-                if not _result_ok(program, dataset, scale, result.values):
-                    seconds = float("nan")
-                cell[label] = seconds
-                if label == "naive+sync":
-                    naive_seconds = seconds
-                elif naive_seconds:
+            naive_seconds = cell["naive+sync"]
+            if naive_seconds:
+                for label in ("mra+sync", "mra+async", "mra+sync-async"):
                     gains.setdefault((program, label), []).append(
-                        naive_seconds / seconds
+                        naive_seconds / cell[label]
                     )
             graph_result = baseline_system.run(spec, graph)
-            cell["graph-engine"] = _seconds(graph_result)
+            cell["graph-engine"] = _seconds(graph_result, program, dataset, scale)
             cell["graph-engine sys"] = baseline_system.name
             rows.append(cell)
     notes = []
@@ -344,83 +339,50 @@ def run_figure10(
                 f"{program} {label}: gain over naive+sync "
                 f"{min(values):.1f}x-{max(values):.1f}x{claim_text}"
             )
-    chart = grouped_bar_chart(
-        [
-            {**row, "cell": f"{row['program']}/{row['dataset']}"}
-            for row in rows
-        ],
-        "cell",
-        ["naive+sync", "mra+sync", "mra+async", "mra+sync-async", "graph-engine"],
+    return _figure(
+        "figure10",
+        "Figure 10 -- gain from MRA evaluation and sync-async execution",
+        rows,
+        notes,
+        [*_FIGURE10_GRID, "graph-engine"],
     )
-    text = (
-        "Figure 10 -- gain from MRA evaluation and sync-async execution\n"
-        + format_table(rows)
-        + "\n"
-        + "\n".join(notes)
-        + "\n\n"
-        + chart
-    )
-    return ExperimentReport("figure10", rows, text, notes)
 
 
 # --------------------------------------------------------------------------
 # Figure 11 -- unified sync-async vs AAP
 # --------------------------------------------------------------------------
+_FIGURE11_GRID = {
+    "sync": ("sync", {}),
+    "async": ("async", _ASYNC_BETA64),
+    "aap": ("aap", {}),
+    "sync-async": ("unified", {}),
+}
+
+
 def run_figure11(
     datasets: Sequence[str] = ("wiki", "web", "arabic"),
     scale: float = 1.0,
 ) -> ExperimentReport:
     """Sync / Async / AAP / Sync-Async on SSSP and PageRank."""
-    cluster = ClusterConfig()
     rows = []
     wins = 0
-    cells = 0
     for program in ("sssp", "pagerank"):
         for dataset in datasets:
-            plan = _plan(program, dataset, scale)
-            configs = {
-                "sync": SyncEngine(plan, cluster, mode="incremental"),
-                "async": AsyncEngine(
-                    plan,
-                    cluster,
-                    buffer_policy=BufferPolicy(initial_beta=64, adaptive=False),
-                ),
-                "aap": AAPEngine(plan, cluster),
-                "sync-async": UnifiedEngine(plan, cluster),
+            cell: dict = {
+                "program": program,
+                "dataset": dataset,
+                **_run_grid(_FIGURE11_GRID, program, dataset, scale),
             }
-            cell: dict = {"program": program, "dataset": dataset}
-            for label, engine in configs.items():
-                result = engine.run()
-                seconds = _seconds(result)
-                if not _result_ok(program, dataset, scale, result.values):
-                    seconds = float("nan")
-                cell[label] = seconds
-            best = min(
-                (label for label in configs if not math.isnan(cell[label])),
-                key=lambda label: cell[label],
+            cell["best"] = best = min(
+                (label for label in _FIGURE11_GRID if not math.isnan(cell[label])),
+                key=cell.get,
             )
-            cell["best"] = best
-            cells += 1
             wins += best == "sync-async"
             rows.append(cell)
-    notes = [f"sync-async best on {wins}/{cells} cells (paper: all)"]
-    chart = grouped_bar_chart(
-        [
-            {**row, "cell": f"{row['program']}/{row['dataset']}"}
-            for row in rows
-        ],
-        "cell",
-        ["sync", "async", "aap", "sync-async"],
+    notes = [f"sync-async best on {wins}/{len(rows)} cells (paper: all)"]
+    return _figure(
+        "figure11", "Figure 11 -- unified sync-async vs AAP", rows, notes, [*_FIGURE11_GRID]
     )
-    text = (
-        "Figure 11 -- unified sync-async vs AAP\n"
-        + format_table(rows)
-        + "\n"
-        + "\n".join(notes)
-        + "\n\n"
-        + chart
-    )
-    return ExperimentReport("figure11", rows, text, notes)
 
 
 # --------------------------------------------------------------------------
@@ -455,13 +417,10 @@ def run_buffer_ablation(
             cell: dict = {"program": program, "dataset": dataset}
             for label, policy in configs.items():
                 obs = Observability() if observe and label == "adaptive" else None
-                result = UnifiedEngine(
-                    plan, cluster, buffer_policy=policy, obs=obs
+                result = build_engine(
+                    "unified", plan, cluster, buffer_policy=policy, obs=obs
                 ).run()
-                seconds = _seconds(result)
-                if not _result_ok(program, dataset, scale, result.values):
-                    seconds = float("nan")
-                cell[label] = seconds
+                cell[label] = _seconds(result, program, dataset, scale)
                 cell[f"{label} msgs"] = result.counters.messages
                 if obs is not None and result.metrics is not None:
                     lines = [f"beta(i,j) over time -- {program}/{dataset}:"]
@@ -497,14 +456,14 @@ def run_priority_ablation(
     for program in programs:
         for dataset in datasets:
             plan = _plan(program, dataset, scale)
-            with_threshold = UnifiedEngine(plan, cluster).run()
-            without = UnifiedEngine(plan, cluster, importance_threshold=0.0).run()
+            with_threshold = build_engine("unified", plan, cluster).run()
+            without = build_engine("unified", plan, cluster, importance_threshold=0.0).run()
             rows.append(
                 {
                     "program": program,
                     "dataset": dataset,
-                    "with(s)": _seconds(with_threshold),
-                    "without(s)": _seconds(without),
+                    "with(s)": _seconds(with_threshold, program, dataset, scale),
+                    "without(s)": _seconds(without, program, dataset, scale),
                     "with F'": with_threshold.counters.fprime_applications,
                     "without F'": without.counters.fprime_applications,
                     "work saved": (
@@ -536,16 +495,10 @@ def run_worker_scaling(
     for program in programs:
         plan = _plan(program, dataset, scale)
         row: dict = {"program": program, "dataset": dataset}
-        base = None
         for workers in worker_counts:
-            cluster = ClusterConfig(num_workers=workers)
-            result = UnifiedEngine(plan, cluster).run()
-            seconds = _seconds(result)
-            if not _result_ok(program, dataset, scale, result.values):
-                seconds = float("nan")
-            row[f"{workers}w"] = seconds
-            if base is None:
-                base = seconds
+            result = build_engine("unified", plan, ClusterConfig(num_workers=workers)).run()
+            row[f"{workers}w"] = _seconds(result, program, dataset, scale)
+        base = row[f"{worker_counts[0]}w"]
         row["speedup"] = f"{base / row[f'{worker_counts[-1]}w']:.1f}x"
         rows.append(row)
     text = "Worker-count scaling (unified engine)\n" + format_table(rows)

@@ -36,27 +36,17 @@ def _cell(value) -> str:
             return f"{value:.0f}"
         if value >= 1:
             return f"{value:.2f}"
-        return f"{value:.3f}"
+        return fixed_point(value, 3)
     return str(value)
 
 
-def format_grid(
-    cells: Mapping[tuple[str, str], float],
-    row_labels: Sequence[str],
-    column_labels: Sequence[str],
-    title: str = "",
-    unit: str = "s",
-) -> str:
-    """Render a (row x column) -> value mapping as a matrix table."""
-    rows = []
-    for row_label in row_labels:
-        row: dict = {"": row_label}
-        for column_label in column_labels:
-            value = cells.get((row_label, column_label))
-            row[column_label] = f"{value:.2f}{unit}" if value is not None else "-"
-        rows.append(row)
-    table = format_table(rows, columns=[""] + list(column_labels))
-    return f"{title}\n{table}" if title else table
+def fixed_point(value: float, places: int) -> str:
+    """``value`` to ``places`` decimals -- or, where that would print a
+    nonzero value as zero, to two significant digits."""
+    text = f"{value:.{places}f}"
+    if value and float(text) == 0:
+        return f"{value:.2g}"
+    return text
 
 
 def write_report(path: str, content: str) -> str:

@@ -74,7 +74,7 @@ from repro.runtime import (
     KERNELS,
     KernelUnavailableError,
 )
-from repro.systems import PowerLog
+from repro.systems import SYSTEMS
 
 
 def _build_engine(engine: str, plan, cluster, obs=None, backend=None):
@@ -187,7 +187,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         graph = load_dataset(args.dataset, args.scale)
     cluster = ClusterConfig(num_workers=args.workers)
     if args.engine == "powerlog":
-        system = PowerLog()
+        system = SYSTEMS["PowerLog"]
         print(system.decide(spec).summary())
         result = system.run(spec, graph, cluster, backend=args.backend)
     else:

@@ -5,7 +5,7 @@
 from repro.bench import (
     PAPER_FIGURE1,
     PAPER_SPEEDUP_CLAIMS,
-    format_grid,
+    fixed_point,
     format_table,
     run_engine_micro,
     run_table1,
@@ -28,15 +28,15 @@ class TestFormatting:
     def test_format_table_empty(self):
         assert format_table([]) == "(no rows)"
 
-    def test_format_grid(self):
-        cells = {("r1", "c1"): 1.5, ("r1", "c2"): 2.0}
-        text = format_grid(cells, ["r1"], ["c1", "c2"], title="T")
-        assert text.startswith("T")
-        assert "1.50s" in text
-
     def test_float_rendering(self):
         text = format_table([{"v": 1234.5}, {"v": 3.14159}, {"v": 0.001234}])
         assert "1234" in text and "3.14" in text and "0.001" in text
+
+    def test_a_nonzero_value_never_prints_as_zero(self):
+        assert format_table([{"v": 0.000492641}]).splitlines()[2] == "0.00049"
+        assert format_table([{"v": 0.0}]).splitlines()[2] == "0.000"
+        assert fixed_point(100 * 0.000492641, 1) == "0.049"
+        assert fixed_point(100 * 0.005, 1) == "0.5"
 
 
 class TestTable1Runner:

@@ -328,10 +328,24 @@ BUILDERS = {
 }
 MODES = {"naive": partial(SyncEngine, mode="naive")}
 LABELS = {"sync": "SyncEngine", "async": len}
+"""
+
+INSTANCE_GRID = """\
+from repro.distributed import AAPEngine, AsyncEngine, SyncEngine, build_engine
 
 
-def engines(plan, cluster):
-    return {"sync": SyncEngine(plan, cluster), "label": "x"}
+def grid(plan, cluster):
+    return {
+        "sync": SyncEngine(plan, cluster),
+        "aap": AAPEngine(plan, cluster),
+        "unified": build_engine("unified", plan, cluster),
+    }
+
+
+def one(plan, cluster, engine):
+    if isinstance(engine, SyncEngine):
+        return engine
+    return AsyncEngine(plan, cluster).run()
 """
 
 
@@ -340,9 +354,19 @@ class TestEngineTables:
         path = tmp_path / "tables.py"
         path.write_text(ENGINE_TABLES)
         lines = [int(v.split(":")[1]) for v in check_engine_tables(path)]
-        # a dict of engine instances, built with the caller's own
-        # settings, is not a table of engines
-        assert lines == [6, 7, 10]
+        # the lambda's body (line 8) is a construction as well
+        assert lines == [6, 7, 8, 10]
+
+    def test_flags_an_instance_grid_and_a_bare_construction(self, tmp_path):
+        path = tmp_path / "grid.py"
+        path.write_text(INSTANCE_GRID)
+        found = [(int(v.split(":")[1]), v.split(": ")[1]) for v in check_engine_tables(path)]
+        # build_engine and isinstance name no engine call
+        assert found == [
+            (6, "SyncEngine(...) outside src/repro/distributed"),
+            (7, "AAPEngine(...) outside src/repro/distributed"),
+            (15, "AsyncEngine(...) outside src/repro/distributed"),
+        ]
 
     def test_the_registry_holds_the_one_table(self):
         registry = REPO_ROOT / REGISTRY_FILE
@@ -353,7 +377,13 @@ class TestEngineTables:
         path = tmp_path / "tables.py"
         path.write_text(ENGINE_TABLES)
         assert main([str(path)]) == 1
-        assert "engine tables outside the registry (3)" in capsys.readouterr().out
+        assert "engines wired outside the registry (4)" in capsys.readouterr().out
+
+    def test_nonzero_on_an_instance_grid(self, tmp_path, capsys):
+        path = tmp_path / "grid.py"
+        path.write_text(INSTANCE_GRID)
+        assert main([str(path)]) == 1
+        assert "engines wired outside the registry (3)" in capsys.readouterr().out
 
 
 UNDEFINED = """\

@@ -1,8 +1,7 @@
-"""Checker report objects and system-run metadata."""
+"""Checker report objects."""
 
 
 from repro.checker import CheckReport, PropertyResult, Status, check_analysis
-from repro.systems.base import SystemRun
 
 
 def make_result(status: Status, name: str = "property2") -> PropertyResult:
@@ -75,12 +74,3 @@ class TestMultiBodyCheck:
         report = check_analysis(analyze(parse_program(source, name="mixed-ok")))
         assert report.mra_satisfiable
 
-
-class TestSystemRun:
-    def test_seconds_fallback(self):
-        from repro.engine.result import EvalResult
-
-        run = SystemRun(
-            "S", "p", "d", EvalResult(values={}, stop_reason="fixpoint")
-        )
-        assert run.seconds == 0.0

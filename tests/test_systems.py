@@ -141,9 +141,46 @@ class TestRelativePerformance:
             times[name] = result.simulated_seconds
         assert min(times, key=times.get) == "PowerLog"
 
-    def test_run_named_wraps_metadata(self, graph, cluster):
-        run = SYSTEMS["PowerLog"].run_named(PROGRAMS["sssp"], graph, cluster)
-        assert run.system == "PowerLog"
-        assert run.program == "sssp"
-        assert run.dataset == graph.name
-        assert run.seconds > 0
+
+#: every row x {sssp, pagerank} it supports on the module graph:
+#: (engine label, simulated seconds as ``float.hex``, counters in
+#: :data:`PINNED_COUNTERS` order), so a routing slip fails here
+PINNED_COUNTERS = (
+    "iterations", "fprime_applications", "combines", "updates", "messages",
+    "message_tuples", "barriers", "bindings_produced", "tuples_scanned",
+)
+PINNED_RUNS = {
+    ("BigDatalog", "pagerank"): ("BigDatalog/GraphX:incremental+sync", "0x1.04a4b298bf230p+2", (48, 19632, 19632, 3360, 2688, 10752, 48, 0, 0)),
+    ("BigDatalog", "sssp"): ("BigDatalog:incremental+sync", "0x1.ac4996d945d8dp-2", (5, 538, 501, 96, 138, 379, 5, 0, 0)),
+    ("Maiter", "pagerank"): ("Maiter:mra+async", "0x1.3333333333333p-2", (6, 145635, 28407, 18222, 3178, 12678, 0, 0, 0)),
+    ("Maiter", "sssp"): ("Maiter:mra+async", "0x1.9ecc3e6efd2a8p-6", (1, 617, 415, 113, 136, 385, 0, 0, 0)),
+    ("Myria", "pagerank"): ("Myria:naive+sync", "0x1.5349331e2c20fp+0", (48, 19632, 16272, 3360, 2688, 17472, 48, 0, 0)),
+    ("Myria", "sssp"): ("Myria:mra+async", "0x1.c3f2b38dcc4b9p-6", (1, 601, 419, 113, 136, 390, 0, 0, 0)),
+    ("PowerGraph", "pagerank"): ("PowerGraph:incremental+sync", "0x1.cfdcbfaeb6a89p-3", (48, 19632, 19632, 3360, 2688, 10752, 48, 0, 0)),
+    ("PowerGraph", "sssp"): ("PowerGraph:incremental+sync", "0x1.2899a23491358p-6", (5, 538, 501, 96, 138, 379, 5, 0, 0)),
+    ("PowerLog", "pagerank"): ("PowerLog:mra+sync-async", "0x1.0000000000000p-2", (5, 54786, 14592, 6653, 2326, 8712, 0, 0, 0)),
+    ("PowerLog", "sssp"): ("PowerLog:mra+sync-async", "0x1.9bcd5341a70ecp-6", (1, 615, 427, 112, 140, 397, 0, 0, 0)),
+    ("Prom", "pagerank"): ("Prom:mra+async", "0x1.3333333333333p-2", (6, 44748, 12821, 5682, 2159, 8200, 0, 0, 0)),
+    ("Prom", "sssp"): ("Prom:mra+async", "0x1.9ecc3e6efd2a8p-6", (1, 617, 415, 113, 136, 385, 0, 0, 0)),
+    ("SociaLite", "pagerank"): ("SociaLite:naive+sync", "0x1.ecc2bec96b874p+0", (48, 19632, 16272, 3360, 2688, 17472, 48, 0, 0)),
+    ("SociaLite", "sssp"): ("SociaLite:incremental+sync+delta-step", "0x1.c045fd78ac128p-6", (7, 537, 500, 93, 145, 383, 7, 0, 0)),
+}
+
+
+class TestPinnedRuns:
+    def test_every_supported_row_is_pinned(self):
+        assert set(PINNED_RUNS) == {
+            (name, program)
+            for name, system in SYSTEMS.items()
+            for program in ("sssp", "pagerank")
+            if system.supports(PROGRAMS[program])
+        }
+
+    @pytest.mark.parametrize("system_name, program", sorted(PINNED_RUNS))
+    def test_run_is_pinned(self, system_name, program, graph, cluster):
+        result = SYSTEMS[system_name].run(PROGRAMS[program], graph, cluster)
+        snapshot = result.counters.snapshot()
+        engine, seconds, counters = PINNED_RUNS[system_name, program]
+        assert result.engine == engine
+        assert result.simulated_seconds.hex() == seconds
+        assert snapshot == dict(zip(PINNED_COUNTERS, counters))

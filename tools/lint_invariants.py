@@ -129,8 +129,9 @@ EPILOGUE_FILES = {
     Path("src/repro/delta/engine.py"),
 }
 
-#: where engine tables are looked for, the one module that may hold one,
-#: and the package whose ``*Engine`` classes are the engines
+#: where engine tables and constructions are looked for, the one module
+#: that may hold a table, and the package whose ``*Engine`` classes are
+#: the engines (and the only one that may call them)
 TABLE_SCOPE = (REPO_ROOT / "src" / "repro",)
 REGISTRY_FILE = Path("src/repro/distributed/registry.py")
 ENGINE_PACKAGE = REPO_ROOT / "src" / "repro" / "distributed"
@@ -474,19 +475,29 @@ def _is_engine_constructor(value: ast.AST, engines: set) -> bool:
 
 
 def check_engine_tables(path: Path) -> list[str]:
-    """Name -> engine tables outside :data:`REGISTRY_FILE`."""
+    """Name -> engine tables outside :data:`REGISTRY_FILE`, and calls of
+    an engine class outside :data:`ENGINE_PACKAGE` -- a dict of engine
+    instances or a bare construction is an engine table spelled out."""
     relative = _relative(path)
-    if relative == REGISTRY_FILE:
-        return []
     engines = _engine_classes()
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return [
-        f"{relative}:{node.lineno}: engine table outside {REGISTRY_FILE}: "
-        "build engines from repro.distributed.ENGINES"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Dict)
-        and any(_is_engine_constructor(value, engines) for value in node.values)
-    ]
+    found = []
+    if relative != REGISTRY_FILE:
+        found += [
+            (node.lineno, f"engine table outside {REGISTRY_FILE}: "
+             "build engines from repro.distributed.ENGINES")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Dict)
+            and any(_is_engine_constructor(value, engines) for value in node.values)
+        ]
+    if ENGINE_PACKAGE not in path.resolve().parents:
+        found += [
+            (node.lineno, f"{_dotted(node.func)}(...) outside {_relative(ENGINE_PACKAGE)}: "
+             "build engines with repro.distributed.build_engine")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _names_engine(node.func, engines)
+        ]
+    return [f"{relative}:{line}: {message}" for line, message in sorted(found)]
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -643,7 +654,7 @@ def main(argv: list[str] | None = None) -> int:
         (check_unused_locals, LOCALS_SCOPE,
          "unused locals", "no unused locals"),
         (check_engine_tables, TABLE_SCOPE,
-         "engine tables outside the registry", "one engine table"),
+         "engines wired outside the registry", "one engine table, every engine built from it"),
         (check_undefined_names, LOCALS_SCOPE,
          "undefined names", "no undefined names"),
         (check_engine_closures, CLOSURE_SCOPE,
