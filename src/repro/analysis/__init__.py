@@ -57,7 +57,6 @@ from repro.analysis.comm import (
     PlanCommEstimate,
     communication_shape,
     estimate_plan_communication,
-    record_comm_metrics,
 )
 from repro.analysis.pipeline import (
     analyze_program,
@@ -96,7 +95,6 @@ __all__ = [
     "PlanCommEstimate",
     "communication_shape",
     "estimate_plan_communication",
-    "record_comm_metrics",
     "analyze_program",
     "analyze_source",
     "diagnostic_from_error",

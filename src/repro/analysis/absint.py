@@ -53,7 +53,6 @@ from repro.expr.analysis import Interval, interval_of
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datalog.analyzer import ProgramAnalysis
     from repro.engine.plan import CompiledPlan
-    from repro.obs.metrics import Metrics
 
 #: float64 holds every integer below this exactly (53-bit mantissa).
 FLOAT64_EXACT_LIMIT = 2.0**53
@@ -1189,19 +1188,6 @@ def _contraction_factor(
     return min(max(row.values()), max(col.values()))
 
 
-def record_cost_metrics(metrics: "Metrics", estimate: CostEstimate) -> None:
-    """Publish the static cost prediction as observability gauges."""
-    if not metrics.enabled:
-        return
-    labels = {"program": estimate.program}
-    metrics.gauge("cost_supersteps_est", float(estimate.supersteps), **labels)
-    metrics.gauge("cost_work_est", float(estimate.work), **labels)
-    metrics.gauge(
-        "cost_peak_frontier_fraction", estimate.peak_frontier_fraction, **labels
-    )
-    metrics.gauge("cost_seconds_est", estimate.est_seconds(), **labels)
-
-
 # ---------------------------------------------------------------------------
 # builder-facing helper (replaces the saturation-by-construction comments)
 # ---------------------------------------------------------------------------
@@ -1241,6 +1227,5 @@ __all__ = [
     "analyze_symbolic_range",
     "counting_walk_bound",
     "estimate_plan_cost",
-    "record_cost_metrics",
     "summarize_plan",
 ]

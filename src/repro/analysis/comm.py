@@ -14,10 +14,6 @@ Two granularities:
   and destination owned by different workers under the engines' own
   :class:`~repro.distributed.partition.HashPartitioner` -- the number
   the distributed runtimes will actually ship per full wavefront.
-
-:func:`record_comm_metrics` surfaces the plan-level numbers as
-``repro.obs`` gauges so ``repro metrics`` can report them next to the
-runtime message counters.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from typing import Any, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datalog.analyzer import ProgramAnalysis
     from repro.engine.plan import CompiledPlan
-    from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -127,16 +122,3 @@ def estimate_plan_communication(
         cross_edges=cross,
         per_worker_out=tuple(per_worker),
     )
-
-
-def record_comm_metrics(
-    metrics: "MetricsRegistry", plan: "CompiledPlan", num_workers: int
-) -> PlanCommEstimate:
-    """Publish the plan's communication shape as observability gauges."""
-    estimate = estimate_plan_communication(plan, num_workers)
-    metrics.gauge("comm_edges_total", float(estimate.total_edges))
-    metrics.gauge("comm_edges_cross_worker", float(estimate.cross_edges))
-    metrics.gauge("comm_cross_fraction", estimate.cross_fraction)
-    for worker, count in enumerate(estimate.per_worker_out):
-        metrics.gauge("comm_out_messages", float(count), worker=worker)
-    return estimate

@@ -58,7 +58,7 @@ from typing import Mapping, Optional, TYPE_CHECKING
 
 from repro.aggregates import Aggregate, AggregateKind
 from repro.expr import Expr, Interval
-from repro.expr.terms import Add, Call, Const, Div, Mul, Neg, Sub, Var
+from repro.expr.terms import Add, Const, Div, Mul, Neg, Sub, Var
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datalog.analyzer import ProgramAnalysis
@@ -85,12 +85,6 @@ class PreScreenVerdict:
             "aggregate": self.aggregate,
             "detail": self.detail,
         }
-
-
-def _contains_call(expr: Expr) -> bool:
-    if isinstance(expr, Call):
-        return True
-    return any(_contains_call(child) for child in expr.children())
 
 
 def _const_sign(
@@ -193,7 +187,7 @@ def match_pattern(
         if _is_shift(fprime, var):
             return "shift"
         factors = _scale_factors(fprime, var)
-        if factors is not None and not _contains_call(fprime):
+        if factors is not None and not fprime.contains_call():
             ok = all(
                 _const_sign(factor, domains, strict=(role == "div"))
                 for role, factor in factors
@@ -204,7 +198,7 @@ def match_pattern(
         return None
     if aggregate.kind is AggregateKind.ADDITIVE:
         factors = _scale_factors(fprime, var)
-        if factors is not None and not _contains_call(fprime):
+        if factors is not None and not fprime.contains_call():
             return "linear-homogeneous"
         return None
     return None

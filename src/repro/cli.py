@@ -211,7 +211,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     if args.top:
         ranked = sorted(result.values.items(), key=lambda kv: kv[1])
-        if spec.analysis().aggregate.name in ("sum", "max", "count"):
+        # a max or sum fold's best values are its largest, min's and top-k's smallest
+        if spec.analysis().aggregate.fold_mode in ("max", "sum"):
             ranked = ranked[::-1]
         print(f"  top {args.top}:")
         for key, value in ranked[: args.top]:
@@ -390,7 +391,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_estimates(title: str, rows: dict) -> None:
+    """A section of the plan's static estimates, one line each by name."""
+    print(title)
+    for key, value in sorted(rows.items()):
+        print(f"  {key:28s} {value:g}")
+
+
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.analysis.absint import estimate_plan_cost
+    from repro.analysis.comm import estimate_plan_communication
     from repro.bench.charts import sparkline
     from repro.obs import Observability
 
@@ -399,10 +409,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     spec = get_program(args.program)
     graph = _observed_graph(args)
     cluster = _observed_cluster(args, spec, graph)
+    plan = spec.plan(graph)
     obs = Observability()
-    result = _build_engine(
-        args.engine, spec.plan(graph), cluster, obs, backend=args.backend
-    ).run()
+    result = _build_engine(args.engine, plan, cluster, obs, backend=args.backend).run()
     metrics = result.metrics
     print(
         f"{spec.title} on {graph.name}, engine={result.engine}, "
@@ -422,24 +431,26 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             f"histogram {key}: count={stats['count']} mean={stats['mean']:.2f} "
             f"min={stats['min']:g} max={stats['max']:g}"
         )
-    comm = {
-        key: value
-        for key, value in snapshot["gauges"].items()
-        if key.split("{", 1)[0].startswith("comm_")
-    }
-    if comm:
-        print("communication shape (hash-partitioned plan):")
-        for key, value in sorted(comm.items()):
-            print(f"  {key:28s} {value:g}")
-    cost = {
-        key: value
-        for key, value in snapshot["gauges"].items()
-        if key.split("{", 1)[0].startswith("cost_")
-    }
-    if cost:
-        print("static cost estimate (abstract interpretation):")
-        for key, value in sorted(cost.items()):
-            print(f"  {key:28s} {value:g}")
+    comm = estimate_plan_communication(plan, cluster.num_workers)
+    _print_estimates("communication shape (hash-partitioned plan):", {
+        "comm_edges_total": comm.total_edges,
+        "comm_edges_cross_worker": comm.cross_edges,
+        "comm_cross_fraction": comm.cross_fraction,
+        **{
+            f"comm_out_messages{{worker={worker}}}": count
+            for worker, count in enumerate(comm.per_worker_out)
+        },
+    })
+    cost = estimate_plan_cost(plan)
+    _print_estimates("static cost estimate (abstract interpretation):", {
+        f"{name}{{program={cost.program}}}": value
+        for name, value in (
+            ("cost_supersteps_est", cost.supersteps),
+            ("cost_work_est", cost.work),
+            ("cost_peak_frontier_fraction", cost.peak_frontier_fraction),
+            ("cost_seconds_est", cost.est_seconds()),
+        )
+    })
     series_found = False
     for labels, series in metrics.gauge_series("buffer.beta"):
         if not series_found:

@@ -91,8 +91,8 @@ from repro.engine.plan import (
 from repro.engine.relation import Database, Relation
 from repro.engine.result import EvalResult, WorkCounters
 from repro.engine.termination import run_rounds
-from repro.obs import ensure_obs
-from repro.runtime import get_kernel, record_backend_metrics, resolve_backend, resolve_backend_for_plan
+from repro.obs import ensure_obs, record_run
+from repro.runtime import get_kernel, resolve_backend, resolve_backend_for_plan
 
 ENGINE_NAME = "incremental"
 
@@ -426,7 +426,7 @@ def repair_plan(
             edges_added=sum(diff.added.values()),
             edges_removed=sum(diff.removed.values()),
         )
-        _record_repair(obs, repair, label, backend, absorb=False)
+        _record_repair(obs, repair, label)
         return repair
 
     counters = WorkCounters()
@@ -495,11 +495,12 @@ def repair_plan(
         reset_keys=reset_keys,
         ops=ops,
     )
-    _record_repair(obs, repair, label, backend, absorb=True)
+    record_run(obs, result)
+    _record_repair(obs, repair, label)
     return repair
 
 
-def _record_repair(obs, repair: RepairResult, program: str, backend: str, absorb: bool) -> None:
+def _record_repair(obs, repair: RepairResult, program: str) -> None:
     if not obs.enabled:
         return
     metrics = obs.metrics
@@ -512,9 +513,6 @@ def _record_repair(obs, repair: RepairResult, program: str, backend: str, absorb
         metrics.inc("delta.frontier_seeds", repair.frontier_size, program=program)
     if repair.reset_keys:
         metrics.inc("delta.keys_reset", repair.reset_keys, program=program)
-    if absorb:
-        metrics.absorb_work_counters(repair.counters, engine=ENGINE_NAME)
-        record_backend_metrics(metrics, ENGINE_NAME, backend)
     obs.trace.emit(
         "delta.repair",
         program=program,

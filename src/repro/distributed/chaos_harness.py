@@ -216,7 +216,11 @@ def run_chaos(
         if ref_value is None or got_value is None:
             max_error = float("inf")
             break
-        max_error = max(max_error, abs(float(got_value) - float(ref_value)))
+        if aggregate.numeric_values:
+            error = abs(float(got_value) - float(ref_value))
+        else:  # a non-numeric carrier (kpaths' KTuple) matches or it does not
+            error = 0.0 if got_value == ref_value else float("inf")
+        max_error = max(max_error, error)
 
     stats = chaotic.faults.snapshot() if chaotic.faults is not None else {}
     return ChaosReport(

@@ -99,8 +99,8 @@ class ShardedRun:
         """The one epilogue of a distributed run: its :class:`EvalResult`
         (the merged shards unless ``values`` says otherwise, and
         ``chaos``'s fault counters when the run had an injector),
-        recorded by :func:`repro.obs.record_run`, then the plan's static
-        ``comm_*`` and ``cost_*`` gauges."""
+        recorded by :func:`repro.obs.record_run`; the plan's static
+        estimates are no part of it."""
         result = EvalResult(
             values=self.merged_values() if values is None else values,
             stop_reason=stop_reason,
@@ -112,12 +112,6 @@ class ShardedRun:
             backend=self.backend,
         )
         record_run(obs, result)
-        if obs.enabled:
-            from repro.analysis.absint import estimate_plan_cost, record_cost_metrics
-            from repro.analysis.comm import record_comm_metrics
-
-            record_comm_metrics(obs.metrics, self.plan, self.cluster.num_workers)
-            record_cost_metrics(obs.metrics, estimate_plan_cost(self.plan))
         return result
 
     def seed_initial_delta(self) -> None:

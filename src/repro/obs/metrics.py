@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+import numpy as np
+
 #: histogram bucket upper bounds: powers of two up to 64k, then +inf
 _BUCKET_BOUNDS = tuple(2**i for i in range(17))
 
@@ -217,14 +219,16 @@ NULL_METRICS = MetricsRegistry(enabled=False)
 
 
 def record_run(obs, result) -> None:
-    """The one run epilogue every engine ends with: absorb the run's
-    :class:`WorkCounters` as ``work.*`` counters and record its backend,
+    """The one epilogue every engine run and delta repair ends with:
+    absorb the run's :class:`WorkCounters` as ``work.*`` counters and
+    count its backend (and numpy's version) in ``runtime.backend_runs``,
     both labelled with ``result.engine``, then attach the registry as
     ``result.metrics``.  A no-op on a disabled ``obs``."""
     if not obs.enabled:
         return
-    from repro.runtime.base import record_backend_metrics
-
     obs.metrics.absorb_work_counters(result.counters, engine=result.engine)
-    record_backend_metrics(obs.metrics, result.engine, result.backend)
+    labels = {"engine": result.engine, "backend": result.backend}
+    if result.backend == "numpy":
+        labels["numpy_version"] = np.__version__
+    obs.metrics.inc("runtime.backend_runs", **labels)
     result.metrics = obs.metrics

@@ -14,7 +14,6 @@ from repro.runtime.base import (
     SendSide,
     available_backends,
     get_kernel,
-    record_backend_metrics,
     register_kernel,
     resolve_backend,
     resolve_backend_for_plan,
@@ -36,7 +35,6 @@ __all__ = [
     "SendSide",
     "available_backends",
     "get_kernel",
-    "record_backend_metrics",
     "register_kernel",
     "resolve_backend",
     "resolve_backend_for_plan",

@@ -173,8 +173,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, TypeVar
 
-import numpy as np
-
 from repro.engine.result import WorkCounters
 
 DEFAULT_BACKEND = "python"
@@ -783,12 +781,3 @@ def resolve_backend_for_plan(plan: Any, backend: Optional[str] = None) -> str:
 def get_kernel(backend: Optional[str] = None) -> type:
     """Resolve a backend name to its kernel class."""
     return KERNELS[resolve_backend(backend)]
-
-
-def record_backend_metrics(metrics: Any, engine: str, backend: str) -> None:
-    """Record which backend produced a run in the metrics registry."""
-    name = resolve_backend(backend)
-    labels: dict = {"engine": engine, "backend": name}
-    if name == "numpy":
-        labels["numpy_version"] = np.__version__
-    metrics.inc("runtime.backend_runs", **labels)

@@ -23,14 +23,12 @@ from repro.analysis.absint import (
     analyze_symbolic_range,
     counting_walk_bound,
     estimate_plan_cost,
-    record_cost_metrics,
     summarize_plan,
 )
 from repro.datalog import analyze, parse_program
 from repro.distributed.chaos_harness import default_graph
 from repro.engine import MRAEvaluator
 from repro.graphs.generators import random_dag, rmat
-from repro.obs.metrics import MetricsRegistry
 from repro.programs import PROGRAMS
 from repro.runtime import KERNELS
 
@@ -271,17 +269,6 @@ class TestCostDomain:
         assert cost.est_seconds(work_only, workers=2) == pytest.approx(
             cost.work / 2
         )
-
-    def test_record_cost_metrics_publishes_gauges(self):
-        metrics = MetricsRegistry(enabled=True, keep_series=True)
-        record_cost_metrics(metrics, estimate_plan_cost(plan_for("sssp")))
-        published = {name for (name, _labels) in metrics.gauges}
-        assert {
-            "cost_supersteps_est",
-            "cost_work_est",
-            "cost_peak_frontier_fraction",
-            "cost_seconds_est",
-        } <= published
 
     def test_supersteps_track_graph_depth(self):
         from repro.graphs.generators import chain

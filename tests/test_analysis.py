@@ -313,18 +313,6 @@ class TestCommunication:
         assert estimate.cross_fraction == estimate.cross_edges / estimate.total_edges
         assert sum(estimate.per_worker_out) == estimate.cross_edges
 
-    def test_comm_metrics_recorded(self):
-        from repro.distributed import ClusterConfig, SyncEngine
-        from repro.obs import Observability
-
-        plan = PROGRAMS["sssp"].plan(default_graph("sssp"))
-        obs = Observability(enabled=True)
-        SyncEngine(plan, ClusterConfig(num_workers=4), obs=obs).run()
-        gauges = obs.metrics.snapshot()["gauges"]
-        assert "comm_edges_total" in gauges
-        assert "comm_cross_fraction" in gauges
-        assert "comm_out_messages{worker=0}" in gauges
-
 
 class TestPipelineReports:
     def test_registry_programs_lint_clean(self):

@@ -34,7 +34,6 @@ from repro.runtime import (
     KERNELS,
     available_backends,
     get_kernel,
-    record_backend_metrics,
     resolve_backend,
     resolve_backend_for_plan,
 )
@@ -97,13 +96,13 @@ class TestOneArrayKernel:
     def test_metrics_label_numpy_version_under_either_name(self):
         for name in ("numpy", "sparse"):
             obs = Observability()
-            record_backend_metrics(obs.metrics, "mra", name)
+            MRAEvaluator(plan_for("sssp"), obs=obs, backend=name).run()
             (key,) = [
                 k
                 for k in obs.metrics.snapshot()["counters"]
                 if k.startswith("runtime.backend_runs")
             ]
-            assert "backend=numpy" in key and "numpy_version=" in key
+            assert "backend=numpy" in key and f"numpy_version={np.__version__}" in key
 
 
 class TestRefusedCarrierDegrades:

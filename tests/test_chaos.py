@@ -8,6 +8,7 @@ import pytest
 
 from repro.distributed import (
     AsyncEngine,
+    FAULT_TOLERANT_ENGINES,
     Checkpointer,
     ClusterConfig,
     FaultSchedule,
@@ -177,6 +178,14 @@ class TestAcceptanceMatrix:
         report = run_chaos("dag_paths", engine="sync", graph=dag, seed=7)
         assert report.agreed, report.row()
         assert report.stats["rollbacks"] >= 1
+
+    @pytest.mark.parametrize("engine", FAULT_TOLERANT_ENGINES)
+    def test_non_numeric_carrier_compares_by_equality(self, engine):
+        # kpaths' KTuple values have no float distance: they match or not
+        report = run_chaos("kpaths", engine=engine)
+        assert report.agreed, report.row()
+        assert report.max_error == 0.0
+        assert report.stats["crashes"] >= 1
 
 
 class TestDuplicateAbsorption:

@@ -118,6 +118,18 @@ class TestRun:
         ]) == 0
         assert "top 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("program, descending", [("reach_prob", True), ("sssp", False)])
+    def test_top_lists_the_best_values(self, program, descending, capsys):
+        # reach_prob folds with max (``best``): its top values are its largest
+        assert main([
+            "run", program, "--dataset", "livej", "--scale", "0.05",
+            "--workers", "4", "--top", "3",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("  top 3:") + 1
+        values = [float(line.split(": ")[1]) for line in lines[start:start + 3]]
+        assert values == sorted(values, reverse=descending)
+
     def test_run_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):
             main(["run", "sssp", "--dataset", "imagenet"])
@@ -271,3 +283,46 @@ class TestEngineNames:
         out = capsys.readouterr().out
         assert "communication shape" in out
         assert "static cost estimate" in out
+
+
+class TestMetrics:
+    def test_prints_the_plan_estimates(self, capsys):
+        from repro.analysis.absint import estimate_plan_cost
+        from repro.analysis.comm import estimate_plan_communication
+        from repro.distributed.chaos_harness import default_graph
+        from repro.programs import PROGRAMS
+
+        assert main(["metrics", "sssp"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        def section(title: str) -> dict:
+            rows: dict = {}
+            for line in lines[lines.index(title) + 1:]:
+                if not line.startswith("  "):
+                    break
+                key, value = line.split()
+                rows[key] = value
+            return rows
+
+        plan = PROGRAMS["sssp"].plan(default_graph("sssp", seed=7))
+        comm = estimate_plan_communication(plan, 4)
+        expected = {
+            "comm_edges_total": comm.total_edges,
+            "comm_edges_cross_worker": comm.cross_edges,
+            "comm_cross_fraction": comm.cross_fraction,
+        }
+        for worker, count in enumerate(comm.per_worker_out):
+            expected[f"comm_out_messages{{worker={worker}}}"] = count
+        assert section("communication shape (hash-partitioned plan):") == {
+            key: f"{value:g}" for key, value in expected.items()
+        }
+        cost = estimate_plan_cost(plan)
+        expected = {
+            "cost_supersteps_est": cost.supersteps,
+            "cost_work_est": cost.work,
+            "cost_peak_frontier_fraction": cost.peak_frontier_fraction,
+            "cost_seconds_est": cost.est_seconds(),
+        }
+        assert section("static cost estimate (abstract interpretation):") == {
+            f"{key}{{program=sssp}}": f"{value:g}" for key, value in expected.items()
+        }

@@ -10,6 +10,7 @@ frontier instead of resetting state.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +29,7 @@ from repro.delta import (
     view_of,
 )
 from repro.graphs import random_dag, rmat
+from repro.obs import Observability
 from repro.programs import PROGRAMS
 
 
@@ -477,3 +479,42 @@ class TestRepairPlan:
 
         oracle = MRAEvaluator(PROGRAMS["sssp"].plan(view.graph)).run().values
         assert engine.values == oracle
+
+
+class TestRepairMetrics:
+    """An observed repair ends through ``repro.obs.record_run``: its
+    ``work.*`` and ``runtime.backend_runs`` counters, labelled
+    ``engine=incremental``, are the ones pinned here (taken before the
+    repair's epilogue was ``record_run``)."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize(
+        "strategy, make_delta, work",
+        [
+            (
+                "frontier",
+                lambda g: random_delta(g, seed=4, insert_edges=4),
+                {"combines": 21, "fprime_applications": 17, "iterations": 3, "updates": 6},
+            ),
+            (
+                "rederive",
+                lambda g: GraphDelta(delete_edges=(g.edges[0], g.edges[5])),
+                {"combines": 66, "fprime_applications": 89, "iterations": 7, "updates": 30},
+            ),
+        ],
+        ids=["frontier", "rederive"],
+    )
+    def test_apply_counts_the_repairs_run(self, graph, backend, strategy, make_delta, work):
+        obs = Observability()
+        engine = IncrementalEngine("sssp", graph.with_weights(), backend=backend, obs=obs)
+        engine.bootstrap()
+        repair = engine.apply(make_delta(engine.view.graph))
+        assert repair.strategy == strategy
+        assert repair.result.metrics is obs.metrics
+        labels = "backend=python,engine=incremental"
+        if backend == "numpy":
+            labels = f"backend=numpy,engine=incremental,numpy_version={np.__version__}"
+        expected = {f"work.{field}{{engine=incremental}}": n for field, n in work.items()}
+        expected[f"runtime.backend_runs{{{labels}}}"] = 1
+        counters = obs.metrics.snapshot()["counters"]
+        assert {k: v for k, v in counters.items() if "engine=incremental" in k} == expected

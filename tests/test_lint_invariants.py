@@ -245,6 +245,13 @@ class Engine:
         return result
 """
 
+HAND_WRITTEN_REPAIR = """\
+def _record_repair(obs, repair):
+    metrics = obs.metrics
+    metrics.inc("delta.repairs", strategy=repair.strategy)
+    metrics.absorb_work_counters(repair.counters, engine="incremental")
+"""
+
 
 class TestRunEpilogue:
     def test_flags_each_step_outside_the_epilogue(self, tmp_path):
@@ -254,12 +261,23 @@ class TestRunEpilogue:
         # an instance's own ``self.metrics`` is not a result's
         assert lines == [6, 7, 8]
 
-    def test_only_the_epilogue_and_the_repair_say_it(self):
-        assert sorted(str(p) for p in EPILOGUE_FILES) == [
-            "src/repro/delta/engine.py", "src/repro/obs/metrics.py",
+    def test_only_the_epilogue_says_it(self):
+        assert [str(p) for p in EPILOGUE_FILES] == ["src/repro/obs/metrics.py"]
+        assert "absorb_work_counters(" in (REPO_ROOT / "src/repro/obs/metrics.py").read_text()
+
+    def test_flags_a_repair_that_absorbs_its_own_counters(self, tmp_path, monkeypatch):
+        # a delta repair ends through record_run like every engine run:
+        # the repair module's own path is no exemption
+        import lint_invariants
+
+        monkeypatch.setattr(lint_invariants, "REPO_ROOT", tmp_path)
+        path = tmp_path / "src" / "repro" / "delta" / "engine.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(HAND_WRITTEN_REPAIR)
+        assert check_run_epilogue(path) == [
+            "src/repro/delta/engine.py:4: absorb_work_counters() outside the "
+            "run epilogue: end the run with repro.obs.record_run"
         ]
-        for relative in EPILOGUE_FILES:
-            assert "absorb_work_counters(" in (REPO_ROOT / relative).read_text()
 
     def test_nonzero_on_a_second_epilogue(self, tmp_path, capsys):
         path = tmp_path / "engine.py"

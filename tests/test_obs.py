@@ -193,6 +193,16 @@ class TestObservabilityHandle:
         assert read_jsonl(str(path)) == [{"kind": "a", "t": None}]
 
 
+def _counting(calls: dict, name: str, function):
+    """``function``, counting its calls in ``calls[name]``."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    return counted
+
+
 class TestEngineInstrumentation:
     def test_single_node_epoch_events_and_metrics(self):
         from repro.engine import MRAEvaluator
@@ -207,6 +217,22 @@ class TestEngineInstrumentation:
             result.metrics.counter_value("work.updates", engine="mra")
             == result.counters.updates
         )
+
+    @pytest.mark.parametrize("engine", [SyncEngine, AsyncEngine, UnifiedEngine])
+    def test_an_observed_run_prices_no_static_estimate(self, engine, monkeypatch):
+        # a run's metrics hold only the run: whoever prints the plan's
+        # static estimates (``repro metrics``) computes them itself
+        import repro.analysis.absint as absint
+        import repro.analysis.comm as comm
+
+        calls = {"estimate_plan_cost": 0, "estimate_plan_communication": 0}
+        for module, name in ((absint, "estimate_plan_cost"), (comm, "estimate_plan_communication")):
+            monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+        obs = Observability()
+        result = engine(_plan(), ClusterConfig(num_workers=4), obs=obs).run()
+        assert result.metrics is obs.metrics
+        assert calls == {"estimate_plan_cost": 0, "estimate_plan_communication": 0}
+        assert not [name for name, _ in obs.metrics.gauges if name.startswith(("comm_", "cost_"))]
 
     def test_sync_superstep_events_match_rounds(self):
         obs = Observability()

@@ -46,8 +46,8 @@ would break just the callers that use it, on one backend.
 A fifth pass keeps the **run epilogue** said once: absorbing a run's
 work counters (``.absorb_work_counters(...)``) and attaching metrics to
 a result (``<name>.metrics = ...``, anything but ``self``) happen only
-in ``src/repro/obs/metrics.py`` (``record_run``, which every engine ends
-with) and ``src/repro/delta/engine.py`` (a repair's counters).
+in ``src/repro/obs/metrics.py`` (``record_run``, which every engine run
+and every delta repair ends with).
 
 A sixth pass flags **unused locals** (ruff's F841, widened to unpacked
 names) over ``src`` and ``tests``: a name a function stores -- by
@@ -122,12 +122,9 @@ CONTRACT_CLASSES = ("Kernel", "SendSide")
 #: where the unused-locals pass looks
 LOCALS_SCOPE = (REPO_ROOT / "src", REPO_ROOT / "tests")
 
-#: where engines end their runs, and the two files that may say how
+#: where engines end their runs, and the one file that may say how
 EPILOGUE_SCOPE = (REPO_ROOT / "src" / "repro",)
-EPILOGUE_FILES = {
-    Path("src/repro/obs/metrics.py"),
-    Path("src/repro/delta/engine.py"),
-}
+EPILOGUE_FILES = {Path("src/repro/obs/metrics.py")}
 
 #: where engine tables and constructions are looked for, the one module
 #: that may hold a table, and the package whose ``*Engine`` classes are
