@@ -69,6 +69,7 @@ from repro.graphs import (
     load_dataset,
 )
 from repro.programs import PROGRAMS, get_program
+from repro.programs.builders import WalkBoundError
 from repro.runtime import (
     BACKEND_ENV_VAR,
     KERNELS,
@@ -564,6 +565,13 @@ def _run_delta(args: argparse.Namespace) -> int:
     from repro.delta import GraphDelta, IncrementalEngine, random_delta
     from repro.engine import MRAEvaluator
 
+    if not (args.file or args.inserts or args.deletes or args.updates):
+        print(
+            "error: give a delta file or at least one of "
+            "--inserts/--deletes/--updates",
+            file=sys.stderr,
+        )
+        return 2
     spec = get_program(args.program)
     graph = load_dataset(args.dataset, args.scale).with_weights()
 
@@ -571,11 +579,6 @@ def _run_delta(args: argparse.Namespace) -> int:
         with open(args.file, "r", encoding="utf-8") as handle:
             delta = GraphDelta.from_json(handle.read())
     else:
-        if not (args.inserts or args.deletes or args.updates):
-            raise SystemExit(
-                "error: give a delta file or at least one of "
-                "--inserts/--deletes/--updates"
-            )
         delta = random_delta(
             graph,
             seed=args.seed,
@@ -970,7 +973,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except KernelUnavailableError as exc:
         raise SystemExit(f"error: {exc}")
-    except EdgeListError as exc:
+    except (EdgeListError, WalkBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

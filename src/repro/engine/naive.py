@@ -19,8 +19,9 @@ from repro.engine.common import (
     static_contributions,
 )
 from repro.engine.result import EvalResult
+from repro.engine.rules import aggregate_contributions
 from repro.engine.termination import evaluate_rounds
-from repro.runtime import BatchResult, get_kernel
+from repro.runtime import BatchResult
 
 
 class NaiveEvaluator(RelationalEvaluator):
@@ -43,7 +44,7 @@ class NaiveEvaluator(RelationalEvaluator):
         )
         contributions.extend(self._recursive_contributions(current))
         self.counters.fprime_applications += len(contributions)
-        next_values = get_kernel(self.backend).fold_contributions(
+        next_values = aggregate_contributions(
             aggregate, contributions, self.counters
         )
 

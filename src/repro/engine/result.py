@@ -36,17 +36,6 @@ class WorkCounters:
     #: synchronisation barriers crossed
     barriers: int = 0
 
-    def merge(self, other: "WorkCounters") -> None:
-        self.iterations = max(self.iterations, other.iterations)
-        self.tuples_scanned += other.tuples_scanned
-        self.bindings_produced += other.bindings_produced
-        self.fprime_applications += other.fprime_applications
-        self.combines += other.combines
-        self.updates += other.updates
-        self.messages += other.messages
-        self.message_tuples += other.message_tuples
-        self.barriers += other.barriers
-
     def snapshot(self) -> dict:
         return {
             "iterations": self.iterations,

@@ -326,13 +326,21 @@ def evaluate_rule_bodies(
     return contributions
 
 
-def aggregate_contributions(aggregate, contributions: Iterable[tuple]) -> dict:
-    """Group (key, value) pairs by key and fold with the aggregate."""
+def aggregate_contributions(
+    aggregate,
+    contributions: Iterable[tuple],
+    counters: Optional[WorkCounters] = None,
+) -> dict:
+    """Group (key, value) pairs by key and fold with the aggregate, in
+    arrival order, keys in first-occurrence order; each fold onto a key
+    already grouped counts one ``combines`` in ``counters``."""
     grouped: dict = {}
     combine = aggregate.combine
     for key, value in contributions:
         if key in grouped:
             grouped[key] = combine(grouped[key], value)
+            if counters is not None:
+                counters.combines += 1
         else:
             grouped[key] = value
     return grouped

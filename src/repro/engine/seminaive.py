@@ -19,14 +19,50 @@ from repro.aggregates import AggregateKind
 from repro.datalog import ProgramAnalysis
 from repro.engine.common import RelationalEvaluator, static_contributions
 from repro.engine.relation import Database
-from repro.engine.result import EvalResult
+from repro.engine.result import EvalResult, WorkCounters
 from repro.engine.rules import aggregate_contributions
 from repro.engine.termination import TerminationSpec, evaluate_rounds
-from repro.runtime import BatchResult, get_kernel
+from repro.runtime import BatchResult
 
 
 class UnsupportedProgramError(ValueError):
     """The engine cannot evaluate this program correctly."""
+
+
+def improve_contributions(
+    aggregate,
+    current: dict,
+    contributions: list,
+    counters: Optional[WorkCounters] = None,
+) -> dict:
+    """Semi-naive filter+fold: contributions improving ``current``.
+
+    Returns ``key -> improved value`` for keys whose accumulated value
+    would change; idempotent aggregates only.
+    """
+    combine = aggregate.combine
+    changed: dict = {}
+    for key, value in contributions:
+        old = current.get(key)
+        if old is not None:
+            if counters is not None:
+                counters.combines += 1
+            if combine(old, value) == old:
+                continue  # idempotent aggregate: no improvement, prune
+        best = changed.get(key)
+        if best is None:
+            if old is None:
+                improved = value
+            else:
+                improved = combine(old, value)
+                if counters is not None:
+                    counters.combines += 1
+        else:
+            improved = combine(best, value)
+            if counters is not None:
+                counters.combines += 1
+        changed[key] = improved
+    return changed
 
 
 class SemiNaiveEvaluator(RelationalEvaluator):
@@ -68,7 +104,7 @@ class SemiNaiveEvaluator(RelationalEvaluator):
         contributions = self._recursive_contributions(self._delta)
         self.counters.fprime_applications += len(contributions)
 
-        changed = get_kernel(self.backend).improve_contributions(
+        changed = improve_contributions(
             aggregate, current, contributions, self.counters
         )
         total_delta = 0.0

@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` is the generalisation of the fixed-field
 :class:`~repro.engine.result.WorkCounters`: instruments are created on
 first use, keyed by name plus a frozen label set (``worker=3``,
-``target=1``, ...), and registries merge the way ``WorkCounters.merge``
-does so per-shard measurements can roll up into one result.
+``target=1``, ...).  A run records into one registry, as its shards count
+into one ``WorkCounters``.
 
 Everything is a no-op when the registry is disabled; hot paths guard
 with ``if obs.enabled:`` so the disabled cost is one branch.
@@ -60,21 +60,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        self.count += other.count
-        self.total += other.total
-        for bound in ("min", "max"):
-            mine, theirs = getattr(self, bound), getattr(other, bound)
-            if theirs is None:
-                continue
-            if mine is None:
-                setattr(self, bound, theirs)
-            else:
-                pick = min if bound == "min" else max
-                setattr(self, bound, pick(mine, theirs))
-        for index, n in enumerate(other.buckets):
-            self.buckets[index] += n
 
     def snapshot(self) -> dict:
         return {
@@ -151,29 +136,6 @@ class MetricsRegistry:
         for field, value in counters.snapshot().items():
             if value:
                 self.inc(f"work.{field}", value, **labels)
-
-    # -- aggregation -----------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (counters add, histograms combine,
-        gauges keep the other's later samples appended)."""
-        if not self.enabled or not other.enabled:
-            return
-        for key, value in other.counters.items():
-            self.counters[key] = self.counters.get(key, 0) + value
-        for key, histogram in other.histograms.items():
-            mine = self.histograms.get(key)
-            if mine is None:
-                mine = self.histograms[key] = Histogram()
-            mine.merge(histogram)
-        for key, gauge in other.gauges.items():
-            mine = self.gauges.get(key)
-            if mine is None:
-                mine = self.gauges[key] = Gauge(self.keep_series)
-            if gauge.series and mine.series is not None:
-                for t, value in gauge.series:
-                    mine.set(value, t)
-            elif gauge.value is not None:
-                mine.set(gauge.value)
 
     def counter_value(self, name: str, **labels) -> float:
         return self.counters.get(_key(name, labels), 0)

@@ -27,6 +27,26 @@ the array kernel cannot hold resolves to ``python``
 (:func:`resolve_backend_for_plan`).  ``sparse`` is an accepted alias of
 ``numpy``.
 
+What a backend implements
+-------------------------
+
+The engines call four *loops* on a kernel class: :meth:`Kernel.step`
+(a single-node MRA round), :meth:`Kernel.cluster_round` and
+:meth:`Kernel.cluster_ingest` (a BSP superstep over a cluster's shards)
+and :meth:`Kernel.window_local` (an asynchronous lookahead window) --
+besides the MonoTable protocol, the delta-stepping takes, the sweeps and
+walks below, and snapshot/restore.  The base class writes each loop
+over three *per-shard operations*: :meth:`Kernel.apply_batch` (one
+round, or one asynchronous batch), :meth:`Kernel.select_pending` (that
+batch) and :meth:`Kernel.split_out` (a round's output cut per target).
+A backend implements one or the other:
+
+* the per-shard operations, inheriting the loops -- the python kernel,
+  which is the reference;
+* the loops themselves -- the array kernel overrides all four with one
+  array pass over its shards' stacked rows, and has no per-shard round,
+  batch selection or split of its own.
+
 Unified work accounting
 -----------------------
 
@@ -42,21 +62,21 @@ incremented, with one meaning everywhere:
 * ``updates`` -- accumulation-column entries that changed.
 
 The simulated cost models keep their original currency --
-*accumulate attempts + edge applications* -- which every
-:meth:`Kernel.apply_batch` returns separately as :attr:`BatchResult.ops`
-so unifying the observable metrics does not silently re-price
-``simulated_seconds``.
+*accumulate attempts + edge applications* -- which every round returns
+separately as :attr:`BatchResult.ops` so unifying the observable metrics
+does not silently re-price ``simulated_seconds``.
 
 Payloads
 --------
 
-A round's outbound contributions (:attr:`BatchResult.out`) and the
-per-target parts :meth:`Kernel.split_out` cuts them into are *payloads*:
-values only the kernel class that produced them can read.  An engine may
-take a payload's ``len()`` -- the destination tuples the network cost
-model charges for -- hold it (outbox, retransmit queue, snapshot) and
-hand it back to a kernel of the same class through
-:meth:`Kernel.push_many`; nothing else.  A payload is never mutated
+The per-target parts of a round's outbound contributions (what
+:meth:`Kernel.cluster_round` sends) and an asynchronous batch's foreign
+contributions (:attr:`BatchResult.out`) are *payloads*: values only the
+kernel class that produced them can read.  An engine may take a
+payload's ``len()`` -- the destination tuples the network cost model
+charges for -- hold it (outbox, retransmit queue, snapshot) and hand it
+back to a kernel of the same class through :meth:`Kernel.push_many`;
+nothing else.  A payload is never mutated
 after it is produced and never aliases kernel state, so a parked one
 survives later rounds and restores unchanged.  The python kernel's
 payloads are lists of ``(key, value)`` pairs, the array kernel's are
@@ -68,10 +88,10 @@ Local mode, the send side and the inbox (the asynchronous engines)
 -------------------------------------------------------------------
 
 An asynchronous worker processes a *batch* of its own pending keys per
-event: :meth:`Kernel.select_pending` picks the batch and
-``apply_batch(keys=batch)`` runs it.  Three exactness arguments let that
-be set-at-a-time on the array kernel while staying bit-identical to the
-key-at-a-time reference:
+event; in the reference loop :meth:`Kernel.select_pending` picks the
+batch and ``apply_batch(keys=batch)`` runs it a key at a time.  Three
+exactness arguments let the array kernel's window pass run it
+set-at-a-time while staying bit-identical to that reference:
 
 * **A batch is Gauss--Seidel, not Jacobi.**  Keys are fetched in batch
   order, so a contribution to an owned key *later in the same batch* is
@@ -291,7 +311,8 @@ class SendSide:
 
 
 class Kernel:
-    """Base class/contract for vertex-runtime execution backends.
+    """Base class/contract for vertex-runtime execution backends (the
+    module docstring says which operations a backend implements).
 
     The MonoTable attribute protocol -- ``aggregate`` / ``accumulated``
     / ``intermediate`` plus the push/fetch/drain/accumulate methods --
@@ -377,16 +398,17 @@ class Kernel:
     def accumulate(self, key: Any, tmp: Any) -> tuple[bool, float]:
         raise NotImplementedError
 
-    # -- the inner loop ---------------------------------------------------------
+    # -- per-shard operations (what the reference loops call) -------------------
     def select_pending(
         self,
         threshold: Optional[float] = None,
         best_first: bool = False,
         limit: Optional[int] = None,
     ) -> Any:
-        """The pending keys an asynchronous worker processes next, as the
-        batch ``apply_batch(keys=...)`` takes (take its ``len()``;
-        nothing else).
+        """The pending keys an asynchronous worker processes next
+        (:meth:`window_local`'s reference loop), as the batch
+        ``apply_batch(keys=...)`` takes (take its ``len()``; nothing
+        else).
 
         ``best_first`` (selective aggregates) orders by pending value,
         smallest first, ties in arrival order -- a realistic async
@@ -409,9 +431,10 @@ class Kernel:
         ascending key order on every backend), apply ``F'`` along the
         changed keys' out-edges and return the contributions pre-folded
         per destination in :attr:`BatchResult.out` -- the caller routes
-        them (BSP outboxes, or a self push for single-node MRA).  With no
-        argument at all the round runs over everything pending, drained
-        first: ``apply_batch(drain_all())`` without the dict in between.
+        them (:meth:`cluster_round` cuts them per target, :meth:`step`
+        pushes them back).  With no argument at all the round runs over
+        everything pending, drained first: ``apply_batch(drain_all())``
+        without the dict in between.
 
         Local mode (``keys``, a batch of distinct pending keys from
         :meth:`select_pending`): process the batch *in the given order*,
@@ -425,22 +448,18 @@ class Kernel:
         """
         raise NotImplementedError
 
-    def apply_pending(self) -> BatchResult:
-        """Drain everything pending and run one round; the caller routes
-        :attr:`BatchResult.out` (it is *not* re-pushed here)."""
-        return self.apply_batch()
-
+    # -- single-node MRA --------------------------------------------------------
     def step(self) -> BatchResult:
         """Drain everything pending and run one full self-routed round."""
-        result = self.apply_pending()
+        result = self.apply_batch()
         self.push_many(result.out)
         return result
 
     # -- BSP exchange -----------------------------------------------------------
     @classmethod
     def owner_table(cls, plan: Any, owner: dict) -> Any:
-        """The partition map ``key -> worker`` in the form
-        :meth:`split_out` routes by; built once per run."""
+        """The partition map ``key -> worker`` in the form this class's
+        cluster round and send side route by; built once per run."""
         return owner
 
     @classmethod
@@ -478,11 +497,12 @@ class Kernel:
         """One superstep's rounds over all of a cluster's ``shards``
         (built by :meth:`shards_from_plan`, one ``WorkCounters``).
 
-        Worker ``w`` runs ``apply_pending()`` -- ``apply_batch(deltas[w])``
-        when ``deltas`` holds one dict per worker (delta-stepping) -- and
-        its ``out`` is cut by :meth:`split_out`.  Returns ``(results,
-        sends)``: per worker a :class:`BatchResult` with that round's
-        ``changed``, ``magnitude`` and ``ops`` (``out`` is empty), and
+        Worker ``w`` runs ``apply_batch()`` over everything it has
+        pending -- ``apply_batch(deltas[w])`` when ``deltas`` holds one
+        dict per worker (delta-stepping) -- and its ``out`` is cut by
+        :meth:`split_out`.  Returns ``(results, sends)``: per worker a
+        :class:`BatchResult` with that round's ``changed``,
+        ``magnitude`` and ``ops`` (``out`` is empty), and
         ``(sender, target) -> payload`` for every non-empty pair, senders
         ascending, each sender's targets ascending.
 
@@ -493,10 +513,7 @@ class Kernel:
         results = []
         sends: dict = {}
         for sender, shard in enumerate(shards):
-            if deltas is None:
-                result = shard.apply_pending()
-            else:
-                result = shard.apply_batch(deltas[sender])
+            result = shard.apply_batch(None if deltas is None else deltas[sender])
             boxes = cls.split_out(result.out, owners, parts)
             for target, payload in enumerate(boxes):
                 if len(payload):
@@ -621,76 +638,12 @@ class Kernel:
                     batch.append((dst, fn(value, *params)))
         return batch
 
-    # -- relational-path helpers ------------------------------------------------
-    # The naive and semi-naive evaluators fold Python tuples from the
-    # relational rule evaluator; every backend shares these loops, so
-    # their ``combines`` count is one definition.
-    @classmethod
-    def fold_contributions(
-        cls,
-        aggregate: Any,
-        contributions: list,
-        counters: Optional[WorkCounters] = None,
-    ) -> dict:
-        """Group-and-fold ``(key, value)`` pairs with ``g`` in arrival order."""
-        combine = aggregate.combine
-        out: dict = {}
-        for key, value in contributions:
-            old = out.get(key)
-            if old is None:
-                out[key] = value
-            else:
-                out[key] = combine(old, value)
-                if counters is not None:
-                    counters.combines += 1
-        return out
-
-    @classmethod
-    def improve_contributions(
-        cls,
-        aggregate: Any,
-        current: dict,
-        contributions: list,
-        counters: Optional[WorkCounters] = None,
-    ) -> dict:
-        """Semi-naive filter+fold: contributions improving ``current``.
-
-        Returns ``key -> improved value`` for keys whose accumulated
-        value would change; idempotent aggregates only.
-        """
-        combine = aggregate.combine
-        changed: dict = {}
-        for key, value in contributions:
-            old = current.get(key)
-            if old is not None:
-                if counters is not None:
-                    counters.combines += 1
-                if combine(old, value) == old:
-                    continue  # idempotent aggregate: no improvement, prune
-            best = changed.get(key)
-            if best is None:
-                if old is None:
-                    improved = value
-                else:
-                    improved = combine(old, value)
-                    if counters is not None:
-                        counters.combines += 1
-            else:
-                improved = combine(best, value)
-                if counters is not None:
-                    counters.combines += 1
-            changed[key] = improved
-        return changed
-
     # -- inspection -------------------------------------------------------------
-    def pending_keys(self) -> list:
-        raise NotImplementedError
-
     def has_pending(self) -> bool:
         raise NotImplementedError
 
     def pending_count(self) -> int:
-        return len(self.pending_keys())
+        raise NotImplementedError
 
     def pending_min(self) -> float:
         """Smallest pending delta value (the base of a delta-stepping threshold)."""
@@ -701,10 +654,6 @@ class Kernel:
         raise NotImplementedError
 
     def result(self) -> dict:
-        raise NotImplementedError
-
-    def global_accumulation(self) -> float:
-        """Sum of |value| over the accumulation column (section 5.4)."""
         raise NotImplementedError
 
     # -- checkpointing / recovery -----------------------------------------------

@@ -149,17 +149,6 @@ class PlanCSR:
         self.efn = efn
         self.erow = erow
         self.groups = groups
-        self._positions: Optional[Any] = None
-
-    def positions(self) -> Any:
-        """An all ``-1`` int64 column over the key codes: scratch for
-        mapping a code to its position in a batch.  It is shared by
-        every kernel of the plan and built on first use (only the
-        asynchronous local mode asks); whoever writes entries resets
-        them to ``-1`` before returning."""
-        if self._positions is None:
-            self._positions = np.full(self.n, -1, dtype=np.int64)
-        return self._positions
 
     def edge_ids(self, srcs: Any) -> tuple:
         """Flat edge ids of a source batch + each source's edge count."""

@@ -35,11 +35,12 @@ Exactness argument (why this backend is *bit-identical* to
   finds, and the rebuilt ``_pend_order`` after a scatter (ascending
   unique destinations) equals the ascending ``np.nonzero`` order;
 * insertion orders observable through the MonoTable protocol (the
-  ``accumulated``/``intermediate`` dicts, ``global_accumulation``'s sum
-  order, async batch selection, delta-stepping takes) are tracked
-  explicitly: every no-entry -> entry transition is stamped with an
-  arrival sequence number, and the live pending indices sorted by it
-  are exactly the dict insertion order the reference kernel yields;
+  ``accumulated``/``intermediate`` dicts, the async master's global
+  accumulation sum order, async batch selection, delta-stepping takes)
+  are tracked explicitly: every no-entry -> entry transition is stamped
+  with an arrival sequence number, and the live pending indices sorted
+  by it are exactly the dict insertion order the reference kernel
+  yields;
 * batch ingest (:meth:`NumpyKernel.push_many`: the BSP exchange, an
   asynchronous worker's inbox), the send side and the fused ``ΔX¹`` fold
   *streams*: the tuples in the order the reference would push them.
@@ -52,19 +53,25 @@ Exactness argument (why this backend is *bit-identical* to
   insertion order of the reference -- comes from :func:`_first_codes` in
   ``O(m)`` without a sort, and ``combines`` is tuples - keys that were
   not pending;
-* the asynchronous local mode (:meth:`NumpyKernel._apply_local`) and
+* the asynchronous local mode (:meth:`NumpyKernel.window_local`) and
   :class:`ColumnSendSide` are set-at-a-time; their three arguments
   (Gauss--Seidel levels, the crossing test, the drain rule) are in
   :mod:`repro.runtime.base`.
 
+The kernel implements the contract's loops, not its per-shard
+operations (:mod:`repro.runtime.base`, "what a backend implements"):
+:meth:`NumpyKernel.step` is single-node MRA's round, and the cluster
+loops run over the stack.
+
 Stacked shards (a BSP superstep is one array pass, whatever the number
 of workers).  The shards of one cluster
 (:meth:`NumpyKernel.shards_from_plan`) hold their five state columns as
-rows of run-wide ``(W × n)`` arrays (:class:`_ShardStack`); every
-per-shard method works on its own row as before.
-:meth:`NumpyKernel.cluster_round` and :meth:`NumpyKernel.cluster_ingest`
-replace the base class's loop of one round / one ``push_many`` per shard
-with one pass over the stack, bit for bit:
+rows of run-wide ``(W × n)`` arrays (:class:`_ShardStack`); the MonoTable
+protocol and snapshot/restore work on a shard's own row.
+:meth:`NumpyKernel.cluster_round`, :meth:`NumpyKernel.cluster_ingest`
+and :meth:`NumpyKernel.window_local` replace the base class's loops of
+one round / one ``push_many`` / one batch per shard with one pass over
+the stack, bit for bit:
 
 * a key has one owner, so a row-major scan of the stacked pending mask
   lists each worker's pending keys ascending, workers in order -- the
@@ -78,7 +85,7 @@ with one pass over the stack, bit for bit:
   :func:`_fold_codes`'s ``-0.0`` rule holds per pair; runs of the edge
   pass (:func:`_runs`, a bounded working set) are cut between senders,
   so no slot spans two; a stable sort by ``(target, sender)`` then cuts
-  each payload in :meth:`split_out`'s order;
+  each payload in :meth:`Kernel.split_out`'s order;
 * a receiver's stream is its inbox concatenated in arrival order, folded
   at stack index ``target·n + code`` -- the same ``ufunc.at`` sequence as
   its ``push_many``; fresh keys are stamped per receiver from that
@@ -115,7 +122,7 @@ from repro.runtime.base import (
 from repro.runtime.csr import plan_csr
 
 #: frontier fraction above which the O(n) dense round paths win; below
-#: it the compacted O(frontier) paths are used (see _frontier_round)
+#: it the compacted O(frontier) paths are used (see NumpyKernel.step)
 _DENSE_DIVISOR = 4
 
 #: the float64 ufunc folds the kernel implements ``⊕`` with
@@ -357,7 +364,9 @@ class _ShardStack:
         return self.owned
 
     def positions(self) -> Any:
-        """:meth:`PlanCSR.positions` over the stack indices."""
+        """An all ``-1`` int64 scratch over the stack indices, mapping an
+        index to its position in a batch; whoever writes entries resets
+        them to ``-1`` before returning."""
         if self.place is None:
             self.place = np.full(self._pend.size, -1, dtype=np.int64)
         return self.place
@@ -590,8 +599,8 @@ def _split_pairs(
 
     The slots come sender by sender, so a stable sort by target orders
     them by ``(target, sender)`` and keeps each sender's order inside
-    each target, as :meth:`split_out` does per sender.  Each payload is
-    one row range of that order (:class:`_Cut`).  That order is
+    each target, as :meth:`Kernel.split_out` does per sender.  Each
+    payload is one row range of that order (:class:`_Cut`).  That order is
     receiver-major: the order a fault-free exchange fills the inboxes in.
     """
     targets = owners.take(codes)
@@ -627,7 +636,7 @@ def _split_pairs(
 def _local_pass(
     kernel: "NumpyKernel",
     columns: tuple,
-    owned: Optional[Any],
+    owned: Any,
     place: Any,
     batch: Any,
     local: Any,
@@ -636,10 +645,9 @@ def _local_pass(
     """Asynchronous local rounds of one or more batches, set-at-a-time
     (exactness: the Gauss--Seidel argument in :mod:`repro.runtime.base`).
 
-    ``columns`` are ``(acc, acc_has, pend, pend_has)`` over indices
-    ``row·n + code`` -- a lone kernel's own columns (one row) or a
-    stack's -- and ``owned`` says which indices the row's kernel owns
-    (None: all).  ``batch`` is the batches one after another, rows
+    ``columns`` are a stack's ``(acc, acc_has, pend, pend_has)`` over
+    indices ``row·n + code``, and ``owned`` says which indices the row's
+    kernel owns.  ``batch`` is the batches one after another, rows
     ascending, each in fetch order, ``local`` their key codes and
     ``bounds`` each batch's non-empty ``[start, stop)``.  An edge never
     leaves its source's row, so the batches do not see one another.
@@ -700,16 +708,13 @@ def _local_pass(
     # fetched whenever in the batch they are pushed; the forward ones
     # were folded above
     back = dpos.take(applied) <= src
-    if owned is None:
-        near = back.nonzero()[0]
-    else:
-        mask = owned.take(edge_base + dsts)
-        near = (mask & back).nonzero()[0]
-        # one mask, inverted in place: variable-length byte arrays are
-        # what fills numpy's small-block cache
-        far = np.logical_not(mask, out=mask).nonzero()[0]
-        if len(far):
-            _emit_far(results, starts, fanout, far, src, dsts, vals)
+    mask = owned.take(edge_base + dsts)
+    near = (mask & back).nonzero()[0]
+    # one mask, inverted in place: variable-length byte arrays are what
+    # fills numpy's small-block cache
+    far = np.logical_not(mask, out=mask).nonzero()[0]
+    if len(far):
+        _emit_far(results, starts, fanout, far, src, dsts, vals)
     if not len(near):
         return results, fresh, None
     return results, fresh, (edge_base.take(near) + dsts.take(near), vals.take(near))
@@ -1056,72 +1061,17 @@ class NumpyKernel(Kernel):
         self.counters.updates += 1
         return True, aggregate.change_magnitude(new, old, tmp)
 
-    # -- vectorised core --------------------------------------------------------
-    def _vector_accumulate(self, idx: Any, tmp: Any) -> tuple:
-        """Batch accumulate; returns (changed_mask, magnitudes)."""
-        changed, mags, fresh = _accumulate(
-            self._mode, self._acc, self._acc_has, idx, tmp, self.counters
-        )
-        if len(fresh):
-            self._acc_order.extend(fresh.tolist())
-        return changed, mags
-
-    def _round_core(self, idx: Any, tmp: Any, scatter_self: bool) -> BatchResult:
-        """One propagation round over an ascending-index batch."""
-        counters = self.counters
-        changed, mags = self._vector_accumulate(idx, tmp)
-        n_changed = int(changed.sum())
-        magnitude = _left_sum(mags[changed])  # ascending order
-        ops = len(idx)
-        out: Any = ()
-        if n_changed:
-            eids, x_per_edge = self._csr.gather(idx[changed], tmp[changed])
-            ops += len(eids)
-            counters.fprime_applications += len(eids)
-            if len(eids):
-                dsts, vals = self._csr.apply_edges(eids, x_per_edge)
-                if scatter_self:
-                    self._scatter_pending(dsts, vals)
-                else:
-                    out = self._fold_out(dsts, vals)
-        return BatchResult(
-            out=out, changed=n_changed, magnitude=magnitude, ops=ops
-        )
-
-    def _fold_out(self, dsts: Any, vals: Any) -> Columns:
-        """Per-destination fold in arrival order, first-occurrence keyed."""
-        first, rank = _rank_codes(dsts, self._csr.n)
-        self.counters.combines += len(vals) - len(first)
-        return Columns(
-            dsts.take(first), _fold_codes(self._mode, rank, vals, len(first))
-        )
-
     # -- BSP exchange -----------------------------------------------------------
     @classmethod
     def owner_table(cls, plan: Any, owner: dict) -> Any:
         """Owner per key code, in the narrowest unsigned dtype that holds
         it: numpy radix-sorts 8- and 16-bit keys, which is what makes the
-        stable sort in :meth:`split_out` linear."""
+        stable sort in :func:`_split_pairs` linear."""
         keys = plan_csr(plan).keys_sorted
         owners = np.fromiter(
             map(owner.__getitem__, keys), dtype=np.int64, count=len(keys)
         )
         return owners.astype(np.min_scalar_type(int(owners.max(initial=0))))
-
-    @classmethod
-    def split_out(cls, out: Any, owners: Any, parts: int) -> list:
-        if not len(out):
-            return [()] * parts
-        target = owners.take(out.codes)
-        order = np.argsort(target, kind="stable")
-        # fresh arrays: the slices below alias nothing a kernel reuses
-        codes = out.codes.take(order)
-        vals = out.vals.take(order)
-        bounds = np.cumsum(np.bincount(target, minlength=parts)).tolist()
-        return [
-            Columns(codes[start:end], vals[start:end])
-            for start, end in zip([0] + bounds, bounds)
-        ]
 
     # -- a cluster's shards: one array pass over the stack ----------------------
     @classmethod
@@ -1227,6 +1177,7 @@ class NumpyKernel(Kernel):
     def send_side(cls, plan: Any, owners: Any, parts: int) -> SendSide:
         return ColumnSendSide(plan, owners, parts)
 
+    # -- single-node MRA: one array round ---------------------------------------
     def _scatter_pending(self, dsts: Any, vals: Any) -> None:
         """Scatter a round's contributions into the (empty) pending column."""
         n = self._csr.n
@@ -1246,49 +1197,11 @@ class NumpyKernel(Kernel):
         # ascending unique dsts == the np.nonzero order of the pending mask
         self._stamp_arrivals(uniq)
 
-    # -- the inner loop ---------------------------------------------------------
-    def select_pending(
-        self,
-        threshold: Optional[float] = None,
-        best_first: bool = False,
-        limit: Optional[int] = None,
-    ) -> Any:
-        live = self._pend_indices()
-        batch = np.fromiter(live, dtype=np.int64, count=len(live))
-        if best_first:
-            # stable: ties stay in arrival order, as sorted() leaves them
-            batch = batch[np.argsort(self._pend[batch], kind="stable")]
-        elif threshold is not None:
-            batch = batch[np.abs(self._pend[batch]) >= threshold]
-        return batch if limit is None else batch[:limit]
-
-    def apply_batch(
-        self,
-        deltas: Optional[dict] = None,
-        *,
-        keys: Any = None,
-    ) -> BatchResult:
-        if keys is not None:
-            return self._apply_local(keys)
-        if deltas is None:
-            return self._frontier_round(scatter_self=False)
-        return self._apply_round(deltas)
-
-    def _apply_round(self, deltas: dict) -> BatchResult:
-        m = len(deltas)
-        if m == 0:
-            return BatchResult()
-        idx = np.empty(m, dtype=np.int64)
-        vals = np.empty(m, dtype=np.float64)
-        index = self._index
-        for j, (key, value) in enumerate(deltas.items()):
-            idx[j] = index[key]
-            vals[j] = value
-        srt = np.argsort(idx, kind="stable")
-        return self._round_core(idx[srt], vals[srt], scatter_self=False)
-
-    def _frontier_round(self, scatter_self: bool) -> BatchResult:
-        """Drain the frontier (ascending) and run one round, array-only."""
+    def step(self) -> BatchResult:
+        """The single-node MRA round, array-only: drain the frontier
+        (ascending), accumulate it, apply ``F'`` along the changed keys'
+        edges and scatter the contributions back into the pending
+        column."""
         if not self._pend_live:
             return BatchResult()
         if self._pend_live * _DENSE_DIVISOR >= self._csr.n:
@@ -1303,33 +1216,21 @@ class NumpyKernel(Kernel):
             tmp = self._pend[idx]
             self._pend_has[idx] = False
         self._clear_pending()
-        return self._round_core(idx, tmp, scatter_self)
-
-    def step(self) -> BatchResult:
-        """The single-node MRA fast path: full round, array-only."""
-        return self._frontier_round(scatter_self=True)
-
-    def _apply_local(self, batch: Any) -> BatchResult:
-        """One asynchronous batch, set-at-a-time: :func:`_local_pass`
-        over this kernel's own columns."""
-        size = len(batch)
-        if not size:
-            return BatchResult()
-        (result,), fresh, near = _local_pass(
-            self,
-            (self._acc, self._acc_has, self._pend, self._pend_has),
-            self._owned_mask,
-            self._csr.positions(),
-            batch,
-            batch,
-            [(0, size)],
+        changed, mags, fresh = _accumulate(
+            self._mode, self._acc, self._acc_has, idx, tmp, self.counters
         )
-        self._pend_live -= size  # stale entries stay in _pend_order
         if len(fresh):
             self._acc_order.extend(fresh.tolist())
-        if near is not None:
-            self.push_many(Columns(*near))
-        return result
+        n_changed = int(changed.sum())
+        magnitude = _left_sum(mags[changed])  # ascending order
+        ops = len(idx)
+        if n_changed:
+            eids, x_per_edge = self._csr.gather(idx[changed], tmp[changed])
+            ops += len(eids)
+            self.counters.fprime_applications += len(eids)
+            if len(eids):
+                self._scatter_pending(*self._csr.apply_edges(eids, x_per_edge))
+        return BatchResult(changed=n_changed, magnitude=magnitude, ops=ops)
 
     @classmethod
     def window_local(
@@ -1525,10 +1426,6 @@ class NumpyKernel(Kernel):
         return Columns(*csr.apply_edges(eids[keep], x_per_edge[keep]))
 
     # -- inspection over the compacted frontier ---------------------------------
-    def pending_keys(self) -> list:
-        keys = self._keys
-        return [keys[i] for i in self._pend_indices()]
-
     def has_pending(self) -> bool:
         return self._pend_live > 0
 
@@ -1560,14 +1457,6 @@ class NumpyKernel(Kernel):
 
     def result(self) -> dict:
         return self.accumulated
-
-    def global_accumulation(self) -> float:
-        magnitude = self.aggregate.delta_magnitude
-        acc = self._acc
-        total = 0.0
-        for i in self._acc_order:
-            total += magnitude(acc[i])
-        return total
 
     # -- checkpointing / recovery -----------------------------------------------
     def snapshot(self) -> dict:

@@ -10,8 +10,8 @@ Semantics notes that the NumpyKernel mirrors bit-for-bit:
   first-occurrence order -- downstream message payloads therefore apply
   pushes in the same order on every backend;
 * the ``accumulated`` and ``intermediate`` dicts keep insertion order,
-  which is observable through ``global_accumulation`` (float sum order),
-  async batch selection and delta-stepping takes.
+  which is observable through the async master's global accumulation
+  (float sum order), async batch selection and delta-stepping takes.
 """
 
 from __future__ import annotations
@@ -216,9 +216,6 @@ class PythonKernel(Kernel):
         return triples
 
     # -- inspection -------------------------------------------------------------
-    def pending_keys(self) -> list:
-        return list(self.intermediate)
-
     def has_pending(self) -> bool:
         return bool(self.intermediate)
 
@@ -240,14 +237,6 @@ class PythonKernel(Kernel):
 
     def result(self) -> dict:
         return dict(self.accumulated)
-
-    def global_accumulation(self) -> float:
-        magnitude = self.aggregate.delta_magnitude
-        total = 0.0
-        for value in self.accumulated.values():
-            if value is not None:
-                total += magnitude(value)
-        return total
 
     # -- checkpointing / recovery -----------------------------------------------
     def snapshot(self) -> dict:

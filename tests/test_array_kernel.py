@@ -623,17 +623,22 @@ class TestBuckets:
     """Delta-stepping drains one bucket -- the pending deltas at most
     ``width`` above the smallest -- per step; ``pending_min`` and
     ``take_pending_below`` give the same values in the same dict order
-    as the python reference, bucket by bucket."""
+    as the python reference, bucket by bucket.  Each bucket then runs as
+    a one-shard superstep, ``cluster_round(deltas=[taken])`` and
+    ``cluster_ingest`` -- the path delta-stepping runs."""
 
     @pytest.mark.parametrize("width", (0.5, 2.0, 7.0))
     @pytest.mark.parametrize("program", ("sssp", "cc"))
     def test_bucketed_drain_matches_python(self, program, width):
         plan = plan_for(program)
         kernels = {}
+        owners = {}
         for backend in ("python", "numpy"):
-            kernel = get_kernel(backend).from_plan(plan)
+            kernel_cls = get_kernel(backend)
+            kernel = kernel_cls.from_plan(plan)
             kernel.push_many(compute_initial_delta(plan).items())
             kernels[backend] = kernel
+            owners[backend] = kernel_cls.owner_table(plan, dict.fromkeys(plan.keys, 0))
 
         rounds = 0
         while kernels["python"].has_pending():
@@ -648,8 +653,11 @@ class TestBuckets:
             assert taken["numpy"] == taken["python"]
             assert list(taken["numpy"]) == list(taken["python"])
             for backend, kernel in kernels.items():
-                result = kernel.apply_batch(taken[backend])
-                kernel.push_many(result.out)
+                kernel_cls = type(kernel)
+                _, sends = kernel_cls.cluster_round(
+                    [kernel], owners[backend], 1, deltas=[taken[backend]]
+                )
+                kernel_cls.cluster_ingest([kernel], [list(sends.values())])
             rounds += 1
             assert rounds < 10_000
         assert not kernels["numpy"].has_pending()

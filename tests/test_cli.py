@@ -225,6 +225,30 @@ class TestRunOnUserGraph:
         )
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "path_count"],
+            ["delta", "path_count", "--inserts", "3"],
+        ],
+    )
+    def test_walk_bound_refusal_is_a_one_line_diagnostic(self, argv, capsys):
+        """RA351: the counting builder refuses the default livej graph."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: RA351: walk counts reach ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_delta_without_a_batch_is_a_usage_error(self, capsys):
+        assert main(["delta", "sssp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: give a delta file or at least one of "
+            "--inserts/--deletes/--updates\n"
+        )
+        assert captured.out == ""
+
     def test_non_convergence_is_a_nonzero_exit(self, tmp_path, capsys):
         # min over a negative cycle (1 -> 2 -> 1 sums to -2) never settles
         path = tmp_path / "negative-cycle.tsv"

@@ -81,9 +81,10 @@ RELATIONAL_CASES = [
     ids=[f"{evaluator.engine_name}-{program}" for evaluator, program in RELATIONAL_CASES],
 )
 def test_relational_evaluators_identical(evaluator, program, backend):
-    """The naive and semi-naive folds (``fold_contributions``,
-    ``improve_contributions``) give the same value bits, value types and
-    ``WorkCounters`` on every backend."""
+    """Naive and semi-naive evaluation -- whose folds,
+    ``aggregate_contributions`` and ``improve_contributions``, are no
+    kernel's -- give the same value bits, value types and
+    ``WorkCounters`` whatever backend is asked for."""
     spec = PROGRAMS[program]
     graph = default_graph(program, seed=7)
 

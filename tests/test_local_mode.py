@@ -2,12 +2,16 @@
 
 Three layers, each against the loop it replaced:
 
-* **the local round** -- ``apply_batch(keys=batch)`` on both kernels
-  against the key-at-a-time bodies kept in ``tests/reference_local.py``:
-  accumulated and pending values by ``float.hex``, their orders, the
-  array kernel's raw ``_pend_order``/arrival stamps, the work counters,
-  and the returned payload + ``offsets`` against the oracle's ``emit``
-  log;
+* **the local round** -- ``apply_batch(keys=batch)`` on the python
+  kernel and ``window_local`` over a one-shard cluster on the array
+  kernel, against the key-at-a-time bodies kept in
+  ``tests/reference_local.py``: accumulated and pending values by
+  ``float.hex``, their orders, the array kernel's live arrival order and
+  stamps, the work counters, and the returned payload + ``offsets``
+  against the oracle's ``emit`` log.  Each batch is one a window
+  selects: pending keys in arrival order, those at or above an
+  importance threshold when one is given, at most as many as the batch
+  holds;
 * **the send side** -- ``SendSide.fill`` on both kernels' classes
   against the buffer as it was: one ``add(key, value)`` per contribution
   with a flush check after each;
@@ -36,7 +40,7 @@ from repro.engine.result import WorkCounters
 from repro.graphs import Graph
 from repro.programs import PROGRAMS
 from repro.runtime import get_kernel
-from repro.runtime.numpy_kernel import _pair_columns
+from repro.runtime.numpy_kernel import NumpyKernel, _pair_columns
 from tests.reference_local import numpy_apply_local, python_apply_local
 
 #: one program per fold the array kernel implements
@@ -82,11 +86,13 @@ class Shards:
                 kernel.fetch_and_reset(key)
             self.kernels[name] = kernel
 
-    def pending_keys(self):
-        return self.kernels["python-oracle"].pending_keys()
+    def select(self, limit, threshold=None):
+        """The batch a window selects with ``limit`` and ``threshold``."""
+        return self.kernels["python-oracle"].select_pending(threshold, False, limit)
 
-    def run(self, batch):
-        """Run ``batch`` everywhere; returns name -> what is observable."""
+    def run(self, batch, threshold=None):
+        """Run ``batch`` everywhere -- the array kernel selects it itself;
+        returns name -> what is observable."""
         seen = {}
         for name, kernel in self.kernels.items():
             if name.endswith("oracle"):
@@ -105,8 +111,11 @@ class Shards:
                     for (dst, value), ops in zip(result.out, result.offsets)
                 ]
             else:
-                codes = np.array([kernel._index[key] for key in batch], dtype=np.int64)
-                result = kernel.apply_batch(keys=codes)
+                outcomes = NumpyKernel.window_local(
+                    [kernel], {0: []}, {0: len(batch)}, threshold
+                )
+                taken, result = outcomes[0]
+                assert taken == len(batch)
                 log = []
                 if len(result.out):
                     log = [
@@ -128,18 +137,22 @@ class Shards:
             }
         return seen
 
-    def assert_agree(self, batch):
-        seen = self.run(batch)
+    def assert_agree(self, batch, threshold=None):
+        """``batch`` -- which must be the one a window selects -- run
+        everywhere, agreeing; returns what the oracle shows."""
+        assert self.select(len(batch), threshold) == list(batch)
+        seen = self.run(batch, threshold)
         oracle = seen["python-oracle"]
         for name in ("numpy-oracle", "python", "numpy"):
             assert seen[name] == oracle, name
-        # the array kernel's hidden order state, stale entries included
+        # the array kernel's order state: the window rewrites the raw
+        # arrival order without the stale entries the oracle leaves
         new, old = self.kernels["numpy"], self.kernels["numpy-oracle"]
-        assert new._pend_order == old._pend_order
+        live = new._pend_indices()
+        assert live == old._pend_indices()
         assert new._acc_order == old._acc_order
         assert new._pend_live == old._pend_live
         assert new._seq_next == old._seq_next
-        live = new._pend_indices()
         assert new._seq[live].tolist() == old._seq[live].tolist()
         return oracle
 
@@ -168,17 +181,18 @@ class TestLocalRound:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_any_batch_matches_the_key_at_a_time_oracle(self, data):
-        """Random small plans x ownership x accumulated/pending states x
-        batch orders, two batches in a row (the second starts from the
-        stale order entries the first left)."""
+        """Random small plans x ownership x accumulated/pending states
+        (their arrival order is the pushes') x batch sizes and importance
+        thresholds, two batches in a row (the second starts from the
+        order the first left)."""
         shards = data.draw(partitions())
         for _ in range(2):
-            pending = shards.pending_keys()
+            threshold = data.draw(st.sampled_from((None, 0.0, 0.5, 5.0)))
+            pending = shards.select(None, threshold)
             if not pending:
                 return
-            order = data.draw(st.permutations(pending))
-            size = data.draw(st.integers(min_value=1, max_value=len(order)))
-            shards.assert_agree(order[:size])
+            size = data.draw(st.integers(min_value=1, max_value=len(pending)))
+            shards.assert_agree(pending[:size], threshold)
 
     # the named cases run on one shard owning 0..3 of a 6-vertex graph
     OWNED = {0, 1, 2, 3}
@@ -192,9 +206,11 @@ class TestLocalRound:
         """0 -> 1 -> 2 on one shard: in batch order [0, 1, 2] each key
         is fetched *after* its predecessor raised it, so the last one
         absorbs the whole chain; reversed, nothing is forwarded in time
-        and the contributions stay pending."""
+        and the contributions stay pending.  The keys arrive in batch
+        order."""
+        deltas = {0: 1.0, 1: 0.1, 2: 0.01}
         shards = self._shards(
-            "sum", [(0, 1), (1, 2), (2, 4)], {}, [(0, 1.0), (1, 0.1), (2, 0.01)]
+            "sum", [(0, 1), (1, 2), (2, 4)], {}, [(key, deltas[key]) for key in order]
         )
         seen = shards.assert_agree(order)
         accumulated = dict(seen["accumulated"])
@@ -232,7 +248,7 @@ class TestLocalRound:
         """A key's contribution to itself arrives after its fetch: it is
         a fresh pending entry, at the end of the arrival order."""
         shards = self._shards(
-            "sum", [(0, 0), (0, 1)], {}, [(1, 0.5), (0, 1.0)]
+            "sum", [(0, 0), (0, 1)], {}, [(0, 1.0), (1, 0.5)]
         )
         seen = shards.assert_agree([0, 1])
         assert seen["pending"] == [(0, _bits(0.85 * 1.0 / 2))]
@@ -244,7 +260,7 @@ class TestLocalRound:
         shards = self._shards(
             "sum", [(0, 1), (0, 2)], {}, [(1, 1e-9), (0, 1.0), (2, 2e-9)]
         )
-        seen = shards.assert_agree([0])
+        seen = shards.assert_agree([0], threshold=1e-6)
         assert [key for key, _ in seen["pending"]] == [1, 2]
         assert seen["counters"]["combines"] == 2
 

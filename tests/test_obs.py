@@ -91,20 +91,6 @@ class TestMetricsRegistry:
         assert stats["min"] == 1 and stats["max"] == 1000
         assert stats["mean"] == pytest.approx(1006 / 4)
 
-    def test_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("c", worker=0)
-        b.inc("c", worker=0)
-        b.inc("c", worker=1)
-        a.observe("h", 1)
-        b.observe("h", 3)
-        b.gauge("g", 5.0, t=2.0)
-        a.merge(b)
-        assert a.counter_value("c", worker=0) == 2
-        assert a.counter_value("c", worker=1) == 1
-        assert a.snapshot()["histograms"]["h"]["count"] == 2
-        assert a.snapshot()["gauges"]["g"] == 5.0
-
     def test_absorb_work_counters(self):
         metrics = MetricsRegistry()
         counters = WorkCounters(iterations=4, updates=9, messages=2)

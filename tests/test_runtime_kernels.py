@@ -2,23 +2,28 @@
 
 Covers the pieces the engines now build on: backend resolution
 (argument > ``REPRO_BACKEND`` > default), the MonoTable protocol and
-inner loop on every registered backend, snapshot/restore/merge, and
-the unified work-counter semantics
-(``combines``/``updates``/``fprime_applications`` counted inside the
-kernel, never by the engines).  What is particular to the array kernel
+inner loop on every registered backend, snapshot/restore, which
+operations the engines reach on the array kernel, and the unified
+work-counter semantics (``combines``/``updates``/``fprime_applications``
+counted inside the kernel, never by the engines).  What is particular to the array kernel
 lives in ``test_array_kernel``.
 """
+
+import inspect
 
 import pytest
 
 from repro.distributed import ClusterConfig
 from repro.distributed.sync_engine import SyncEngine
 from repro.engine import MRAEvaluator, WorkCounters
+from repro.engine.rules import aggregate_contributions
+from repro.engine.seminaive import improve_contributions
 from repro.graphs.graph import Graph
 from repro.obs import Observability
 from repro.programs import PROGRAMS
 from repro.runtime import (
     BACKEND_ENV_VAR,
+    KERNELS,
     Kernel,
     available_backends,
     get_kernel,
@@ -145,17 +150,28 @@ class TestUnifiedCounters:
         for field in ("combines", "updates", "fprime_applications"):
             assert getattr(sync.counters, field) == getattr(mra.counters, field)
 
-    def test_fold_contributions_counts_combines(self):
+    def test_aggregate_contributions_counts_combines(self):
+        """The naive evaluator's fold."""
         aggregate = PROGRAMS["sssp"].analysis().aggregate
         counters = WorkCounters()
-        for backend in BACKENDS:
-            counters_before = counters.combines
-            folded = get_kernel(backend).fold_contributions(
-                aggregate, [(1, 5.0), (1, 3.0), (2, 7.0)], counters
-            )
-            assert folded == {1: 3.0, 2: 7.0}
-            # 3 contributions over 2 keys -> exactly 1 combine
-            assert counters.combines - counters_before == 1
+        folded = aggregate_contributions(
+            aggregate, [(1, 5.0), (1, 3.0), (2, 7.0)], counters
+        )
+        assert folded == {1: 3.0, 2: 7.0}
+        # 3 contributions over 2 keys -> exactly 1 combine
+        assert counters.combines == 1
+
+    def test_improve_contributions_counts_combines(self):
+        """The semi-naive filter+fold: one combine per contribution
+        tested against a held value, one per fold that improves."""
+        aggregate = PROGRAMS["sssp"].analysis().aggregate
+        counters = WorkCounters()
+        changed = improve_contributions(
+            aggregate, {1: 4.0}, [(1, 5.0), (1, 3.0), (2, 7.0), (2, 6.0)], counters
+        )
+        assert changed == {1: 3.0, 2: 6.0}
+        # key 1: two tests, one improving fold; key 2: one fold
+        assert counters.combines == 4
 
     def test_accumulate_counts_updates(self, kernel_cls, plan):
         kernel = kernel_cls.from_plan(plan, initial={})
@@ -194,6 +210,52 @@ class TestBackendObservability:
         (key,) = matching
         assert "backend=python" in key and "engine=mra" in key
         assert matching[key] == 1
+
+
+class TestContractCalls:
+    """The array kernel implements the contract's loops, not its
+    per-shard operations: no engine reaches ``apply_batch``,
+    ``select_pending`` or ``split_out`` on it (the base class's split of
+    ``ΔX¹`` is called on ``Kernel`` itself)."""
+
+    PER_SHARD = ("apply_batch", "select_pending", "split_out")
+
+    def test_no_engine_calls_a_per_shard_operation(self, monkeypatch):
+        from repro.delta import GraphDelta, IncrementalEngine
+        from repro.distributed import ENGINES
+        from repro.distributed.chaos_harness import default_graph
+        from repro.runtime.numpy_kernel import NumpyKernel
+
+        calls = dict.fromkeys(self.PER_SHARD, 0)
+        for name in self.PER_SHARD:
+            raw = inspect.getattr_static(NumpyKernel, name)
+            bound = isinstance(raw, classmethod)
+
+            def counted(*args, _name=name, _fn=raw.__func__ if bound else raw, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(NumpyKernel, name, classmethod(counted) if bound else counted)
+
+        for program in ("sssp", "pagerank"):
+            plan = PROGRAMS[program].plan(default_graph(program, seed=7))
+            cluster = ClusterConfig(num_workers=4)
+            runs = [build(plan, cluster, backend="numpy") for build in ENGINES.values()]
+            runs.append(SyncEngine(plan, cluster, delta_stepping=program == "sssp", backend="numpy"))
+            runs.append(MRAEvaluator(plan, backend="numpy"))
+            for engine in runs:
+                assert engine.run().backend == "numpy"
+        engine = IncrementalEngine("sssp", _deterministic_graph(), backend="numpy")
+        engine.bootstrap()
+        assert engine.apply(GraphDelta(delete_edges=((0, 1),))).strategy == "rederive"
+        assert calls == dict.fromkeys(self.PER_SHARD, 0)
+
+    @pytest.mark.parametrize("backend", ("python", "numpy", "sparse"))
+    def test_the_benchmark_wrapped_names_resolve(self, backend):
+        """The traced end-to-end benchmark wraps these on each kernel
+        class; the array kernel holds some only by inheritance."""
+        for name in ("from_plan", "apply_batch", "push", "push_many", "drain_all"):
+            inspect.getattr_static(KERNELS[backend], name)
 
 
 def test_base_kernel_is_abstract(plan):

@@ -77,14 +77,6 @@ class TestShardedRun:
 
 
 class TestWorkCounters:
-    def test_merge_sums_and_maxes(self):
-        a = WorkCounters(iterations=3, fprime_applications=10, messages=2)
-        b = WorkCounters(iterations=5, fprime_applications=7, messages=1)
-        a.merge(b)
-        assert a.iterations == 5  # max: parallel workers share rounds
-        assert a.fprime_applications == 17
-        assert a.messages == 3
-
     def test_snapshot_roundtrip(self):
         counters = WorkCounters(updates=4, barriers=2)
         snapshot = counters.snapshot()

@@ -2,24 +2,25 @@
 shards, bit for bit the per-shard loop it stands for.
 
 ``NumpyKernel.window_local`` runs against the base class's loop
-(``Kernel.window_local`` driving the array kernel's own ``push_many``,
-``select_pending`` and ``apply_batch(keys=...)``) on twin clusters built
-and driven alike, over programs x cluster sizes x batch limits x
-importance thresholds x random pending states, each window's foreign
-contributions delivered to the next.  Compared: every member's outcome
-(``None``, or the batch size and the ``changed``/``ops``/``magnitude``
-bits), its foreign payload by ``float.hex`` and its emission offsets,
-each shard's columns and order state, and the work counters.
+(``Kernel.window_local`` driving the python kernel's ``push_many``,
+``select_pending`` and ``apply_batch(keys=...)``, the reference) on twin
+clusters built and driven alike, over programs x cluster sizes x batch
+limits x importance thresholds x random pending states, each window's
+foreign contributions delivered to the next.  Compared: every member's
+outcome (``None``, or the batch size and the ``changed``/``ops``/
+``magnitude`` bits), its foreign payload by ``float.hex`` and its
+emission offsets, each shard's accumulated and pending entries in their
+orders, and the work counters.
 
 The last class runs the engines through windows that hold the situations
 the window argument has to get right, and holds each run to its entry in
 ``tests/golden/async_runs.json`` -- pinned when the engines still ran one
-process event at a time -- with the stacked pass and with the loop.
+process event at a time.
 """
 
 import heapq
 import json
-from functools import lru_cache, partial
+from functools import lru_cache
 from unittest.mock import patch
 
 import pytest
@@ -31,14 +32,18 @@ from repro.distributed.chaos_harness import default_graph
 from repro.distributed.sharding import ShardedRun
 from repro.obs import Observability
 from repro.programs import PROGRAMS
-from repro.runtime import Kernel
 from repro.runtime.numpy_kernel import Columns, NumpyKernel
 from tests.test_async_golden import GOLDEN_PATH, _build, _digest, case_id
-from tests.test_cluster_round import ARRAY_PROGRAMS, WORKERS, _bits, _shard_state, _values
-
-#: the base class's loop, over the array kernel's per-shard methods
-LOOP = partial(Kernel.window_local.__func__, NumpyKernel)
-ARRAY = NumpyKernel.window_local
+from tests.test_cluster_round import (
+    ARRAY_PROGRAMS,
+    BACKENDS,
+    WORKERS,
+    _bits,
+    _check_frontier,
+    _payload,
+    _shard_state,
+    _values,
+)
 
 LIMITS = (None, 1, 3, 5, 30)
 THRESHOLDS = (None, 0.0, 0.01, 0.5)
@@ -49,7 +54,7 @@ def _plan(program):
     return PROGRAMS[program].plan(default_graph(program, seed=7))
 
 
-def _outcome(outcome):
+def _outcome(outcome, keys):
     if outcome is None:
         return None
     taken, result = outcome
@@ -57,39 +62,35 @@ def _outcome(outcome):
     return {
         "taken": taken,
         "result": (result.changed, result.ops, _bits(result.magnitude)),
-        "out": (out.codes.tolist(), [_bits(v) for v in out.vals.tolist()]) if len(out) else (),
+        "out": _payload(out, keys) if len(out) else (),
         "offsets": [int(x) for x in result.offsets] if len(result.offsets) else (),
     }
 
 
 class Twins:
-    """Two clusters in one state: ``runs[0]`` runs windows by the loop,
-    ``runs[1]`` by the stacked pass."""
+    """Two clusters in one state: ``runs[0]`` runs windows by the loop on
+    the python kernel, ``runs[1]`` by the stacked pass."""
 
     def __init__(self, plan, workers):
         self.plan = plan
         self.workers = workers
         self.runs = [
-            ShardedRun(plan, ClusterConfig(num_workers=workers), backend="numpy")
-            for _ in range(2)
+            ShardedRun(plan, ClusterConfig(num_workers=workers), backend=backend)
+            for backend in BACKENDS
         ]
         for run in self.runs:
             run.seed_initial_delta()
-        #: per worker: foreign payloads earlier windows sent it
-        self.parked = [[] for _ in range(workers)]
+        self.keys = self.runs[1].shards[0]._keys
+        #: per run, per worker: foreign payloads earlier windows sent it
+        self.parked = [[[] for _ in range(workers)] for _ in self.runs]
 
     def each(self, act) -> None:
         for run in self.runs:
             act(run)
 
     def state(self, run) -> dict:
-        # the live arrival order: the loop leaves fetched entries behind
-        # in the raw one, the stacked pass rewrites it without them
         return {
-            "shards": [
-                dict(_shard_state(shard), pend_order=list(shard._pend_indices()))
-                for shard in run.shards
-            ],
+            "shards": [_shard_state(shard) for shard in run.shards],
             "counters": run.counters.snapshot(),
         }
 
@@ -99,35 +100,41 @@ class Twins:
         they agree, routes the foreign payloads and returns the
         outcomes."""
         extra = extra or {}
-        inboxes = {w: self.parked[w] + list(extra.get(w, ())) for w in members}
-        for w in members:
-            self.parked[w] = []
         seen = []
-        for run, window_local in zip(self.runs, (LOOP, ARRAY)):
-            outcomes = window_local(
-                run.shards, {w: list(inbox) for w, inbox in inboxes.items()},
-                {w: limits[w] for w in members}, threshold, best_first,
+        for run, parked in zip(self.runs, self.parked):
+            inboxes = {w: parked[w] + list(extra.get(w, ())) for w in members}
+            for w in members:
+                parked[w] = []
+            outcomes = run.kernel_cls.window_local(
+                run.shards, inboxes, {w: limits[w] for w in members}, threshold, best_first,
             )
             assert sorted(outcomes) == sorted(members)
+            _check_frontier(run)
             seen.append({
-                "outcomes": {w: _outcome(outcomes[w]) for w in sorted(members)},
+                "outcomes": {w: _outcome(outcomes[w], self.keys) for w in sorted(members)},
                 "state": self.state(run),
             })
+            self._route(run, parked, outcomes)
         assert seen[0] == seen[1]
-        self._route(outcomes)
         return seen[1]["outcomes"]
 
-    def _route(self, outcomes) -> None:
-        run = self.runs[1]
-        keys = run.shards[0]._keys
-        for outcome in outcomes.values():
+    def _route(self, run, parked, outcomes) -> None:
+        # senders ascending: the loop keys its outcomes in inbox order,
+        # the stacked pass in worker order
+        for outcome in map(outcomes.get, sorted(outcomes)):
             if outcome is None or not len(outcome[1].out):
                 continue
             out = outcome[1].out
-            owners = [run.owner[keys[code]] for code in out.codes.tolist()]
+            if isinstance(out, Columns):
+                owners = [run.owner[self.keys[code]] for code in out.codes.tolist()]
+            else:
+                owners = [run.owner[key] for key, _ in out]
             for target in sorted(set(owners)):
                 rows = [i for i, owner in enumerate(owners) if owner == target]
-                self.parked[target].append(Columns(out.codes[rows], out.vals[rows]))
+                if isinstance(out, Columns):
+                    parked[target].append(Columns(out.codes[rows], out.vals[rows]))
+                else:
+                    parked[target].append([out[i] for i in rows])
 
 
 class TestStackedWindowIsTheLoop:
@@ -135,22 +142,32 @@ class TestStackedWindowIsTheLoop:
     @given(data=st.data())
     def test_random_windows(self, data):
         """Registry programs x W in {1, 2, 3, 7, 16} x random pending
-        states (pushes to any shard, fetched keys leaving stale order
+        states (pushes to a shard's own keys -- the only ones an engine
+        ever leaves pending there --, fetched keys leaving stale order
         entries) x a few windows of random members, each with its own
         batch limit, ingesting what earlier windows sent it and random
-        ``(key, value)`` payloads."""
+        ``(key, value)`` payloads for its keys."""
         program = data.draw(st.sampled_from(ARRAY_PROGRAMS))
         plan = _plan(program)
         workers = data.draw(st.sampled_from(WORKERS))
         twins = Twins(plan, workers)
-        keys = sorted(plan.keys)
-        shard = st.integers(min_value=0, max_value=workers - 1)
+        owned = [sorted(keys) for keys in twins.runs[0].shard_keys]
+        shard = st.sampled_from([w for w in range(workers) if owned[w]])
         value = _values(plan.aggregate.fold_mode)
-        pushes = data.draw(st.lists(st.tuples(shard, st.sampled_from(keys), value), max_size=30))
-        fetched = data.draw(st.lists(st.tuples(shard, st.sampled_from(keys)), max_size=5))
+
+        def pair(worker):
+            return st.tuples(st.sampled_from(owned[worker]), value)
+
+        pushes = data.draw(st.lists(
+            shard.flatmap(lambda w: st.tuples(st.just(w), pair(w))), max_size=30
+        ))
+        fetched = data.draw(st.lists(
+            shard.flatmap(lambda w: st.tuples(st.just(w), st.sampled_from(owned[w]))),
+            max_size=5,
+        ))
 
         def perturb(run):
-            for worker, key, delta in pushes:
+            for worker, (key, delta) in pushes:
                 run.shards[worker].push(key, delta)
             for worker, key in fetched:
                 run.shards[worker].fetch_and_reset(key)
@@ -162,7 +179,7 @@ class TestStackedWindowIsTheLoop:
             members = data.draw(st.sets(shard, min_size=1))
             limits = {w: data.draw(st.sampled_from(LIMITS)) for w in sorted(members)}
             extra = {
-                w: [data.draw(st.lists(st.tuples(st.sampled_from(keys), value), min_size=1, max_size=6))]
+                w: [data.draw(st.lists(pair(w), min_size=1, max_size=6))]
                 for w in sorted(members) if data.draw(st.booleans())
             }
             twins.window(members, limits, threshold, best_first, extra)
@@ -210,7 +227,7 @@ class TestStackedWindowIsTheLoop:
         twins = Twins(_plan("pagerank"), 7)
         for _ in range(4):
             twins.window(set(range(7)), dict.fromkeys(range(7), 3), threshold=0.0)
-        assert any(twins.parked)
+        assert any(twins.parked[1])
 
     def test_one_member_per_limit(self):
         twins = Twins(_plan("katz"), 5)
@@ -333,14 +350,13 @@ def _engine(case, obs):
     return _build(*case, obs=obs)
 
 
-def _watched(case, loop=False):
+def _watched(case):
     """``case`` (a golden case, or ``"lockstep"``) run with a
-    :class:`Watch`; ``loop`` runs its windows by the base class's loop.
-    Returns the digest and the watch."""
+    :class:`Watch`.  Returns the digest and the watch."""
     obs = Observability()
     engine = _engine(case, obs)
     watch = Watch(engine)
-    window_local = LOOP if loop else ARRAY
+    window_local = NumpyKernel.window_local
     queue = type("queue", (), {
         "heappush": staticmethod(watch.heappush),
         "heappop": staticmethod(watch.heappop),
@@ -377,4 +393,3 @@ class TestWindowsInTheEngine:
         digest, watch = _watched(case)
         assert getattr(watch, situation)() > 0
         assert digest == expected
-        assert _watched(case, loop=True)[0] == expected
