@@ -567,6 +567,12 @@ def compile_plan(
         raise AnalysisError(first.message, code=first.code, diagnostic=first)
 
     counters = counters if counters is not None else WorkCounters()
+    # The plan's key and edge orders are read off this copy, not off
+    # ``db``: ``Database.copy`` re-inserts each relation's rows one at a
+    # time in ``db``'s iteration order, and that re-insertion lays the
+    # sets out anew (on the sssp and pagerank benchmark inputs,
+    # ``list(db.relation("edge")) != list(db.copy().relation("edge"))``).
+    # Replacing it with ``set.copy()``, or dropping it, moves every plan.
     work_db = db.copy()
     evaluate_aux_rules(analysis, work_db, counters=counters)
     initial, constants = base_values(analysis, work_db, counters=counters)

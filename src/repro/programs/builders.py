@@ -22,13 +22,15 @@ counts small.
 ``node`` rows are the vertex ids: ``weighted_graph_db``,
 ``plain_graph_db``, ``symmetrized_db``, ``dag_db`` and the probability
 builders.  Each states its rows once, as a *batch* row function over
-parallel ``(src, dst)`` pairs and weights; the from-scratch build calls
-it over the whole graph, and :mod:`repro.delta` calls it over the edges
-a graph version bump removed and added, so a patched EDB and a rebuilt
-one cannot drift.  The rest are not edge-local and are always rebuilt:
-the row-normalised builders read a vertex aggregate (out-degree, or
-in-degree for SimRank), ``tree_db`` reads a global BFS, and
-``multiplicity_dag_db`` certifies its whole output.
+parallel source, destination and weight columns; the from-scratch build
+calls it over the whole graph's columns (:meth:`Graph.columns`, as int
+lists in edge order, so the rows -- and the relation's insertion order
+-- are what the graph's edge list gives), and :mod:`repro.delta` calls
+it over the edges a graph version bump removed and added, so a patched
+EDB and a rebuilt one cannot drift.  The rest are not edge-local and
+are always rebuilt: the row-normalised builders read a vertex aggregate
+(out-degree, or in-degree for SimRank), ``tree_db`` reads a global BFS,
+and ``multiplicity_dag_db`` certifies its whole output.
 """
 
 from __future__ import annotations
@@ -49,17 +51,17 @@ class WalkBoundError(ValueError):
 class EdgeLocalBuilder:
     """An EDB of ``edge`` rows computed edge by edge, plus ``node(v)``.
 
-    ``rows(pairs, weights)`` maps parallel columns of ``(src, dst)``
-    pairs and weights (``None`` unless ``weighted``) to the ``edge``
-    rows they account for, in order and with repeats.  A from-scratch
-    build inserts them as produced -- deduplicated and sorted first
-    when ``sort_rows`` is set -- so a graph's rows come from one call
-    and, for the plain builders, no weights are generated.
+    ``rows(src, dst, weights)`` maps parallel lists of sources,
+    destinations and weights (``None`` unless ``weighted``) to the
+    ``edge`` rows they account for, in order and with repeats.  A
+    from-scratch build inserts them as produced -- deduplicated and
+    sorted first when ``sort_rows`` is set -- so a graph's rows come
+    from one call and, for the plain builders, no weights are generated.
     """
 
     def __init__(
         self,
-        rows: Callable[[list, Optional[list]], list],
+        rows: Callable[[list, list, Optional[list]], list],
         *,
         arity: int,
         weighted: bool,
@@ -88,32 +90,34 @@ class EdgeLocalBuilder:
             weights = graph.weights
             if weights is None:
                 weights = graph.generate_weights()
-        return self.rows(graph.edges, weights)
+        src, dst = graph.columns()
+        return self.rows(src.tolist(), dst.tolist(), weights)
 
     def edge_rows(self, triples: list) -> list:
         """The ``edge`` rows of recorded ``(src, dst, weight)`` triples,
         one per edge the row function maps them to (repeats kept)."""
-        pairs = [(src, dst) for src, dst, _ in triples]
+        src = [src for src, _, _ in triples]
+        dst = [dst for _, dst, _ in triples]
         weights = [weight for _, _, weight in triples] if self.weighted else None
-        return self.rows(pairs, weights)
+        return self.rows(src, dst, weights)
 
 
 weighted_graph_db = EdgeLocalBuilder(
-    lambda pairs, weights: [(s, d, w) for (s, d), w in zip(pairs, weights)],
+    lambda src, dst, weights: list(zip(src, dst, weights)),
     arity=3,
     weighted=True,
     doc="``edge(src, dst, weight)`` with integer weights, plus ``node``.",
 )
 
 plain_graph_db = EdgeLocalBuilder(
-    lambda pairs, weights: pairs,
+    lambda src, dst, weights: list(zip(src, dst)),
     arity=2,
     weighted=False,
     doc="``edge(src, dst)`` and ``node(v)``.",
 )
 
 symmetrized_db = EdgeLocalBuilder(
-    lambda pairs, weights: [*pairs, *((d, s) for s, d in pairs)],
+    lambda src, dst, weights: [*zip(src, dst), *zip(dst, src)],
     arity=2,
     weighted=False,
     sort_rows=True,
@@ -122,11 +126,11 @@ symmetrized_db = EdgeLocalBuilder(
 
 
 def _normalized_weights(graph: Graph) -> list[tuple[int, int, float]]:
-    degrees = graph.out_degrees()
-    return [
-        (src, dst, 1.0 / degrees[src])
-        for src, dst in graph.edges
-    ]
+    """``(src, dst, 1 / out-degree(src))`` per edge, in edge order (one
+    IEEE division per edge, the bits of Python's ``1.0 / degree``)."""
+    src, dst = graph.columns()
+    weights = 1.0 / np.bincount(src).take(src)
+    return list(zip(src.tolist(), dst.tolist(), weights.tolist()))
 
 
 def adsorption_db(graph: Graph) -> Database:
@@ -169,8 +173,8 @@ def bp_db(graph: Graph, num_classes: int = 2) -> Database:
     return db
 
 
-def _probabilities(pairs: list, weights: list) -> list:
-    return [(s, d, w / 10.0) for (s, d), w in zip(pairs, weights)]
+def _probabilities(src: list, dst: list, weights: list) -> list:
+    return [(s, d, w / 10.0) for s, d, w in zip(src, dst, weights)]
 
 
 probability_dag_db = EdgeLocalBuilder(
@@ -181,7 +185,7 @@ probability_dag_db = EdgeLocalBuilder(
 )
 
 dag_db = EdgeLocalBuilder(
-    lambda pairs, weights: [(s, d) for s, d in pairs if s < d],
+    lambda src, dst, weights: [(s, d) for s, d in zip(src, dst) if s < d],
     arity=2,
     weighted=False,
     doc="""Unweighted DAG for path counting.
@@ -213,10 +217,11 @@ def multiplicity_dag_db(graph: Graph) -> Database:
     multiplicities = (
         graph.weights if graph.weights is not None else graph.generate_weights(1, 3)
     )
+    src, dst = graph.columns()
     rows = [
-        (src, dst, m)
-        for (src, dst), m in zip(graph.edges, multiplicities)
-        if src < dst
+        (s, d, m)
+        for s, d, m in zip(src.tolist(), dst.tolist(), multiplicities)
+        if s < d
     ]
     bound = counting_walk_bound(rows)
     if bound >= FLOAT64_EXACT_LIMIT:

@@ -672,9 +672,13 @@ def _local_pass(
         place[batch] = positions
         dpos = place.take(base + csr.edst.take(eids))
         place[batch] = -1
-        # edges into a key the batch fetches later: their values reach
-        # that key's delta before it is fetched
+        # edges into an owned key the batch fetches later: their values
+        # reach that key's delta before it is fetched (one the shard
+        # does not own is only emitted, below)
         forward = (dpos > spos).nonzero()[0]
+        if len(forward):
+            ends = base.take(forward) + csr.edst.take(eids.take(forward))
+            forward = forward.compress(owned.take(ends))
         if len(forward):
             _settle_forward(
                 kernel, acc, acc_has, tmp, batch,

@@ -142,29 +142,21 @@ class TestStackedWindowIsTheLoop:
     @given(data=st.data())
     def test_random_windows(self, data):
         """Registry programs x W in {1, 2, 3, 7, 16} x random pending
-        states (pushes to a shard's own keys -- the only ones an engine
-        ever leaves pending there --, fetched keys leaving stale order
-        entries) x a few windows of random members, each with its own
-        batch limit, ingesting what earlier windows sent it and random
-        ``(key, value)`` payloads for its keys."""
+        states (pushes to any shard, of any key: a foreign key pending on
+        a shard is only emitted to, never folded; fetched keys leaving
+        stale order entries) x a few windows of random members, each with
+        its own batch limit, ingesting what earlier windows sent it and
+        random ``(key, value)`` payloads."""
         program = data.draw(st.sampled_from(ARRAY_PROGRAMS))
         plan = _plan(program)
         workers = data.draw(st.sampled_from(WORKERS))
         twins = Twins(plan, workers)
-        owned = [sorted(keys) for keys in twins.runs[0].shard_keys]
-        shard = st.sampled_from([w for w in range(workers) if owned[w]])
+        keys = sorted(plan.keys)
+        shard = st.integers(min_value=0, max_value=workers - 1)
         value = _values(plan.aggregate.fold_mode)
-
-        def pair(worker):
-            return st.tuples(st.sampled_from(owned[worker]), value)
-
-        pushes = data.draw(st.lists(
-            shard.flatmap(lambda w: st.tuples(st.just(w), pair(w))), max_size=30
-        ))
-        fetched = data.draw(st.lists(
-            shard.flatmap(lambda w: st.tuples(st.just(w), st.sampled_from(owned[w]))),
-            max_size=5,
-        ))
+        pair = st.tuples(st.sampled_from(keys), value)
+        pushes = data.draw(st.lists(st.tuples(shard, pair), max_size=30))
+        fetched = data.draw(st.lists(st.tuples(shard, st.sampled_from(keys)), max_size=5))
 
         def perturb(run):
             for worker, (key, delta) in pushes:
@@ -179,10 +171,22 @@ class TestStackedWindowIsTheLoop:
             members = data.draw(st.sets(shard, min_size=1))
             limits = {w: data.draw(st.sampled_from(LIMITS)) for w in sorted(members)}
             extra = {
-                w: [data.draw(st.lists(pair(w), min_size=1, max_size=6))]
+                w: [data.draw(st.lists(pair, min_size=1, max_size=6))]
                 for w in sorted(members) if data.draw(st.booleans())
             }
             twins.window(members, limits, threshold, best_first, extra)
+
+    def test_a_foreign_pending_key_is_emitted_to_not_folded(self):
+        """Adsorption at W = 2 with ``-0.0`` pending on worker 0 for key
+        1, which worker 1 owns, behind worker 0's own keys: the in-batch
+        forward edges into key 1 are only emitted, on both kernels, so
+        one unlimited window counts the loop's 97 combines (the stacked
+        pass once folded them too: 104)."""
+        twins = Twins(_plan("adsorption"), 2)
+        assert twins.runs[0].owner[1] == 1
+        twins.each(lambda run: run.shards[0].push(1, -0.0))
+        twins.window({0}, {0: None})
+        assert [run.counters.combines for run in twins.runs] == [97, 97]
 
     def test_an_all_below_threshold_member_takes_nothing(self):
         """Everything worker 1 holds is below the importance threshold:
