@@ -13,7 +13,6 @@ communication shape) and renders as text or JSON.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -288,6 +287,3 @@ class AnalysisReport:
             "communication": self.communication,
             "strata": self.strata,
         }
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)

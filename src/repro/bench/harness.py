@@ -3,12 +3,11 @@
 Each ``run_*`` function executes the experiment on the simulated cluster
 and returns an :class:`ExperimentReport` (structured rows + formatted
 text).  Results are checked against the single-node MRA reference during
-the run; a mismatching cell is reported rather than silently kept.
+the run; a cell whose engine misses it fails the experiment.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -67,12 +66,19 @@ def _reference_values(program: str, dataset: str, scale: float):
     return MRAEvaluator(_plan(program, dataset, scale)).run().values
 
 
-def _seconds(result: EvalResult, program: str, dataset: str, scale: float) -> float:
-    """A run's simulated seconds, NaN when its values miss the reference."""
+def _seconds(
+    result: EvalResult, program: str, dataset: str, scale: float, label: str
+) -> float:
+    """A run's simulated seconds; a run whose values miss the reference
+    fixpoint fails the experiment instead of timing a wrong answer."""
     reference = _reference_values(program, dataset, scale)
     aggregate = PROGRAMS[program].analysis().aggregate
-    if not compare_results(reference, result.values, aggregate).ok:
-        return float("nan")
+    comparison = compare_results(reference, result.values, aggregate)
+    if not comparison.ok:
+        raise AssertionError(
+            f"{program} on {dataset} @ {scale:g}, {label}: missed the reference "
+            f"fixpoint ({comparison.summary()}) -- its seconds would be bogus"
+        )
     return result.simulated_seconds if result.simulated_seconds is not None else 0.0
 
 
@@ -82,7 +88,8 @@ def _run_grid(grid: dict, program: str, dataset: str, scale: float) -> dict:
     cluster = ClusterConfig()
     return {
         label: _seconds(
-            build_engine(engine, plan, cluster, **options).run(), program, dataset, scale
+            build_engine(engine, plan, cluster, **options).run(),
+            program, dataset, scale, label,
         )
         for label, (engine, options) in grid.items()
     }
@@ -117,7 +124,9 @@ def run_figure1(scale: float = 1.0) -> ExperimentReport:
         measured = {}
         for system_name in ("SociaLite", "Myria"):
             result = SYSTEMS[system_name].run(spec, graph)
-            measured[system_name] = _seconds(result, program, dataset, scale)
+            measured[system_name] = _seconds(
+                result, program, dataset, scale, system_name
+            )
         paper = PAPER_FIGURE1[(program, dataset)]
         rows.append(
             {
@@ -247,13 +256,15 @@ def run_figure9(
                 if not system.supports(spec):
                     cell[system_name] = None
                     continue
-                seconds = _seconds(system.run(spec, graph), program, dataset, scale)
+                seconds = _seconds(
+                    system.run(spec, graph), program, dataset, scale, system_name
+                )
                 cell[system_name] = seconds
                 times[system_name] = seconds
             powerlog_time = times.get("PowerLog")
             if powerlog_time:
                 for system_name, seconds in times.items():
-                    if system_name != "PowerLog" and seconds and not math.isnan(seconds):
+                    if system_name != "PowerLog" and seconds:
                         speedups[program].append(seconds / powerlog_time)
             rows.append(cell)
     notes = []
@@ -324,7 +335,9 @@ def run_figure10(
                         naive_seconds / cell[label]
                     )
             graph_result = baseline_system.run(spec, graph)
-            cell["graph-engine"] = _seconds(graph_result, program, dataset, scale)
+            cell["graph-engine"] = _seconds(
+                graph_result, program, dataset, scale, baseline_system.name
+            )
             cell["graph-engine sys"] = baseline_system.name
             rows.append(cell)
     notes = []
@@ -373,10 +386,7 @@ def run_figure11(
                 "dataset": dataset,
                 **_run_grid(_FIGURE11_GRID, program, dataset, scale),
             }
-            cell["best"] = best = min(
-                (label for label in _FIGURE11_GRID if not math.isnan(cell[label])),
-                key=cell.get,
-            )
+            cell["best"] = best = min(_FIGURE11_GRID, key=cell.get)
             wins += best == "sync-async"
             rows.append(cell)
     notes = [f"sync-async best on {wins}/{len(rows)} cells (paper: all)"]
@@ -420,7 +430,7 @@ def run_buffer_ablation(
                 result = build_engine(
                     "unified", plan, cluster, buffer_policy=policy, obs=obs
                 ).run()
-                cell[label] = _seconds(result, program, dataset, scale)
+                cell[label] = _seconds(result, program, dataset, scale, label)
                 cell[f"{label} msgs"] = result.counters.messages
                 if obs is not None and result.metrics is not None:
                     lines = [f"beta(i,j) over time -- {program}/{dataset}:"]
@@ -462,8 +472,12 @@ def run_priority_ablation(
                 {
                     "program": program,
                     "dataset": dataset,
-                    "with(s)": _seconds(with_threshold, program, dataset, scale),
-                    "without(s)": _seconds(without, program, dataset, scale),
+                    "with(s)": _seconds(
+                        with_threshold, program, dataset, scale, "with threshold"
+                    ),
+                    "without(s)": _seconds(
+                        without, program, dataset, scale, "without threshold"
+                    ),
                     "with F'": with_threshold.counters.fprime_applications,
                     "without F'": without.counters.fprime_applications,
                     "work saved": (
@@ -497,7 +511,7 @@ def run_worker_scaling(
         row: dict = {"program": program, "dataset": dataset}
         for workers in worker_counts:
             result = build_engine("unified", plan, ClusterConfig(num_workers=workers)).run()
-            row[f"{workers}w"] = _seconds(result, program, dataset, scale)
+            row[f"{workers}w"] = _seconds(result, program, dataset, scale, f"{workers}w")
         base = row[f"{worker_counts[0]}w"]
         row["speedup"] = f"{base / row[f'{worker_counts[-1]}w']:.1f}x"
         rows.append(row)
@@ -508,6 +522,16 @@ def run_worker_scaling(
 # --------------------------------------------------------------------------
 # Extension: single-node engine micro-comparison on all programs
 # --------------------------------------------------------------------------
+def _check_micro(program: str, label: str, mra, result, aggregate) -> None:
+    """Fail the micro-comparison when ``result`` misses MRA's fixpoint:
+    its work counters would be those of a wrong answer."""
+    comparison = compare_results(mra.values, result.values, aggregate)
+    if not comparison.ok:
+        raise AssertionError(
+            f"{program}: {label} misses MRA's fixpoint ({comparison.summary()})"
+        )
+
+
 def run_engine_micro() -> ExperimentReport:
     """Naive vs semi-naive vs MRA work counters on every program."""
     vertex_graph = rmat(80, 400, seed=21, name="micro")
@@ -535,6 +559,7 @@ def run_engine_micro() -> ExperimentReport:
         naive = NaiveEvaluator(analysis, db).run()
         plan = spec.plan(graph)
         mra = MRAEvaluator(plan).run()
+        _check_micro(program, "naive", mra, naive, analysis.aggregate)
         row = {
             "program": program,
             "naive bindings": naive.counters.bindings_produced,
@@ -544,6 +569,7 @@ def run_engine_micro() -> ExperimentReport:
         }
         if analysis.aggregate.is_idempotent:
             semi = SemiNaiveEvaluator(analysis, db).run()
+            _check_micro(program, "semi-naive", mra, semi, analysis.aggregate)
             row["semi-naive bindings"] = semi.counters.bindings_produced
         rows.append(row)
     text = "Single-node engine micro-comparison\n" + format_table(rows)

@@ -68,11 +68,3 @@ class CheckReport:
             f"P1={self.property1.status.value}, "
             f"P2={self.property2.status.value} via {self.property2.method})"
         )
-
-    def table_row(self) -> dict:
-        """A Table-1 style row: program, MRA sat., aggregator."""
-        return {
-            "program": self.program_name,
-            "mra_sat": "yes" if self.mra_satisfiable else "no",
-            "aggregator": self.aggregate_name,
-        }

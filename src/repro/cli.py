@@ -78,40 +78,20 @@ from repro.runtime import (
 from repro.systems import SYSTEMS
 
 
-def _build_engine(engine: str, plan, cluster, obs=None, backend=None):
-    """Construct an engine, rendering Theorem-3 refusals as diagnostics."""
-    from repro.analysis import AsyncIneligibleError
-
-    try:
-        return build_engine(engine, plan, cluster, obs=obs, backend=backend)
-    except AsyncIneligibleError as exc:
-        raise SystemExit(f"error: {exc.diagnostic.render()}")
+class Refusal(Exception):
+    """A request the CLI will not carry out: :func:`main` prints it as
+    one ``error:`` line on stderr and exits 2."""
 
 
-def _load_analysis(target: str):
-    """A Datalog file path or a library program name."""
-    if os.path.exists(target):
-        with open(target, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        name = os.path.splitext(os.path.basename(target))[0]
-        return analyze(parse_program(source, name=name))
-    if target in PROGRAMS:
-        return PROGRAMS[target].analysis()
-    raise SystemExit(
-        f"error: {target!r} is neither a file nor a library program "
-        f"(library programs: {', '.join(PROGRAMS)})"
-    )
-
-
-def _lint_target(target: str) -> tuple[str, str]:
-    """Resolve a lint target to ``(name, source)``."""
+def _read_target(target: str) -> tuple[str, str]:
+    """A Datalog file path or a library program name, as ``(name, source)``."""
     if os.path.exists(target):
         with open(target, "r", encoding="utf-8") as handle:
             return os.path.splitext(os.path.basename(target))[0], handle.read()
     if target in PROGRAMS:
         return target, PROGRAMS[target].source
-    raise SystemExit(
-        f"error: {target!r} is neither a file nor a library program "
+    raise Refusal(
+        f"{target!r} is neither a file nor a library program "
         f"(library programs: {', '.join(PROGRAMS)})"
     )
 
@@ -124,7 +104,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     worst = 0
     payloads = []
     for target in args.targets:
-        name, source = _lint_target(target)
+        name, source = _read_target(target)
         plan = None
         if name in PROGRAMS:
             # library programs always lint against their default graph:
@@ -146,7 +126,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    analysis = _load_analysis(args.target)
+    name, source = _read_target(args.target)
+    analysis = analyze(parse_program(source, name=name))
     report = check_analysis(analysis)
     print(report.summary())
     print(f"  F' = {analysis.fprime!r}   (recursion variable {analysis.recursion_var!r})")
@@ -193,9 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = system.run(spec, graph, cluster, backend=args.backend)
     else:
         plan = spec.plan(graph)
-        result = _build_engine(
-            args.engine, plan, cluster, backend=args.backend
-        ).run()
+        result = build_engine(args.engine, plan, cluster, backend=args.backend).run()
     print(
         f"{spec.title} on {graph.name} ({graph.num_vertices} vertices, "
         f"{graph.num_edges} edges), engine={result.engine or args.engine}, "
@@ -228,12 +207,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     experiment = EXPERIMENTS.get(args.name)
     if experiment is None:
-        print(
-            f"error: unknown experiment {args.name!r} "
-            f"(choose from {', '.join(EXPERIMENTS)})",
-            file=sys.stderr,
+        raise Refusal(
+            f"unknown experiment {args.name!r} (choose from {', '.join(EXPERIMENTS)})"
         )
-        return 2
     report = experiment.run()
     print(report.text)
     if args.save:
@@ -245,7 +221,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_rewrite(args: argparse.Namespace) -> int:
     from repro.datalog import incremental_source
 
-    analysis = _load_analysis(args.target)
+    name, source = _read_target(args.target)
+    analysis = analyze(parse_program(source, name=name))
     if not analysis.iterated:
         print(f"{analysis.program.name} is already in incremental form")
         return 0
@@ -255,7 +232,6 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.analysis import AsyncIneligibleError
     from repro.distributed.chaos_harness import (
         DEFAULT_PROGRAMS,
         format_matrix,
@@ -282,9 +258,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             backend=args.backend,
         )
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    except AsyncIneligibleError as exc:
-        raise SystemExit(f"error: {exc.diagnostic.render()}")
+        raise Refusal(str(exc)) from exc
     agreed = all(report.agreed for report in reports)
     if args.format == "json":
         import json
@@ -327,7 +301,7 @@ def _observed_cluster(args: argparse.Namespace, spec, graph) -> ClusterConfig:
     cluster = ClusterConfig(num_workers=args.workers)
     if not args.chaos:
         return cluster
-    reference = _build_engine(
+    reference = build_engine(
         args.engine, spec.plan(graph), cluster, backend=args.backend
     ).run()
     schedule = schedule_for(
@@ -337,30 +311,25 @@ def _observed_cluster(args: argparse.Namespace, spec, graph) -> ClusterConfig:
     return cluster.with_faults(schedule)
 
 
-def _refuses_chaos(args: argparse.Namespace) -> bool:
-    """True, with one line on stderr, when ``--chaos`` asks for faults
-    on an engine that accepts no fault schedule."""
-    if not args.chaos or args.engine in FAULT_TOLERANT_ENGINES:
-        return False
-    print(
-        f"error: --chaos needs an engine that accepts a fault schedule "
-        f"({', '.join(FAULT_TOLERANT_ENGINES)}), not {args.engine}",
-        file=sys.stderr,
-    )
-    return True
+def _refuse_naive_chaos(args: argparse.Namespace) -> None:
+    """Refuse ``--chaos`` on an engine that accepts no fault schedule."""
+    if args.chaos and args.engine not in FAULT_TOLERANT_ENGINES:
+        raise Refusal(
+            f"--chaos needs an engine that accepts a fault schedule "
+            f"({', '.join(FAULT_TOLERANT_ENGINES)}), not {args.engine}"
+        )
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Observability, aggregate_fault_events
 
-    if _refuses_chaos(args):
-        return 2
+    _refuse_naive_chaos(args)
     spec = get_program(args.program)
     graph = _observed_graph(args)
     cluster = _observed_cluster(args, spec, graph)
     with Observability(trace_path=args.out) as obs:
-        result = _build_engine(
-            args.engine, spec.plan(graph), cluster, obs, backend=args.backend
+        result = build_engine(
+            args.engine, spec.plan(graph), cluster, obs=obs, backend=args.backend
         ).run()
     events = obs.trace.events
     print(
@@ -405,14 +374,15 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.bench.charts import sparkline
     from repro.obs import Observability
 
-    if _refuses_chaos(args):
-        return 2
+    _refuse_naive_chaos(args)
     spec = get_program(args.program)
     graph = _observed_graph(args)
     cluster = _observed_cluster(args, spec, graph)
     plan = spec.plan(graph)
     obs = Observability()
-    result = _build_engine(args.engine, plan, cluster, obs, backend=args.backend).run()
+    result = build_engine(
+        args.engine, plan, cluster, obs=obs, backend=args.backend
+    ).run()
     metrics = result.metrics
     print(
         f"{spec.title} on {graph.name}, engine={result.engine}, "
@@ -554,8 +524,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     try:
         return _run_delta(args)
     except DeltaValidationError as exc:  # a malformed or inapplicable batch
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise Refusal(str(exc)) from exc
 
 
 def _run_delta(args: argparse.Namespace) -> int:
@@ -566,12 +535,9 @@ def _run_delta(args: argparse.Namespace) -> int:
     from repro.engine import MRAEvaluator
 
     if not (args.file or args.inserts or args.deletes or args.updates):
-        print(
-            "error: give a delta file or at least one of "
-            "--inserts/--deletes/--updates",
-            file=sys.stderr,
+        raise Refusal(
+            "give a delta file or at least one of --inserts/--deletes/--updates"
         )
-        return 2
     spec = get_program(args.program)
     graph = load_dataset(args.dataset, args.scale).with_weights()
 
@@ -968,13 +934,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A refusal -- a bad target, input file or option
+    combination, an engine that will not take the program -- is one
+    ``error:`` line on stderr and exit 2; exit 1 is a verdict (``check``
+    unsatisfiable, a ``chaos``/``trace`` mismatch, a wrong repair)."""
+    from repro.analysis import AsyncIneligibleError
+
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KernelUnavailableError as exc:
-        raise SystemExit(f"error: {exc}")
-    except (EdgeListError, WalkBoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (
+        Refusal,
+        AsyncIneligibleError,
+        EdgeListError,
+        KernelUnavailableError,
+        WalkBoundError,
+    ) as exc:
+        # one line: a diagnostic's hint follows its message after a "; "
+        message = "; ".join(line.strip() for line in str(exc).splitlines())
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

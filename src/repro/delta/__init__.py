@@ -35,7 +35,7 @@ from repro.delta.model import (
     GraphDelta,
     random_delta,
 )
-from repro.delta.view import MutableGraphView, view_of
+from repro.delta.view import MutableGraphView
 
 __all__ = [
     "ENGINE_NAME",
@@ -52,5 +52,4 @@ __all__ = [
     "GraphDelta",
     "random_delta",
     "MutableGraphView",
-    "view_of",
 ]

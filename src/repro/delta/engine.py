@@ -80,16 +80,17 @@ from typing import Optional
 
 from repro.delta.model import GraphDelta
 from repro.delta.view import MutableGraphView
+from repro.engine.common import base_contributions, constant_contributions
 from repro.engine.mra import MRAEvaluator
 from repro.engine.plan import (
     CompiledPlan,
-    base_values,
     body_columns,
     broadcast_names,
     edge_signatures,
 )
 from repro.engine.relation import Database, Relation
 from repro.engine.result import EvalResult, WorkCounters
+from repro.engine.rules import aggregate_contributions
 from repro.engine.termination import run_rounds
 from repro.obs import ensure_obs, record_run
 from repro.runtime import get_kernel, resolve_backend, resolve_backend_for_plan
@@ -280,7 +281,12 @@ def delta_join(
         for body in base_bodies
         for atom in body.predicate_atoms()
     ):
-        initial, constants = base_values(analysis, db)
+        initial = aggregate_contributions(
+            aggregate, base_contributions(analysis, db)
+        )
+        constants = aggregate_contributions(
+            aggregate, constant_contributions(analysis, db)
+        )
         if base_keys != frozenset(chain(initial, constants)) and any(
             broadcast_names(analysis, spec) for spec in analysis.recursions
         ):

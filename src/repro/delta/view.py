@@ -5,8 +5,8 @@ assume edge lists never change under them).  A
 :class:`MutableGraphView` layers versions on top: version 1 is the base
 graph (weights materialised, see :mod:`repro.delta.model`), and every
 :meth:`apply` produces version ``k+1`` from version ``k`` plus one
-validated :class:`~repro.delta.model.GraphDelta`.  All versions and the
-deltas that produced them stay addressable, which is what lets the
+validated :class:`~repro.delta.model.GraphDelta`.  All versions and
+what each bump changed stay addressable, which is what lets the
 serving layer repair a fixpoint cached at version ``j`` up to the
 current version without replaying the workload.
 
@@ -27,9 +27,9 @@ every seeded delta stream drawn from it.
 Each bump also keeps what it changed, edge by edge
 (:class:`~repro.delta.model.EdgeChange`: removed and added ``(src, dst,
 weight)`` triples with the weight objects the graphs hold, appended
-vertex ids), beside the delta that produced it.  ``changes_between``
-hands a range of them to the incremental engine, which reads the EDB
-change off them instead of rebuilding the database.
+vertex ids).  ``changes_between`` hands a range of them to the
+incremental engine, which reads the EDB change off them instead of
+rebuilding the database.
 """
 
 from __future__ import annotations
@@ -43,25 +43,16 @@ from repro.graphs.graph import Graph
 class MutableGraphView:
     """Versioned graph: ``graph_at(1)`` is the base, ``apply`` bumps."""
 
-    def __init__(self, base: Graph, start_version: int = 1):
-        if start_version < 1:
-            raise ValueError("start_version must be >= 1")
+    def __init__(self, base: Graph):
         materialised = base if base.weights is not None else base.with_weights()
-        self._start = start_version
-        self._graphs: dict[int, Graph] = {start_version: materialised}
-        #: version -> the delta that produced it (absent for the base)
-        self._deltas: dict[int, GraphDelta] = {}
-        #: version -> what that delta changed, edge by edge
+        self._graphs: dict[int, Graph] = {1: materialised}
+        #: version -> what the bump to it changed, edge by edge
         self._changes: dict[int, EdgeChange] = {}
         #: the head's edge index, built on the first bump
         self._index: Optional[EdgeIndex] = None
-        self.version = start_version
+        self.version = 1
 
     # -- accessors ------------------------------------------------------------
-    @property
-    def base_version(self) -> int:
-        return self._start
-
     @property
     def graph(self) -> Graph:
         """The graph at the current (latest) version."""
@@ -72,42 +63,17 @@ class MutableGraphView:
             return self._graphs[version]
         except KeyError:
             raise KeyError(
-                f"no graph at version {version} "
-                f"(have {self._start}..{self.version})"
+                f"no graph at version {version} (have 1..{self.version})"
             ) from None
-
-    def delta_for(self, version: int) -> GraphDelta:
-        """The delta that produced ``version`` from ``version - 1``."""
-        try:
-            return self._deltas[version]
-        except KeyError:
-            raise KeyError(
-                f"no delta produced version {version} "
-                f"(deltas exist for {sorted(self._deltas)})"
-            ) from None
-
-    def deltas_between(self, old: int, new: int) -> list:
-        """The delta chain turning version ``old`` into version ``new``."""
-        return [self._deltas[v] for v in self._bumps(old, new)]
 
     def changes_between(self, old: int, new: int) -> list:
         """The :class:`~repro.delta.model.EdgeChange` records turning
         version ``old`` into version ``new``, in version order."""
-        return [self._changes[v] for v in self._bumps(old, new)]
-
-    def _bumps(self, old: int, new: int) -> range:
-        if not self._start <= old <= new <= self.version:
+        if not 1 <= old <= new <= self.version:
             raise KeyError(
-                f"version range {old}..{new} outside {self._start}..{self.version}"
+                f"version range {old}..{new} outside 1..{self.version}"
             )
-        return range(old + 1, new + 1)
-
-    def history(self) -> list:
-        """``(version, delta summary)`` pairs, oldest first."""
-        return [
-            (version, self._deltas[version].summary())
-            for version in sorted(self._deltas)
-        ]
+        return [self._changes[v] for v in range(old + 1, new + 1)]
 
     # -- mutation -------------------------------------------------------------
     def apply(self, delta: GraphDelta) -> Graph:
@@ -120,12 +86,11 @@ class MutableGraphView:
             mutated.num_vertices,
             mutated.edges,
             mutated.weights,
-            name=self._graphs[self._start].name,
+            name=self._graphs[1].name,
             seed=mutated.seed,
         )
         self.version += 1
         self._graphs[self.version] = renamed
-        self._deltas[self.version] = delta
         self._changes[self.version] = change
         return renamed
 
@@ -135,8 +100,8 @@ class MutableGraphView:
         The callback builds the delta for each intermediate bump; used by
         the serving layer to lazily materialise versions on demand.
         """
-        if version < self._start:
-            raise KeyError(f"version {version} predates base {self._start}")
+        if version < 1:
+            raise KeyError(f"version {version} predates base 1")
         while self.version < version:
             self.apply(make_delta(self, self.version + 1))
         return self.graph_at(version)
@@ -144,14 +109,9 @@ class MutableGraphView:
     def __repr__(self):
         return (
             f"MutableGraphView({self.graph.name}: versions "
-            f"{self._start}..{self.version}, head {self.graph.num_vertices}v/"
+            f"1..{self.version}, head {self.graph.num_vertices}v/"
             f"{self.graph.num_edges}e)"
         )
 
 
-def view_of(graph: Graph, start_version: int = 1) -> MutableGraphView:
-    """Convenience constructor mirroring :func:`repro.graphs` factories."""
-    return MutableGraphView(graph, start_version=start_version)
-
-
-__all__ = ["MutableGraphView", "view_of"]
+__all__ = ["MutableGraphView"]

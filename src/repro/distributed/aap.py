@@ -29,6 +29,11 @@ from repro.distributed.buffers import BufferPolicy
 from repro.distributed.cluster import ClusterConfig
 from repro.engine.plan import CompiledPlan
 
+#: the batch limit of a worker in block mode (received/processed ratio
+#: in (0.5, 2]); a starved worker streams ``stream_batch`` keys, a
+#: flooded one sweeps its shard
+BLOCK_BATCH = 512
+
 
 class AAPEngine(AsyncEngine):
     """Grape+-style adaptive asynchronous parallel execution."""
@@ -41,7 +46,6 @@ class AAPEngine(AsyncEngine):
         cluster: Optional[ClusterConfig] = None,
         fixed_buffer_size: float = 256.0,
         stream_batch: int = 64,
-        block_batch: int = 512,
         run_name: str = "aap-run",
         **options,
     ):
@@ -58,7 +62,6 @@ class AAPEngine(AsyncEngine):
             **options,
         )
         self.stream_batch = stream_batch
-        self.block_batch = block_batch
 
     def _batch_limit_after(self, worker: int, delivered: list) -> Optional[int]:
         if not delivered:
@@ -82,7 +85,7 @@ class AAPEngine(AsyncEngine):
         if ratio > 2.0:
             return None, ratio  # SP/SSP-like: full sweeps
         if ratio > 0.5:
-            return self.block_batch, ratio
+            return BLOCK_BATCH, ratio
         return self.stream_batch, ratio  # AP-like: stream eagerly
 
     def _adapt(self, worker: int) -> None:
@@ -94,7 +97,7 @@ class AAPEngine(AsyncEngine):
         if self.obs.enabled and mode_batch != old:
             mode = (
                 "sweep" if mode_batch is None
-                else "block" if mode_batch == self.block_batch
+                else "block" if mode_batch == BLOCK_BATCH
                 else "stream"
             )
             self.obs.trace.emit(

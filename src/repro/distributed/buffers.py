@@ -31,6 +31,11 @@ from dataclasses import dataclass
 ALPHA = 0.8
 #: the adaptive rule's pace threshold (paper: set to 2)
 R = 2.0
+#: a message's first ack timeout, simulated seconds; each retry
+#: multiplies it by ``ACK_BACKOFF`` up to ``MAX_ACK_TIMEOUT``
+ACK_TIMEOUT = 5e-3
+ACK_BACKOFF = 2.0
+MAX_ACK_TIMEOUT = 8e-2
 
 
 @dataclass
@@ -108,12 +113,7 @@ class RetransmitBuffer:
     (idempotent aggregates) redundant deliveries.
     """
 
-    def __init__(
-        self, base_timeout: float = 5e-3, backoff: float = 2.0, max_timeout: float = 8e-2
-    ):
-        self.base_timeout = base_timeout
-        self.backoff = backoff
-        self.max_timeout = max_timeout
+    def __init__(self):
         self.unacked: dict = {}
 
     def track(self, seq: int, payload: dict) -> None:
@@ -128,10 +128,7 @@ class RetransmitBuffer:
 
     def timeout(self, attempt: int) -> float:
         """Backed-off ack timeout for the given attempt (1-based)."""
-        return min(
-            self.base_timeout * self.backoff ** max(0, attempt - 1),
-            self.max_timeout,
-        )
+        return min(ACK_TIMEOUT * ACK_BACKOFF ** max(0, attempt - 1), MAX_ACK_TIMEOUT)
 
     @property
     def pending(self) -> bool:
@@ -167,8 +164,6 @@ class AdaptiveBuffer(FixedBuffer):
 
     def observe_flush(self, now: float) -> None:
         """Adapt ``beta`` from the pace observed since the last window."""
-        if not self.policy.adaptive:
-            return
         window = now - self._window_start
         if window <= 0:
             return

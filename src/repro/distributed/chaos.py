@@ -27,7 +27,7 @@ to the condition that makes it recoverable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,9 +134,6 @@ class FaultSchedule:
             for endpoint in (partition.a, partition.b):
                 if not 0 <= endpoint < num_workers:
                     raise ValueError(f"partition worker {endpoint} out of range")
-
-    def with_seed(self, seed: int) -> "FaultSchedule":
-        return replace(self, seed=seed)
 
     def describe(self) -> str:
         parts = []

@@ -30,6 +30,7 @@ from repro.distributed.chaos import FaultSchedule, WorkerCrash
 from repro.distributed.cluster import ClusterConfig
 from repro.distributed.fault import Checkpointer
 from repro.distributed.registry import FAULT_TOLERANT_ENGINES, build_engine
+from repro.engine.validate import fixpoint_error
 from repro.graphs import random_dag, rmat
 from repro.programs import get_program
 
@@ -208,19 +209,7 @@ def run_chaos(
         backend=backend,
     ).run()
 
-    max_error = 0.0
-    keys = set(reference.values) | set(chaotic.values)
-    for key in keys:
-        ref_value = reference.values.get(key)
-        got_value = chaotic.values.get(key)
-        if ref_value is None or got_value is None:
-            max_error = float("inf")
-            break
-        if aggregate.numeric_values:
-            error = abs(float(got_value) - float(ref_value))
-        else:  # a non-numeric carrier (kpaths' KTuple) matches or it does not
-            error = 0.0 if got_value == ref_value else float("inf")
-        max_error = max(max_error, error)
+    max_error = fixpoint_error(reference.values, chaotic.values, aggregate)
 
     stats = chaotic.faults.snapshot() if chaotic.faults is not None else {}
     return ChaosReport(

@@ -8,7 +8,6 @@ deterministic across processes and sessions.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable
 
 
 def stable_hash(key) -> int:
@@ -36,16 +35,3 @@ class HashPartitioner:
 
     def owner(self, key) -> int:
         return stable_hash(key) % self.num_workers
-
-    def split(self, keys: Iterable) -> list[list]:
-        """Partition a key collection into per-worker lists."""
-        shards: list[list] = [[] for _ in range(self.num_workers)]
-        for key in keys:
-            shards[self.owner(key)].append(key)
-        return shards
-
-    def imbalance(self, keys: Iterable) -> float:
-        """max/mean shard size: 1.0 is perfectly balanced."""
-        sizes = [len(s) for s in self.split(keys)]
-        mean = sum(sizes) / len(sizes) if sizes else 0
-        return (max(sizes) / mean) if mean else 0.0

@@ -7,11 +7,7 @@ from typing import Optional
 from repro.datalog import ProgramAnalysis
 from repro.engine.relation import Database, Relation
 from repro.engine.result import WorkCounters
-from repro.engine.rules import (
-    aggregate_contributions,
-    evaluate_aux_rules,
-    evaluate_rule_bodies,
-)
+from repro.engine.rules import evaluate_aux_rules, evaluate_rule_bodies
 from repro.engine.termination import TerminationSpec
 from repro.obs import ensure_obs
 from repro.runtime import resolve_backend_for_plan
@@ -24,55 +20,44 @@ def recursive_rule(analysis: ProgramAnalysis):
     )
 
 
-def static_contributions(
+def base_contributions(
     analysis: ProgramAnalysis,
     db: Database,
     counters: Optional[WorkCounters] = None,
-    iterated_predicate: Optional[str] = None,
 ) -> list[tuple]:
-    """Base-rule and constant-body (``C``) contributions.
-
-    These do not depend on ``X^{k-1}``; naive evaluation recomputes them
-    every iteration (and pays for it), semi-naive folds them once.
-    """
+    """The base rules' contributions: ``X⁰`` before ``G`` folds it."""
+    iterated = analysis.head if analysis.iterated else None
     contributions: list[tuple] = []
     for rule in analysis.base_rules:
         contributions.extend(
             evaluate_rule_bodies(
-                rule,
-                db,
-                counters=counters,
-                iterated_predicate=iterated_predicate,
-            )
-        )
-    if analysis.constant_bodies:
-        contributions.extend(
-            evaluate_rule_bodies(
-                recursive_rule(analysis),
-                db,
-                bodies=analysis.constant_bodies,
-                counters=counters,
-                iterated_predicate=iterated_predicate,
+                rule, db, counters=counters, iterated_predicate=iterated
             )
         )
     return contributions
 
 
-def initial_values(
+def constant_contributions(
     analysis: ProgramAnalysis,
     db: Database,
     counters: Optional[WorkCounters] = None,
-    iterated_predicate: Optional[str] = None,
-) -> dict:
-    """``X⁰``: the base rules' contributions, aggregated with ``G``."""
-    contributions: list[tuple] = []
-    for rule in analysis.base_rules:
-        contributions.extend(
-            evaluate_rule_bodies(
-                rule, db, counters=counters, iterated_predicate=iterated_predicate
-            )
-        )
-    return aggregate_contributions(analysis.aggregate, contributions)
+) -> list[tuple]:
+    """The recursive rule's constant bodies' contributions: ``C`` before
+    ``G`` folds it.
+
+    Neither these nor the base rules' depend on ``X^{k-1}``: naive
+    evaluation recomputes both every iteration (and pays for it);
+    semi-naive evaluation and the compiled plan fold them once.
+    """
+    if not analysis.constant_bodies:
+        return []
+    return evaluate_rule_bodies(
+        recursive_rule(analysis),
+        db,
+        bodies=analysis.constant_bodies,
+        counters=counters,
+        iterated_predicate=analysis.head if analysis.iterated else None,
+    )
 
 
 def values_as_relation(analysis: ProgramAnalysis, values: dict) -> Relation:

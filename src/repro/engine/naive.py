@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from repro.engine.common import (
     RelationalEvaluator,
-    initial_values,
-    static_contributions,
+    base_contributions,
+    constant_contributions,
 )
 from repro.engine.result import EvalResult
 from repro.engine.rules import aggregate_contributions
@@ -31,18 +31,18 @@ class NaiveEvaluator(RelationalEvaluator):
 
     def run(self) -> EvalResult:
         #: ``X^{k-1}``, replaced every round
-        self._current = initial_values(
-            self.analysis, self.db, self.counters, self._iterated_predicate
+        self._current = aggregate_contributions(
+            self.analysis.aggregate,
+            base_contributions(self.analysis, self.db, self.counters),
         )
         return evaluate_rounds(self, self._round, lambda: self._current)
 
     def _round(self) -> BatchResult:
         aggregate = self.analysis.aggregate
         current = self._current
-        contributions = static_contributions(
-            self.analysis, self.db, self.counters, self._iterated_predicate
-        )
-        contributions.extend(self._recursive_contributions(current))
+        contributions = base_contributions(self.analysis, self.db, self.counters)
+        contributions += constant_contributions(self.analysis, self.db, self.counters)
+        contributions += self._recursive_contributions(current)
         self.counters.fprime_applications += len(contributions)
         next_values = aggregate_contributions(
             aggregate, contributions, self.counters

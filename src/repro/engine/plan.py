@@ -29,13 +29,12 @@ from operator import ne
 from typing import Callable, Optional
 
 from repro.datalog import ProgramAnalysis
-from repro.engine.common import initial_values, recursive_rule
+from repro.engine.common import base_contributions, constant_contributions
 from repro.engine.relation import Database
 from repro.engine.result import WorkCounters
 from repro.engine.rules import (
     aggregate_contributions,
     evaluate_aux_rules,
-    evaluate_rule_bodies,
     key_column,
     match_columns,
     repeat_each,
@@ -67,11 +66,6 @@ class CompiledPlan:
     @property
     def aggregate(self):
         return self.analysis.aggregate
-
-    @property
-    def fprime_fn(self) -> Callable:
-        """The primary body's compiled ``F'`` (convenience accessor)."""
-        return self.fprime_fns[0]
 
     @property
     def num_edges(self) -> int:
@@ -455,28 +449,6 @@ def _appended(column, value):
     return column
 
 
-def base_values(
-    analysis: ProgramAnalysis, db: Database, counters: Optional[WorkCounters] = None
-) -> tuple[dict, dict]:
-    """``X⁰`` from the base rules and the per-key constants ``C`` from
-    the recursive rule's constant bodies, evaluated against ``db``."""
-    iterated = analysis.head if analysis.iterated else None
-    initial = initial_values(
-        analysis, db, counters=counters, iterated_predicate=iterated
-    )
-    constants: dict = {}
-    if analysis.constant_bodies:
-        contributions = evaluate_rule_bodies(
-            recursive_rule(analysis),
-            db,
-            bodies=analysis.constant_bodies,
-            counters=counters,
-            iterated_predicate=iterated,
-        )
-        constants = aggregate_contributions(analysis.aggregate, contributions)
-    return initial, constants
-
-
 def broadcast_names(analysis: ProgramAnalysis, spec) -> list[str]:
     """Key variables shared between the recursive atom and the head but
     not bound by any join atom: *broadcast* dimensions (e.g. the source
@@ -575,7 +547,13 @@ def compile_plan(
     # Replacing it with ``set.copy()``, or dropping it, moves every plan.
     work_db = db.copy()
     evaluate_aux_rules(analysis, work_db, counters=counters)
-    initial, constants = base_values(analysis, work_db, counters=counters)
+    aggregate = analysis.aggregate
+    initial = aggregate_contributions(
+        aggregate, base_contributions(analysis, work_db, counters)
+    )
+    constants = aggregate_contributions(
+        aggregate, constant_contributions(analysis, work_db, counters)
+    )
 
     keys: set = set(initial) | set(constants)
     base_keys = frozenset(keys)

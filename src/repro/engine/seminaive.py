@@ -17,7 +17,11 @@ from typing import Optional
 
 from repro.aggregates import AggregateKind
 from repro.datalog import ProgramAnalysis
-from repro.engine.common import RelationalEvaluator, static_contributions
+from repro.engine.common import (
+    RelationalEvaluator,
+    base_contributions,
+    constant_contributions,
+)
 from repro.engine.relation import Database
 from repro.engine.result import EvalResult, WorkCounters
 from repro.engine.rules import aggregate_contributions
@@ -89,11 +93,11 @@ class SemiNaiveEvaluator(RelationalEvaluator):
     def run(self) -> EvalResult:
         # X⁰ plus the invariant constant-body contributions, folded once.
         #: ``X^k``, combined into in place, and ``ΔX^k``
+        analysis, db, counters = self.analysis, self.db, self.counters
         self._current = aggregate_contributions(
-            self.analysis.aggregate,
-            static_contributions(
-                self.analysis, self.db, self.counters, self._iterated_predicate
-            ),
+            analysis.aggregate,
+            base_contributions(analysis, db, counters)
+            + constant_contributions(analysis, db, counters),
         )
         self._delta = dict(self._current)
         return evaluate_rounds(self, self._round, lambda: self._current)

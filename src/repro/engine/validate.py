@@ -6,7 +6,9 @@ subtleties: min/max lattices compare exactly, epsilon-terminated sum
 programs compare to a scale-aware tolerance, and keys whose entire
 contribution stayed below an importance threshold may legitimately be
 absent when their reference value is negligible.  This module gives that
-logic one home and a diagnosable result object.
+logic one home and a diagnosable result object.  :func:`fixpoint_error`
+is the stricter whole-answer measure the chaos harness and the serving
+acceptance check share: every key on both sides, one worst error.
 """
 
 from __future__ import annotations
@@ -93,3 +95,33 @@ def compare_results(
         if abs(got - expected) > tolerance:
             comparison.mismatches.append(Mismatch(key, expected, got))
     return comparison
+
+
+def fixpoint_error(
+    reference: Mapping, values: Mapping, aggregate: Aggregate, relative: bool = False
+) -> float:
+    """The worst disagreement between two fixpoints over the union of
+    their keys.
+
+    It is ``inf`` when either side lacks a key, or when a non-numeric
+    carrier (kpaths' ``KTuple``), which has no distance metric, differs;
+    otherwise the largest absolute difference, divided by ``max(1,
+    |reference value|)`` when ``relative`` (additive fixpoints beyond
+    2^53, such as path_count's, carry ULP-level reordering noise that
+    grows with the value).
+    """
+    error = 0.0
+    for key in set(reference) | set(values):
+        ref_value = reference.get(key)
+        got_value = values.get(key)
+        if ref_value is None or got_value is None:
+            return float("inf")
+        if not aggregate.numeric_values:
+            if got_value != ref_value:
+                return float("inf")
+            continue
+        difference = abs(float(got_value) - float(ref_value))
+        if relative:
+            difference /= max(1.0, abs(float(ref_value)))
+        error = max(error, difference)
+    return error

@@ -8,15 +8,13 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.relation import Database
-
 
 class Graph:
     """A directed graph over vertices ``0..num_vertices-1``.
 
-    ``weights`` is optional; weighted consumers (SSSP, APSP) ask for
-    :meth:`as_database` with ``weighted=True``, which generates
-    deterministic integer weights when none were provided.
+    ``weights`` is optional; weighted consumers (SSSP, APSP) build their
+    EDB with :data:`repro.programs.builders.weighted_graph_db`, which
+    generates deterministic integer weights when none were provided.
 
     The edges are held one of two ways.  A graph built from a list of
     ``(src, dst)`` pairs keeps that list as :attr:`edges`.  A graph
@@ -154,28 +152,6 @@ class Graph:
         for src, _ in self.edges:
             degrees[src] += 1
         return degrees
-
-    def reversed(self) -> "Graph":
-        return Graph(
-            self.num_vertices,
-            [(dst, src) for src, dst in self.edges],
-            self.weights,
-            name=f"{self.name}-rev",
-            seed=self.seed,
-        )
-
-    def as_database(self, weighted: bool = False) -> Database:
-        """Materialise the graph as EDB relations ``edge`` and ``node``.
-
-        ``edge`` has arity 3 (src, dst, weight) when weighted, else 2.
-        """
-        db = Database()
-        if weighted:
-            db.add_facts("edge", self.weighted_edges(), arity=3)
-        else:
-            db.add_facts("edge", self.edges, arity=2)
-        db.add_facts("node", zip(self.vertices()), arity=1)
-        return db
 
     def __repr__(self):
         return (

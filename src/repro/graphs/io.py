@@ -30,6 +30,10 @@ def write_edge_list(graph: Graph, path: Union[str, os.PathLike]) -> None:
                 handle.write(f"{src}\t{dst}\t{weight}\n")
 
 
+#: vertex ids are int64 in a graph's columns and every kernel
+_MAX_ID = 2**63 - 1
+
+
 class EdgeListError(ValueError):
     """An edge-list file is malformed; the message starts ``path:lineno``."""
 
@@ -57,6 +61,8 @@ def _diagnose(fields: list) -> tuple:
         ) from None
     if src < 0 or dst < 0:
         raise ValueError(f"vertex ids must be non-negative, got {src} {dst}")
+    if src > _MAX_ID or dst > _MAX_ID:
+        raise ValueError(f"vertex ids must be below 2**63, got {src} {dst}")
     if len(fields) < 3:
         return src, dst, None
     raw = fields[2]
@@ -85,9 +91,9 @@ def read_edge_list(path: Union[str, os.PathLike]) -> Graph:
 
     Also accepts plain headerless edge lists, inferring the vertex count
     as ``max id + 1``.  Weights parse as ``int`` when they are integer
-    literals and as ``float`` otherwise.  Non-integer or negative vertex
-    ids, non-numeric weights and NaN/infinite weights raise
-    :class:`EdgeListError`.
+    literals and as ``float`` otherwise.  Non-integer, negative or
+    int64-overflowing (``>= 2**63``) vertex ids, non-numeric weights and
+    NaN/infinite weights raise :class:`EdgeListError`.
 
     A file whose body is plain unsigned integers -- ``#`` and blank
     lines only above the first edge, then newline-separated rows of two
@@ -206,7 +212,7 @@ def _read_lines(path) -> Graph:
             # they refuse is sorted out (or rejected) off the hot path
             try:
                 src, dst = int(fields[0]), int(fields[1])
-                if src < 0 or dst < 0:
+                if src < 0 or dst < 0 or src > _MAX_ID or dst > _MAX_ID:
                     raise ValueError
                 if len(fields) >= 3:
                     raw = fields[2]

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.distributed.chaos_harness import ADDITIVE_TOLERANCE
+from repro.engine.validate import fixpoint_error
 from repro.obs import Observability
 from repro.programs import get_program
 from repro.serving.request import TERMINAL_STATUSES
@@ -140,26 +141,9 @@ def _check_agreement(service, outcome, config, seed) -> list:
         ref = reference._run_engine(key, seed, with_checkpointer=False)
         aggregate = get_program(program).analysis().aggregate
         tolerance = 0.0 if aggregate.is_idempotent else ADDITIVE_TOLERANCE
-        max_error = 0.0
-        for vertex in set(ref.values) | set(profile.values):
-            ref_value = ref.values.get(vertex)
-            got_value = profile.values.get(vertex)
-            if ref_value is None or got_value is None:
-                max_error = float("inf")
-                break
-            if not aggregate.numeric_values:
-                # non-numeric carriers (e.g. kpaths' KTuple) have no
-                # distance metric: the answer either matches or it doesn't
-                if got_value != ref_value:
-                    max_error = float("inf")
-                    break
-                continue
-            # scale-aware error: additive fixpoints whose values exceed
-            # 2^53 (path_count) accumulate ULP-level reordering noise, so
-            # the absolute tolerance must grow with the value's magnitude
-            denominator = max(1.0, abs(float(ref_value)))
-            error = abs(float(got_value) - float(ref_value)) / denominator
-            max_error = max(max_error, error)
+        max_error = fixpoint_error(
+            ref.values, profile.values, aggregate, relative=True
+        )
         checks.append(
             AgreementCheck(
                 program=program,

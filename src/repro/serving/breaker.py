@@ -65,13 +65,6 @@ class CircuitBreaker:
         if self.on_transition is not None:
             self.on_transition(now, self.engine, old, new_state)
 
-    @property
-    def half_open_at(self) -> Optional[float]:
-        """When an open breaker will admit its probe; ``None`` otherwise."""
-        if self.state != OPEN or self.opened_at is None:
-            return None
-        return self.opened_at + self.reset_timeout
-
     def poll(self, now: float) -> None:
         """Advance the open -> half-open transition on the simulated clock."""
         if self.state == OPEN and now >= self.opened_at + self.reset_timeout:

@@ -96,6 +96,9 @@ CACHE_COST = 2e-3
 BACKOFF_BASE = 0.05
 BACKOFF_FACTOR = 2.0
 BACKOFF_JITTER = 0.5
+#: a crashed attempt observes a uniform fraction in this range of the
+#: run's duration
+FAILED_ATTEMPT_FRACTION = (0.2, 0.8)
 
 #: certified stop reasons -- only these results enter the cache
 _CERTIFIED_STOPS = ("fixpoint", "epsilon")
@@ -123,8 +126,6 @@ class ServeChaos:
 
     #: i.i.d. probability that an execution attempt crashes
     attempt_failure_rate: float = 0.0
-    #: crashed attempts observe this fraction range of the run's duration
-    failure_fraction: tuple = (0.2, 0.8)
     outages: tuple = ()
     #: FaultSchedule kwargs for engine-internal fault injection
     engine_faults: Optional[dict] = None
@@ -887,7 +888,7 @@ class _ServingRun:
                 self.counters["executions_full"] += 1
         failed = self._attempt_fails(request.engine)
         if failed:
-            lo, hi = self.chaos.failure_fraction
+            lo, hi = FAILED_ATTEMPT_FRACTION
             fraction = lo + (hi - lo) * float(self.rng.random())
             duration = fraction * profile.duration
         else:

@@ -336,6 +336,6 @@ class TestPipelineReports:
         assert report.theorem3["method"] == "prescreen(shift)"
 
     def test_json_roundtrip(self):
-        payload = json.loads(report_for(SSSP, name="sssp").render_json())
+        payload = json.loads(json.dumps(report_for(SSSP, name="sssp").to_dict()))
         assert payload["program"] == "sssp"
         assert payload["theorem3"]["eligible"]

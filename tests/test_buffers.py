@@ -10,7 +10,15 @@ from collections import defaultdict
 from types import SimpleNamespace
 
 from repro.aggregates import MIN, SUM
-from repro.distributed import AdaptiveBuffer, BufferPolicy, FixedBuffer
+from repro.distributed import (
+    AdaptiveBuffer,
+    AsyncEngine,
+    BufferPolicy,
+    ClusterConfig,
+    FixedBuffer,
+)
+from repro.graphs import chain
+from repro.programs import get_program
 from repro.runtime import SendSide
 
 #: every key is owned by worker 1, the buffers' target
@@ -154,7 +162,14 @@ class TestAdaptiveBuffer:
         assert buffer.beta <= first_beta
 
     def test_non_adaptive_policy_never_adapts(self):
-        buffer = _adaptive(BufferPolicy(adaptive=False, initial_beta=64))
+        # the async engine gives a non-adaptive policy a fixed buffer
+        engine = AsyncEngine(
+            get_program("sssp").plan(chain(4)),
+            ClusterConfig(num_workers=2),
+            buffer_policy=BufferPolicy(adaptive=False, initial_beta=64),
+        )
+        buffer = engine._make_buffer(_side(SUM), 0, TARGET)
+        assert type(buffer) is FixedBuffer
         feed(buffer, distinct(1000))
         buffer.observe_flush(now=1.0)
         assert buffer.beta == 64

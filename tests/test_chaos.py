@@ -4,6 +4,8 @@ The whole module is marked ``chaos`` (``make chaos`` / ``pytest -m
 chaos``); it also runs as part of the default ``make test``.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.distributed import (
@@ -88,7 +90,7 @@ class TestScheduleValidation:
 
 class TestRetransmitBuffer:
     def test_track_ack_cycle(self):
-        buffer = RetransmitBuffer(base_timeout=1e-3, backoff=2.0, max_timeout=8e-3)
+        buffer = RetransmitBuffer()
         buffer.track(0, {"a": 1})
         buffer.track(1, {"b": 2})
         assert len(buffer) == 2
@@ -102,12 +104,13 @@ class TestRetransmitBuffer:
         assert not buffer.pending
 
     def test_exponential_backoff_caps(self):
-        buffer = RetransmitBuffer(base_timeout=1e-3, backoff=2.0, max_timeout=5e-3)
-        assert buffer.timeout(1) == pytest.approx(1e-3)
-        assert buffer.timeout(2) == pytest.approx(2e-3)
-        assert buffer.timeout(3) == pytest.approx(4e-3)
-        assert buffer.timeout(4) == pytest.approx(5e-3)  # capped
-        assert buffer.timeout(10) == pytest.approx(5e-3)
+        buffer = RetransmitBuffer()
+        assert buffer.timeout(1) == 5e-3
+        assert buffer.timeout(2) == 1e-2
+        assert buffer.timeout(3) == 2e-2
+        assert buffer.timeout(4) == 4e-2
+        assert buffer.timeout(5) == 8e-2  # capped
+        assert buffer.timeout(10) == 8e-2
 
 
 class TestDeterminism:
@@ -137,7 +140,7 @@ class TestDeterminism:
             _plan("sssp", graph), cluster.with_faults(base)
         ).run()
         b = SyncEngine(
-            _plan("sssp", graph), cluster.with_faults(base.with_seed(2))
+            _plan("sssp", graph), cluster.with_faults(dataclasses.replace(base, seed=2))
         ).run()
         # values agree (recovery works) but the injected faults differ
         assert a.values == b.values

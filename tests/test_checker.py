@@ -146,10 +146,6 @@ class TestCheckSource:
         report = check_source(source, name="gcn")
         assert not report.mra_satisfiable
 
-    def test_table_row_shape(self, sssp_source):
-        row = check_source(sssp_source, name="sssp").table_row()
-        assert row == {"program": "sssp", "mra_sat": "yes", "aggregator": "min"}
-
 
 class TestRefuterSoundness:
     """Random linear programs must never be refuted (they satisfy P2)."""

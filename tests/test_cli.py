@@ -100,9 +100,23 @@ class TestCheck:
         main(["check", "pagerank", "--smt2", str(out_file)])
         assert "(check-sat)" in out_file.read_text()
 
-    def test_unknown_target(self):
-        with pytest.raises(SystemExit, match="neither a file nor"):
-            main(["check", "no-such-thing"])
+    def test_unknown_target(self, capsys):
+        _assert_unknown_target_refused("check", capsys)
+
+    @pytest.mark.parametrize("command", ["lint", "rewrite"])
+    def test_every_target_command_refuses_alike(self, command, capsys):
+        _assert_unknown_target_refused(command, capsys)
+
+
+def _assert_unknown_target_refused(command, capsys):
+    """One resolver for every FILE|PROGRAM command: one line, exit 2."""
+    assert main([command, "no-such-thing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: 'no-such-thing' is neither a file nor a library program"
+    )
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 class TestRun:
@@ -131,8 +145,9 @@ class TestRun:
         assert values == sorted(values, reverse=descending)
 
     def test_run_rejects_unknown_dataset(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", "sssp", "--dataset", "imagenet"])
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("backend", ("auto", "jit"))
     def test_run_rejects_removed_backends(self, backend, capsys):
@@ -207,6 +222,17 @@ class TestRunOnUserGraph:
         assert captured.err == f"error: {path}:2: weight 'nan' is not finite\n"
         assert "Traceback" not in captured.out + captured.err
 
+    def test_a_vertex_id_past_int64_is_a_one_line_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "huge.tsv"
+        path.write_text("0\t18446744073709551616\n")
+        assert main(["run", "sssp", "--graph", str(path), "--engine", "sync"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}:1: vertex ids must be below 2**63, "
+            "got 0 18446744073709551616\n"
+        )
+        assert captured.out == ""
+
     def test_malformed_delta_is_a_one_line_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"update_weights": [[0, 1, NaN]]}')
@@ -274,6 +300,29 @@ class TestEngineNames:
         # no reference run, so no fault schedule was printed
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "gcn", "--engine", "async"],
+            ["run", "gcn", "--engine", "unified", "--dataset", "flickr"],
+            ["chaos", "--programs", "gcn", "--engines", "async"],
+        ],
+    )
+    def test_async_refusal_is_a_one_line_diagnostic(self, argv, capsys):
+        """RA310: an async engine refuses an uncertified program."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: warning[RA310]: gcn: not certified")
+        assert "; hint: " in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_invalid_chaos_schedule_is_a_one_line_diagnostic(self, capsys):
+        argv = ["chaos", "--programs", "sssp", "--engines", "sync", "--drop", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: drop_rate must be in [0, 1), got 1.0\n"
+
     def test_every_surface_reads_the_registry(self):
         from repro.distributed import ENGINES, FAULT_TOLERANT_ENGINES
 
@@ -284,8 +333,9 @@ class TestEngineNames:
         assert parse(["chaos", "--engines", *FAULT_TOLERANT_ENGINES]).engines == list(
             FAULT_TOLERANT_ENGINES
         )
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             parse(["chaos", "--engines", "naive"])
+        assert excinfo.value.code == 2
 
     def test_fault_tolerant_set_is_what_the_engines_accept(self):
         from repro.distributed import ENGINES, FAULT_TOLERANT_ENGINES, ClusterConfig

@@ -26,7 +26,6 @@ from repro.delta import (
     diff_plans,
     random_delta,
     repair_plan,
-    view_of,
 )
 from repro.graphs import random_dag, rmat
 from repro.obs import Observability
@@ -263,13 +262,17 @@ class TestGraphDeltaApply:
 
 class TestMutableGraphView:
     def test_versioning(self, graph):
-        view = view_of(graph)
-        assert view.version == view.base_version == 1
+        view = MutableGraphView(graph)
+        assert view.version == 1
         delta = random_delta(graph, seed=1, insert_edges=2)
         view.apply(delta)
         assert view.version == 2
-        assert view.delta_for(2) == delta
-        assert view.graph_at(1).edges == view.graph_at(1).edges
+        (change,) = view.changes_between(1, 2)
+        assert change.removed == []
+        assert [(src, dst) for src, dst, _ in change.added] == [
+            (src, dst) for src, dst, _ in delta.insert_edges
+        ]
+        assert view.graph_at(1).edges == graph.edges
         assert len(view.graph.edges) == len(graph.edges) + 2
 
     def test_invalid_delta_leaves_view_untouched(self, graph):
@@ -279,18 +282,21 @@ class TestMutableGraphView:
             view.apply(bad)
         assert view.version == 1
 
-    def test_deltas_between(self, graph):
-        view = view_of(graph)
-        applied = []
+    def test_changes_between(self, graph):
+        view = MutableGraphView(graph)
+        added = []
         for step in range(3):
             delta = random_delta(view.graph, seed=step, insert_edges=1)
-            applied.append(delta)
             view.apply(delta)
-        assert view.deltas_between(1, 4) == applied
-        assert view.deltas_between(3, 4) == applied[2:]
+            added.append(view.changes_between(step + 1, step + 2)[0].added)
+        assert [change.added for change in view.changes_between(1, 4)] == added
+        assert [change.added for change in view.changes_between(3, 4)] == added[2:]
+        assert view.changes_between(4, 4) == []
+        with pytest.raises(KeyError):
+            view.changes_between(2, 5)
 
     def test_advance_to_materialises_lazily(self, graph):
-        view = view_of(graph)
+        view = MutableGraphView(graph)
         made = []
 
         def make(view_, version):
@@ -467,7 +473,7 @@ class TestRepairPlan:
         assert engine.fixpoint_version == engine.view.version == 2
 
     def test_engine_refresh_catches_up_external_mutations(self, graph):
-        view = view_of(graph)
+        view = MutableGraphView(graph)
         engine = IncrementalEngine("sssp", view=view)
         engine.bootstrap()
         for step in range(2):

@@ -45,6 +45,7 @@ def _agree(tmp_path_factory, data: bytes):
 ids = st.one_of(
     st.integers(min_value=0, max_value=60).map(str),
     st.integers(min_value=0, max_value=10**18 - 1).map(str),
+    st.integers(min_value=2**63 - 2, max_value=2**63 + 2).map(str),
     st.integers(min_value=2**63, max_value=2**80).map(str),
     st.integers(min_value=-5, max_value=-1).map(str),
     st.integers(min_value=0, max_value=99).map(lambda v: f"00{v}"),
@@ -159,6 +160,23 @@ class TestColumnarPassIsTheLineReader:
     )
     def test_edge_cases(self, tmp_path_factory, data):
         _agree(tmp_path_factory, data)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"0\t18446744073709551616\n", 1),
+            (b"0\t1\n9223372036854775808\t1\t3\n", 2),
+        ],
+    )
+    def test_an_id_past_int64_is_refused(self, tmp_path_factory, data, line):
+        got = _agree(tmp_path_factory, data)
+        assert got[:2] == ("raises", EdgeListError) and got[3] == line
+        assert "must be below 2**63" in got[2]
+
+    def test_the_largest_int64_id_is_read(self, tmp_path_factory):
+        data = b"# vertices 9223372036854775808\n9223372036854775807\t0\n"
+        got = _agree(tmp_path_factory, data)
+        assert got[0] == "graph" and got[3] == [(2**63 - 1, 0)]
 
     def test_a_refusal_names_its_line(self, tmp_path_factory):
         got = _agree(tmp_path_factory, b"# vertices 3\n0\t1\t4\n1\tx\t2\n")

@@ -18,6 +18,7 @@ from repro.graphs import (
     write_edge_list,
 )
 from repro.graphs.stats import bfs_depths, compute_stats
+from repro.programs.builders import plain_graph_db, weighted_graph_db
 
 
 class TestGraphContainer:
@@ -38,17 +39,14 @@ class TestGraphContainer:
         assert graph.out_adjacency() == [[1, 2], [], [1]]
         assert graph.in_adjacency() == [[], [0, 2], [0]]
 
-    def test_reversed(self):
-        graph = Graph(3, [(0, 1)])
-        assert graph.reversed().edges == [(1, 0)]
-
+    # a graph as a database: the EDB builders make its relations
     def test_as_database_unweighted(self):
-        db = Graph(3, [(0, 1)]).as_database()
+        db = plain_graph_db(Graph(3, [(0, 1)]))
         assert db.relation("edge").arity == 2
         assert len(db.relation("node")) == 3
 
     def test_as_database_weighted(self):
-        db = Graph(3, [(0, 1)], weights=[7]).as_database(weighted=True)
+        db = weighted_graph_db(Graph(3, [(0, 1)], weights=[7]))
         assert (0, 1, 7) in db.relation("edge")
 
 

@@ -1,8 +1,13 @@
 """Key partitioning."""
 
+from collections import Counter
+
 from hypothesis import given, strategies as st
 
-from repro.distributed import HashPartitioner, stable_hash
+from repro.distributed import ClusterConfig, HashPartitioner, stable_hash
+from repro.distributed.sharding import ShardedRun
+from repro.graphs import rmat
+from repro.programs import get_program
 
 
 class TestStableHash:
@@ -32,18 +37,21 @@ class TestPartitioner:
         assert all(0 <= partitioner.owner(k) < 16 for k in range(1000))
 
     def test_split_covers_everything(self):
-        partitioner = HashPartitioner(8)
-        shards = partitioner.split(range(100))
-        assert sum(len(s) for s in shards) == 100
+        plan = get_program("cc").plan(rmat(100, 400, seed=3))
+        shards = ShardedRun(plan, ClusterConfig(num_workers=8)).shard_keys
+        assert sum(len(s) for s in shards) == len(plan.keys)
+        assert set().union(*shards) == plan.keys
 
     def test_split_consistent_with_owner(self):
-        partitioner = HashPartitioner(4)
-        for worker, shard in enumerate(partitioner.split(range(50))):
-            assert all(partitioner.owner(k) == worker for k in shard)
+        plan = get_program("cc").plan(rmat(50, 200, seed=3))
+        run = ShardedRun(plan, ClusterConfig(num_workers=4))
+        for worker, shard in enumerate(run.shard_keys):
+            assert all(run.partitioner.owner(k) == worker for k in shard)
 
     def test_reasonable_balance(self):
         partitioner = HashPartitioner(16)
-        assert partitioner.imbalance(range(10_000)) < 1.2
+        sizes = Counter(partitioner.owner(k) for k in range(10_000))
+        assert max(sizes.values()) / (10_000 / 16) < 1.2
 
     def test_single_worker(self):
         partitioner = HashPartitioner(1)

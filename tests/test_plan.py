@@ -28,7 +28,7 @@ class TestSSSPPlan:
 
     def test_fprime_fn_compiled(self, diamond_db, sssp_source):
         plan = compile_plan(analyze(parse_program(sssp_source)), diamond_db)
-        assert plan.fprime_fn(10, 4) == 14
+        assert plan.fprime_fns[0](10, 4) == 14
 
 
 class TestPageRankPlan:

@@ -20,6 +20,7 @@ from repro.datalog import analyze, parse_program
 from repro.distributed import AsyncEngine, ClusterConfig, SyncEngine
 from repro.engine import Database, MRAEvaluator, NaiveEvaluator, compile_plan
 from repro.graphs import rmat
+from repro.programs.builders import weighted_graph_db
 
 relaxed = settings(
     deadline=None,
@@ -30,7 +31,7 @@ relaxed = settings(
 
 def random_weighted_db(seed: int) -> Database:
     graph = rmat(20, 70, seed=seed)
-    return graph.as_database(weighted=True)
+    return weighted_graph_db(graph)
 
 
 class TestTheorem1OnRandomPrograms:

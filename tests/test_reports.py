@@ -44,10 +44,6 @@ class TestCheckReport:
         summary = self._report(Status.PROVED, Status.PROVED).summary()
         assert "yes" in summary and "test" in summary
 
-    def test_table_row(self):
-        row = self._report(Status.PROVED, Status.REFUTED).table_row()
-        assert row == {"program": "p", "mra_sat": "no", "aggregator": "sum"}
-
 
 class TestMultiBodyCheck:
     def test_failing_secondary_body_rejects_program(self):

@@ -19,7 +19,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.distributed.buffers import RetransmitBuffer
+from repro.distributed.buffers import MAX_ACK_TIMEOUT, RetransmitBuffer
 
 #: per-delivery fates the generated schedule draws from
 DELIVER, DROP, DUPLICATE = 0, 1, 2
@@ -38,7 +38,7 @@ def run_protocol(payloads, fates, reorder_seed):
     Returns ``(applied, rounds)`` where ``applied`` maps each sequence
     number to how many times the receiver *applied* its delta.
     """
-    buffer = RetransmitBuffer(base_timeout=1e-3)
+    buffer = RetransmitBuffer()
     for seq, value in enumerate(payloads):
         buffer.track(seq, {"seq": seq, "value": value})
 
@@ -61,7 +61,7 @@ def run_protocol(payloads, fates, reorder_seed):
                 "retransmission must carry the original sequence number"
             )
             attempts[seq] += 1
-            assert buffer.timeout(attempts[seq]) <= buffer.max_timeout
+            assert buffer.timeout(attempts[seq]) <= MAX_ACK_TIMEOUT
             fate = next(fate_stream, DELIVER) if rounds < FAIRNESS_ROUND else DELIVER
             if fate == DROP:
                 continue  # ack timeout will retransmit next round
@@ -114,7 +114,7 @@ def test_pure_loss_phase_loses_nothing(n, drop_everything_rounds):
 
 
 def test_ack_is_idempotent_and_get_reflects_ack():
-    buffer = RetransmitBuffer(base_timeout=1e-3)
+    buffer = RetransmitBuffer()
     buffer.track(3, {"seq": 3, "value": 1.0})
     assert buffer.get(3) == {"seq": 3, "value": 1.0}
     buffer.ack(3)
